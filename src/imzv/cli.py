@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -31,6 +32,19 @@ from .zeta import (
     parse_zeta_combo,
     zeta_combo_to_json,
 )
+
+
+def _tolerance(text: str) -> float:
+    """argparse type for --tol: a nonnegative number, NaN refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value >= 0.0:
+        raise argparse.ArgumentTypeError(
+            "must be a nonnegative number, got %r" % text
+        )
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("combo", help="combo such as \"2*z(2,2)+4*z(3,1)\" or \"zs(5,1)\"")
     p.add_argument("--t", default="0", help="rational value for t (default 0)")
     p.add_argument(
-        "--tol", type=float, default=1e-6,
+        "--tol", type=_tolerance, default=1e-6,
         help="absolute error target (default 1e-6, floor 1e-9)",
     )
     add_format(p)
@@ -74,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, default=None, help="single p value")
     p.add_argument("--max-weight", type=int, default=None, help="weight bound")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sampling seed")
-    p.add_argument("--tol", type=float, default=None, help="numeric tolerance")
+    p.add_argument("--tol", type=_tolerance, default=None, help="numeric tolerance")
     p.add_argument("--pairs", type=int, default=None, help="number of sampled pairs")
     add_format(p)
 
@@ -162,12 +176,20 @@ def _first(*values):
 
 
 def _cmd_verify(args) -> int:
+    too_light = args.max_weight is not None and args.max_weight < 4
+    if args.suite == "homomorphism-numeric" and too_light:
+        raise ValueError(
+            "--max-weight must be at least 4 for homomorphism-numeric "
+            "(two factors of weight >= 2), got %d" % args.max_weight
+        )
     kwargs = {
         key: val
         for key, val in _SUITE_FLAGS[args.suite](args).items()
         if val is not None
     }
     report = SUITES[args.suite](**kwargs)
+    if report.cases_total == 0:
+        raise ValueError("the parameter grid of suite %s is empty" % args.suite)
     if args.format == "json":
         print(json.dumps(report.to_json_obj()))
     else:

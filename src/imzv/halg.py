@@ -200,17 +200,5 @@ def _split_terms(s: str):
     yield s[start:]
 
 
-def all_admissible(v: HElement) -> bool:
-    """True when every word of v is empty or starts with x and ends in y."""
-    from .words import is_admissible
-
-    return all(is_admissible(w) for w in v.terms)
-
-
-def all_end_in_y(v: HElement) -> bool:
-    """True when every word of v is empty or ends in y."""
-    return all(not w.letters or w.letters[-1] == "y" for w in v.terms)
-
-
 def helement_to_json(v: HElement) -> str:
     return json.dumps(v.to_json_obj())

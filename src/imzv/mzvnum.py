@@ -1,33 +1,53 @@
 """Floating-point evaluation of multiple zeta values.
 
-The value of z(l1,...,ln) is approximated by the iterated partial sum
+eval_mzv splits the iterated integral of the word w = word_from_index(k)
+at 1/2 (Borwein, Bradley, Broadhurst and Lisonek, "Special values of
+multiple polylogarithms", Trans. AMS 353, 2001):
 
-    v(N) = sum_{N >= m1 > ... > mn >= 1}  m1^-l1 ... mn^-ln,
+    z(w) = sum_{i=0..n} Li(revswap(w[:i]); 1/2) * Li(w[i:]; 1/2),
 
-computed for all cutoffs at once with cumulative-sum cascades, followed
-by an analytic tail correction.  Writing the inner chains below m as
-A(m), the truncated remainder is sum_{m>N} A(m) m^-l1.  A(m) grows like
-a polynomial in log m whose degree is bounded by the number of parts
+where n = |w|, revswap reverses a word and swaps x with y, and the empty
+word gives 1.  Li(v; z) = sum_m c_m z^m has nonnegative coefficients
+built from the constant 1 by prepending letters: y replaces c_m by
+(c_0 + ... + c_{m-1}) / m and x by c_m / m.  Both keep every c_m in
+[0, 1], so each factor is at most 1 and cutting its series after
+SERIES_TERMS terms loses at most 2^-SERIES_TERMS.  Every quantity is
+nonnegative, so rounding has a relative bound as well, and the reported
+error_estimate is a proven bound, floored at TARGET_FLOOR (1e-9): double
+precision leaves no headroom below that, so tighter targets are not
+accepted.
+
+Under this formula z(dual(w)) sums the same terms as z(w) in reverse
+order, so a numeric duality check needs an independent evaluator.
+eval_mzv_direct is that reference: it truncates the nested harmonic sum
+itself with cumulative-sum cascades of 2^17 to 2^21 terms and corrects
+the tail analytically.  Writing the inner chains below m as A(m), the
+truncated remainder is sum_{m>N} A(m) m^-l1.  A(m) grows like a
+polynomial in log m whose degree is bounded by the number of parts
 equal to 1 after the first, so the tail is recovered by fitting that
 polynomial on a window of computed values and summing the fitted model
-with the Euler-Maclaurin formula.  The reported error estimate compares
-the extrapolations from cutoff N and cutoff N/2, scaled by a safety
-factor and floored at 1e-9 (double precision leaves no headroom below
-that, so tighter targets are not accepted).
+with the Euler-Maclaurin formula.  Its error estimate compares the
+extrapolations from cutoff N and cutoff N/2, scaled by a safety factor
+and floored at TARGET_FLOOR.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
-from .coeffs import QtPoly
-from .words import Index
+from .words import Index, word_from_index
 from . import zeta as zeta_mod
 
 TARGET_FLOOR = 1e-9
+SERIES_TERMS = 64
+
+_UNIT_ROUNDOFF = 2.0 ** -53
+_REVSWAP = str.maketrans("xy", "yx")
 
 _EST_SAFETY = 2.0
 _FIT_SAMPLES = 512
@@ -37,9 +57,14 @@ _MIN_CUTOFF = 1 << 10
 class EvalResult:
     """Outcome of a numeric evaluation.
 
-    value          extrapolated limit
-    error_estimate nonnegative bound guess for |value - truth|
-    cutoff_used    largest partial-sum cutoff entering the computation
+    value          approximation of the limit
+    error_estimate bound on |value - truth|, never below TARGET_FLOOR:
+                   proven for eval_mzv (eval_combo adds these up, weighted
+                   by coefficient magnitudes), calibrated for
+                   eval_mzv_direct
+    cutoff_used    series length (SERIES_TERMS) for eval_mzv and
+                   eval_combo, or the largest partial-sum cutoff of
+                   eval_mzv_direct
     tol_ok         whether error_estimate met the requested target
     """
 
@@ -58,6 +83,72 @@ class EvalResult:
             self.cutoff_used,
             self.tol_ok,
         )
+
+
+def _admissible(index) -> Index:
+    if not isinstance(index, Index):
+        index = Index(index)
+    if not index.admissible:
+        raise ValueError("cannot evaluate non-admissible index %s" % index)
+    return index
+
+
+def _suffix_values(letters: str, n_terms: int) -> list:
+    """Li(v; 1/2) for every suffix v of letters, by length: entry k is the
+    value of the length-k suffix, its series cut after z^n_terms.  Every
+    nonempty suffix must end in y."""
+    coeffs = [1.0] + [0.0] * n_terms
+    halves = [0.5**m for m in range(n_terms + 1)]
+    values = [1.0]
+    for letter in reversed(letters):
+        if letter == "y":
+            sums = accumulate(coeffs[:-1])
+        else:
+            sums = coeffs[1:]
+        coeffs = [0.0] + [c / m for m, c in enumerate(sums, 1)]
+        values.append(math.fsum(map(mul, coeffs, halves)))
+    return values
+
+
+def _split_series(letters: str, n_terms: int = SERIES_TERMS):
+    """(value, bound) of z(letters) by the split-at-1/2 series.
+
+    Truncation: each of the n + 1 terms is a product of two factors in
+    [0, 1], each short of its limit by at most 2^-n_terms.  Rounding: the
+    running sums, divisions by m, fsums and products form a chain of at
+    most K = (n_terms + 1)(n + 2) roundings along any path, and all
+    operands are nonnegative, so value = exact * (1 + theta) with
+    |theta| <= gamma_K = K u / (1 - K u).  Gradual underflow, possible
+    only past weight 150, adds absolute errors below 1e-300.
+    """
+    n = len(letters)
+    tails = _suffix_values(letters, n_terms)
+    heads = _suffix_values(letters[::-1].translate(_REVSWAP), n_terms)
+    value = math.fsum(heads[i] * tails[n - i] for i in range(n + 1))
+    k_u = (n_terms + 1) * (n + 2) * _UNIT_ROUNDOFF
+    gamma = k_u / (1.0 - k_u)
+    bound = gamma * value / (1.0 - gamma) + 2.0 * (n + 1) * 0.5**n_terms
+    return value, bound
+
+
+def eval_mzv(index, target_abs_err=1e-9, cache=None) -> EvalResult:
+    """Evaluate one admissible index in double precision with a proven
+    error bound.
+
+    The cache, if given, is a plain dict confined to the calling session;
+    it keys on the index parts.  Do not share it with eval_mzv_direct.
+    """
+    index = _admissible(index)
+    parts = index.parts
+    target = max(float(target_abs_err), TARGET_FLOOR)
+    if cache is not None and parts in cache:
+        value, est, used = cache[parts]
+        return EvalResult(value, est, used, est <= target)
+    value, bound = _split_series(word_from_index(index).letters)
+    est = max(bound, TARGET_FLOOR)
+    if cache is not None:
+        cache[parts] = (value, est, SERIES_TERMS)
+    return EvalResult(value, est, SERIES_TERMS, est <= target)
 
 
 def _log_degree(parts) -> int:
@@ -140,19 +231,17 @@ def _value_at(total, inner, s, n_cut, degree):
     return total[n_cut] + _tail_sum(coefs, center, s, n_cut)
 
 
-def eval_mzv(index, target_abs_err=1e-9, cutoff=None, cache=None) -> EvalResult:
-    """Evaluate one admissible index in double precision.
+def eval_mzv_direct(index, target_abs_err=1e-9, cutoff=None, cache=None) -> EvalResult:
+    """Evaluate one admissible index by the truncated nested sum.
 
-    The cache, if given, is a plain dict confined to the calling session;
-    it keys on the index parts and stores results at the default cutoff.
-    An explicit ``cutoff`` (minimum 1024) overrides the size heuristic
-    and bypasses the cache.
+    The independent reference for the duality check and calibration; its
+    error estimate is calibrated, not proven.  The cache, if given, is a
+    plain dict confined to the calling session; it keys on the index
+    parts and stores results at the default cutoff.  An explicit
+    ``cutoff`` (minimum 1024) overrides the size heuristic and bypasses
+    the cache.
     """
-    if not isinstance(index, Index):
-        index = Index(index)
-    if not index.admissible:
-        raise ValueError("cannot evaluate non-admissible index %s" % index)
-    parts = index.parts
+    parts = _admissible(index).parts
     target = max(float(target_abs_err), TARGET_FLOOR)
     if cutoff is None and cache is not None and parts in cache:
         value, est, used = cache[parts]

@@ -17,7 +17,7 @@ from itertools import product
 
 from . import closedforms
 from .halg import HElement
-from .mzvnum import eval_combo, eval_mzv
+from .mzvnum import eval_combo, eval_mzv_direct
 from .tshuffle import (
     shuffle_words,
     tshuffle_words,
@@ -74,7 +74,8 @@ class VerifyReport:
 
     @property
     def passed(self) -> bool:
-        return self.cases_passed == self.cases_total
+        """All cases passed; an empty grid is not a pass."""
+        return self.cases_total > 0 and self.cases_passed == self.cases_total
 
     def to_json_obj(self):
         return {
@@ -325,14 +326,18 @@ def run_homomorphism_numeric(
 
 def run_duality_numeric(max_weight: int = 8) -> VerifyReport:
     """Numeric duality check: each admissible index evaluates to the same
-    value as its dual, within combined error estimates (suite duality-numeric)."""
+    value as its dual, within combined error estimates (suite duality-numeric).
+
+    Uses the direct nested-sum evaluator: the split-at-1/2 series of
+    eval_mzv is symmetric under duality term by term, so it would pass
+    this check whatever its errors."""
     start = time.perf_counter()
     report = VerifyReport("duality-numeric")
     cache = {}
     for idx in admissible_indices(max_weight):
         partner = index_from_word(dual(word_from_index(idx)))
-        r1 = eval_mzv(idx, cache=cache)
-        r2 = eval_mzv(partner, cache=cache)
+        r1 = eval_mzv_direct(idx, cache=cache)
+        r2 = eval_mzv_direct(partner, cache=cache)
         diff = abs(r1.value - r2.value)
         budget = r1.error_estimate + r2.error_estimate
         report.record(

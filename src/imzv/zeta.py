@@ -367,11 +367,6 @@ def zeta_uniform_product(m: int, p: int, n: int, u: int, v: int) -> ZetaCombo:
     return zeta_map(closedforms.pattern_product(a_exps, b_exps))
 
 
-def zeta_height_one_product(a: int, b: int, r: int, s: int) -> ZetaCombo:
-    """Product z^t(a+1, 1^(r-1)) * z^t(b+1, 1^(s-1)) as an interpolated combo."""
-    return zeta_map(closedforms.height_one_product(a, r, b, s))
-
-
 def alternating_zeta_sum(k: int, p: int = 2) -> ZetaCombo:
     """Alternating product sum sum_j (-1)^j z^t(p,1^j) z^t(p,1^(k-j))."""
     return zeta_map(closedforms.alternating_product_sum(k, p))

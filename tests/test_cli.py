@@ -9,7 +9,9 @@ import json
 
 import pytest
 
+from imzv import mzvnum
 from imzv.cli import main
+from imzv.verify import run_yy_products
 
 
 def run(capsys, *argv):
@@ -89,6 +91,18 @@ def test_eval_tolerance_failure_exits_one(capsys):
     assert out  # the value line still prints
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_eval_rejects_bad_tolerance(capsys, monkeypatch, tol):
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluated despite a bad tolerance")
+
+    monkeypatch.setattr("imzv.cli.eval_combo", refuse)
+    code, out, err = run(capsys, "eval", "z(2)", "--tol", tol)
+    assert code == 2
+    assert "--tol" in err
+    assert not out
+
+
 def test_eval_coefficients_at_t_one(capsys):
     # the t-coefficient switches on at t = 1, giving the star-normalized value
     code, out, _ = run(
@@ -103,7 +117,7 @@ def test_eval_json_format(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["tol_ok"] is True
-    assert obj["cutoff_used"] >= 1024
+    assert obj["cutoff_used"] == mzvnum.SERIES_TERMS
     assert abs(obj["value"] - 1.2020569031595943) < 1e-9
 
 
@@ -136,6 +150,23 @@ def test_verify_json_report(capsys):
     assert obj["cases_total"] == obj["cases_passed"] == 9
     assert obj["failures"] == []
     assert isinstance(obj["wall_time_s"], float)
+
+
+def test_verify_empty_grid_is_usage_error(capsys):
+    assert not run_yy_products(max_run=-3).passed
+    code, out, err = run(capsys, "verify", "lemma31", "--max", "-3")
+    assert code == 2
+    assert "empty" in err
+    assert not out
+
+
+def test_verify_homomorphism_weight_too_small_names_flag(capsys):
+    code, _, err = run(
+        capsys, "verify", "homomorphism-numeric", "--max-weight", "3"
+    )
+    assert code == 2
+    assert "--max-weight" in err
+    assert "randrange" not in err
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):
