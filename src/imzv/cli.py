@@ -18,8 +18,6 @@ from .mzvnum import eval_combo
 from .tshuffle import tshuffle_words
 from .verify import DEFAULT_SEED, SUITES
 from .words import (
-    Index,
-    Word,
     dual,
     index_from_word,
     parse_index,
@@ -87,7 +85,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None, help="single k value")
     p.add_argument("--p", type=int, default=None, help="single p value")
     p.add_argument("--max-weight", type=int, default=None, help="weight bound")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sampling seed")
+    p.add_argument(
+        "--seed", type=int, default=None,
+        help="sampling seed (default %d)" % DEFAULT_SEED,
+    )
     p.add_argument("--tol", type=_tolerance, default=None, help="numeric tolerance")
     p.add_argument("--pairs", type=int, default=None, help="number of sampled pairs")
     add_format(p)
@@ -144,49 +145,66 @@ def _cmd_eval(args) -> int:
     return 0 if result.tol_ok else 1
 
 
+# Per suite: runner keyword -> the verify flags (argparse dests) that may set
+# it; when several are given they must agree.  A *_values keyword takes a
+# one-item list.  A flag the chosen suite does not read is a usage error.
 _SUITE_FLAGS = {
-    "lemma31": lambda a: {"max_run": a.max},
-    "eq42": lambda a: {"max_exp": _first(a.max_exp, a.max)},
-    "theorem22": lambda a: {"max_run": _first(a.r, a.max), "max_exp": a.max_exp},
-    "prop32": lambda a: {"max_exp": _first(a.max_exp, a.max), "max_run": _first(a.r, a.s)},
-    "eq48": lambda a: {"max_param": a.max},
-    "height2": lambda a: {"max_exp": a.max_exp, "max_run": _first(a.r, a.max)},
-    "prop41": lambda a: {
-        "k_values": None if a.k is None else [a.k],
-        "p_values": None if a.p is None else [a.p],
+    "lemma31": {"max_run": ("max",)},
+    "eq42": {"max_exp": ("max_exp", "max")},
+    "theorem22": {"max_run": ("r", "s", "max"), "max_exp": ("max_exp",)},
+    "prop32": {"max_exp": ("max_exp", "max"), "max_run": ("r", "s")},
+    "eq48": {"max_param": ("max",)},
+    "height2": {"max_exp": ("max_exp",), "max_run": ("r", "max")},
+    "prop41": {"k_values": ("k",), "p_values": ("p",)},
+    "cor42": {"max_k": ("k", "max")},
+    "prop43": {"max_k": ("k", "max")},
+    "euler": {"max_arg": ("max",)},
+    "homomorphism-numeric": {
+        "n_pairs": ("pairs",),
+        "max_weight": ("max_weight",),
+        "seed": ("seed",),
+        "tol": ("tol",),
     },
-    "cor42": lambda a: {"max_k": _first(a.k, a.max)},
-    "prop43": lambda a: {"max_k": _first(a.k, a.max)},
-    "euler": lambda a: {"max_arg": a.max},
-    "homomorphism-numeric": lambda a: {
-        "n_pairs": a.pairs,
-        "max_weight": a.max_weight,
-        "seed": a.seed,
-        "tol": a.tol,
-    },
-    "duality-numeric": lambda a: {"max_weight": a.max_weight},
+    "duality-numeric": {"max_weight": ("max_weight",)},
 }
+_VERIFY_FLAGS = sorted(
+    {flag for entry in _SUITE_FLAGS.values() for flags in entry.values() for flag in flags}
+)
 
 
-def _first(*values):
-    for v in values:
-        if v is not None:
-            return v
-    return None
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _suite_kwargs(args) -> dict:
+    """Runner keywords from the verify flags; refuses a flag the suite does
+    not read and alternatives that disagree."""
+    entry = _SUITE_FLAGS[args.suite]
+    read = {flag for flags in entry.values() for flag in flags}
+    unused = [_flag(f) for f in _VERIFY_FLAGS if getattr(args, f) is not None and f not in read]
+    if unused:
+        raise ValueError("suite %s does not use %s" % (args.suite, ", ".join(unused)))
+    kwargs = {}
+    for key, flags in entry.items():
+        given = [(f, getattr(args, f)) for f in flags if getattr(args, f) is not None]
+        if len({value for _, value in given}) > 1:
+            raise ValueError(
+                "%s disagree for suite %s"
+                % (" and ".join(_flag(f) for f, _ in given), args.suite)
+            )
+        if given:
+            value = given[0][1]
+            kwargs[key] = [value] if key.endswith("_values") else value
+    return kwargs
 
 
 def _cmd_verify(args) -> int:
-    too_light = args.max_weight is not None and args.max_weight < 4
-    if args.suite == "homomorphism-numeric" and too_light:
+    kwargs = _suite_kwargs(args)
+    if args.suite == "homomorphism-numeric" and kwargs.get("max_weight", 4) < 4:
         raise ValueError(
             "--max-weight must be at least 4 for homomorphism-numeric "
             "(two factors of weight >= 2), got %d" % args.max_weight
         )
-    kwargs = {
-        key: val
-        for key, val in _SUITE_FLAGS[args.suite](args).items()
-        if val is not None
-    }
     report = SUITES[args.suite](**kwargs)
     if report.cases_total == 0:
         raise ValueError("the parameter grid of suite %s is empty" % args.suite)

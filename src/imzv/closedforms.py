@@ -14,33 +14,19 @@ from __future__ import annotations
 import itertools
 from math import comb
 
-from .coeffs import QtPoly, binom
-from .halg import HElement
+from .coeffs import binom, make_qtpoly
+from .halg import HElement, accumulate, make_helement
 from .tshuffle import compositions, tshuffle_words
 from .words import Word
 
 
 def _assemble(plain: dict, merged: dict) -> HElement:
     """Build sum(plain) - t * sum(merged) from str -> int coefficient maps."""
-    res = HElement.__new__(HElement)
-    res.terms = {}
-    for w, c in plain.items():
-        if c:
-            res.terms[Word(w)] = QtPoly({0: c})
+    terms = {Word(w): make_qtpoly({0: c}) for w, c in plain.items() if c}
     for w, c in merged.items():
-        if not c:
-            continue
-        key = Word(w)
-        old = res.terms.get(key)
-        if old is None:
-            res.terms[key] = QtPoly({1: -c})
-        else:
-            val = old + QtPoly({1: -c})
-            if val:
-                res.terms[key] = val
-            else:
-                del res.terms[key]
-    return res
+        if c:
+            accumulate(terms, Word(w), make_qtpoly({1: -c}))
+    return make_helement(terms)
 
 
 def _bump(table: dict, w: str, c: int):

@@ -1,8 +1,11 @@
-"""Exact coefficients: arbitrary-precision rationals and polynomials in t over Q.
+"""Exact coefficients: sparse polynomials in t over Q, and binomials.
 
-Rational is an alias for fractions.Fraction, which already keeps lowest terms
-and a positive denominator.  QtPoly is a sparse polynomial in the single
-variable t, stored as a degree -> Rational map with no zero entries.
+QtPoly is a sparse polynomial in the single variable t, stored as a
+degree -> coefficient map with no zero entries.  An integral coefficient
+is a Python int and any other one a fractions.Fraction in lowest terms,
+so the word products, which all lie in Z[t], never build a Fraction.
+Fractions enter only through parsing and eval_at.  Since Fraction(n)
+equals, hashes and prints like n, the split is invisible from outside.
 """
 
 from __future__ import annotations
@@ -10,8 +13,6 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-
-Rational = Fraction
 
 
 def binom(n: int, k: int):
@@ -25,6 +26,23 @@ def binom(n: int, k: int):
     return math.comb(n, k)
 
 
+def _exact(c):
+    """An exact coefficient: an int when integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def make_qtpoly(table: dict) -> "QtPoly":
+    """Wrap a degree -> coefficient table that is already clean (no zero
+    entries, no negative degrees, integral values as int) without
+    copying or re-checking it."""
+    res = object.__new__(QtPoly)
+    res.coeffs = table
+    return res
+
+
 class QtPoly:
     """A polynomial in t with rational coefficients."""
 
@@ -34,7 +52,7 @@ class QtPoly:
         table = {}
         if coeffs:
             for deg, c in coeffs.items():
-                c = Fraction(c)
+                c = _exact(c)
                 if c != 0:
                     if deg < 0:
                         raise ValueError("negative t-degree")
@@ -43,19 +61,19 @@ class QtPoly:
 
     @classmethod
     def const(cls, c) -> "QtPoly":
-        return cls({0: Fraction(c)})
+        return cls({0: c})
 
     @classmethod
     def zero(cls) -> "QtPoly":
-        return cls()
+        return make_qtpoly({})
 
     @classmethod
     def one(cls) -> "QtPoly":
-        return cls({0: Fraction(1)})
+        return make_qtpoly({0: 1})
 
     @classmethod
     def t(cls, power: int = 1) -> "QtPoly":
-        return cls({power: Fraction(1)})
+        return cls({power: 1})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -85,19 +103,15 @@ class QtPoly:
         for deg, c in other.coeffs.items():
             s = out.get(deg, 0) + c
             if s:
-                out[deg] = s
+                out[deg] = s if type(s) is int else _exact(s)
             else:
                 out.pop(deg, None)
-        res = QtPoly.__new__(QtPoly)
-        res.coeffs = out
-        return res
+        return make_qtpoly(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        res = QtPoly.__new__(QtPoly)
-        res.coeffs = {deg: -c for deg, c in self.coeffs.items()}
-        return res
+        return make_qtpoly({deg: -c for deg, c in self.coeffs.items()})
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -121,12 +135,10 @@ class QtPoly:
                 d = d1 + d2
                 s = out.get(d, 0) + c1 * c2
                 if s:
-                    out[d] = s
+                    out[d] = s if type(s) is int else _exact(s)
                 else:
                     del out[d]
-        res = QtPoly.__new__(QtPoly)
-        res.coeffs = out
-        return res
+        return make_qtpoly(out)
 
     __rmul__ = __mul__
 
@@ -207,7 +219,7 @@ def parse_qtpoly(text: str) -> QtPoly:
     chunks = re.findall(r"[+-][^+-]+", s.replace(" ", ""))
     if "".join(chunks) != s.replace(" ", ""):
         raise ValueError("cannot parse polynomial %r" % text)
-    out = QtPoly.zero()
+    out = {}
     for chunk in chunks:
         sign = -1 if chunk[0] == "-" else 1
         m = _TERM_RE.match(chunk[1:])
@@ -217,5 +229,5 @@ def parse_qtpoly(text: str) -> QtPoly:
         deg = 0
         if m.group("t"):
             deg = int(m.group("pow")) if m.group("pow") else 1
-        out = out + QtPoly({deg: sign * c})
-    return out
+        out[deg] = out.get(deg, 0) + sign * c
+    return QtPoly(out)

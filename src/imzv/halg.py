@@ -13,6 +13,24 @@ from .coeffs import QtPoly, parse_qtpoly
 from .words import EMPTY_WORD, Word, parse_word
 
 
+def accumulate(table: dict, key, c: QtPoly):
+    """Add the coefficient c to table[key] in place, dropping a zero sum."""
+    old = table.get(key)
+    if old is not None:
+        c = old + c
+    if c:
+        table[key] = c
+    elif old is not None:
+        del table[key]
+
+
+def make_helement(terms: dict) -> "HElement":
+    """Wrap a Word -> nonzero QtPoly table without copying or re-checking it."""
+    res = object.__new__(HElement)
+    res.terms = terms
+    return res
+
+
 class HElement:
     """A finite Q[t]-linear combination of words."""
 
@@ -56,20 +74,11 @@ class HElement:
             return NotImplemented
         out = dict(self.terms)
         for w, c in other.terms.items():
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-        res = HElement.__new__(HElement)
-        res.terms = out
-        return res
+            accumulate(out, w, c)
+        return make_helement(out)
 
     def __neg__(self):
-        res = HElement.__new__(HElement)
-        res.terms = {w: -c for w, c in self.terms.items()}
-        return res
+        return make_helement({w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, HElement):
@@ -81,13 +90,7 @@ class HElement:
             c = QtPoly.const(c)
         if c.is_zero():
             return HElement.zero()
-        res = HElement.__new__(HElement)
-        res.terms = {}
-        for w, old in self.terms.items():
-            new = old * c
-            if not new.is_zero():
-                res.terms[w] = new
-        return res
+        return make_helement({w: new for w, old in self.terms.items() if (new := old * c)})
 
     def __rmul__(self, c):
         if isinstance(c, HElement):
@@ -101,17 +104,8 @@ class HElement:
         out = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                s = out.get(w)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = s
-        res = HElement.__new__(HElement)
-        res.terms = out
-        return res
+                accumulate(out, w1 + w2, c1 * c2)
+        return make_helement(out)
 
     def coeff(self, w) -> QtPoly:
         return self.terms.get(Word(w), QtPoly.zero())
@@ -126,9 +120,7 @@ class HElement:
             v = c.eval_at(t0)
             if v:
                 out[w] = QtPoly.const(v)
-        res = HElement.__new__(HElement)
-        res.terms = out
-        return res
+        return make_helement(out)
 
     def __str__(self):
         if not self.terms:
@@ -163,9 +155,9 @@ def _term_str(w: Word, c: QtPoly) -> str:
 def parse_helement(text: str) -> HElement:
     """Parse the textual form, e.g. "2*xyxy + 4*xxyy + (-6*t)*xxxy"."""
     s = text.strip()
+    out = {}
     if s == "0":
-        return HElement.zero()
-    out = HElement.zero()
+        return make_helement(out)
     for piece in _split_terms(s):
         piece = piece.strip()
         if not piece:
@@ -175,15 +167,15 @@ def parse_helement(text: str) -> HElement:
             coeff = parse_qtpoly(cpart)
         else:
             coeff, wpart = QtPoly.one(), piece
-        out = out + HElement.from_word(parse_word(wpart), coeff)
-    return out
+        accumulate(out, parse_word(wpart), coeff)
+    return make_helement(out)
 
 
 def helement_from_json(obj) -> HElement:
-    out = HElement.zero()
+    out = {}
     for rec in obj:
-        out = out + HElement.from_word(parse_word(rec["word"]), parse_qtpoly(rec["coeff"]))
-    return out
+        accumulate(out, parse_word(rec["word"]), parse_qtpoly(rec["coeff"]))
+    return make_helement(out)
 
 
 def _split_terms(s: str):

@@ -16,8 +16,8 @@ coefficient pairs (c0, c1) meaning c0 + c1*t.
 
 from __future__ import annotations
 
-from .coeffs import QtPoly, binom
-from .halg import HElement
+from .coeffs import QtPoly, binom, make_qtpoly
+from .halg import HElement, make_helement
 from .words import Word
 
 
@@ -89,11 +89,14 @@ def _tsh(u: str, v: str, memo: dict) -> dict:
 
 
 def _pairs_to_helement(table: dict) -> HElement:
-    res = HElement.__new__(HElement)
-    res.terms = {}
+    terms = {}
     for w, (c0, c1) in table.items():
-        res.terms[Word(w)] = QtPoly({0: c0, 1: c1})
-    return res
+        if not c1:
+            coeffs = {0: c0}
+        else:
+            coeffs = {0: c0, 1: c1} if c0 else {1: c1}
+        terms[Word(w)] = make_qtpoly(coeffs)
+    return make_helement(terms)
 
 
 def tshuffle_words(w1, w2, cache: dict | None = None) -> HElement:
@@ -104,14 +107,25 @@ def tshuffle_words(w1, w2, cache: dict | None = None) -> HElement:
 
 
 def tshuffle(u: HElement, v: HElement, cache: dict | None = None) -> HElement:
-    """Q[t]-bilinear extension of tshuffle_words."""
+    """Q[t]-bilinear extension of tshuffle_words, summed in one table of
+    degree -> coefficient rows."""
     if cache is None:
         cache = {}
-    res = HElement.zero()
-    for w1, c1 in u.terms.items():
-        for w2, c2 in v.terms.items():
-            res = res + tshuffle_words(w1, w2, cache).scale(c1 * c2)
-    return res
+    acc = {}
+    for w1, a in u.terms.items():
+        for w2, b in v.terms.items():
+            ab = (a * b).coeffs.items()
+            for w, (c0, c1) in _tsh(w1.letters, w2.letters, cache).items():
+                row = acc.setdefault(w, {})
+                for d, k in ab:
+                    row[d] = row.get(d, 0) + k * c0
+                    row[d + 1] = row.get(d + 1, 0) + k * c1
+    terms = {}
+    for w, row in acc.items():
+        c = QtPoly(row)
+        if c:
+            terms[Word(w)] = c
+    return make_helement(terms)
 
 
 def _sh(u: str, v: str, memo: dict) -> dict:
@@ -141,9 +155,7 @@ def shuffle_words(w1, w2, cache: dict | None = None) -> HElement:
     if cache is None:
         cache = {}
     table = _sh(Word(w1).letters, Word(w2).letters, cache)
-    res = HElement.__new__(HElement)
-    res.terms = {Word(w): QtPoly.const(c) for w, c in table.items()}
-    return res
+    return make_helement({Word(w): make_qtpoly({0: c}) for w, c in table.items()})
 
 
 def yy_product_formula(m: int, n: int) -> HElement:
@@ -166,13 +178,11 @@ def yy_product_formula(m: int, n: int) -> HElement:
 def xy_block_sum(m: int, n: int) -> HElement:
     """The shuffle part of x^m sh y^n: one word per composition of m into
     n+1 runs, x^(m_1) y x^(m_2) y ... y x^(m_{n+1})."""
-    res = HElement.zero()
     acc = {}
     for comp in compositions(m, n + 1):
         w = "y".join("x" * c for c in comp)
         acc[w] = acc.get(w, 0) + 1
-    res.terms = {Word(w): QtPoly.const(c) for w, c in acc.items()}
-    return res
+    return make_helement({Word(w): make_qtpoly({0: c}) for w, c in acc.items()})
 
 
 def xy_merge_sum(m: int, n: int) -> HElement:
@@ -187,9 +197,7 @@ def xy_merge_sum(m: int, n: int) -> HElement:
             head = "".join("x" * c + "y" for c in comp[:-1])
             w = head + "x" * (comp[-1] + m - i + 1)
             acc[w] = acc.get(w, 0) + 1
-    res = HElement.__new__(HElement)
-    res.terms = {Word(w): QtPoly.const(c) for w, c in acc.items()}
-    return res
+    return make_helement({Word(w): make_qtpoly({0: c}) for w, c in acc.items()})
 
 
 def xpow_times_ypow(m: int, n: int) -> HElement:

@@ -20,6 +20,7 @@ from .halg import HElement
 from .mzvnum import eval_combo, eval_mzv_direct
 from .tshuffle import (
     shuffle_words,
+    tshuffle,
     tshuffle_words,
     xpow_times_ypow,
     yy_product_formula,
@@ -373,9 +374,9 @@ def run_oracle_laws(max_len_comm: int = 4, max_len_assoc: int = 3) -> VerifyRepo
         for w2 in words_a:
             left_12 = tshuffle_words(w1, w2, cache)
             for w3 in words_a:
-                lhs = _product_with_word(left_12, w3, cache)
+                lhs = tshuffle(left_12, HElement.from_word(w3), cache)
                 right_23 = tshuffle_words(w2, w3, cache)
-                rhs = _word_with_product(w1, right_23, cache)
+                rhs = tshuffle(HElement.from_word(w1), right_23, cache)
                 report.record(
                     {"law": "assoc", "w1": str(w1), "w2": str(w2), "w3": str(w3)},
                     lhs == rhs, lhs, rhs, lhs - rhs,
@@ -403,21 +404,6 @@ def run_shuffle_consistency(max_len: int = 5) -> VerifyReport:
             )
     report.wall_time_s = time.perf_counter() - start
     return report
-
-
-def _product_with_word(v: HElement, w: Word, cache) -> HElement:
-    """Extend the word product linearly to an element times a word."""
-    out = HElement.zero()
-    for u, c in v.terms.items():
-        out = out + tshuffle_words(u, w, cache).scale(c)
-    return out
-
-
-def _word_with_product(w: Word, v: HElement, cache) -> HElement:
-    out = HElement.zero()
-    for u, c in v.terms.items():
-        out = out + tshuffle_words(w, u, cache).scale(c)
-    return out
 
 
 SUITES = {

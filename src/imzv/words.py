@@ -26,7 +26,7 @@ class Word:
     def __init__(self, letters=""):
         if isinstance(letters, Word):
             letters = letters.letters
-        if any(ch not in "xy" for ch in letters):
+        if letters.strip("xy"):
             raise ValueError("word letters must be x or y, got %r" % letters)
         object.__setattr__(self, "letters", letters)
 
@@ -75,10 +75,10 @@ class Index:
     __slots__ = ("parts",)
 
     def __init__(self, parts):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(map(int, parts))
         if not parts:
             raise ValueError("index needs at least one part")
-        if any(p < 1 for p in parts):
+        if min(parts) < 1:
             raise ValueError("index parts must be positive, got %r" % (parts,))
         object.__setattr__(self, "parts", parts)
 
@@ -129,15 +129,7 @@ def index_from_word(w: Word) -> Index:
     s = w.letters
     if not s or s[-1] != "y":
         raise ValueError("word %s does not encode an index (must end in y)" % w)
-    parts = []
-    run = 0
-    for ch in s:
-        if ch == "x":
-            run += 1
-        else:
-            parts.append(run + 1)
-            run = 0
-    return Index(parts)
+    return Index([len(run) + 1 for run in s[:-1].split("y")])
 
 
 def is_admissible(w: Word) -> bool:

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 
 from .coeffs import QtPoly, binom, parse_qtpoly
-from .halg import HElement
+from .halg import HElement, accumulate
 from .tshuffle import compositions, tshuffle_words
 from .words import Index, Word, index_from_word
 from . import closedforms
@@ -32,6 +31,15 @@ STAR = "star"
 
 _KINDS = (INTERPOLATED, PLAIN, STAR)
 _SYMBOL = {INTERPOLATED: "z", PLAIN: "z", STAR: "zs"}
+
+
+def _make_combo(kind, terms: dict, scalar: QtPoly) -> "ZetaCombo":
+    """Wrap a clean Index -> nonzero QtPoly table without re-checking it."""
+    out = object.__new__(ZetaCombo)
+    object.__setattr__(out, "kind", kind)
+    object.__setattr__(out, "terms", terms)
+    object.__setattr__(out, "scalar", scalar)
+    return out
 
 
 class ZetaCombo:
@@ -90,17 +98,8 @@ class ZetaCombo:
         self._check_kind(other)
         terms = dict(self.terms)
         for idx, c in other.terms.items():
-            acc = terms.get(idx)
-            acc = c if acc is None else acc + c
-            if acc:
-                terms[idx] = acc
-            else:
-                terms.pop(idx, None)
-        out = ZetaCombo.__new__(ZetaCombo)
-        object.__setattr__(out, "kind", self.kind)
-        object.__setattr__(out, "terms", terms)
-        object.__setattr__(out, "scalar", self.scalar + other.scalar)
-        return out
+            accumulate(terms, idx, c)
+        return _make_combo(self.kind, terms, self.scalar + other.scalar)
 
     def __neg__(self):
         return self.scale(-1)
@@ -112,13 +111,8 @@ class ZetaCombo:
 
     def scale(self, c) -> "ZetaCombo":
         c = c if isinstance(c, QtPoly) else QtPoly.const(c)
-        out = ZetaCombo.__new__(ZetaCombo)
-        object.__setattr__(out, "kind", self.kind)
-        object.__setattr__(
-            out, "terms", {i: p for i, p0 in self.terms.items() if (p := p0 * c)}
-        )
-        object.__setattr__(out, "scalar", self.scalar * c)
-        return out
+        terms = {i: p for i, p0 in self.terms.items() if (p := p0 * c)}
+        return _make_combo(self.kind, terms, self.scalar * c)
 
     def __rmul__(self, c):
         return self.scale(c)
@@ -203,17 +197,20 @@ def zeta_map(v: HElement, kind=INTERPOLATED) -> ZetaCombo:
     Raises ValueError when some word is nonempty and not admissible, since
     such words carry no convergent zeta value.
     """
+    if kind not in _KINDS:
+        raise ValueError("unknown combo kind %r" % (kind,))
     terms = {}
     scalar = QtPoly.zero()
+    # distinct words give distinct indices, so every key is set once
     for w, c in v.terms.items():
-        if not w.letters:
-            scalar = scalar + c
-            continue
-        idx = index_from_word(w) if w.letters[-1] == "y" else None
-        if idx is None or not idx.admissible:
+        s = w.letters
+        if not s:
+            scalar = c
+        elif s[0] == "x" and s[-1] == "y":
+            terms[index_from_word(w)] = c
+        else:
             raise ValueError("word %s lies outside the admissible span" % w)
-        terms[idx] = terms.get(idx, QtPoly.zero()) + c
-    return ZetaCombo(kind, terms, scalar)
+    return _make_combo(kind, terms, scalar)
 
 
 def expand_interpolation(zc: ZetaCombo) -> ZetaCombo:
@@ -238,9 +235,7 @@ def expand_interpolation(zc: ZetaCombo) -> ZetaCombo:
                     fused += 1
                 else:
                     merged.append(parts[j])
-            key = Index(merged)
-            add = c * QtPoly.t(fused) if fused else c
-            out[key] = out.get(key, QtPoly.zero()) + add
+            accumulate(out, Index(merged), c * QtPoly.t(fused) if fused else c)
     return ZetaCombo(PLAIN, out, zc.scalar)
 
 
@@ -329,7 +324,7 @@ def parse_zeta_combo(text: str) -> ZetaCombo:
         idx = Index(parts)
         if not idx.admissible:
             raise ValueError("non-admissible index %s in combo" % idx)
-        terms[idx] = terms.get(idx, QtPoly.zero()) + coeff
+        accumulate(terms, idx, coeff)
     if len(kinds) > 1:
         raise ValueError("cannot mix z and zs symbols in one combo")
     kind = STAR if kinds == {"zs"} else PLAIN
@@ -387,8 +382,7 @@ def alternating_zeta_identity(k: int):
     terms = {}
 
     def bump(parts, c):
-        idx = Index(parts)
-        terms[idx] = terms.get(idx, QtPoly.zero()) + c
+        accumulate(terms, Index(parts), c)
 
     for aa in compositions(1, k + 2):
         parts = (aa[-1] + 2,) + tuple(q + 1 for q in aa[:-1])
@@ -406,15 +400,9 @@ def euler_decomposition(i: int, j: int) -> ZetaCombo:
         raise ValueError("need i, j >= 2")
     terms = {}
     for k in range(1, j + 1):
-        idx = Index((i + j - k, k))
-        terms[idx] = terms.get(idx, QtPoly.zero()) + QtPoly.const(
-            binom(i + j - k - 1, i - 1)
-        )
+        accumulate(terms, Index((i + j - k, k)), QtPoly.const(binom(i + j - k - 1, i - 1)))
     for k in range(1, i + 1):
-        idx = Index((i + j - k, k))
-        terms[idx] = terms.get(idx, QtPoly.zero()) + QtPoly.const(
-            binom(i + j - k - 1, j - 1)
-        )
+        accumulate(terms, Index((i + j - k, k)), QtPoly.const(binom(i + j - k - 1, j - 1)))
     return ZetaCombo(PLAIN, terms)
 
 

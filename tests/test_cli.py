@@ -10,7 +10,7 @@ import json
 import pytest
 
 from imzv import mzvnum
-from imzv.cli import main
+from imzv.cli import _SUITE_FLAGS, main
 from imzv.verify import run_yy_products
 
 
@@ -230,3 +230,50 @@ def test_verify_seed_flag_accepted(capsys):
     )
     assert code == 0
     assert "6/6" in out
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["lemma31", "--max-weight", "3"], ["--max-weight"]),
+        (["duality-numeric", "--tol", "1e-30", "--pairs", "3"], ["--pairs", "--tol"]),
+        (["euler", "--seed", "3"], ["--seed"]),
+    ],
+)
+def test_verify_flag_the_suite_ignores_is_usage_error(capsys, argv, flags):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert not out
+    for flag in flags:
+        assert flag in err
+
+
+def test_verify_disagreeing_alternative_flags_are_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "prop32", "--r", "2", "--s", "3")
+    assert code == 2
+    assert "--r" in err and "--s" in err
+
+
+# small values that keep every suite's grid to a fraction of a second
+_FLAG_VALUES = {
+    "max": "2", "max_exp": "1", "r": "1", "s": "1", "k": "2", "p": "2",
+    "max_weight": "4", "seed": "3", "tol": "1e-5", "pairs": "1",
+}
+
+
+@pytest.mark.parametrize(
+    "suite, flag",
+    [
+        (suite, flag)
+        for suite, entry in sorted(_SUITE_FLAGS.items())
+        for flags in entry.values()
+        for flag in flags
+    ],
+)
+def test_verify_accepts_every_flag_its_suite_reads(capsys, suite, flag):
+    argv = ["verify", suite, "--" + flag.replace("_", "-"), _FLAG_VALUES[flag]]
+    if suite == "homomorphism-numeric" and flag != "pairs":
+        argv += ["--pairs", "1"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert "cases passed" in out

@@ -1,14 +1,27 @@
 """Tests for the rational coefficient polynomials in the deformation variable.
 
-Covers the commutative ring laws, evaluation, the text format, and the
-binomial helper that the closed-form modules lean on.
+Covers the commutative ring laws, evaluation, the text format, the
+binomial helper that the closed-form modules lean on, and the int/Fraction
+split of the coefficients: integral ones are Python ints, so word products
+and their zeta images never carry a Fraction.
 """
 
 from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from imzv import QtPoly, binom, parse_qtpoly
+from imzv import (
+    HElement,
+    QtPoly,
+    Word,
+    binom,
+    parse_qtpoly,
+    pattern_product,
+    tshuffle,
+    tshuffle_words,
+    yy_product_formula,
+    zeta_map,
+)
 
 
 def qtpoly_strategy():
@@ -114,3 +127,36 @@ def test_binom_out_of_range_is_zero():
 @given(n=st.integers(min_value=0, max_value=12), k=st.integers(min_value=0, max_value=12))
 def test_binom_pascal_rule(n, k):
     assert binom(n + 1, k + 1) == binom(n, k) + binom(n, k + 1)
+
+
+def test_integral_fraction_is_stored_as_int():
+    p = QtPoly({0: Fraction(6, 2)})
+    assert p == QtPoly({0: 3})
+    assert hash(p) == hash(QtPoly({0: 3}))
+    assert str(p) == str(QtPoly({0: 3})) == "3"
+    assert type(p.coeffs[0]) is int
+
+
+def test_mixed_int_fraction_arithmetic_stays_exact():
+    half_t = QtPoly.t() * Fraction(1, 2)
+    assert half_t.coeffs == {1: Fraction(1, 2)}
+    assert half_t * 2 == QtPoly.t()
+    assert type((half_t * 2).coeffs[1]) is int
+    s = QtPoly.const(Fraction(1, 3)) + QtPoly.const(Fraction(2, 3))
+    assert s == QtPoly.one() and type(s.coeffs[0]) is int
+    assert (half_t + half_t - QtPoly.t()).is_zero()
+    assert str(QtPoly({0: Fraction(-3, 2), 1: 4})) == "-3/2 + 4*t"
+
+
+def _all_int(coeff_polys):
+    return all(type(c) is int for p in coeff_polys for c in p.coeffs.values())
+
+
+def test_word_products_and_their_zeta_images_have_int_coefficients():
+    prod = tshuffle_words(Word("xxyy"), Word("xyxy"))
+    assert prod.terms and _all_int(prod.terms.values())
+    assert _all_int(pattern_product((1, 0, 2), (2, 1)).terms.values())
+    assert _all_int(yy_product_formula(3, 4).terms.values())
+    combo = zeta_map(prod)
+    assert combo.terms and _all_int(combo.terms.values())
+    assert _all_int([zeta_map(tshuffle(HElement.unit(), HElement.unit())).scalar])

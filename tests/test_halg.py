@@ -8,7 +8,7 @@ JSON round trips used by the command line tools.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from imzv import (
     HElement,
@@ -17,6 +17,8 @@ from imzv import (
     helement_from_json,
     helement_to_json,
     parse_helement,
+    tshuffle,
+    tshuffle_words,
 )
 
 import json
@@ -120,3 +122,22 @@ def test_substitute_t_is_linear(u, value):
     lhs = doubled.substitute_t(value)
     rhs = u.substitute_t(value) + u.substitute_t(value)
     assert lhs == rhs
+
+
+@settings(max_examples=60, deadline=None)
+@given(u=elements, v=elements)
+def test_tshuffle_is_the_sum_of_scaled_word_products(u, v):
+    expected = HElement.zero()
+    for w1, c1 in u.terms.items():
+        for w2, c2 in v.terms.items():
+            expected = expected + tshuffle_words(w1, w2).scale(c1 * c2)
+    assert tshuffle(u, v) == expected
+
+
+def test_tshuffle_drops_cancelled_words_and_keeps_fractions():
+    x, y = HElement.from_word("x"), HElement.from_word("y")
+    got = tshuffle(x + y, x - y)
+    assert got == tshuffle_words("x", "x") - tshuffle_words("y", "y")
+    assert Word("yx") not in got.terms
+    half = HElement.from_word("y", QtPoly({0: Fraction(1, 2)}))
+    assert tshuffle(half, y.scale(2)) == tshuffle_words("y", "y")

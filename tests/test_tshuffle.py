@@ -29,6 +29,7 @@ from imzv import (
     xpow_times_ypow,
     yy_product_formula,
 )
+from imzv.verify import run_oracle_laws
 
 short_words = st.text(alphabet="xy", max_size=4).map(Word)
 tiny_words = st.text(alphabet="xy", max_size=3).map(Word)
@@ -56,6 +57,12 @@ def test_product_associates(w1, w2, w3):
         HElement.from_word(w1), tshuffle_words(w2, w3, cache), cache
     )
     assert left == right
+
+
+def test_oracle_laws_on_all_words_up_to_length_three():
+    report = run_oracle_laws(max_len_comm=1, max_len_assoc=3)
+    assert report.cases_total == 3**2 + 15**3
+    assert report.passed
 
 
 @given(w1=short_words, w2=short_words)

@@ -38,6 +38,13 @@ def test_word_rejects_other_letters():
         Word("x y")
 
 
+@pytest.mark.parametrize("letters", ["xzy", "x y", "X", "yx\n"])
+def test_word_rejection_names_the_letters(letters):
+    with pytest.raises(ValueError) as err:
+        Word(letters)
+    assert str(err.value) == "word letters must be x or y, got %r" % letters
+
+
 def test_word_is_immutable():
     w = Word("xy")
     with pytest.raises(AttributeError):

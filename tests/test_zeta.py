@@ -75,6 +75,18 @@ def test_zeta_map_requires_admissible_words():
         zeta_map(v)
 
 
+@pytest.mark.parametrize("word", ["yx", "xyx", "yy", "x"])
+def test_zeta_map_names_the_word_outside_the_admissible_span(word):
+    v = HElement.from_word("xy") + HElement.from_word(word, QtPoly.t())
+    with pytest.raises(ValueError, match="word %s lies outside" % word):
+        zeta_map(v)
+
+
+def test_zeta_map_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="unknown combo kind"):
+        zeta_map(HElement.from_word("xy"), kind="hybrid")
+
+
 def test_zeta_map_sends_empty_word_to_scalar():
     v = HElement.unit().scale(QtPoly.const(3)) + HElement.from_word("xy", 2)
     zc = zeta_map(v)
