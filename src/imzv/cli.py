@@ -145,47 +145,27 @@ def _cmd_eval(args) -> int:
     return 0 if result.tol_ok else 1
 
 
-# Per suite: runner keyword -> the verify flags (argparse dests) that may set
-# it; when several are given they must agree.  A *_values keyword takes a
-# one-item list.  A flag the chosen suite does not read is a usage error.
-_SUITE_FLAGS = {
-    "lemma31": {"max_run": ("max",)},
-    "eq42": {"max_exp": ("max_exp", "max")},
-    "theorem22": {"max_run": ("r", "s", "max"), "max_exp": ("max_exp",)},
-    "prop32": {"max_exp": ("max_exp", "max"), "max_run": ("r", "s")},
-    "eq48": {"max_param": ("max",)},
-    "height2": {"max_exp": ("max_exp",), "max_run": ("r", "max")},
-    "prop41": {"k_values": ("k",), "p_values": ("p",)},
-    "cor42": {"max_k": ("k", "max")},
-    "prop43": {"max_k": ("k", "max")},
-    "euler": {"max_arg": ("max",)},
-    "homomorphism-numeric": {
-        "n_pairs": ("pairs",),
-        "max_weight": ("max_weight",),
-        "seed": ("seed",),
-        "tol": ("tol",),
-    },
-    "duality-numeric": {"max_weight": ("max_weight",)},
-}
-_VERIFY_FLAGS = sorted(
-    {flag for entry in _SUITE_FLAGS.values() for flags in entry.values() for flag in flags}
-)
-
-
 def _flag(dest: str) -> str:
     return "--" + dest.replace("_", "-")
 
 
 def _suite_kwargs(args) -> dict:
-    """Runner keywords from the verify flags; refuses a flag the suite does
-    not read and alternatives that disagree."""
-    entry = _SUITE_FLAGS[args.suite]
-    read = {flag for flags in entry.values() for flag in flags}
-    unused = [_flag(f) for f in _VERIFY_FLAGS if getattr(args, f) is not None and f not in read]
+    """Runner keywords from the verify flags, as the suite record maps them;
+    refuses a flag the suite does not read, alternatives that disagree and
+    a value below the suite's least."""
+    suite = SUITES[args.suite].suite
+    read = {flag for flags in suite.flags.values() for flag in flags}
+    known = {
+        flag
+        for runner in SUITES.values()
+        for flags in runner.suite.flags.values()
+        for flag in flags
+    }
+    unused = [_flag(f) for f in sorted(known - read) if getattr(args, f) is not None]
     if unused:
         raise ValueError("suite %s does not use %s" % (args.suite, ", ".join(unused)))
     kwargs = {}
-    for key, flags in entry.items():
+    for key, flags in suite.flags.items():
         given = [(f, getattr(args, f)) for f in flags if getattr(args, f) is not None]
         if len({value for _, value in given}) > 1:
             raise ValueError(
@@ -195,17 +175,12 @@ def _suite_kwargs(args) -> dict:
         if given:
             value = given[0][1]
             kwargs[key] = [value] if key.endswith("_values") else value
+    suite.check(kwargs, lambda key: "/".join(map(_flag, suite.flags[key])))
     return kwargs
 
 
 def _cmd_verify(args) -> int:
-    kwargs = _suite_kwargs(args)
-    if args.suite == "homomorphism-numeric" and kwargs.get("max_weight", 4) < 4:
-        raise ValueError(
-            "--max-weight must be at least 4 for homomorphism-numeric "
-            "(two factors of weight >= 2), got %d" % args.max_weight
-        )
-    report = SUITES[args.suite](**kwargs)
+    report = SUITES[args.suite](**_suite_kwargs(args))
     if report.cases_total == 0:
         raise ValueError("the parameter grid of suite %s is empty" % args.suite)
     if args.format == "json":
@@ -224,18 +199,17 @@ def _cmd_verify(args) -> int:
 
 
 def _parse_index_or_word(text: str):
+    """(index or None, word, whether the text was an index)."""
     s = text.strip()
     if s.startswith("(") or "," in s or s.isdigit():
         idx = parse_index(s)
-        return idx, word_from_index(idx)
+        return idx, word_from_index(idx), True
     w = parse_word(s)
-    return (index_from_word(w) if s and s != "1" and s[-1] == "y" else None), w
+    return (index_from_word(w) if s and s != "1" and s[-1] == "y" else None), w, False
 
 
 def _cmd_dual(args) -> int:
-    arg = args.arg.strip()
-    as_index = arg.startswith("(") or "," in arg or arg.isdigit()
-    _, w = _parse_index_or_word(arg)
+    _, w, as_index = _parse_index_or_word(args.arg)
     dw = dual(w)
     didx = index_from_word(dw)
     if args.format == "json":
@@ -248,7 +222,7 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_index(args) -> int:
-    idx, w = _parse_index_or_word(args.arg)
+    idx, w, _ = _parse_index_or_word(args.arg)
     info = {
         "word": str(w),
         "index": None if idx is None else str(idx),

@@ -15,7 +15,7 @@ import itertools
 from math import comb
 
 from .coeffs import binom, make_qtpoly
-from .halg import HElement, accumulate, make_helement
+from .halg import HElement, accumulate, add_into, make_helement
 from .tshuffle import compositions, tshuffle_words
 from .words import Word
 
@@ -333,11 +333,11 @@ def alternating_product_sum(k: int, p: int) -> HElement:
         raise ValueError("need k, p >= 1")
     zp = "x" * (p - 1) + "y"
     cache: dict = {}
-    res = HElement.zero()
+    acc: dict = {}
     for i in range(k + 1):
         term = tshuffle_words(zp + "y" * i, zp + "y" * (k - i), cache)
-        res = res + (term if i % 2 == 0 else -term)
-    return res
+        add_into(acc, term if i % 2 == 0 else -term)
+    return make_helement(acc)
 
 
 def alternating_product_closed_form(k: int, p: int) -> HElement:

@@ -24,6 +24,12 @@ def accumulate(table: dict, key, c: QtPoly):
         del table[key]
 
 
+def add_into(table: dict, v: "HElement"):
+    """Add every term of v to the Word -> QtPoly table in place."""
+    for w, c in v.terms.items():
+        accumulate(table, w, c)
+
+
 def make_helement(terms: dict) -> "HElement":
     """Wrap a Word -> nonzero QtPoly table without copying or re-checking it."""
     res = object.__new__(HElement)
@@ -73,8 +79,7 @@ class HElement:
         if not isinstance(other, HElement):
             return NotImplemented
         out = dict(self.terms)
-        for w, c in other.terms.items():
-            accumulate(out, w, c)
+        add_into(out, other)
         return make_helement(out)
 
     def __neg__(self):

@@ -17,7 +17,7 @@ coefficient pairs (c0, c1) meaning c0 + c1*t.
 from __future__ import annotations
 
 from .coeffs import QtPoly, binom, make_qtpoly
-from .halg import HElement, make_helement
+from .halg import HElement, add_into, make_helement
 from .words import Word
 
 
@@ -225,19 +225,19 @@ def split_product(a_word, b_word, k: int, cache: dict | None = None) -> HElement
     shmemo = {}
     minus_t = QtPoly({1: -1})
     pre, mid, post = a[: k - 1], a[k - 1], a[k:]
-    res = HElement.zero()
+    acc = {}
     for i in range(n + 1):
         left = shuffle_words(pre, b[:i], shmemo)
         right = tshuffle_words(post, b[i:], cache)
-        res = res + (left * HElement.from_word(mid)) * right
+        add_into(acc, (left * HElement.from_word(mid)) * right)
     if n >= 1 and b[-1] == "y":
         left = shuffle_words(pre, b[: n - 1] + "x", shmemo)
-        res = res + (left * HElement.from_word(mid + post)).scale(minus_t)
+        add_into(acc, (left * HElement.from_word(mid + post)).scale(minus_t))
     if k == m and a[-1] == "y":
         for i in range(n):
             left = shuffle_words(a[: m - 1], b[:i], shmemo)
-            res = res + (left * HElement.from_word("x" + b[i:])).scale(minus_t)
-    return res
+            add_into(acc, (left * HElement.from_word("x" + b[i:])).scale(minus_t))
+    return make_helement(acc)
 
 
 def word_blocks(w) -> tuple:
@@ -280,22 +280,22 @@ def _block_rec(a_blocks: tuple, b: str, shmemo: dict) -> HElement:
     minus_t = QtPoly({1: -1})
     n = len(b)
 
-    res = HElement.zero()
+    acc = {}
     # prefix-split sum: nonempty prefixes of b absorbed into the shuffle,
     # the empty prefix giving the a_1^{m_1} (rest sh b) term
     for i in range(1, n + 1):
         left = shuffle_words(head, b[:i], shmemo)
         right = _block_rec(tail_blocks, b[i:], shmemo)
-        res = res + (left * HElement.from_word(a1)) * right
-    res = res + HElement.from_word(a1 * m1) * _block_rec(tail_blocks, b, shmemo)
+        add_into(acc, (left * HElement.from_word(a1)) * right)
+    add_into(acc, HElement.from_word(a1 * m1) * _block_rec(tail_blocks, b, shmemo))
     # single-block correction: one term per proper prefix of b, including
     # prefixes that end inside b's last block
     if len(a_blocks) == 1 and a1 == "y":
         for i in range(n):
             left = shuffle_words(head, b[:i], shmemo)
-            res = res + (left * HElement.from_word("x" + b[i:])).scale(minus_t)
+            add_into(acc, (left * HElement.from_word("x" + b[i:])).scale(minus_t))
     # trailing correction from b's last letter
     if n >= 1 and b[-1] == "y":
         left = shuffle_words(head, b[: n - 1] + "x", shmemo)
-        res = res + (left * HElement.from_word(a1 + tail)).scale(minus_t)
-    return res
+        add_into(acc, (left * HElement.from_word(a1 + tail)).scale(minus_t))
+    return make_helement(acc)

@@ -1,23 +1,27 @@
 """Verification suites: every closed-form construction against the oracle.
 
-Each suite sweeps a parameter grid, compares a closed form with the
-recursive product oracle (or a numeric identity with its evaluation),
-and collects the outcome in a VerifyReport.  Grids default to the sizes
-the acceptance checks use; cases run in sorted parameter order so the
-reports are deterministic.
+Each suite is one Suite record: a generator of cases over a parameter
+grid, each a closed form (lhs) against the recursive product oracle or a
+numeric evaluation (rhs), plus how the two sides are compared and which
+`imzv verify` flags set the grid.  Suite.run collects the outcome in a
+VerifyReport.  Grids default to the sizes the acceptance checks use;
+cases run in sorted parameter order so the reports are deterministic.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from typing import Callable
 
 from . import closedforms
 from .halg import HElement
-from .mzvnum import eval_combo, eval_mzv_direct
+from .mzvnum import EvalResult, eval_combo, eval_mzv_direct
 from .tshuffle import (
     shuffle_words,
     tshuffle,
@@ -28,6 +32,7 @@ from .tshuffle import (
 from .words import (
     Word,
     admissible_indices,
+    all_words,
     dual,
     index_from_word,
     word_from_index,
@@ -89,46 +94,118 @@ class VerifyReport:
         }
 
 
+def _exact(lhs, rhs, keywords):
+    """Exact equality; the difference is formed only for a failing case."""
+    if lhs != rhs:
+        return lhs, rhs, lhs - rhs
+
+
+def _within_tol(lhs: float, rhs: float, keywords):
+    diff = abs(lhs - rhs)
+    if not diff <= keywords["tol"]:
+        return "%.12g" % lhs, "%.12g" % rhs, "%.3g" % diff
+
+
+def _within_estimates(lhs: EvalResult, rhs: EvalResult, keywords):
+    diff = abs(lhs.value - rhs.value)
+    budget = lhs.error_estimate + rhs.error_estimate
+    if not diff <= budget:
+        return "%.12g" % lhs.value, "%.12g" % rhs.value, "%.3g > %.3g" % (diff, budget)
+
+
+@dataclass(frozen=True)
+class Suite:
+    """One verification suite.
+
+    cases(**keywords) yields (parameters, lhs, rhs) per case, lhs from the
+    closed form and rhs from the oracle or the evaluation.  compare(lhs,
+    rhs, keywords) returns None when the two sides agree, else the (lhs,
+    rhs, diff) to report.  flags maps each runner keyword to the
+    `imzv verify` flags (argparse dests) that may set it, which must agree
+    when several are given; least maps a keyword to the smallest value it
+    accepts.
+    """
+
+    sid: str
+    cases: Callable
+    compare: Callable
+    flags: dict
+    least: dict
+
+    def check(self, keywords: dict, spell=str):
+        """Refuse a keyword below its least value, naming it spell(keyword)."""
+        for key, low in self.least.items():
+            value = keywords.get(key, low)
+            if value < low:
+                raise ValueError(
+                    "%s must be at least %d for suite %s, got %d"
+                    % (spell(key), low, self.sid, value)
+                )
+
+    def run(self, *args, **kwargs) -> VerifyReport:
+        """Run the cases the runner keywords select and report each one."""
+        bound = inspect.signature(self.cases).bind(*args, **kwargs)
+        bound.apply_defaults()
+        keywords = bound.arguments
+        self.check(keywords)
+        start = time.perf_counter()
+        report = VerifyReport(self.sid)
+        for parameters, lhs, rhs in self.cases(**keywords):
+            failure = self.compare(lhs, rhs, keywords)
+            if failure is None:
+                report.record(parameters, True)
+            else:
+                report.record(parameters, False, *failure)
+        report.wall_time_s = time.perf_counter() - start
+        return report
+
+
+def _suite(sid, flags, compare=_exact, least=None):
+    """Turn a case generator into the runner of suite `sid`: the runner takes
+    the generator's keywords and returns a VerifyReport, and carries the
+    suite record as its `suite` attribute."""
+
+    def wrap(cases):
+        record = Suite(sid, cases, compare, flags, least or {})
+
+        @functools.wraps(cases)
+        def runner(*args, **kwargs) -> VerifyReport:
+            return record.run(*args, **kwargs)
+
+        runner.suite = record
+        return runner
+
+    return wrap
+
+
 def _word_from_exps(exps) -> Word:
     return Word("".join("x" * e + "y" for e in exps))
 
 
-def _check(report, parameters, lhs: HElement, rhs: HElement):
-    report.record(parameters, lhs == rhs, lhs, rhs, lhs - rhs)
-
-
-def run_yy_products(max_run: int = 7) -> VerifyReport:
+@_suite("lemma31", {"max_run": ("max",)})
+def run_yy_products(max_run: int = 7):
     """Closed form for y-run products against the oracle (suite lemma31)."""
-    start = time.perf_counter()
-    report = VerifyReport("lemma31")
     cache = {}
     for m in range(1, max_run + 1):
         for n in range(1, max_run + 1):
             lhs = yy_product_formula(m, n)
-            rhs = tshuffle_words(Word("y" * m), Word("y" * n), cache)
-            _check(report, {"m": m, "n": n}, lhs, rhs)
-    report.wall_time_s = time.perf_counter() - start
-    return report
+            yield {"m": m, "n": n}, lhs, tshuffle_words("y" * m, "y" * n, cache)
 
 
-def run_xy_products(max_exp: int = 6) -> VerifyReport:
+@_suite("eq42", {"max_exp": ("max_exp", "max")})
+def run_xy_products(max_exp: int = 6):
     """Block closed form for x-run times y-run against the oracle (suite eq42)."""
-    start = time.perf_counter()
-    report = VerifyReport("eq42")
     cache = {}
     for m in range(max_exp + 1):
         for n in range(max_exp + 1):
             lhs = xpow_times_ypow(m, n)
-            rhs = tshuffle_words(Word("x" * m), Word("y" * n), cache)
-            _check(report, {"m": m, "n": n}, lhs, rhs)
-    report.wall_time_s = time.perf_counter() - start
-    return report
+            yield {"m": m, "n": n}, lhs, tshuffle_words("x" * m, "y" * n, cache)
 
 
-def run_pattern_products(max_run: int = 3, max_exp: int = 2) -> VerifyReport:
+# both words share the one run-count bound, so --s is an alternative to --r
+@_suite("theorem22", {"max_run": ("r", "s", "max"), "max_exp": ("max_exp",)})
+def run_pattern_products(max_run: int = 3, max_exp: int = 2):
     """General pattern-filling product against the oracle (suite theorem22)."""
-    start = time.perf_counter()
-    report = VerifyReport("theorem22")
     cache = {}
     shapes = []
     for r in range(1, max_run + 1):
@@ -136,94 +213,54 @@ def run_pattern_products(max_run: int = 3, max_exp: int = 2) -> VerifyReport:
     for a_exps in shapes:
         for b_exps in shapes:
             lhs = closedforms.pattern_product(a_exps, b_exps)
-            rhs = tshuffle_words(
-                _word_from_exps(a_exps), _word_from_exps(b_exps), cache
-            )
-            _check(
-                report,
-                {"a_exps": list(a_exps), "b_exps": list(b_exps)},
-                lhs,
-                rhs,
-            )
-    report.wall_time_s = time.perf_counter() - start
-    return report
+            rhs = tshuffle_words(_word_from_exps(a_exps), _word_from_exps(b_exps), cache)
+            yield {"a_exps": list(a_exps), "b_exps": list(b_exps)}, lhs, rhs
 
 
-def run_height_one(max_exp: int = 3, max_run: int = 4) -> VerifyReport:
+@_suite("prop32", {"max_exp": ("max_exp", "max"), "max_run": ("r", "s")})
+def run_height_one(max_exp: int = 3, max_run: int = 4):
     """Height-one closed form against the oracle (suite prop32)."""
-    start = time.perf_counter()
-    report = VerifyReport("prop32")
     cache = {}
-    for a in range(1, max_exp + 1):
-        for b in range(1, max_exp + 1):
-            for r in range(1, max_run + 1):
-                for s in range(1, max_run + 1):
-                    lhs = closedforms.height_one_product(a, r, b, s)
-                    rhs = tshuffle_words(
-                        Word("x" * a + "y" * r), Word("x" * b + "y" * s), cache
-                    )
-                    _check(report, {"a": a, "r": r, "b": b, "s": s}, lhs, rhs)
-    report.wall_time_s = time.perf_counter() - start
-    return report
+    exps = range(1, max_exp + 1)
+    runs = range(1, max_run + 1)
+    for a, b, r, s in product(exps, exps, runs, runs):
+        lhs = closedforms.height_one_product(a, r, b, s)
+        rhs = tshuffle_words("x" * a + "y" * r, "x" * b + "y" * s, cache)
+        yield {"a": a, "r": r, "b": b, "s": s}, lhs, rhs
 
 
-def run_expanded_height_one(max_param: int = 3) -> VerifyReport:
+@_suite("eq48", {"max_param": ("max",)})
+def run_expanded_height_one(max_param: int = 3):
     """Expanded-chain height-one form against the oracle and against the
     direct height-one form on their shared domain (suite eq48)."""
-    start = time.perf_counter()
-    report = VerifyReport("eq48")
     cache = {}
     rng = range(1, max_param + 1)
-    for m in rng:
-        for j in rng:
-            for n in rng:
-                for k in rng:
-                    lhs = closedforms.expanded_height_one_product(m, j, n, k)
-                    rhs = tshuffle_words(
-                        Word("x" * m + "y" * j), Word("x" * n + "y" * k), cache
-                    )
-                    _check(report, {"m": m, "j": j, "n": n, "k": k}, lhs, rhs)
-                    other = closedforms.height_one_product(m, j, n, k)
-                    report.record(
-                        {"m": m, "j": j, "n": n, "k": k, "check": "agree"},
-                        lhs == other,
-                        lhs,
-                        other,
-                        lhs - other,
-                    )
-    report.wall_time_s = time.perf_counter() - start
-    return report
+    for m, j, n, k in product(rng, repeat=4):
+        parameters = {"m": m, "j": j, "n": n, "k": k}
+        lhs = closedforms.expanded_height_one_product(m, j, n, k)
+        yield parameters, lhs, tshuffle_words("x" * m + "y" * j, "x" * n + "y" * k, cache)
+        other = closedforms.height_one_product(m, j, n, k)
+        yield dict(parameters, check="agree"), lhs, other
 
 
-def run_height_two(max_exp: int = 2, max_run: int = 2) -> VerifyReport:
+@_suite("height2", {"max_exp": ("max_exp",), "max_run": ("r", "max")})
+def run_height_two(max_exp: int = 2, max_run: int = 2):
     """Height-two case formula against the oracle (suite height2)."""
-    start = time.perf_counter()
-    report = VerifyReport("height2")
     cache = {}
     exps = range(max_exp + 1)
     runs = range(1, max_run + 1)
     for a, r, b1, s1, b2, s2 in product(exps, runs, exps, runs, exps, runs):
         lhs = closedforms.height_two_product(a, r, b1, s1, b2, s2)
-        rhs = tshuffle_words(
-            Word("x" * a + "y" * r),
-            Word("x" * b1 + "y" * s1 + "x" * b2 + "y" * s2),
-            cache,
-        )
-        _check(
-            report,
-            {"a": a, "r": r, "b1": b1, "s1": s1, "b2": b2, "s2": s2},
-            lhs,
-            rhs,
-        )
-    report.wall_time_s = time.perf_counter() - start
-    return report
+        right = "x" * b1 + "y" * s1 + "x" * b2 + "y" * s2
+        rhs = tshuffle_words("x" * a + "y" * r, right, cache)
+        yield {"a": a, "r": r, "b1": b1, "s1": s1, "b2": b2, "s2": s2}, lhs, rhs
 
 
-def run_alternating_sums(k_values=None, p_values=None) -> VerifyReport:
+# a *_values keyword is set from its flag as a one-item list
+@_suite("prop41", {"k_values": ("k",), "p_values": ("p",)})
+def run_alternating_sums(k_values=None, p_values=None):
     """Alternating product sums: zero at odd k, closed form at even k
     (suite prop41)."""
-    start = time.perf_counter()
-    report = VerifyReport("prop41")
     k_values = list(k_values) if k_values is not None else list(range(1, 7))
     p_values = list(p_values) if p_values is not None else [1, 2, 3]
     for k in k_values:
@@ -233,47 +270,34 @@ def run_alternating_sums(k_values=None, p_values=None) -> VerifyReport:
                 rhs = HElement.zero()
             else:
                 rhs = closedforms.alternating_product_closed_form(k, p)
-            _check(report, {"k": k, "p": p}, lhs, rhs)
-    report.wall_time_s = time.perf_counter() - start
-    return report
+            yield {"k": k, "p": p}, lhs, rhs
 
 
-def run_alternating_weight4(max_k: int = 6) -> VerifyReport:
+@_suite("cor42", {"max_k": ("k", "max")})
+def run_alternating_weight4(max_k: int = 6):
     """Alternating sums of z(2,1^i) blocks against the specialized closed
     form (suite cor42)."""
-    start = time.perf_counter()
-    report = VerifyReport("cor42")
     for k in range(1, max_k + 1):
         lhs = closedforms.alternating_product_sum(k, 2)
-        rhs = closedforms.alternating_product_weight4_form(k)
-        _check(report, {"k": k}, lhs, rhs)
-    report.wall_time_s = time.perf_counter() - start
-    return report
+        yield {"k": k}, lhs, closedforms.alternating_product_weight4_form(k)
 
 
-def run_alternating_zeta(max_k: int = 6) -> VerifyReport:
+@_suite("prop43", {"max_k": ("k", "max")})
+def run_alternating_zeta(max_k: int = 6):
     """Zeta-level alternating identity, both sides as combos (suite prop43)."""
-    start = time.perf_counter()
-    report = VerifyReport("prop43")
     for k in range(1, max_k + 1):
         lhs, rhs = alternating_zeta_identity(k)
-        report.record({"k": k}, lhs == rhs, lhs, rhs, lhs - rhs)
-    report.wall_time_s = time.perf_counter() - start
-    return report
+        yield {"k": k}, lhs, rhs
 
 
-def run_depth_one_products(max_arg: int = 6) -> VerifyReport:
+@_suite("euler", {"max_arg": ("max",)})
+def run_depth_one_products(max_arg: int = 6):
     """Two-factor depth-one decomposition at t=0 against the classical
     coefficients (suite euler)."""
-    start = time.perf_counter()
-    report = VerifyReport("euler")
     for i in range(2, max_arg + 1):
         for j in range(2, max_arg + 1):
             lhs = zeta_uniform_product(i, 1, 0, j, 0).substitute_t(0)
-            rhs = euler_decomposition(i, j)
-            report.record({"i": i, "j": j}, lhs == rhs, lhs, rhs, lhs - rhs)
-    report.wall_time_s = time.perf_counter() - start
-    return report
+            yield {"i": i, "j": j}, lhs, euler_decomposition(i, j)
 
 
 def _sample_pairs(n_pairs, max_weight, seed):
@@ -289,16 +313,20 @@ def _sample_pairs(n_pairs, max_weight, seed):
     return pairs
 
 
+# two factors of weight >= 2 need max_weight >= 4
+@_suite(
+    "homomorphism-numeric",
+    {"n_pairs": ("pairs",), "max_weight": ("max_weight",), "seed": ("seed",),
+     "tol": ("tol",)},
+    _within_tol,
+    least={"max_weight": 4},
+)
 def run_homomorphism_numeric(
-    n_pairs: int = 20,
-    max_weight: int = 8,
-    seed: int = DEFAULT_SEED,
-    tol: float = 1e-5,
-) -> VerifyReport:
+    n_pairs: int = 20, max_weight: int = 8, seed: int = DEFAULT_SEED, tol: float = 1e-5
+):
     """Numeric product check: the evaluated image of a word product must
-    match the product of the evaluated factors (suite homomorphism-numeric)."""
-    start = time.perf_counter()
-    report = VerifyReport("homomorphism-numeric")
+    match the product of the evaluated factors within tol (suite
+    homomorphism-numeric)."""
     cache = {}
     oracle_cache = {}
     t_points = (Fraction(0), Fraction(1, 2), Fraction(1))
@@ -310,65 +338,39 @@ def run_homomorphism_numeric(
         f2 = zeta_map(HElement.from_word(w2))
         for t0 in t_points:
             lhs = eval_combo(prod, t0, cache=cache).value
-            rhs = eval_combo(f1, t0, cache=cache).value * eval_combo(
-                f2, t0, cache=cache
-            ).value
-            diff = abs(lhs - rhs)
-            report.record(
-                {"left": list(idx1.parts), "right": list(idx2.parts), "t": str(t0)},
-                diff <= tol,
-                "%.12g" % lhs,
-                "%.12g" % rhs,
-                "%.3g" % diff,
-            )
-    report.wall_time_s = time.perf_counter() - start
-    return report
+            rhs = eval_combo(f1, t0, cache=cache).value
+            rhs *= eval_combo(f2, t0, cache=cache).value
+            parameters = {"left": list(idx1.parts), "right": list(idx2.parts), "t": str(t0)}
+            yield parameters, lhs, rhs
 
 
-def run_duality_numeric(max_weight: int = 8) -> VerifyReport:
+@_suite("duality-numeric", {"max_weight": ("max_weight",)}, _within_estimates)
+def run_duality_numeric(max_weight: int = 8):
     """Numeric duality check: each admissible index evaluates to the same
     value as its dual, within combined error estimates (suite duality-numeric).
 
     Uses the direct nested-sum evaluator: the split-at-1/2 series of
     eval_mzv is symmetric under duality term by term, so it would pass
     this check whatever its errors."""
-    start = time.perf_counter()
-    report = VerifyReport("duality-numeric")
     cache = {}
     for idx in admissible_indices(max_weight):
         partner = index_from_word(dual(word_from_index(idx)))
         r1 = eval_mzv_direct(idx, cache=cache)
         r2 = eval_mzv_direct(partner, cache=cache)
-        diff = abs(r1.value - r2.value)
-        budget = r1.error_estimate + r2.error_estimate
-        report.record(
-            {"index": list(idx.parts), "dual": list(partner.parts)},
-            diff <= budget,
-            "%.12g" % r1.value,
-            "%.12g" % r2.value,
-            "%.3g > %.3g" % (diff, budget),
-        )
-    report.wall_time_s = time.perf_counter() - start
-    return report
+        yield {"index": list(idx.parts), "dual": list(partner.parts)}, r1, r2
 
 
-def run_oracle_laws(max_len_comm: int = 4, max_len_assoc: int = 3) -> VerifyReport:
+@_suite("oracle-laws", {})
+def run_oracle_laws(max_len_comm: int = 4, max_len_assoc: int = 3):
     """Commutativity and associativity of the deformed product, exhaustively
     on short words (not a CLI suite; used by the acceptance checks)."""
-    from .words import all_words
-
-    start = time.perf_counter()
-    report = VerifyReport("oracle-laws")
     cache = {}
     words_c = list(all_words(max_len_comm))
     for w1 in words_c:
         for w2 in words_c:
             lhs = tshuffle_words(w1, w2, cache)
             rhs = tshuffle_words(w2, w1, cache)
-            report.record(
-                {"law": "comm", "w1": str(w1), "w2": str(w2)},
-                lhs == rhs, lhs, rhs, lhs - rhs,
-            )
+            yield {"law": "comm", "w1": str(w1), "w2": str(w2)}, lhs, rhs
     words_a = list(all_words(max_len_assoc))
     for w1 in words_a:
         for w2 in words_a:
@@ -377,33 +379,21 @@ def run_oracle_laws(max_len_comm: int = 4, max_len_assoc: int = 3) -> VerifyRepo
                 lhs = tshuffle(left_12, HElement.from_word(w3), cache)
                 right_23 = tshuffle_words(w2, w3, cache)
                 rhs = tshuffle(HElement.from_word(w1), right_23, cache)
-                report.record(
-                    {"law": "assoc", "w1": str(w1), "w2": str(w2), "w3": str(w3)},
-                    lhs == rhs, lhs, rhs, lhs - rhs,
-                )
-    report.wall_time_s = time.perf_counter() - start
-    return report
+                parameters = {"law": "assoc", "w1": str(w1), "w2": str(w2), "w3": str(w3)}
+                yield parameters, lhs, rhs
 
 
-def run_shuffle_consistency(max_len: int = 5) -> VerifyReport:
+@_suite("shuffle-consistency", {})
+def run_shuffle_consistency(max_len: int = 5):
     """The deformed product at t=0 equals the combinatorial shuffle
     (not a CLI suite; used by the acceptance checks)."""
-    from .words import all_words
-
-    start = time.perf_counter()
-    report = VerifyReport("shuffle-consistency")
     cache = {}
     scache = {}
     words = list(all_words(max_len))
     for w1 in words:
         for w2 in words:
             lhs = tshuffle_words(w1, w2, cache).substitute_t(0)
-            rhs = shuffle_words(w1, w2, scache)
-            report.record(
-                {"w1": str(w1), "w2": str(w2)}, lhs == rhs, lhs, rhs, lhs - rhs
-            )
-    report.wall_time_s = time.perf_counter() - start
-    return report
+            yield {"w1": str(w1), "w2": str(w2)}, lhs, shuffle_words(w1, w2, scache)
 
 
 SUITES = {

@@ -6,12 +6,13 @@ and parse errors.
 """
 
 import json
+import time
 
 import pytest
 
 from imzv import mzvnum
-from imzv.cli import _SUITE_FLAGS, main
-from imzv.verify import run_yy_products
+from imzv.cli import main
+from imzv.verify import SUITES, run_yy_products
 
 
 def run(capsys, *argv):
@@ -56,6 +57,16 @@ def test_expand_depth_one(capsys):
     code, out, _ = run(capsys, "expand", "(2)")
     assert code == 0
     assert out.strip() == "z(2)"
+
+
+def test_expand_refuses_a_depth_beyond_the_pattern_limit(capsys):
+    # depth 25 needs 2^24 merge patterns; the guard refuses it before any
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "expand", "(2" + ",1" * 24 + ")")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert "merge patterns" in err
+    assert not out
 
 
 def test_expand_rejects_non_admissible(capsys):
@@ -265,8 +276,8 @@ _FLAG_VALUES = {
     "suite, flag",
     [
         (suite, flag)
-        for suite, entry in sorted(_SUITE_FLAGS.items())
-        for flags in entry.values()
+        for suite, runner in sorted(SUITES.items())
+        for flags in runner.suite.flags.values()
         for flag in flags
     ],
 )
