@@ -30,8 +30,16 @@ from imzv.closedforms import (
     expanded_height_one_product,
 )
 from imzv.coeffs import QtPoly, binom
-from imzv.halg import HElement
-from imzv.tshuffle import compositions, shuffle_words, tshuffle_words, word_blocks
+from imzv.halg import HElement, from_pairs
+from imzv.tshuffle import (
+    _MINUS_T,
+    _add_concat,
+    _blocks_to_string,
+    _sh,
+    compositions,
+    tshuffle_words,
+    word_blocks,
+)
 from imzv.words import Word, all_words
 
 
@@ -66,28 +74,22 @@ def expanded_without_unit_tail(m, j, n, k) -> HElement:
     return full + family.scale(QtPoly.t())
 
 
-def _blocks_to_string(blocks) -> str:
-    return "".join(ch * e for ch, e in blocks)
-
-
 def block_split_variant(a_word, b_word, mode) -> HElement:
-    """Two-block split recursion with one of the defective readings."""
+    """Two-block split recursion with one of the defective readings,
+    summed into pair tables the way tshuffle._block_rec sums."""
 
     def rec(a_blocks, b, shmemo):
         if not a_blocks:
-            return HElement.from_word(b)
+            return {b: (1, 0)}
         a1, m1 = a_blocks[0]
         head = a1 * (m1 - 1)
         tail_blocks = a_blocks[1:]
-        tail = _blocks_to_string(tail_blocks)
-        minus_t = QtPoly({1: -1})
         n = len(b)
-        res = HElement.zero()
+        acc = {}
         for i in range(1, n + 1):
-            left = shuffle_words(head, b[:i], shmemo)
             right = rec(tail_blocks, b[i:], shmemo)
-            res = res + (left * HElement.from_word(a1)) * right
-        res = res + HElement.from_word(a1 * m1) * rec(tail_blocks, b, shmemo)
+            _add_concat(acc, _sh(head, b[:i], shmemo), a1, right)
+        _add_concat(acc, {a1 * m1: (1, 0)}, "", rec(tail_blocks, b, shmemo))
         if len(a_blocks) == 1 and a1 == "y":
             if mode == "boundary-prefixes":
                 cuts = [0]
@@ -98,16 +100,15 @@ def block_split_variant(a_word, b_word, mode) -> HElement:
             else:
                 cuts = range(n)
             for i in cuts:
-                left = shuffle_words(head, b[:i], shmemo)
-                res = res + (left * HElement.from_word("x" + b[i:])).scale(minus_t)
+                _add_concat(acc, _sh(head, b[:i], shmemo), "x" + b[i:], _MINUS_T)
         if n >= 1 and b[-1] == "y":
             run = a1 * m1 if mode == "trailing-long" else head
-            left = shuffle_words(run, b[: n - 1] + "x", shmemo)
-            res = res + (left * HElement.from_word(a1 + tail)).scale(minus_t)
-        return res
+            tail = a1 + _blocks_to_string(tail_blocks)
+            _add_concat(acc, _sh(run, b[: n - 1] + "x", shmemo), tail, _MINUS_T)
+        return acc
 
     blocks = tuple((ch, e) for ch, e in word_blocks(a_word) if e > 0)
-    return rec(blocks, Word(b_word).letters, {})
+    return from_pairs(rec(blocks, Word(b_word).letters, {}))
 
 
 def alternating_with_clamped_parity(k, p) -> HElement:

@@ -7,6 +7,10 @@ fill the x letters into the gaps with multinomial multiplicities, and for
 the t part replace one y by x in each pattern, namely whichever of the two
 source words' final y's lands first in the output.  The grid tests pin each
 function to the recursive engine exactly, coefficient by coefficient.
+
+Each function sums into one halg pair table, word -> (c0, c1) meaning
+c0 + c1*t: a plain word adds (c, 0) and a merged word (0, -c).  The table
+is wrapped once with halg.from_pairs.
 """
 
 from __future__ import annotations
@@ -14,24 +18,9 @@ from __future__ import annotations
 import itertools
 from math import comb
 
-from .coeffs import binom, make_qtpoly
-from .halg import HElement, accumulate, add_into, make_helement
-from .tshuffle import compositions, tshuffle_words
-from .words import Word
-
-
-def _assemble(plain: dict, merged: dict) -> HElement:
-    """Build sum(plain) - t * sum(merged) from str -> int coefficient maps."""
-    terms = {Word(w): make_qtpoly({0: c}) for w, c in plain.items() if c}
-    for w, c in merged.items():
-        if c:
-            accumulate(terms, Word(w), make_qtpoly({1: -c}))
-    return make_helement(terms)
-
-
-def _bump(table: dict, w: str, c: int):
-    if c:
-        table[w] = table.get(w, 0) + c
+from .coeffs import binom
+from .halg import HElement, add_pair, from_pairs
+from .tshuffle import _tsh, compositions
 
 
 def _zword(exps) -> str:
@@ -77,12 +66,27 @@ def _gap_fills(pattern, a_exps, b_exps):
                    b_runs[0] if b_runs else 0, 1, [])
 
 
-def _pattern_words(pattern, runs, jstar):
-    """The filled word and its y -> x replacement at pattern position jstar."""
-    plain = "".join("x" * g + "y" for g in runs)
-    merged = "".join("x" * g + ("x" if i == jstar else "y")
-                     for i, g in enumerate(runs))
-    return plain, merged
+def _pattern_sum(a_exps, b_exps, replaced) -> HElement:
+    """Sum over the y merge patterns of the two words: each pattern's
+    multinomially filled words, minus t times the same words with the y at
+    pattern position replaced(pattern) turned into x."""
+    r, n = len(a_exps), len(a_exps) + len(b_exps)
+    acc: dict = {}
+    for upos in itertools.combinations(range(n), r):
+        uset = set(upos)
+        pattern = tuple(0 if i in uset else 1 for i in range(n))
+        j = replaced(pattern)
+        for runs, mult in _gap_fills(pattern, a_exps, b_exps):
+            add_pair(acc, _zword(runs), mult, 0)
+            merged = _zword(runs[:j]) + "x" * (runs[j] + 1) + _zword(runs[j + 1:])
+            add_pair(acc, merged, 0, -mult)
+    return from_pairs(acc)
+
+
+def _earlier_final_y(pattern) -> int:
+    """Pattern position of the earlier of the two words' final y's: the
+    last y from the word that does not supply the very last one."""
+    return max(i for i, lab in enumerate(pattern) if lab != pattern[-1])
 
 
 def pattern_product(a_exps, b_exps) -> HElement:
@@ -94,22 +98,9 @@ def pattern_product(a_exps, b_exps) -> HElement:
     y's.  The later final y stays, so every output word still ends in y.
     """
     a_exps, b_exps = tuple(a_exps), tuple(b_exps)
-    r, s = len(a_exps), len(b_exps)
-    if r < 1 or s < 1:
+    if not a_exps or not b_exps:
         raise ValueError("need at least one y run on each side")
-    plain: dict = {}
-    merged: dict = {}
-    for upos in itertools.combinations(range(r + s), r):
-        uset = set(upos)
-        pattern = tuple(0 if i in uset else 1 for i in range(r + s))
-        last_u = upos[-1]
-        last_v = max(i for i in range(r + s) if i not in uset)
-        jstar = min(last_u, last_v)
-        for runs, mult in _gap_fills(pattern, a_exps, b_exps):
-            w, wm = _pattern_words(pattern, runs, jstar)
-            _bump(plain, w, mult)
-            _bump(merged, wm, mult)
-    return _assemble(plain, merged)
+    return _pattern_sum(a_exps, b_exps, _earlier_final_y)
 
 
 def height_one_product(a: int, r: int, b: int, s: int) -> HElement:
@@ -122,8 +113,7 @@ def height_one_product(a: int, r: int, b: int, s: int) -> HElement:
     """
     if min(a, r, b, s) < 1:
         raise ValueError("need a, r, b, s >= 1")
-    plain: dict = {}
-    merged: dict = {}
+    acc: dict = {}
 
     for alpha in compositions(a + b, r + s):
         c = 0
@@ -133,7 +123,7 @@ def height_one_product(a: int, r: int, b: int, s: int) -> HElement:
         for l in range(1, s + 1):
             if all(alpha[j] == 0 for j in range(l + 1, r + s)):
                 c += binom(alpha[0], b) * binom(r + s - l - 1, s - l)
-        _bump(plain, _zword(alpha), c)
+        add_pair(acc, _zword(alpha), c, 0)
 
     # inner-replacement families: ... x^{alpha_{l+1}} y^{i+1} x y^{rest}
     for l in range(1, r):
@@ -146,7 +136,7 @@ def height_one_product(a: int, r: int, b: int, s: int) -> HElement:
                 w = ("".join("x" * e + "y" for e in alpha[:-1])
                      + "x" * alpha[-1] + "y" * (i + 1) + "x"
                      + "y" * (r + s - l - i - 2))
-                _bump(merged, w, c)
+                add_pair(acc, w, 0, -c)
     for l in range(1, s):
         for alpha in compositions(a + b, l + 1):
             cb = binom(alpha[0], b)
@@ -157,7 +147,7 @@ def height_one_product(a: int, r: int, b: int, s: int) -> HElement:
                 w = ("".join("x" * e + "y" for e in alpha[:-1])
                      + "x" * alpha[-1] + "y" * (i + 1) + "x"
                      + "y" * (r + s - l - i - 2))
-                _bump(merged, w, c)
+                add_pair(acc, w, 0, -c)
 
     # single-height tails: only present when the other word has one y
     if s == 1:
@@ -165,25 +155,25 @@ def height_one_product(a: int, r: int, b: int, s: int) -> HElement:
             for alpha in compositions(a + b, l + 1):
                 w = ("".join("x" * e + "y" for e in alpha[:-1])
                      + "x" * (alpha[-1] + 1) + "y" * (r - l))
-                _bump(merged, w, binom(alpha[0], a))
+                add_pair(acc, w, 0, -binom(alpha[0], a))
     if r == 1:
         for l in range(1, s):
             for alpha in compositions(a + b, l + 1):
                 w = ("".join("x" * e + "y" for e in alpha[:-1])
                      + "x" * (alpha[-1] + 1) + "y" * (s - l))
-                _bump(merged, w, binom(alpha[0], b))
+                add_pair(acc, w, 0, -binom(alpha[0], b))
 
     # final-run merges: the last two runs fuse around the replaced y
     for alpha in compositions(a + b, r + 1):
         w = ("".join("x" * e + "y" for e in alpha[: r - 1])
              + "x" * (alpha[r - 1] + alpha[r] + 1) + "y" * s)
-        _bump(merged, w, binom(alpha[0], a))
+        add_pair(acc, w, 0, -binom(alpha[0], a))
     for alpha in compositions(a + b, s + 1):
         w = ("".join("x" * e + "y" for e in alpha[: s - 1])
              + "x" * (alpha[s - 1] + alpha[s] + 1) + "y" * r)
-        _bump(merged, w, binom(alpha[0], b))
+        add_pair(acc, w, 0, -binom(alpha[0], b))
 
-    return _assemble(plain, merged)
+    return from_pairs(acc)
 
 
 def expanded_height_one_product(m: int, j: int, n: int, k: int) -> HElement:
@@ -196,8 +186,7 @@ def expanded_height_one_product(m: int, j: int, n: int, k: int) -> HElement:
     """
     if min(m, j, n, k) < 1:
         raise ValueError("need m, j, n, k >= 1")
-    plain: dict = {}
-    merged: dict = {}
+    acc: dict = {}
 
     for n1 in range(n + 1):
         cn = binom(m + n1 - 1, m - 1)
@@ -210,7 +199,7 @@ def expanded_height_one_product(m: int, j: int, n: int, k: int) -> HElement:
             for aa in compositions(n - n1, m1 + 1):
                 runs = [aa[0] + m + n1, *aa[1:]]
                 w = "y".join("x" * e for e in runs) + "y" * (m2 + k)
-                _bump(plain, w, cm)
+                add_pair(acc, w, cm, 0)
             # inner replacement inside the shared y tail
             for aa in compositions(n - n1, m1 + 1):
                 runs = [aa[0] + m + n1, *aa[1:]]
@@ -218,7 +207,7 @@ def expanded_height_one_product(m: int, j: int, n: int, k: int) -> HElement:
                 for i in range(max(min(m2, k - 1) - 1, 0), m2 + k - 2):
                     c = cn * (binom(i, m2 - 1) + binom(i, k - 2))
                     w = base + "y" * (i + 1) + "x" + "y" * (m2 + k - i - 2)
-                    _bump(merged, w, c)
+                    add_pair(acc, w, 0, -c)
         # left word's last y merged into a bumped run
         for j1 in range(n - n1 + 1):
             j2 = n - n1 - j1
@@ -226,7 +215,7 @@ def expanded_height_one_product(m: int, j: int, n: int, k: int) -> HElement:
                 runs = [aa[0] + m + n1, *aa[1:]]
                 runs[-1] += j2 + 1
                 w = "y".join("x" * e for e in runs) + "y" * k
-                _bump(merged, w, cn)
+                add_pair(acc, w, 0, -cn)
         # right word with one y: its y merged into a bumped run
         if k == 1:
             for i in range(j):
@@ -234,7 +223,7 @@ def expanded_height_one_product(m: int, j: int, n: int, k: int) -> HElement:
                     runs = [aa[0] + m + n1, *aa[1:]]
                     runs[-1] += 1
                     w = "y".join("x" * e for e in runs) + "y" * (j - i)
-                    _bump(merged, w, cn)
+                    add_pair(acc, w, 0, -cn)
 
     for k1 in range(1, k + 1):
         for m1 in range(m):
@@ -248,7 +237,7 @@ def expanded_height_one_product(m: int, j: int, n: int, k: int) -> HElement:
                 runs = [bb[0] + n + m1, *bb[1:]]
                 runs[-1] += 1
                 w = "y".join("x" * e for e in runs) + "y" * (j + k - k1)
-                _bump(plain, w, cb)
+                add_pair(acc, w, cb, 0)
             # inner replacement past the bumped run
             for i in range(max(min(j, k - k1) - 1, 0), j + k - k1 - 1):
                 c = ca * (binom(i, j - 1) + binom(i, k - k1 - 1))
@@ -257,7 +246,7 @@ def expanded_height_one_product(m: int, j: int, n: int, k: int) -> HElement:
                     runs[-1] += 1
                     w = ("y".join("x" * e for e in runs)
                          + "y" * i + "x" + "y" * (j + k - k1 - i - 1))
-                    _bump(merged, w, c)
+                    add_pair(acc, w, 0, -c)
 
     # right word's last y merged, all of its y's used as separators
     for m1 in range(m):
@@ -270,9 +259,9 @@ def expanded_height_one_product(m: int, j: int, n: int, k: int) -> HElement:
                 runs = [aa[0] + n + m1, *aa[1:]]
                 runs[-1] += m3 + 2
                 w = "y".join("x" * e for e in runs) + "y" * j
-                _bump(merged, w, ca)
+                add_pair(acc, w, 0, -ca)
 
-    return _assemble(plain, merged)
+    return from_pairs(acc)
 
 
 def _height_two_replacement(pattern, r: int, s1: int, s2: int) -> int:
@@ -312,18 +301,9 @@ def height_two_product(a: int, r: int, b1: int, s1: int,
         raise ValueError("need r, s1, s2 >= 1 and a, b1, b2 >= 0")
     a_exps = (a,) + (0,) * (r - 1)
     b_exps = (b1,) + (0,) * (s1 - 1) + (b2,) + (0,) * (s2 - 1)
-    s = s1 + s2
-    plain: dict = {}
-    merged: dict = {}
-    for upos in itertools.combinations(range(r + s), r):
-        uset = set(upos)
-        pattern = tuple(0 if i in uset else 1 for i in range(r + s))
-        jstar = _height_two_replacement(pattern, r, s1, s2)
-        for runs, mult in _gap_fills(pattern, a_exps, b_exps):
-            w, wm = _pattern_words(pattern, runs, jstar)
-            _bump(plain, w, mult)
-            _bump(merged, wm, mult)
-    return _assemble(plain, merged)
+    return _pattern_sum(
+        a_exps, b_exps, lambda pattern: _height_two_replacement(pattern, r, s1, s2)
+    )
 
 
 def alternating_product_sum(k: int, p: int) -> HElement:
@@ -335,9 +315,10 @@ def alternating_product_sum(k: int, p: int) -> HElement:
     cache: dict = {}
     acc: dict = {}
     for i in range(k + 1):
-        term = tshuffle_words(zp + "y" * i, zp + "y" * (k - i), cache)
-        add_into(acc, term if i % 2 == 0 else -term)
-    return make_helement(acc)
+        sign = -1 if i % 2 else 1
+        for w, (c0, c1) in _tsh(zp + "y" * i, zp + "y" * (k - i), cache).items():
+            add_pair(acc, w, sign * c0, sign * c1)
+    return from_pairs(acc)
 
 
 def alternating_product_closed_form(k: int, p: int) -> HElement:
@@ -352,25 +333,24 @@ def alternating_product_closed_form(k: int, p: int) -> HElement:
     if k < 2 or k % 2:
         raise ValueError("closed form needs even k >= 2")
     wt = 2 * (p - 1)
-    plain: dict = {}
-    merged: dict = {}
+    acc: dict = {}
 
     for alpha in compositions(wt, k + 2):
-        _bump(plain, _zword(alpha), 2 * binom(alpha[0], p - 1))
+        add_pair(acc, _zword(alpha), 2 * binom(alpha[0], p - 1), 0)
 
     # bumped final run before a y^(k-l) tail, plus both two-run merges
     for l in range(1, k + 1):
         for alpha in compositions(wt, l + 1):
             c = 2 * binom(alpha[0], p - 1)
             w = _zword(alpha[:-1]) + "x" * (alpha[-1] + 1) + "y" * (k - l + 1)
-            _bump(merged, w, c)
+            add_pair(acc, w, 0, -c)
     for alpha in compositions(wt, 2):
         c = 2 * binom(alpha[0], p - 1)
-        _bump(merged, "x" * (alpha[0] + alpha[1] + 1) + "y" * (k + 1), c)
+        add_pair(acc, "x" * (alpha[0] + alpha[1] + 1) + "y" * (k + 1), 0, -c)
     for alpha in compositions(wt, k + 2):
         c = 2 * binom(alpha[0], p - 1)
         w = _zword(alpha[:k]) + "x" * (alpha[k] + alpha[k + 1] + 1) + "y"
-        _bump(merged, w, c)
+        add_pair(acc, w, 0, -c)
 
     # alternating merge families, from both ends of the run list
     for i in range(1, k // 2 + 1):
@@ -379,7 +359,7 @@ def alternating_product_closed_form(k: int, p: int) -> HElement:
             c = 2 * sign * binom(alpha[0], p - 1)
             w = (_zword(alpha[:i]) + "x" * (alpha[i] + alpha[i + 1] + 1)
                  + "y" * (k - i + 1))
-            _bump(merged, w, c)
+            add_pair(acc, w, 0, -c)
     for i in range(1, k // 2):
         sign = -1 if i % 2 else 1
         for alpha in compositions(wt, k - i + 2):
@@ -387,7 +367,7 @@ def alternating_product_closed_form(k: int, p: int) -> HElement:
             w = (_zword(alpha[: k - i])
                  + "x" * (alpha[k - i] + alpha[k - i + 1] + 1)
                  + "y" * (i + 1))
-            _bump(merged, w, c)
+            add_pair(acc, w, 0, -c)
 
     # parity-weighted family with a trailing xy block
     for l in range(1, k):
@@ -397,9 +377,9 @@ def alternating_product_closed_form(k: int, p: int) -> HElement:
         for alpha in compositions(wt, l + 1):
             c = weight * binom(alpha[0], p - 1)
             w = _zword(alpha) + "xy" + "y" * (k - l - 1)
-            _bump(merged, w, c)
+            add_pair(acc, w, 0, -c)
 
-    return _assemble(plain, merged)
+    return from_pairs(acc)
 
 
 def alternating_product_weight4_form(k: int) -> HElement:
@@ -410,14 +390,13 @@ def alternating_product_weight4_form(k: int) -> HElement:
         raise ValueError("need k >= 1")
     if k % 2:
         return HElement.zero()
-    plain: dict = {}
-    merged: dict = {}
+    acc: dict = {}
     for aa in compositions(1, k + 2):
         c = 2 * (aa[-1] + 1)
         w = "x" * (aa[-1] + 1) + "y" + _zword(aa[:-1])
-        _bump(plain, w, c)
+        add_pair(acc, w, c, 0)
     for i in range(k):
         c = 2 * (2 * (-1) ** i - 1)
-        _bump(merged, "xy" + "y" * i + "xxy" + "y" * (k - i - 1), -c)
-    _bump(merged, "xxxy" + "y" * k, 6)
-    return _assemble(plain, merged)
+        add_pair(acc, "xy" + "y" * i + "xxy" + "y" * (k - i - 1), 0, c)
+    add_pair(acc, "xxxy" + "y" * k, 0, -6)
+    return from_pairs(acc)

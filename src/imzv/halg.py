@@ -3,13 +3,17 @@
 HElement stores a word -> QtPoly map with no zero coefficients.  Words print
 in canonical order (length first, then y before x), which for fixed weight
 matches ascending index order on the zeta side.
+
+Word products lie in Z[t] with t-degree at most one, so the product
+engines sum into a pair table, str word -> (c0, c1) meaning c0 + c1*t,
+with add_pair and wrap it once with from_pairs.
 """
 
 from __future__ import annotations
 
 import json
 
-from .coeffs import QtPoly, parse_qtpoly
+from .coeffs import QtPoly, make_qtpoly, parse_qtpoly
 from .words import EMPTY_WORD, Word, parse_word
 
 
@@ -24,10 +28,29 @@ def accumulate(table: dict, key, c: QtPoly):
         del table[key]
 
 
-def add_into(table: dict, v: "HElement"):
-    """Add every term of v to the Word -> QtPoly table in place."""
-    for w, c in v.terms.items():
-        accumulate(table, w, c)
+def add_pair(table: dict, w: str, c0: int, c1: int):
+    """Add c0 + c1*t to the pair table's entry for w in place; a zero pair
+    is never stored, so a sum that cancels deletes the word."""
+    old = table.get(w)
+    if old is not None:
+        c0 += old[0]
+        c1 += old[1]
+    if c0 or c1:
+        table[w] = (c0, c1)
+    elif old is not None:
+        del table[w]
+
+
+def from_pairs(table: dict) -> "HElement":
+    """Wrap a pair table built by add_pair (no zero pairs) as an HElement."""
+    terms = {}
+    for w, (c0, c1) in table.items():
+        if not c1:
+            coeffs = {0: c0}
+        else:
+            coeffs = {0: c0, 1: c1} if c0 else {1: c1}
+        terms[Word(w)] = make_qtpoly(coeffs)
+    return make_helement(terms)
 
 
 def make_helement(terms: dict) -> "HElement":
@@ -79,7 +102,8 @@ class HElement:
         if not isinstance(other, HElement):
             return NotImplemented
         out = dict(self.terms)
-        add_into(out, other)
+        for w, c in other.terms.items():
+            accumulate(out, w, c)
         return make_helement(out)
 
     def __neg__(self):

@@ -10,15 +10,30 @@ words w1, w2 it satisfies
 with rho(x) = 0 and rho(y) = t x.  Every closed form in this package is
 checked against this recursion.  A product of two plain words is always of
 degree at most one in t (corrections contribute single standalone words, so
-no path multiplies two t factors), which lets the recursion run on integer
-coefficient pairs (c0, c1) meaning c0 + c1*t.
+no path multiplies two t factors), so every engine here sums into one
+halg pair table, word -> (c0, c1) meaning c0 + c1*t, and wraps it once
+with halg.from_pairs.
 """
 
 from __future__ import annotations
 
-from .coeffs import QtPoly, binom, make_qtpoly
-from .halg import HElement, add_into, make_helement
+from .coeffs import QtPoly, binom
+from .halg import HElement, add_pair, from_pairs, make_helement
 from .words import Word
+
+# Most letters the two factors of a product may hold together: _tsh and
+# _sh recurse once per letter, and 500 levels leave room under Python's
+# default recursion limit of 1000 for the caller's own frames.
+MAX_LETTERS = 500
+
+
+def _letters(w1, w2) -> tuple:
+    """The letters of both words, refused above MAX_LETTERS in all."""
+    u, v = Word(w1).letters, Word(w2).letters
+    if len(u) + len(v) > MAX_LETTERS:
+        raise ValueError("a product of words with %d letters in all is over the "
+                         "limit of %d" % (len(u) + len(v), MAX_LETTERS))
+    return u, v
 
 
 def compositions(total: int, parts: int):
@@ -51,18 +66,6 @@ def interleavings(s1: str, s2: str):
         yield s2[0] + rest
 
 
-def _add_pair(table: dict, w: str, c0: int, c1: int):
-    old = table.get(w)
-    if old is None:
-        table[w] = (c0, c1)
-    else:
-        n0, n1 = old[0] + c0, old[1] + c1
-        if n0 or n1:
-            table[w] = (n0, n1)
-        else:
-            del table[w]
-
-
 def _tsh(u: str, v: str, memo: dict) -> dict:
     """t-shuffle of two plain strings as a word -> (c0, c1) table."""
     if not u:
@@ -77,33 +80,22 @@ def _tsh(u: str, v: str, memo: dict) -> dict:
     b, v1 = v[0], v[1:]
     out = {}
     for w, (c0, c1) in _tsh(u1, v, memo).items():
-        _add_pair(out, a + w, c0, c1)
+        add_pair(out, a + w, c0, c1)
     for w, (c0, c1) in _tsh(u, v1, memo).items():
-        _add_pair(out, b + w, c0, c1)
+        add_pair(out, b + w, c0, c1)
     if not u1 and a == "y":
-        _add_pair(out, "x" + v, 0, -1)
+        add_pair(out, "x" + v, 0, -1)
     if not v1 and b == "y":
-        _add_pair(out, "x" + u, 0, -1)
+        add_pair(out, "x" + u, 0, -1)
     memo[key] = out
     return out
-
-
-def _pairs_to_helement(table: dict) -> HElement:
-    terms = {}
-    for w, (c0, c1) in table.items():
-        if not c1:
-            coeffs = {0: c0}
-        else:
-            coeffs = {0: c0, 1: c1} if c0 else {1: c1}
-        terms[Word(w)] = make_qtpoly(coeffs)
-    return make_helement(terms)
 
 
 def tshuffle_words(w1, w2, cache: dict | None = None) -> HElement:
     """The t-shuffle product of two words, by direct recursion."""
     if cache is None:
         cache = {}
-    return _pairs_to_helement(_tsh(Word(w1).letters, Word(w2).letters, cache))
+    return from_pairs(_tsh(*_letters(w1, w2), cache))
 
 
 def tshuffle(u: HElement, v: HElement, cache: dict | None = None) -> HElement:
@@ -111,6 +103,8 @@ def tshuffle(u: HElement, v: HElement, cache: dict | None = None) -> HElement:
     degree -> coefficient rows."""
     if cache is None:
         cache = {}
+    # the longest word on each side sets the depth of the recursion
+    _letters(max(u.terms, key=len, default=""), max(v.terms, key=len, default=""))
     acc = {}
     for w1, a in u.terms.items():
         for w2, b in v.terms.items():
@@ -129,24 +123,36 @@ def tshuffle(u: HElement, v: HElement, cache: dict | None = None) -> HElement:
 
 
 def _sh(u: str, v: str, memo: dict) -> dict:
-    """Plain shuffle of two strings as a word -> multiplicity table."""
+    """Plain shuffle of two strings as a word -> (multiplicity, 0) table."""
     if not u:
-        return {v: 1}
+        return {v: (1, 0)}
     if not v:
-        return {u: 1}
-    key = (u, v)
+        return {u: (1, 0)}
+    key = (u, v, 0)  # apart from _tsh's (u, v) keys in a shared memo
     hit = memo.get(key)
     if hit is not None:
         return hit
     out = {}
-    for w, c in _sh(u[1:], v, memo).items():
-        nw = u[0] + w
-        out[nw] = out.get(nw, 0) + c
-    for w, c in _sh(u, v[1:], memo).items():
-        nw = v[0] + w
-        out[nw] = out.get(nw, 0) + c
+    for w, (c, _) in _sh(u[1:], v, memo).items():
+        add_pair(out, u[0] + w, c, 0)
+    for w, (c, _) in _sh(u, v[1:], memo).items():
+        add_pair(out, v[0] + w, c, 0)
     memo[key] = out
     return out
+
+
+# -t times the empty word: the right factor of every correction term
+_MINUS_T = {"": (0, -1)}
+
+
+def _add_concat(acc: dict, left: dict, mid: str, right: dict):
+    """Add the concatenation product left . mid . right into the pair table
+    acc.  left is a plain shuffle table (c1 = 0), so every product stays of
+    t-degree at most one."""
+    for lw, (l0, _) in left.items():
+        head = lw + mid
+        for rw, (r0, r1) in right.items():
+            add_pair(acc, head + rw, l0 * r0, l0 * r1)
 
 
 def shuffle_words(w1, w2, cache: dict | None = None) -> HElement:
@@ -154,8 +160,7 @@ def shuffle_words(w1, w2, cache: dict | None = None) -> HElement:
     interleavings.  Equals the t-shuffle at t = 0."""
     if cache is None:
         cache = {}
-    table = _sh(Word(w1).letters, Word(w2).letters, cache)
-    return make_helement({Word(w): make_qtpoly({0: c}) for w, c in table.items()})
+    return from_pairs(_sh(*_letters(w1, w2), cache))
 
 
 def yy_product_formula(m: int, n: int) -> HElement:
@@ -166,43 +171,44 @@ def yy_product_formula(m: int, n: int) -> HElement:
     """
     if m < 1 or n < 1:
         raise ValueError("need m, n >= 1")
-    terms = {Word("y" * (m + n)): QtPoly.const(binom(m + n, n))}
+    acc = {}
+    add_pair(acc, "y" * (m + n), binom(m + n, n), 0)
     for i in range(max(min(m, n) - 1, 0), m + n - 1):
         c = binom(i, m - 1) + binom(i, n - 1)
-        if c:
-            w = Word("y" * i + "x" + "y" * (m + n - i - 1))
-            terms[w] = QtPoly({1: -c})
-    return HElement(terms)
+        add_pair(acc, "y" * i + "x" + "y" * (m + n - i - 1), 0, -c)
+    return from_pairs(acc)
+
+
+def _xy_sum(m: int, n: int, block: tuple, merge: tuple) -> HElement:
+    """The block words of x^m sh y^n, each weighted by the pair block, plus
+    its merge words, each weighted by the pair merge; a zero pair adds
+    nothing (see xy_block_sum and xy_merge_sum for the two families)."""
+    acc = {}
+    for comp in compositions(m, n + 1):
+        add_pair(acc, "y".join("x" * c for c in comp), *block)
+    for i in range(m if n >= 1 else 0):
+        for comp in compositions(i, n):
+            head = "".join("x" * c + "y" for c in comp[:-1])
+            add_pair(acc, head + "x" * (comp[-1] + m - i + 1), *merge)
+    return from_pairs(acc)
 
 
 def xy_block_sum(m: int, n: int) -> HElement:
     """The shuffle part of x^m sh y^n: one word per composition of m into
     n+1 runs, x^(m_1) y x^(m_2) y ... y x^(m_{n+1})."""
-    acc = {}
-    for comp in compositions(m, n + 1):
-        w = "y".join("x" * c for c in comp)
-        acc[w] = acc.get(w, 0) + 1
-    return make_helement({Word(w): make_qtpoly({0: c}) for w, c in acc.items()})
+    return _xy_sum(m, n, (1, 0), (0, 0))
 
 
 def xy_merge_sum(m: int, n: int) -> HElement:
     """The t-part of x^m sh y^n: words where the last y merged into the x
     run, x^(m_1) y ... x^(m_{n-1}) y x^(m_n + m - i + 1) over compositions
     (m_1..m_n) of i, for 0 <= i <= m-1."""
-    if m < 1 or n < 1:
-        return HElement.zero()
-    acc = {}
-    for i in range(m):
-        for comp in compositions(i, n):
-            head = "".join("x" * c + "y" for c in comp[:-1])
-            w = head + "x" * (comp[-1] + m - i + 1)
-            acc[w] = acc.get(w, 0) + 1
-    return make_helement({Word(w): make_qtpoly({0: c}) for w, c in acc.items()})
+    return _xy_sum(m, n, (0, 0), (1, 0))
 
 
 def xpow_times_ypow(m: int, n: int) -> HElement:
-    """x^m sh y^n assembled from the two block sums."""
-    return xy_block_sum(m, n) - xy_merge_sum(m, n).scale(QtPoly.t())
+    """x^m sh y^n: the block words minus t times the merge words."""
+    return _xy_sum(m, n, (1, 0), (0, -1))
 
 
 def split_product(a_word, b_word, k: int, cache: dict | None = None) -> HElement:
@@ -215,29 +221,23 @@ def split_product(a_word, b_word, k: int, cache: dict | None = None) -> HElement
 
     where sh0 is the plain shuffle.  The value does not depend on k.
     """
-    a = Word(a_word).letters
-    b = Word(b_word).letters
+    a, b = _letters(a_word, b_word)
     m, n = len(a), len(b)
     if not 1 <= k <= m:
         raise ValueError("k must satisfy 1 <= k <= len(a)")
     if cache is None:
         cache = {}
     shmemo = {}
-    minus_t = QtPoly({1: -1})
     pre, mid, post = a[: k - 1], a[k - 1], a[k:]
     acc = {}
     for i in range(n + 1):
-        left = shuffle_words(pre, b[:i], shmemo)
-        right = tshuffle_words(post, b[i:], cache)
-        add_into(acc, (left * HElement.from_word(mid)) * right)
+        _add_concat(acc, _sh(pre, b[:i], shmemo), mid, _tsh(post, b[i:], cache))
     if n >= 1 and b[-1] == "y":
-        left = shuffle_words(pre, b[: n - 1] + "x", shmemo)
-        add_into(acc, (left * HElement.from_word(mid + post)).scale(minus_t))
+        _add_concat(acc, _sh(pre, b[: n - 1] + "x", shmemo), mid + post, _MINUS_T)
     if k == m and a[-1] == "y":
         for i in range(n):
-            left = shuffle_words(a[: m - 1], b[:i], shmemo)
-            add_into(acc, (left * HElement.from_word("x" + b[i:])).scale(minus_t))
-    return make_helement(acc)
+            _add_concat(acc, _sh(a[: m - 1], b[:i], shmemo), "x" + b[i:], _MINUS_T)
+    return from_pairs(acc)
 
 
 def word_blocks(w) -> tuple:
@@ -266,36 +266,32 @@ def block_product(blocks_a, blocks_b) -> HElement:
     engine never calls the letter-level t-shuffle recursion.
     """
     a_blocks = tuple((ch, e) for ch, e in blocks_a if e > 0)
-    b = _blocks_to_string(blocks_b)
-    return _block_rec(a_blocks, b, {})
+    _, b = _letters(_blocks_to_string(a_blocks), _blocks_to_string(blocks_b))
+    return from_pairs(_block_rec(a_blocks, b, {}))
 
 
-def _block_rec(a_blocks: tuple, b: str, shmemo: dict) -> HElement:
+def _block_rec(a_blocks: tuple, b: str, shmemo: dict) -> dict:
     if not a_blocks:
-        return HElement.from_word(b)
+        return {b: (1, 0)}
     a1, m1 = a_blocks[0]
     head = a1 * (m1 - 1)
     tail_blocks = a_blocks[1:]
-    tail = _blocks_to_string(tail_blocks)
-    minus_t = QtPoly({1: -1})
     n = len(b)
 
     acc = {}
     # prefix-split sum: nonempty prefixes of b absorbed into the shuffle,
     # the empty prefix giving the a_1^{m_1} (rest sh b) term
     for i in range(1, n + 1):
-        left = shuffle_words(head, b[:i], shmemo)
         right = _block_rec(tail_blocks, b[i:], shmemo)
-        add_into(acc, (left * HElement.from_word(a1)) * right)
-    add_into(acc, HElement.from_word(a1 * m1) * _block_rec(tail_blocks, b, shmemo))
+        _add_concat(acc, _sh(head, b[:i], shmemo), a1, right)
+    _add_concat(acc, {a1 * m1: (1, 0)}, "", _block_rec(tail_blocks, b, shmemo))
     # single-block correction: one term per proper prefix of b, including
     # prefixes that end inside b's last block
     if len(a_blocks) == 1 and a1 == "y":
         for i in range(n):
-            left = shuffle_words(head, b[:i], shmemo)
-            add_into(acc, (left * HElement.from_word("x" + b[i:])).scale(minus_t))
+            _add_concat(acc, _sh(head, b[:i], shmemo), "x" + b[i:], _MINUS_T)
     # trailing correction from b's last letter
     if n >= 1 and b[-1] == "y":
-        left = shuffle_words(head, b[: n - 1] + "x", shmemo)
-        add_into(acc, (left * HElement.from_word(a1 + tail)).scale(minus_t))
-    return make_helement(acc)
+        tail = a1 + _blocks_to_string(tail_blocks)
+        _add_concat(acc, _sh(head, b[: n - 1] + "x", shmemo), tail, _MINUS_T)
+    return acc

@@ -249,7 +249,7 @@ def expand_interpolation(zc: ZetaCombo) -> ZetaCombo:
                 else:
                     merged.append(parts[j])
             accumulate(out, Index(merged), c * QtPoly.t(fused) if fused else c)
-    return ZetaCombo(PLAIN, out, zc.scalar)
+    return _make_combo(PLAIN, out, zc.scalar)
 
 
 def star_view(zc: ZetaCombo) -> ZetaCombo:
@@ -268,7 +268,7 @@ def star_expand(zc: ZetaCombo) -> ZetaCombo:
     """Rewrite star symbols as plain ones (every merge pattern, weight 1)."""
     if zc.kind != STAR:
         raise ValueError("can only star-expand a star combo, got %s" % zc.kind)
-    as_interp = ZetaCombo(INTERPOLATED, zc.terms, zc.scalar)
+    as_interp = _make_combo(INTERPOLATED, zc.terms, zc.scalar)
     return expand_interpolation(as_interp).substitute_t(1)
 
 
@@ -393,18 +393,14 @@ def alternating_zeta_identity(k: int):
     if k % 2 == 1:
         return lhs, ZetaCombo.zero(INTERPOLATED)
     terms = {}
-
-    def bump(parts, c):
-        accumulate(terms, Index(parts), c)
-
     for aa in compositions(1, k + 2):
         parts = (aa[-1] + 2,) + tuple(q + 1 for q in aa[:-1])
-        bump(parts, QtPoly.const(2 * (aa[-1] + 1)))
+        accumulate(terms, Index(parts), QtPoly.const(2 * (aa[-1] + 1)))
     for i in range(k):
         parts = (2,) + (1,) * i + (3,) + (1,) * (k - i - 1)
-        bump(parts, QtPoly.t() * QtPoly.const(2 * (2 * (-1) ** i - 1)))
-    bump((4,) + (1,) * k, QtPoly.t() * QtPoly.const(-6))
-    return lhs, ZetaCombo(INTERPOLATED, terms)
+        accumulate(terms, Index(parts), QtPoly({1: 2 * (2 * (-1) ** i - 1)}))
+    accumulate(terms, Index((4,) + (1,) * k), QtPoly({1: -6}))
+    return lhs, _make_combo(INTERPOLATED, terms, QtPoly.zero())
 
 
 def euler_decomposition(i: int, j: int) -> ZetaCombo:
@@ -416,7 +412,7 @@ def euler_decomposition(i: int, j: int) -> ZetaCombo:
         accumulate(terms, Index((i + j - k, k)), QtPoly.const(binom(i + j - k - 1, i - 1)))
     for k in range(1, i + 1):
         accumulate(terms, Index((i + j - k, k)), QtPoly.const(binom(i + j - k - 1, j - 1)))
-    return ZetaCombo(PLAIN, terms)
+    return _make_combo(PLAIN, terms, QtPoly.zero())
 
 
 def product_combo(w1: Word, w2: Word, cache=None) -> ZetaCombo:

@@ -39,6 +39,13 @@ def test_product_rejects_bad_letters(capsys):
     assert "error:" in err
 
 
+def test_product_refuses_words_over_the_letter_limit(capsys):
+    code, out, err = run(capsys, "product", "x" * 1000, "x")
+    assert code == 2
+    assert out == ""
+    assert "over the limit" in err
+
+
 def test_product_json_format(capsys):
     code, out, _ = run(capsys, "product", "y", "y", "--format", "json")
     assert code == 0

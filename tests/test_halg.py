@@ -23,6 +23,8 @@ from imzv import (
 
 import json
 
+from imzv.halg import add_pair, from_pairs
+
 coeffs = st.builds(
     QtPoly,
     st.dictionaries(
@@ -141,3 +143,22 @@ def test_tshuffle_drops_cancelled_words_and_keeps_fractions():
     assert Word("yx") not in got.terms
     half = HElement.from_word("y", QtPoly({0: Fraction(1, 2)}))
     assert tshuffle(half, y.scale(2)) == tshuffle_words("y", "y")
+
+
+def test_add_pair_never_stores_a_zero_pair():
+    table = {}
+    add_pair(table, "xy", 0, 0)
+    assert table == {}
+    add_pair(table, "xy", 2, -1)
+    add_pair(table, "y", 0, 3)
+    add_pair(table, "xy", -2, 1)
+    assert table == {"y": (0, 3)}
+
+
+def test_from_pairs_equals_the_checked_constructor():
+    table = {"": (3, 0), "xy": (2, -1), "y": (0, 4), "xxy": (-1, 0)}
+    built = HElement(
+        {"": 3, "xy": QtPoly({0: 2, 1: -1}), "y": QtPoly({1: 4}), "xxy": -1}
+    )
+    assert from_pairs(table) == built
+    assert str(from_pairs(table)) == str(built)

@@ -9,6 +9,7 @@ associativity, unit) underpin everything downstream.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from imzv import (
@@ -29,6 +30,7 @@ from imzv import (
     xpow_times_ypow,
     yy_product_formula,
 )
+from imzv.tshuffle import MAX_LETTERS
 from imzv.verify import run_oracle_laws
 
 short_words = st.text(alphabet="xy", max_size=4).map(Word)
@@ -145,3 +147,33 @@ def test_compositions_count_and_order():
 def test_interleavings_count():
     assert len(list(interleavings("xy", "y"))) == binom(3, 1)
     assert sorted(interleavings("x", "y")) == ["xy", "yx"]
+
+
+_LETTER_ENGINES = {
+    "tshuffle_words": tshuffle_words,
+    "tshuffle": lambda u, v: tshuffle(HElement.from_word(u), HElement.from_word(v)),
+    "shuffle_words": shuffle_words,
+    "split_product": lambda u, v: split_product(u, v, 1),
+    "block_product": lambda u, v: block_product(word_blocks(u), word_blocks(v)),
+}
+
+
+@pytest.mark.parametrize("engine", _LETTER_ENGINES.values(), ids=_LETTER_ENGINES)
+def test_products_up_to_the_letter_limit_run_and_longer_are_refused(engine):
+    # x^(L-1) sh x = L x^L, with L = MAX_LETTERS letters in all
+    long = "x" * (MAX_LETTERS - 1)
+    assert engine(long, "x") == HElement.from_word(long + "x", MAX_LETTERS)
+    with pytest.raises(ValueError, match="over the limit of %d" % MAX_LETTERS):
+        engine(long + "x", "x")
+
+
+def test_correction_terms_at_the_letter_limit():
+    m = MAX_LETTERS - 1
+    assert tshuffle_words("y" * m, "y") == yy_product_formula(m, 1)
+
+
+def test_a_memo_shared_by_both_recursions_keeps_them_apart():
+    cache = {}
+    assert tshuffle_words("xy", "y", cache) != shuffle_words("xy", "y")
+    assert shuffle_words("xy", "y", cache) == shuffle_words("xy", "y")
+    assert tshuffle_words("xy", "y", cache) == tshuffle_words("xy", "y")

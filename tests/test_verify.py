@@ -14,10 +14,10 @@ from imzv.halg import HElement
 from imzv.tshuffle import tshuffle_words, yy_product_formula
 from imzv.zeta import ZetaCombo
 
-# small grids on which every suite below passes without subtracting:
-# eq42 is left out because its closed form itself subtracts
+# small grids on which every suite below passes without subtracting
 _SMALL_GRIDS = [
     (verify.run_yy_products, {"max_run": 3}),
+    (verify.run_xy_products, {"max_exp": 3}),
     (verify.run_pattern_products, {"max_run": 2, "max_exp": 1}),
     (verify.run_height_one, {"max_exp": 2, "max_run": 2}),
     (verify.run_expanded_height_one, {"max_param": 2}),
