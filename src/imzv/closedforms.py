@@ -114,64 +114,37 @@ def height_one_product(a: int, r: int, b: int, s: int) -> HElement:
     if min(a, r, b, s) < 1:
         raise ValueError("need a, r, b, s >= 1")
     acc: dict = {}
+    # each family comes once per word: its x exponent, its own y count h
+    # and the other word's y count g
+    sides = ((a, r, s), (b, s, r))
 
     for alpha in compositions(a + b, r + s):
         c = 0
-        for l in range(1, r + 1):
-            if all(alpha[j] == 0 for j in range(l + 1, r + s)):
-                c += binom(alpha[0], a) * binom(r + s - l - 1, r - l)
-        for l in range(1, s + 1):
-            if all(alpha[j] == 0 for j in range(l + 1, r + s)):
-                c += binom(alpha[0], b) * binom(r + s - l - 1, s - l)
+        for e, h, _ in sides:
+            for l in range(1, h + 1):
+                if all(alpha[j] == 0 for j in range(l + 1, r + s)):
+                    c += binom(alpha[0], e) * binom(r + s - l - 1, h - l)
         add_pair(acc, _zword(alpha), c, 0)
 
-    # inner-replacement families: ... x^{alpha_{l+1}} y^{i+1} x y^{rest}
-    for l in range(1, r):
-        for alpha in compositions(a + b, l + 1):
-            ca = binom(alpha[0], a)
-            if not ca:
-                continue
-            for i in range(max(min(r - l, s - 1) - 1, 0), r + s - l - 2):
-                c = ca * (binom(i, r - l - 1) + binom(i, s - 2))
-                w = ("".join("x" * e + "y" for e in alpha[:-1])
-                     + "x" * alpha[-1] + "y" * (i + 1) + "x"
-                     + "y" * (r + s - l - i - 2))
-                add_pair(acc, w, 0, -c)
-    for l in range(1, s):
-        for alpha in compositions(a + b, l + 1):
-            cb = binom(alpha[0], b)
-            if not cb:
-                continue
-            for i in range(max(min(r - 1, s - l) - 1, 0), r + s - l - 2):
-                c = cb * (binom(i, s - l - 1) + binom(i, r - 2))
-                w = ("".join("x" * e + "y" for e in alpha[:-1])
-                     + "x" * alpha[-1] + "y" * (i + 1) + "x"
-                     + "y" * (r + s - l - i - 2))
-                add_pair(acc, w, 0, -c)
-
-    # single-height tails: only present when the other word has one y
-    if s == 1:
-        for l in range(1, r):
+    for e, h, g in sides:
+        for l in range(1, h):
             for alpha in compositions(a + b, l + 1):
-                w = ("".join("x" * e + "y" for e in alpha[:-1])
-                     + "x" * (alpha[-1] + 1) + "y" * (r - l))
-                add_pair(acc, w, 0, -binom(alpha[0], a))
-    if r == 1:
-        for l in range(1, s):
-            for alpha in compositions(a + b, l + 1):
-                w = ("".join("x" * e + "y" for e in alpha[:-1])
-                     + "x" * (alpha[-1] + 1) + "y" * (s - l))
-                add_pair(acc, w, 0, -binom(alpha[0], b))
+                ce = binom(alpha[0], e)
+                if not ce:
+                    continue
+                head = _zword(alpha[:-1]) + "x" * alpha[-1]
+                # inner replacement: ... x^{alpha_{l+1}} y^{i+1} x y^{rest}
+                for i in range(max(min(h - l, g - 1) - 1, 0), r + s - l - 2):
+                    c = ce * (binom(i, h - l - 1) + binom(i, g - 2))
+                    add_pair(acc, head + "y" * (i + 1) + "x" + "y" * (r + s - l - i - 2), 0, -c)
+                # single-height tail: only present when the other word has one y
+                if g == 1:
+                    add_pair(acc, head + "x" + "y" * (h - l), 0, -ce)
 
-    # final-run merges: the last two runs fuse around the replaced y
-    for alpha in compositions(a + b, r + 1):
-        w = ("".join("x" * e + "y" for e in alpha[: r - 1])
-             + "x" * (alpha[r - 1] + alpha[r] + 1) + "y" * s)
-        add_pair(acc, w, 0, -binom(alpha[0], a))
-    for alpha in compositions(a + b, s + 1):
-        w = ("".join("x" * e + "y" for e in alpha[: s - 1])
-             + "x" * (alpha[s - 1] + alpha[s] + 1) + "y" * r)
-        add_pair(acc, w, 0, -binom(alpha[0], b))
+        # final-run merge: the last two runs fuse around the replaced y
+        for alpha in compositions(a + b, h + 1):
+            w = _zword(alpha[: h - 1]) + "x" * (alpha[h - 1] + alpha[h] + 1) + "y" * g
+            add_pair(acc, w, 0, -binom(alpha[0], e))
 
     return from_pairs(acc)
 

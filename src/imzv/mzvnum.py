@@ -1,71 +1,61 @@
 """Floating-point evaluation of multiple zeta values.
 
 eval_mzv splits the iterated integral of the word w = word_from_index(k)
-at 1/2 (Borwein, Bradley, Broadhurst and Lisonek, "Special values of
-multiple polylogarithms", Trans. AMS 353, 2001):
+at a rational point z in (0, 1) (Borwein, Bradley, Broadhurst and
+Lisonek, "Special values of multiple polylogarithms", Trans. AMS 353,
+2001):
 
-    z(w) = sum_{i=0..n} Li(revswap(w[:i]); 1/2) * Li(w[i:]; 1/2),
+    zeta(w) = sum_{i=0..n} Li(revswap(w[:i]); 1 - z) * Li(w[i:]; z),
 
 where n = |w|, revswap reverses a word and swaps x with y, and the empty
-word gives 1.  Li(v; z) = sum_m c_m z^m has nonnegative coefficients
+word gives 1.  Li(v; p) = sum_m c_m p^m has nonnegative coefficients
 built from the constant 1 by prepending letters: y replaces c_m by
 (c_0 + ... + c_{m-1}) / m and x by c_m / m.  Both keep every c_m in
-[0, 1], so each factor is at most 1 and cutting its series after
-SERIES_TERMS terms loses at most 2^-SERIES_TERMS.  Every quantity is
-nonnegative, so rounding has a relative bound as well, and the reported
-error_estimate is a proven bound, floored at TARGET_FLOOR (1e-9): double
-precision leaves no headroom below that, so tighter targets are not
-accepted.
+[0, 1] and c_0 = 0 for a nonempty word, so a factor at p is at most
+max(1, p / (1 - p)) and cutting its series after N terms loses at most
+p^(N+1) / (1 - p).  N is the fewest terms that keep this loss within
+2^-SERIES_TERMS at both points, which is SERIES_TERMS itself at z = 1/2.
+Every quantity is nonnegative, so rounding has a relative bound as well,
+and the reported error_estimate is a proven bound, floored at
+TARGET_FLOOR (1e-9): double precision leaves no headroom below that, so
+tighter targets are not accepted.
 
-Under this formula z(dual(w)) sums the same terms as z(w) in reverse
-order, so a numeric duality check needs an independent evaluator.
-eval_mzv_direct is that reference: it truncates the nested harmonic sum
-itself with cumulative-sum cascades of 2^17 to 2^21 terms and corrects
-the tail analytically.  Writing the inner chains below m as A(m), the
-truncated remainder is sum_{m>N} A(m) m^-l1.  A(m) grows like a
-polynomial in log m whose degree is bounded by the number of parts
-equal to 1 after the first, so the tail is recovered by fitting that
-polynomial on a window of computed values and summing the fitted model
-with the Euler-Maclaurin formula.  Its error estimate compares the
-extrapolations from cutoff N and cutoff N/2, scaled by a safety factor
-and floored at TARGET_FLOOR.
+The default split is z = 1/2.  There zeta(dual(w)) sums the same terms
+as zeta(w) in reverse order, so a numeric duality check at 1/2 would pass
+whatever the errors.  At z = 1/3 the split of dual(w) is, term by term,
+the split of w at 2/3: a different series, which the duality suite
+compares with the split of w at 1/3.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from operator import mul
-
-import numpy as np
 
 from .words import Index, word_from_index
 from . import zeta as zeta_mod
 
 TARGET_FLOOR = 1e-9
 SERIES_TERMS = 64
+HALF = Fraction(1, 2)
 
 _UNIT_ROUNDOFF = 2.0 ** -53
 _REVSWAP = str.maketrans("xy", "yx")
-
-_EST_SAFETY = 2.0
-_FIT_SAMPLES = 512
-_MIN_CUTOFF = 1 << 10
 
 
 class EvalResult:
     """Outcome of a numeric evaluation.
 
     value          approximation of the limit
-    error_estimate bound on |value - truth|, never below TARGET_FLOOR:
-                   proven for eval_mzv (eval_combo adds these up, weighted
-                   by coefficient magnitudes), calibrated for
-                   eval_mzv_direct
-    cutoff_used    series length (SERIES_TERMS) for eval_mzv and
-                   eval_combo, or the largest partial-sum cutoff of
-                   eval_mzv_direct
-    tol_ok         whether error_estimate met the requested target
+    error_estimate proven bound on |value - truth|, never below
+                   TARGET_FLOOR (eval_combo adds the bounds up, weighted
+                   by coefficient magnitudes)
+    cutoff_used    series length: the terms kept of each factor's power
+                   series (SERIES_TERMS at the default split z = 1/2)
+    tol_ok        whether error_estimate met the requested target
     """
 
     __slots__ = ("value", "error_estimate", "cutoff_used", "tol_ok")
@@ -93,12 +83,43 @@ def _admissible(index) -> Index:
     return index
 
 
-def _suffix_values(letters: str, n_terms: int) -> list:
-    """Li(v; 1/2) for every suffix v of letters, by length: entry k is the
-    value of the length-k suffix, its series cut after z^n_terms.  Every
+@lru_cache(maxsize=8)
+def _powers(p: Fraction, n_terms: int) -> tuple:
+    """p^0 .. p^n_terms, each rounded once to a double (exact at p = 1/2)."""
+    return tuple(float(p**m) for m in range(n_terms + 1))
+
+
+def _cut_loss(p: Fraction, n_terms: int) -> Fraction:
+    """Most a factor's series at p can lose when cut after p^n_terms."""
+    return p ** (n_terms + 1) / (1 - p)
+
+
+@lru_cache(maxsize=8)
+def _term_loss(z: Fraction, n_terms: int) -> Fraction:
+    """Most one term, a head at 1 - z times a tail at z, loses to the cuts:
+    the head is at most max(1, (1 - z) / z), the tail at most
+    max(1, z / (1 - z)), and each falls short by at most its cut loss."""
+    h = 1 - z
+    return max(1, h / z) * _cut_loss(z, n_terms) + max(1, z / h) * _cut_loss(h, n_terms)
+
+
+@lru_cache(maxsize=8)
+def _series_terms(z: Fraction) -> int:
+    """Fewest terms that keep the cut loss at z and 1 - z within
+    2^-SERIES_TERMS: SERIES_TERMS at z = 1/2, 112 at z = 1/3."""
+    p = max(z, 1 - z)
+    n_terms = SERIES_TERMS
+    while _cut_loss(p, n_terms) > Fraction(1, 2**SERIES_TERMS):
+        n_terms += 1
+    return n_terms
+
+
+def _suffix_values(letters: str, n_terms: int, p: Fraction) -> list:
+    """Li(v; p) for every suffix v of letters, by length: entry k is the
+    value of the length-k suffix, its series cut after p^n_terms.  Every
     nonempty suffix must end in y."""
     coeffs = [1.0] + [0.0] * n_terms
-    halves = [0.5**m for m in range(n_terms + 1)]
+    powers = _powers(p, n_terms)
     values = [1.0]
     for letter in reversed(letters):
         if letter == "y":
@@ -106,159 +127,54 @@ def _suffix_values(letters: str, n_terms: int) -> list:
         else:
             sums = coeffs[1:]
         coeffs = [0.0] + [c / m for m, c in enumerate(sums, 1)]
-        values.append(math.fsum(map(mul, coeffs, halves)))
+        values.append(math.fsum(map(mul, coeffs, powers)))
     return values
 
 
-def _split_series(letters: str, n_terms: int = SERIES_TERMS):
-    """(value, bound) of z(letters) by the split-at-1/2 series.
+def _split_series(letters: str, n_terms: int = SERIES_TERMS, z: Fraction = HALF):
+    """(value, bound) of zeta(letters) by the series split at z.
 
-    Truncation: each of the n + 1 terms is a product of two factors in
-    [0, 1], each short of its limit by at most 2^-n_terms.  Rounding: the
+    Truncation: each of the n + 1 terms loses at most _term_loss, which
+    is 2 * 2^-n_terms at z = 1/2.  Rounding: the powers of z and 1 - z,
     running sums, divisions by m, fsums and products form a chain of at
     most K = (n_terms + 1)(n + 2) roundings along any path, and all
     operands are nonnegative, so value = exact * (1 + theta) with
     |theta| <= gamma_K = K u / (1 - K u).  Gradual underflow, possible
-    only past weight 150, adds absolute errors below 1e-300.
+    only past weight 150 at z = 1/2 and 120 at z = 1/3, adds absolute
+    errors below 1e-300.
     """
     n = len(letters)
-    tails = _suffix_values(letters, n_terms)
-    heads = _suffix_values(letters[::-1].translate(_REVSWAP), n_terms)
+    tails = _suffix_values(letters, n_terms, z)
+    heads = _suffix_values(letters[::-1].translate(_REVSWAP), n_terms, 1 - z)
     value = math.fsum(heads[i] * tails[n - i] for i in range(n + 1))
     k_u = (n_terms + 1) * (n + 2) * _UNIT_ROUNDOFF
     gamma = k_u / (1.0 - k_u)
-    bound = gamma * value / (1.0 - gamma) + 2.0 * (n + 1) * 0.5**n_terms
+    bound = gamma * value / (1.0 - gamma) + float((n + 1) * _term_loss(z, n_terms))
     return value, bound
 
 
-def eval_mzv(index, target_abs_err=1e-9, cache=None) -> EvalResult:
+def eval_mzv(index, target_abs_err=1e-9, cache=None, *, split=HALF) -> EvalResult:
     """Evaluate one admissible index in double precision with a proven
-    error bound.
+    error bound, by the series split at the rational point split in (0, 1).
 
     The cache, if given, is a plain dict confined to the calling session;
-    it keys on the index parts.  Do not share it with eval_mzv_direct.
+    it keys on the index parts and the split point.
     """
     index = _admissible(index)
-    parts = index.parts
+    z = Fraction(split)
+    if not 0 < z < 1:
+        raise ValueError("split point must lie strictly between 0 and 1, got %s" % z)
+    key = (index.parts, z)
     target = max(float(target_abs_err), TARGET_FLOOR)
-    if cache is not None and parts in cache:
-        value, est, used = cache[parts]
+    if cache is not None and key in cache:
+        value, est, used = cache[key]
         return EvalResult(value, est, used, est <= target)
-    value, bound = _split_series(word_from_index(index).letters)
+    n_terms = _series_terms(z)
+    value, bound = _split_series(word_from_index(index).letters, n_terms, z)
     est = max(bound, TARGET_FLOOR)
     if cache is not None:
-        cache[parts] = (value, est, SERIES_TERMS)
-    return EvalResult(value, est, SERIES_TERMS, est <= target)
-
-
-def _log_degree(parts) -> int:
-    """Upper bound for the log-polynomial degree of the inner partial sums."""
-    return sum(1 for l in parts[1:] if l == 1)
-
-
-def _default_cutoff(parts) -> int:
-    if len(parts) == 1:
-        return 1 << 17
-    d = _log_degree(parts)
-    if d == 0:
-        return 1 << 18
-    # slowly decaying outer terms with log growth need the deepest sums
-    return 1 << 21 if parts[0] == 2 else 1 << 19
-
-
-def _partial_data(parts, n_top):
-    """Cumulative iterated sums up to n_top.
-
-    Returns (total, inner) where total[m] = v(m) and inner[m] is the sum
-    over strictly decreasing chains below m of the remaining factors, so
-    that the m-th outer term is inner[m] * m^-l1.
-    """
-    m = np.arange(n_top + 1, dtype=np.float64)
-    m[0] = 1.0
-    cur = m ** float(-parts[-1])
-    cur[0] = 0.0
-    for l in reversed(parts[:-1]):
-        pref = np.cumsum(cur)
-        cur = m ** float(-l)
-        cur[0] = 0.0
-        cur[1:] *= pref[:-1]
-    total = np.cumsum(cur)
-    if len(parts) == 1:
-        inner = np.ones(n_top + 1)
-    else:
-        inner = cur * m ** float(parts[0])
-    return total, inner
-
-
-def _fit_tail_coeffs(inner, lo, hi, degree):
-    """Least-squares fit of inner[m] by a polynomial in log(m / center)."""
-    ms = np.unique(np.linspace(lo, hi, _FIT_SAMPLES).astype(np.int64))
-    center = math.sqrt(float(lo) * float(hi))
-    w = np.log(ms / center)
-    cols = np.vander(w, degree + 1, increasing=True)
-    scale = np.linalg.norm(cols, axis=0)
-    coef, _, _, _ = np.linalg.lstsq(cols / scale, inner[ms], rcond=None)
-    return coef / scale, center
-
-
-def _tail_sum(coefs, center, s, n_cut):
-    """sum_{m > n_cut} P(log(m/center)) * m^-s by Euler-Maclaurin.
-
-    Uses sum_{m >= a} g(m) = int_a^inf g + g(a)/2 - g'(a)/12 + ..., with
-    the integrals reduced by integration by parts.
-    """
-    a = float(n_cut + 1)
-    la = math.log(a / center)
-    base = a ** (1.0 - s) / (s - 1.0)
-    ints = [base]
-    for i in range(1, len(coefs)):
-        ints.append((la ** i) * base + i * ints[i - 1] / (s - 1.0))
-    integral = 0.0
-    p_at_a = 0.0
-    dp_at_a = 0.0
-    for i, c in enumerate(coefs):
-        integral += c * ints[i]
-        p_at_a += c * la ** i
-        if i:
-            dp_at_a += c * i * la ** (i - 1)
-    g_a = p_at_a * a ** (-s)
-    dg_a = (dp_at_a - s * p_at_a) * a ** (-s - 1.0)
-    return integral + 0.5 * g_a - dg_a / 12.0
-
-
-def _value_at(total, inner, s, n_cut, degree):
-    coefs, center = _fit_tail_coeffs(inner, n_cut // 2, n_cut, degree)
-    return total[n_cut] + _tail_sum(coefs, center, s, n_cut)
-
-
-def eval_mzv_direct(index, target_abs_err=1e-9, cutoff=None, cache=None) -> EvalResult:
-    """Evaluate one admissible index by the truncated nested sum.
-
-    The independent reference for the duality check and calibration; its
-    error estimate is calibrated, not proven.  The cache, if given, is a
-    plain dict confined to the calling session; it keys on the index
-    parts and stores results at the default cutoff.  An explicit
-    ``cutoff`` (minimum 1024) overrides the size heuristic and bypasses
-    the cache.
-    """
-    parts = _admissible(index).parts
-    target = max(float(target_abs_err), TARGET_FLOOR)
-    if cutoff is None and cache is not None and parts in cache:
-        value, est, used = cache[parts]
-        return EvalResult(value, est, used, est <= target)
-    if cutoff is None:
-        n_top = _default_cutoff(parts)
-    else:
-        n_top = max(int(cutoff), _MIN_CUTOFF)
-    total, inner = _partial_data(parts, n_top)
-    s = float(parts[0])
-    degree = _log_degree(parts)
-    v_hi = _value_at(total, inner, s, n_top, degree)
-    v_lo = _value_at(total, inner, s, n_top // 2, degree)
-    est = max(_EST_SAFETY * abs(v_hi - v_lo), TARGET_FLOOR)
-    if cutoff is None and cache is not None:
-        cache[parts] = (v_hi, est, n_top)
-    return EvalResult(v_hi, est, n_top, est <= target)
+        cache[key] = (value, est, n_terms)
+    return EvalResult(value, est, n_terms, est <= target)
 
 
 def eval_combo(zc, t_value=0, target_abs_err=1e-6, cache=None) -> EvalResult:
@@ -293,7 +209,7 @@ def eval_combo(zc, t_value=0, target_abs_err=1e-6, cache=None) -> EvalResult:
 def zeta_ref(s, terms=120) -> float:
     """Single-series reference for the depth-one value, by Euler-Maclaurin.
 
-    Independent of the cascade evaluator; used to cross-check it.
+    Independent of the split series; used to cross-check it.
     """
     s = float(s)
     if s <= 1.0:

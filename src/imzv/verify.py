@@ -21,7 +21,7 @@ from typing import Callable
 
 from . import closedforms
 from .halg import HElement
-from .mzvnum import EvalResult, eval_combo, eval_mzv_direct
+from .mzvnum import EvalResult, eval_combo, eval_mzv
 from .tshuffle import (
     shuffle_words,
     tshuffle,
@@ -45,6 +45,8 @@ from .zeta import (
 )
 
 DEFAULT_SEED = 1812
+# split point of the duality suite's series; 1/2 would make it a tautology
+DUALITY_SPLIT = Fraction(1, 3)
 
 
 @dataclass
@@ -349,14 +351,15 @@ def run_duality_numeric(max_weight: int = 8):
     """Numeric duality check: each admissible index evaluates to the same
     value as its dual, within combined error estimates (suite duality-numeric).
 
-    Uses the direct nested-sum evaluator: the split-at-1/2 series of
-    eval_mzv is symmetric under duality term by term, so it would pass
-    this check whatever its errors."""
+    Both sides use the series split at 1/3, under which the split of the
+    dual is, term by term, the split of the index at 2/3: two different
+    series.  Split at 1/2, both sides would sum the same terms and pass
+    whatever their errors."""
     cache = {}
     for idx in admissible_indices(max_weight):
         partner = index_from_word(dual(word_from_index(idx)))
-        r1 = eval_mzv_direct(idx, cache=cache)
-        r2 = eval_mzv_direct(partner, cache=cache)
+        r1 = eval_mzv(idx, cache=cache, split=DUALITY_SPLIT)
+        r2 = eval_mzv(partner, cache=cache, split=DUALITY_SPLIT)
         yield {"index": list(idx.parts), "dual": list(partner.parts)}, r1, r2
 
 

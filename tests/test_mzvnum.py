@@ -4,12 +4,16 @@ Reference values are recomputed at import time from math.pi and from an
 independent single-series routine with an analytic tail, so no multi-digit
 constants are frozen into the assertions.  The honesty checks require the
 reported error estimate to cover the actual error on indices with known
-closed forms.  The split-at-1/2 series is also checked against the same
-series in exact rational arithmetic and against the direct nested-sum
-evaluator.
+closed forms, at both split points the library uses (1/2 for eval_mzv
+and eval_combo, 1/3 for the duality suite).  The series is also checked
+against the same series in exact rational arithmetic, and the two split
+points against each other.
 """
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import accumulate
 
@@ -20,14 +24,16 @@ from imzv import (
     STAR,
     ZetaCombo,
     admissible_indices,
+    dual,
     eval_combo,
     eval_mzv,
-    eval_mzv_direct,
+    index_from_word,
     interpolated_symbol,
     parse_zeta_combo,
     word_from_index,
     zeta_ref,
 )
+import imzv
 from imzv import mzvnum, verify
 
 PI = math.pi
@@ -37,6 +43,7 @@ ZETA4 = PI**4 / 90
 ZETA5 = zeta_ref(5)
 ZETA6 = PI**6 / 945
 ZETA7 = zeta_ref(7)
+SPLITS = [mzvnum.HALF, verify.DUALITY_SPLIT]
 
 
 def test_reference_series_matches_pi_powers():
@@ -47,8 +54,9 @@ def test_reference_series_matches_pi_powers():
 
 @pytest.mark.parametrize("s", [2, 3, 4, 5, 6, 7, 8])
 def test_depth_one_honesty(s):
-    res = eval_mzv((s,))
-    assert abs(res.value - zeta_ref(s)) <= res.error_estimate
+    for split in SPLITS:
+        res = eval_mzv((s,), split=split)
+        assert abs(res.value - zeta_ref(s)) <= res.error_estimate, split
 
 
 @pytest.mark.parametrize(
@@ -78,30 +86,34 @@ def test_rejects_non_admissible_index():
         eval_mzv((1, 2))
 
 
-def test_refinement_does_not_degrade():
-    for parts in ((2,), (3, 1), (2, 1, 1), (2, 1, 1, 1, 1, 1)):
-        coarse = eval_mzv_direct(parts, cutoff=1 << 13)
-        fine = eval_mzv_direct(parts, cutoff=1 << 14)
-        assert fine.error_estimate <= 2 * coarse.error_estimate, parts
+def test_rejects_split_outside_the_unit_interval():
+    for split in (0, 1, Fraction(3, 2), -1):
+        with pytest.raises(ValueError):
+            eval_mzv((2,), split=split)
 
 
-def test_small_cutoff_is_flagged_but_still_honest():
-    # a depth-six chain needs far more than 1024 terms for the default target
-    res = eval_mzv_direct((2, 1, 1, 1, 1, 1), target_abs_err=1e-9, cutoff=1024)
-    assert not res.tol_ok
-    assert abs(res.value - ZETA7) <= res.error_estimate
+def test_series_length_follows_the_split():
+    assert eval_mzv((2, 1), split=Fraction(1, 2)).cutoff_used == mzvnum.SERIES_TERMS
+    n_terms = eval_mzv((2, 1), split=verify.DUALITY_SPLIT).cutoff_used
+    # the fewest terms that cut the slower factor, at 2/3, within 2^-64
+    assert mzvnum._cut_loss(Fraction(2, 3), n_terms) <= Fraction(1, 2**64)
+    assert mzvnum._cut_loss(Fraction(2, 3), n_terms - 1) > Fraction(1, 2**64)
 
 
 def test_cache_reuses_default_cutoff_results():
     cache = {}
     first = eval_mzv((3, 1), cache=cache)
-    assert (3, 1) in cache
+    assert ((3, 1), mzvnum.HALF) in cache
     again = eval_mzv((3, 1), cache=cache)
     assert again.value == first.value
     assert again.cutoff_used == first.cutoff_used
-    # an explicit cutoff must bypass the cached entry
-    forced = eval_mzv_direct((3, 1), cutoff=1 << 12, cache=cache)
-    assert forced.cutoff_used == 1 << 12
+    # another split point must not be served the entry of the first
+    third = eval_mzv((3, 1), cache=cache, split=verify.DUALITY_SPLIT)
+    assert third.cutoff_used != first.cutoff_used
+    assert len(cache) == 2
+    cache[(3, 1), verify.DUALITY_SPLIT] = (0.0, 1e-9, 0)
+    assert eval_mzv((3, 1), cache=cache, split=verify.DUALITY_SPLIT).value == 0.0
+    assert eval_mzv((3, 1), cache=cache).value == first.value
 
 
 def test_combo_of_scalar_only():
@@ -148,27 +160,30 @@ def _closed_form_cases():
 
 @pytest.mark.parametrize("parts,closed_form", _closed_form_cases())
 def test_series_honesty_on_closed_forms(parts, closed_form):
-    res = eval_mzv(parts)
-    assert res.cutoff_used == mzvnum.SERIES_TERMS
-    assert abs(res.value - closed_form) <= res.error_estimate
+    for split in SPLITS:
+        res = eval_mzv(parts, split=split)
+        assert res.cutoff_used == mzvnum._series_terms(split)
+        assert abs(res.value - closed_form) <= res.error_estimate, split
 
 
 @pytest.mark.parametrize("parts,closed_form", _closed_form_cases())
 def test_short_series_bound_holds(parts, closed_form):
     # eight terms leave a truncation error far above double rounding, so
     # the unfloored bound itself is exercised
-    value, bound = mzvnum._split_series(word_from_index(Index(parts)).letters, 8)
-    assert abs(value - closed_form) <= bound
-    assert closed_form - value > 1e-9
+    letters = word_from_index(Index(parts)).letters
+    for split in SPLITS:
+        value, bound = mzvnum._split_series(letters, 8, split)
+        assert abs(value - closed_form) <= bound, split
+        assert closed_form - value > 1e-9, split
 
 
-def _exact_suffix_values(letters, n_terms):
+def _exact_suffix_values(letters, n_terms, p):
     coeffs = [Fraction(1)] + [Fraction(0)] * n_terms
     values = [Fraction(1)]
     for letter in reversed(letters):
         sums = accumulate(coeffs[:-1]) if letter == "y" else coeffs[1:]
         coeffs = [Fraction(0)] + [c / m for m, c in enumerate(sums, 1)]
-        values.append(sum(c / 2**m for m, c in enumerate(coeffs)))
+        values.append(sum(c * p**m for m, c in enumerate(coeffs)))
     return values
 
 
@@ -177,32 +192,72 @@ def test_series_rounding_within_gamma_bound(parts):
     # the same truncated series in exact rational arithmetic isolates the
     # rounding error, which the bound must cover on its own
     letters = word_from_index(Index(parts)).letters
-    n, n_terms = len(letters), mzvnum.SERIES_TERMS
-    tails = _exact_suffix_values(letters, n_terms)
-    heads = _exact_suffix_values(letters[::-1].translate(mzvnum._REVSWAP), n_terms)
-    exact = sum(heads[i] * tails[n - i] for i in range(n + 1))
-    value, bound = mzvnum._split_series(letters)
-    assert abs(Fraction(value) - exact) <= Fraction(bound)
-    assert bound < 1e-12
+    n = len(letters)
+    for split in SPLITS:
+        n_terms = mzvnum._series_terms(split)
+        tails = _exact_suffix_values(letters, n_terms, split)
+        heads = _exact_suffix_values(
+            letters[::-1].translate(mzvnum._REVSWAP), n_terms, 1 - split)
+        exact = sum(heads[i] * tails[n - i] for i in range(n + 1))
+        value, bound = mzvnum._split_series(letters, n_terms, split)
+        assert abs(Fraction(value) - exact) <= Fraction(bound), split
+        assert bound < 1e-12
 
 
-def test_series_agrees_with_direct_sum():
-    cache_series, cache_direct = {}, {}
-    for idx in admissible_indices(6):
-        fast = eval_mzv(idx, cache=cache_series)
-        ref = eval_mzv_direct(idx, cache=cache_direct)
-        assert abs(fast.value - ref.value) <= fast.error_estimate + ref.error_estimate, idx
+def test_split_points_agree_within_their_bounds():
+    # two different series for the same value: 1/2 and 1/3 share no factor
+    for idx in admissible_indices(8):
+        letters = word_from_index(idx).letters
+        half, half_bound = mzvnum._split_series(letters)
+        third, third_bound = mzvnum._split_series(
+            letters, mzvnum._series_terms(verify.DUALITY_SPLIT), verify.DUALITY_SPLIT)
+        assert abs(half - third) <= half_bound + third_bound, idx
 
 
-def test_duality_numeric_never_uses_the_series(monkeypatch):
-    # the series is symmetric under duality term by term, so a duality
-    # check run on it would pass whatever its errors
-    def refuse(*args, **kwargs):
-        raise AssertionError("duality-numeric evaluated the split series")
+def test_duality_numeric_never_evaluates_at_one_half(monkeypatch):
+    # the split at 1/2 is symmetric under duality term by term, so a
+    # duality check run on it would pass whatever its errors
+    points = []
+    split_series = mzvnum._split_series
 
-    monkeypatch.setattr(mzvnum, "eval_mzv", refuse)
-    monkeypatch.setattr(mzvnum, "_split_series", refuse)
-    monkeypatch.setattr(verify, "eval_mzv", refuse, raising=False)
+    def spy(letters, n_terms=mzvnum.SERIES_TERMS, z=mzvnum.HALF):
+        points.append(z)
+        return split_series(letters, n_terms, z)
+
+    monkeypatch.setattr(mzvnum, "_split_series", spy)
     report = verify.run_duality_numeric(max_weight=4)
     assert report.passed
     assert report.cases_total == 7
+    assert points and set(points) == {verify.DUALITY_SPLIT}
+
+
+def _cut_to_ten_terms(monkeypatch):
+    # truncate every factor after ten terms but keep the bound of the full
+    # series, as a wrong evaluator with an unchanged error claim would
+    suffix_values = mzvnum._suffix_values
+    monkeypatch.setattr(
+        mzvnum, "_suffix_values", lambda letters, n_terms, p: suffix_values(letters, 10, p))
+
+
+def test_duality_check_at_one_half_cannot_see_a_cut_series(monkeypatch):
+    _cut_to_ten_terms(monkeypatch)
+    for idx in admissible_indices(6):
+        partner = index_from_word(dual(word_from_index(idx)))
+        r1, r2 = eval_mzv(idx), eval_mzv(partner)
+        assert abs(r1.value - r2.value) <= r1.error_estimate + r2.error_estimate
+    # the cut is real: z(2,1) at 1/2 is visibly off z(3)
+    assert abs(eval_mzv((2, 1)).value - ZETA3) > 1e-6
+
+
+def test_duality_numeric_catches_a_cut_series(monkeypatch):
+    _cut_to_ten_terms(monkeypatch)
+    report = verify.run_duality_numeric(max_weight=6)
+    assert not report.passed
+
+
+def test_importing_the_package_loads_no_numpy():
+    src = os.path.dirname(os.path.dirname(imzv.__file__))
+    code = ("import sys; sys.path.insert(0, %r); import imzv, imzv.cli; "
+            "print('numpy' in sys.modules)" % src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
