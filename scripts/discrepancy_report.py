@@ -29,8 +29,8 @@ from imzv.closedforms import (
     alternating_product_sum,
     expanded_height_one_product,
 )
-from imzv.coeffs import QtPoly, binom
-from imzv.halg import HElement, from_pairs
+from imzv.coeffs import binom
+from imzv.halg import HElement, add_pair, from_pairs
 from imzv.tshuffle import (
     _MINUS_T,
     _add_concat,
@@ -60,7 +60,8 @@ def expanded_without_unit_tail(m, j, n, k) -> HElement:
     full = expanded_height_one_product(m, j, n, k)
     if k != 1:
         return full
-    family = HElement.zero()
+    # the family enters the full form as -t times these words
+    family = {}
     for n1 in range(n + 1):
         cn = binom(m + n1 - 1, m - 1)
         if not cn:
@@ -70,8 +71,8 @@ def expanded_without_unit_tail(m, j, n, k) -> HElement:
                 runs = [aa[0] + m + n1, *aa[1:]]
                 runs[-1] += 1
                 w = "y".join("x" * e for e in runs) + "y" * (j - i)
-                family = family + HElement.from_word(Word(w), cn)
-    return full + family.scale(QtPoly.t())
+                add_pair(family, w, 0, cn)
+    return full + from_pairs(family)
 
 
 def block_split_variant(a_word, b_word, mode) -> HElement:
@@ -116,17 +117,17 @@ def alternating_with_clamped_parity(k, p) -> HElement:
     full = alternating_product_closed_form(k, p)
     if k == 2:
         return full
-    family = HElement.zero()
+    # the full form includes the family, as -t times these words, at every
+    # k; removing it at k != 2 yields the clamped reading
+    family = {}
     for l in range(1, k):
         weight = 2 * (-1 + (-1) ** l)
         if not weight:
             continue
         for alpha in compositions(2 * (p - 1), l + 1):
             w = "".join("x" * e + "y" for e in alpha) + "xy" + "y" * (k - l - 1)
-            family = family + HElement.from_word(Word(w), weight * binom(alpha[0], p - 1))
-    # the full form includes the family at every k; removing it at k != 2
-    # yields the clamped reading
-    return full + family.scale(QtPoly.t())
+            add_pair(family, w, 0, weight * binom(alpha[0], p - 1))
+    return full + from_pairs(family)
 
 
 def main() -> int:

@@ -2,11 +2,13 @@
 
 Every function here produces the same element as the recursive engine in
 tshuffle, but by direct summation instead of recursion.  The construction
-behind all of them: list the merge patterns of the two words' y letters,
-fill the x letters into the gaps with multinomial multiplicities, and for
-the t part replace one y by x in each pattern, namely whichever of the two
-source words' final y's lands first in the output.  The grid tests pin each
-function to the recursive engine exactly, coefficient by coefficient.
+behind all of them: walk the output y's in order, each taken from the left
+or the right word together with the x's that land in front of it, weighted
+by the number of ways those x's interleave; for the t part replace one y by
+x in each merge pattern, namely whichever of the two source words' final
+y's lands first in the output.  The height-one forms list the same terms
+family by family.  The grid tests pin each function to the recursive
+engine exactly, coefficient by coefficient.
 
 Each function sums into one halg pair table, word -> (c0, c1) meaning
 c0 + c1*t: a plain word adds (c, 0) and a merged word (0, -c).  The table
@@ -15,7 +17,6 @@ is wrapped once with halg.from_pairs.
 
 from __future__ import annotations
 
-import itertools
 from math import comb
 
 from .coeffs import binom
@@ -28,58 +29,50 @@ def _zword(exps) -> str:
     return "".join("x" * e + "y" for e in exps)
 
 
-def _gap_fills(pattern, a_exps, b_exps):
-    """Distribute both words' x runs over a fixed y merge pattern.
-
-    pattern is a sequence of 0/1 flags, one per output y (0 = y from the
-    left word).  Yields (runs, mult): the x-run lengths in front of each y,
-    and the number of interleavings producing that filling.  At each y all
-    x's still pending from that word's current run must land, together with
-    any forward portion of the other word's current run.
-    """
-    n = len(pattern)
-    a_runs, b_runs = list(a_exps), list(b_exps)
-
-    def rec(pos, iu, iv, ru, rv, mult, runs):
-        if pos == n:
-            yield tuple(runs), mult
-            return
-        if pattern[pos] == 0:
-            for q in range(rv + 1):
-                runs.append(ru + q)
-                nu = iu + 1
-                yield from rec(pos + 1, nu, iv,
-                               a_runs[nu] if nu < len(a_runs) else 0,
-                               rv - q, mult * comb(ru + q, q), runs)
-                runs.pop()
-        else:
-            for q in range(ru + 1):
-                runs.append(rv + q)
-                nv = iv + 1
-                yield from rec(pos + 1, iu, nv, ru - q,
-                               b_runs[nv] if nv < len(b_runs) else 0,
-                               mult * comb(rv + q, q), runs)
-                runs.pop()
-
-    yield from rec(0, 0, 0,
-                   a_runs[0] if a_runs else 0,
-                   b_runs[0] if b_runs else 0, 1, [])
-
-
 def _pattern_sum(a_exps, b_exps, replaced) -> HElement:
     """Sum over the y merge patterns of the two words: each pattern's
     multinomially filled words, minus t times the same words with the y at
-    pattern position replaced(pattern) turned into x."""
-    r, n = len(a_exps), len(a_exps) + len(b_exps)
+    pattern position replaced(pattern) turned into x.
+
+    One walk places the output y's in order.  The next y comes from the
+    left (0) or the right (1) word; it takes all x's still pending from its
+    own word's current run plus the first q of the other word's current
+    run, which can interleave with the own run in comb(run + q, q) ways.
+    The word and the pattern grow along the walk, and each leaf adds one
+    filling of one pattern.
+    """
+    # each word's x runs, then an empty run after its final y
+    exps = (tuple(a_exps) + (0,), tuple(b_exps) + (0,))
+    ends = [len(a_exps), len(b_exps)]
+    # at[side]: that word's next y; pending[side]: its x's not yet placed
+    at, pending = [0, 0], [exps[0][0], exps[1][0]]
     acc: dict = {}
-    for upos in itertools.combinations(range(n), r):
-        uset = set(upos)
-        pattern = tuple(0 if i in uset else 1 for i in range(n))
-        j = replaced(pattern)
-        for runs, mult in _gap_fills(pattern, a_exps, b_exps):
-            add_pair(acc, _zword(runs), mult, 0)
-            merged = _zword(runs[:j]) + "x" * (runs[j] + 1) + _zword(runs[j + 1:])
+    pattern: list = []
+    parts: list = []
+
+    def walk(mult):
+        if at == ends:
+            add_pair(acc, "".join(parts), mult, 0)
+            j = replaced(pattern)
+            merged = "".join(parts[:j]) + parts[j][:-1] + "x" + "".join(parts[j + 1:])
             add_pair(acc, merged, 0, -mult)
+            return
+        for side, other in ((0, 1), (1, 0)):
+            i = at[side]
+            if i == ends[side]:
+                continue
+            own, theirs = pending[side], pending[other]
+            at[side], pending[side] = i + 1, exps[side][i + 1]
+            pattern.append(side)
+            for q in range(theirs + 1):
+                parts.append("x" * (own + q) + "y")
+                pending[other] = theirs - q
+                walk(mult * comb(own + q, q))
+                parts.pop()
+            pattern.pop()
+            at[side], pending[side], pending[other] = i, own, theirs
+
+    walk(1)
     return from_pairs(acc)
 
 
@@ -106,33 +99,31 @@ def pattern_product(a_exps, b_exps) -> HElement:
 def height_one_product(a: int, r: int, b: int, s: int) -> HElement:
     """Summation formula for x^a y^r sh x^b y^s, all arguments >= 1.
 
-    The plain part runs over compositions alpha of a+b into r+s runs whose
-    tail past position l+1 vanishes; the t part has six families: two with
-    an inner y^i x block, two guarded by s = 1 or r = 1 ending in a bumped
-    run, and two where the final two runs merge with one extra x.
+    Each word (x exponent e, own y count h, the other's g) contributes,
+    for l = 1..h and each composition alpha of a+b into l+1 runs, with
+    weight C(alpha_1, e): the plain word alpha with a y^{r+s-l} tail, times
+    C(r+s-l-1, h-l); for l < h the t parts with an inner y^{i+1} x block
+    and, when g = 1, a bumped final run; for l = h the final two runs
+    merged with one extra x.
     """
     if min(a, r, b, s) < 1:
         raise ValueError("need a, r, b, s >= 1")
     acc: dict = {}
     # each family comes once per word: its x exponent, its own y count h
     # and the other word's y count g
-    sides = ((a, r, s), (b, s, r))
-
-    for alpha in compositions(a + b, r + s):
-        c = 0
-        for e, h, _ in sides:
-            for l in range(1, h + 1):
-                if all(alpha[j] == 0 for j in range(l + 1, r + s)):
-                    c += binom(alpha[0], e) * binom(r + s - l - 1, h - l)
-        add_pair(acc, _zword(alpha), c, 0)
-
-    for e, h, g in sides:
-        for l in range(1, h):
+    for e, h, g in ((a, r, s), (b, s, r)):
+        for l in range(1, h + 1):
             for alpha in compositions(a + b, l + 1):
                 ce = binom(alpha[0], e)
                 if not ce:
                     continue
                 head = _zword(alpha[:-1]) + "x" * alpha[-1]
+                add_pair(acc, head + "y" * (r + s - l), ce * binom(r + s - l - 1, h - l), 0)
+                if l == h:
+                    # final-run merge: the last two runs fuse around the replaced y
+                    w = _zword(alpha[:-2]) + "x" * (alpha[-2] + alpha[-1] + 1) + "y" * g
+                    add_pair(acc, w, 0, -ce)
+                    continue
                 # inner replacement: ... x^{alpha_{l+1}} y^{i+1} x y^{rest}
                 for i in range(max(min(h - l, g - 1) - 1, 0), r + s - l - 2):
                     c = ce * (binom(i, h - l - 1) + binom(i, g - 2))
@@ -140,12 +131,6 @@ def height_one_product(a: int, r: int, b: int, s: int) -> HElement:
                 # single-height tail: only present when the other word has one y
                 if g == 1:
                     add_pair(acc, head + "x" + "y" * (h - l), 0, -ce)
-
-        # final-run merge: the last two runs fuse around the replaced y
-        for alpha in compositions(a + b, h + 1):
-            w = _zword(alpha[: h - 1]) + "x" * (alpha[h - 1] + alpha[h] + 1) + "y" * g
-            add_pair(acc, w, 0, -binom(alpha[0], e))
-
     return from_pairs(acc)
 
 
@@ -165,22 +150,17 @@ def expanded_height_one_product(m: int, j: int, n: int, k: int) -> HElement:
         cn = binom(m + n1 - 1, m - 1)
         if not cn:
             continue
-        # leading run absorbed from the left word
+        # leading run absorbed from the left word, plain and with an inner
+        # replacement inside the shared y tail
         for m1 in range(j + 1):
             m2 = j - m1
             cm = cn * binom(m2 + k - 1, k - 1)
             for aa in compositions(n - n1, m1 + 1):
-                runs = [aa[0] + m + n1, *aa[1:]]
-                w = "y".join("x" * e for e in runs) + "y" * (m2 + k)
-                add_pair(acc, w, cm, 0)
-            # inner replacement inside the shared y tail
-            for aa in compositions(n - n1, m1 + 1):
-                runs = [aa[0] + m + n1, *aa[1:]]
-                base = "y".join("x" * e for e in runs)
+                base = "y".join("x" * e for e in (aa[0] + m + n1, *aa[1:]))
+                add_pair(acc, base + "y" * (m2 + k), cm, 0)
                 for i in range(max(min(m2, k - 1) - 1, 0), m2 + k - 2):
                     c = cn * (binom(i, m2 - 1) + binom(i, k - 2))
-                    w = base + "y" * (i + 1) + "x" + "y" * (m2 + k - i - 2)
-                    add_pair(acc, w, 0, -c)
+                    add_pair(acc, base + "y" * (i + 1) + "x" + "y" * (m2 + k - i - 2), 0, -c)
         # left word's last y merged into a bumped run
         for j1 in range(n - n1 + 1):
             j2 = n - n1 - j1
@@ -204,22 +184,17 @@ def expanded_height_one_product(m: int, j: int, n: int, k: int) -> HElement:
             ca = binom(m1 + n - 1, n - 1)
             if not ca:
                 continue
-            # leading run absorbed from the right word
+            # leading run absorbed from the right word, plain and with an
+            # inner replacement past the bumped run
             cb = ca * binom(j + k - k1, j)
             for bb in compositions(m2, k1 + 1):
                 runs = [bb[0] + n + m1, *bb[1:]]
                 runs[-1] += 1
-                w = "y".join("x" * e for e in runs) + "y" * (j + k - k1)
-                add_pair(acc, w, cb, 0)
-            # inner replacement past the bumped run
-            for i in range(max(min(j, k - k1) - 1, 0), j + k - k1 - 1):
-                c = ca * (binom(i, j - 1) + binom(i, k - k1 - 1))
-                for bb in compositions(m2, k1 + 1):
-                    runs = [bb[0] + n + m1, *bb[1:]]
-                    runs[-1] += 1
-                    w = ("y".join("x" * e for e in runs)
-                         + "y" * i + "x" + "y" * (j + k - k1 - i - 1))
-                    add_pair(acc, w, 0, -c)
+                base = "y".join("x" * e for e in runs)
+                add_pair(acc, base + "y" * (j + k - k1), cb, 0)
+                for i in range(max(min(j, k - k1) - 1, 0), j + k - k1 - 1):
+                    c = ca * (binom(i, j - 1) + binom(i, k - k1 - 1))
+                    add_pair(acc, base + "y" * i + "x" + "y" * (j + k - k1 - i - 1), 0, -c)
 
     # right word's last y merged, all of its y's used as separators
     for m1 in range(m):

@@ -143,15 +143,10 @@ class QtPoly:
     __rmul__ = __mul__
 
     def eval_at(self, t0) -> Fraction:
-        """Evaluate at a rational point by Horner's rule."""
+        """Evaluate exactly at a rational point, one power per stored term,
+        so a sparse polynomial of high degree costs no more than its terms."""
         t0 = Fraction(t0)
-        if not self.coeffs:
-            return Fraction(0)
-        top = max(self.coeffs)
-        acc = Fraction(0)
-        for deg in range(top, -1, -1):
-            acc = acc * t0 + self.coeffs.get(deg, 0)
-        return acc
+        return sum((c * t0 ** d for d, c in self.coeffs.items()), Fraction(0))
 
     def is_const(self) -> bool:
         return not self.coeffs or set(self.coeffs) == {0}

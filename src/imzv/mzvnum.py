@@ -182,7 +182,9 @@ def eval_combo(zc, t_value=0, target_abs_err=1e-6, cache=None) -> EvalResult:
 
     Interpolated and star combos are first rewritten in plain symbols;
     coefficient magnitudes weight the per-index error estimates, which
-    add up in absolute value.
+    add up in absolute value.  A coefficient at t outside the double range
+    is refused with ValueError before any series is summed, and so is a
+    value that overflows.
     """
     if zc.kind == zeta_mod.INTERPOLATED:
         zc = zeta_mod.expand_interpolation(zc)
@@ -192,18 +194,30 @@ def eval_combo(zc, t_value=0, target_abs_err=1e-6, cache=None) -> EvalResult:
     target = max(float(target_abs_err), TARGET_FLOOR)
     if cache is None:
         cache = {}
-    value = float(zc.scalar.eval_at(t0))
+    value = _coefficient(zc.scalar.eval_at(t0), "the constant term")
+    terms = [(idx, _coefficient(poly.eval_at(t0), "the coefficient of z%s" % idx))
+             for idx, poly in zc.sorted_terms()]
     est = 0.0
     used = 1
-    for idx, poly in zc.sorted_terms():
-        c = float(poly.eval_at(t0))
+    for idx, c in terms:
         if c == 0.0:
             continue
         r = eval_mzv(idx, cache=cache)
         value += c * r.value
         est += abs(c) * r.error_estimate
         used = max(used, r.cutoff_used)
+    if not math.isfinite(value):
+        raise ValueError("the value is outside the double range at this t")
     return EvalResult(value, est, used, est <= target)
+
+
+def _coefficient(value: Fraction, what: str) -> float:
+    """An exact coefficient as a float, refused when it is outside the
+    double range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("%s is outside the double range at this t" % what) from None
 
 
 def zeta_ref(s, terms=120) -> float:

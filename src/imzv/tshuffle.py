@@ -179,36 +179,19 @@ def yy_product_formula(m: int, n: int) -> HElement:
     return from_pairs(acc)
 
 
-def _xy_sum(m: int, n: int, block: tuple, merge: tuple) -> HElement:
-    """The block words of x^m sh y^n, each weighted by the pair block, plus
-    its merge words, each weighted by the pair merge; a zero pair adds
-    nothing (see xy_block_sum and xy_merge_sum for the two families)."""
+def xpow_times_ypow(m: int, n: int) -> HElement:
+    """x^m sh y^n: the block words x^(m_1) y x^(m_2) y ... y x^(m_{n+1}),
+    one per composition of m into n+1 runs, minus t times the merge words
+    x^(m_1) y ... x^(m_{n-1}) y x^(m_n + m - i + 1), where the last y
+    merged into the x run, over compositions (m_1..m_n) of i < m."""
     acc = {}
     for comp in compositions(m, n + 1):
-        add_pair(acc, "y".join("x" * c for c in comp), *block)
+        add_pair(acc, "y".join("x" * c for c in comp), 1, 0)
     for i in range(m if n >= 1 else 0):
         for comp in compositions(i, n):
             head = "".join("x" * c + "y" for c in comp[:-1])
-            add_pair(acc, head + "x" * (comp[-1] + m - i + 1), *merge)
+            add_pair(acc, head + "x" * (comp[-1] + m - i + 1), 0, -1)
     return from_pairs(acc)
-
-
-def xy_block_sum(m: int, n: int) -> HElement:
-    """The shuffle part of x^m sh y^n: one word per composition of m into
-    n+1 runs, x^(m_1) y x^(m_2) y ... y x^(m_{n+1})."""
-    return _xy_sum(m, n, (1, 0), (0, 0))
-
-
-def xy_merge_sum(m: int, n: int) -> HElement:
-    """The t-part of x^m sh y^n: words where the last y merged into the x
-    run, x^(m_1) y ... x^(m_{n-1}) y x^(m_n + m - i + 1) over compositions
-    (m_1..m_n) of i, for 0 <= i <= m-1."""
-    return _xy_sum(m, n, (0, 0), (1, 0))
-
-
-def xpow_times_ypow(m: int, n: int) -> HElement:
-    """x^m sh y^n: the block words minus t times the merge words."""
-    return _xy_sum(m, n, (1, 0), (0, -1))
 
 
 def split_product(a_word, b_word, k: int, cache: dict | None = None) -> HElement:

@@ -109,6 +109,21 @@ def test_eval_tolerance_failure_exits_one(capsys):
     assert out  # the value line still prints
 
 
+@pytest.mark.parametrize("argv", [
+    ("z(5,1)+t*z(6)", "--t", "1e400"),
+    ("t^2000*z(2)", "--t", "2"),
+    ("1" + "0" * 309 + "+z(2)",),
+    # finite coefficients whose sum is not
+    ("1" + "0" * 308 + "*z(2)+" + "1" + "0" * 308 + "*z(3)",),
+])
+def test_eval_refuses_coefficients_outside_double_range(capsys, argv):
+    code, out, err = run(capsys, "eval", *argv)
+    assert code == 2
+    assert not out
+    assert err.startswith("error:") and "double range" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1"])
 def test_eval_rejects_bad_tolerance(capsys, monkeypatch, tol):
     def refuse(*args, **kwargs):

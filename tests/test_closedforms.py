@@ -10,7 +10,7 @@ not vanish.
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from imzv import (
     HElement,
@@ -35,10 +35,15 @@ def word_from_exps(e):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    a=st.lists(exps, min_size=1, max_size=2),
-    b=st.lists(exps, min_size=1, max_size=2),
+    a=st.lists(exps, min_size=1, max_size=4),
+    b=st.lists(exps, min_size=1, max_size=4),
 )
+# four y runs against one, both ways round: the walk drains one word early
+@example(a=[2, 0, 1, 2], b=[2])
+@example(a=[1], b=[0, 2, 2, 1])
+@example(a=[0, 0, 0, 0], b=[0])
 def test_pattern_product_matches_oracle(a, b):
+    assume(len(a) + len(b) <= 5)  # four runs on both sides take 0.4 s a case
     lhs = pattern_product(a, b)
     rhs = tshuffle_words(word_from_exps(a), word_from_exps(b))
     assert lhs == rhs
@@ -52,10 +57,13 @@ def test_pattern_product_needs_a_run_on_each_side():
 @settings(max_examples=50, deadline=None)
 @given(
     a=st.integers(min_value=1, max_value=2),
-    r=st.integers(min_value=1, max_value=3),
+    r=st.integers(min_value=1, max_value=5),
     b=st.integers(min_value=1, max_value=2),
-    s=st.integers(min_value=1, max_value=3),
+    s=st.integers(min_value=1, max_value=5),
 )
+@example(a=2, r=5, b=2, s=5)
+@example(a=1, r=5, b=2, s=1)
+@example(a=2, r=1, b=1, s=5)
 def test_height_one_matches_oracle(a, r, b, s):
     lhs = height_one_product(a, r, b, s)
     rhs = tshuffle_words(Word("x" * a + "y" * r), Word("x" * b + "y" * s))

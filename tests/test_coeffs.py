@@ -111,6 +111,16 @@ def test_eval_at_returns_exact_fraction():
     assert p.eval_at(Fraction(1, 2)) == Fraction(13, 12)
 
 
+def test_eval_at_sparse_high_degree_is_exact():
+    # one power per stored term: a Horner pass over every degree would
+    # take minutes here
+    p = QtPoly({10**6: 3, 1: -1, 0: 1})
+    value = p.eval_at(Fraction(1, 2))
+    assert value == Fraction(1, 2) + Fraction(3, 2**10**6)
+    assert value.denominator == 2**10**6
+    assert QtPoly({}).eval_at(5) == 0
+
+
 def test_binom_small_table():
     assert binom(4, 2) == 6
     assert binom(0, 0) == 1
