@@ -8,6 +8,7 @@ fails, 2 on usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -45,7 +46,11 @@ def _tolerance(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use.  parse_args
+    leaves the parser unchanged and returns a fresh Namespace each call,
+    so every main() call can share it."""
     parser = argparse.ArgumentParser(
         prog="imzv",
         description="Deformed shuffle products on words and zeta value identities.",
@@ -135,7 +140,9 @@ def _cmd_eval(args) -> int:
             "tol_ok": result.tol_ok,
         }))
     else:
-        print("%.8f ± %.3e" % (result.value, result.error_estimate))
+        # eight decimals of a value near the double limit are 300-odd digits
+        fmt = "%.8e" if abs(result.value) >= 1e15 else "%.8f"
+        print((fmt + " ± %.3e") % (result.value, result.error_estimate))
         if not result.tol_ok:
             print(
                 "error: estimate %.3e exceeds tolerance %.3e"
@@ -252,9 +259,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -66,6 +66,17 @@ def interleavings(s1: str, s2: str):
         yield s2[0] + rest
 
 
+def _add_prefixed(out: dict, b: str, table: dict, overlap: bool):
+    """Add b.w for every word w of the pair table into out; the entries
+    are stored directly unless some b.w may already be in out."""
+    if overlap:
+        for w, (c0, c1) in table.items():
+            add_pair(out, b + w, c0, c1)
+    else:
+        for w, c in table.items():
+            out[b + w] = c
+
+
 def _tsh(u: str, v: str, memo: dict) -> dict:
     """t-shuffle of two plain strings as a word -> (c0, c1) table."""
     if not u:
@@ -78,11 +89,10 @@ def _tsh(u: str, v: str, memo: dict) -> dict:
         return hit
     a, u1 = u[0], u[1:]
     b, v1 = v[0], v[1:]
-    out = {}
-    for w, (c0, c1) in _tsh(u1, v, memo).items():
-        add_pair(out, a + w, c0, c1)
-    for w, (c0, c1) in _tsh(u, v1, memo).items():
-        add_pair(out, b + w, c0, c1)
+    # the words of a(u1 sh v) are all distinct, and for a != b none of
+    # them begins like a word of b(u sh v1), so only a == b needs add_pair
+    out = {a + w: c for w, c in _tsh(u1, v, memo).items()}
+    _add_prefixed(out, b, _tsh(u, v1, memo), a == b)
     if not u1 and a == "y":
         add_pair(out, "x" + v, 0, -1)
     if not v1 and b == "y":
@@ -132,11 +142,8 @@ def _sh(u: str, v: str, memo: dict) -> dict:
     hit = memo.get(key)
     if hit is not None:
         return hit
-    out = {}
-    for w, (c, _) in _sh(u[1:], v, memo).items():
-        add_pair(out, u[0] + w, c, 0)
-    for w, (c, _) in _sh(u, v[1:], memo).items():
-        add_pair(out, v[0] + w, c, 0)
+    out = {u[0] + w: c for w, c in _sh(u[1:], v, memo).items()}
+    _add_prefixed(out, v[0], _sh(u, v[1:], memo), u[0] == v[0])
     memo[key] = out
     return out
 

@@ -119,6 +119,13 @@ class Index:
         return "Index(%r)" % (self.parts,)
 
 
+def _make_index(parts: tuple) -> Index:
+    """Wrap a nonempty tuple of positive ints without re-checking it."""
+    idx = object.__new__(Index)
+    object.__setattr__(idx, "parts", parts)
+    return idx
+
+
 def word_from_index(idx: Index) -> Word:
     """The word z_{l1}...z_{ln} for the index (l1,...,ln)."""
     return Word("".join("x" * (p - 1) + "y" for p in idx.parts))
@@ -129,7 +136,7 @@ def index_from_word(w: Word) -> Index:
     s = w.letters
     if not s or s[-1] != "y":
         raise ValueError("word %s does not encode an index (must end in y)" % w)
-    return Index([len(run) + 1 for run in s[:-1].split("y")])
+    return _make_index(tuple([len(run) + 1 for run in s[:-1].split("y")]))
 
 
 def is_admissible(w: Word) -> bool:

@@ -22,7 +22,7 @@ import re
 from .coeffs import QtPoly, binom, parse_qtpoly
 from .halg import HElement, accumulate
 from .tshuffle import compositions, tshuffle_words
-from .words import Index, Word, index_from_word
+from .words import Index, Word, _make_index
 from . import closedforms
 
 INTERPOLATED = "interpolated"
@@ -207,13 +207,14 @@ def zeta_map(v: HElement, kind=INTERPOLATED) -> ZetaCombo:
         raise ValueError("unknown combo kind %r" % (kind,))
     terms = {}
     scalar = QtPoly.zero()
-    # distinct words give distinct indices, so every key is set once
+    # distinct words give distinct indices, so every key is set once, and
+    # each run of x's before a y gives a part len(run) + 1 >= 1 unchecked
     for w, c in v.terms.items():
         s = w.letters
         if not s:
             scalar = c
         elif s[0] == "x" and s[-1] == "y":
-            terms[index_from_word(w)] = c
+            terms[_make_index(tuple([len(run) + 1 for run in s[:-1].split("y")]))] = c
         else:
             raise ValueError("word %s lies outside the admissible span" % w)
     return _make_combo(kind, terms, scalar)
@@ -224,7 +225,8 @@ def expand_interpolation(zc: ZetaCombo) -> ZetaCombo:
 
     Each symbol of depth n expands over the 2^(n-1) ways of either keeping
     or adding together adjacent parts, with a factor t per addition:
-    z^t(2,1) = z(2,1) + t*z(3).  Refuses a combo with more than
+    z^t(2,1) = z(2,1) + t*z(3).  One walk from the last part to the first
+    builds each merged index once.  Refuses a combo with more than
     MAX_PATTERNS patterns in all before building any.
     """
     if zc.kind != INTERPOLATED:
@@ -238,17 +240,18 @@ def expand_interpolation(zc: ZetaCombo) -> ZetaCombo:
     out = {}
     for idx, c in zc.terms.items():
         parts = idx.parts
-        n = len(parts)
-        for mask in range(1 << (n - 1)):
-            merged = [parts[0]]
-            fused = 0
-            for j in range(1, n):
-                if mask >> (j - 1) & 1:
-                    merged[-1] += parts[j]
-                    fused += 1
-                else:
-                    merged.append(parts[j])
-            accumulate(out, Index(merged), c * QtPoly.t(fused) if fused else c)
+        scaled = [c] + [c * QtPoly.t(k) for k in range(1, len(parts))]
+
+        def walk(j, run, tail, fused):
+            # parts[j:] are placed: run is the open leftmost sum, tail the
+            # closed sums after it; parts[j-1] is kept apart or fused
+            if not j:
+                accumulate(out, Index((run,) + tail), scaled[fused])
+                return
+            walk(j - 1, parts[j - 1], (run,) + tail, fused)
+            walk(j - 1, parts[j - 1] + run, tail, fused + 1)
+
+        walk(len(parts) - 1, parts[-1], (), 0)
     return _make_combo(PLAIN, out, zc.scalar)
 
 

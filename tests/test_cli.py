@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from imzv import mzvnum
+from imzv import cli, mzvnum
 from imzv.cli import main
 from imzv.verify import SUITES, run_yy_products
 
@@ -122,6 +122,14 @@ def test_eval_refuses_coefficients_outside_double_range(capsys, argv):
     assert not out
     assert err.startswith("error:") and "double range" in err
     assert err.count("\n") == 1
+
+
+def test_eval_prints_a_value_near_the_double_limit_in_exponent_form(capsys):
+    # finite, but eight decimals of it in fixed point would be 318 characters
+    code, out, err = run(capsys, "eval", "1" + "0" * 308 + "*z(2)")
+    assert code == 1
+    assert out == "1.64493407e+308 ± 1.000e+299\n"
+    assert "exceeds tolerance" in err
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1"])
@@ -310,3 +318,24 @@ def test_verify_accepts_every_flag_its_suite_reads(capsys, suite, flag):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     assert "cases passed" in out
+
+
+def test_a_reused_parser_keeps_no_state_between_calls(capsys):
+    parser = cli.build_parser()
+    # a --tol given once does not become the default of the next call
+    assert run(capsys, "eval", "1000000*z(2)", "--tol", "1e-2")[0] == 0
+    code, _, err = run(capsys, "eval", "1000000*z(2)")
+    assert code == 1
+    assert "exceeds tolerance 1.000e-06" in err
+    # a usage error leaves the parser able to read the next request
+    code, out, err = run(capsys, "product", "xy")
+    assert code == 2 and not out and "required" in err
+    assert run(capsys, "product", "xy", "xy")[:2] == (0, "2*xyxy + 4*xxyy + (-6*t)*xxxy\n")
+    # a grid bound given once does not shrink the next default grid
+    assert "9/9 cases" in run(capsys, "verify", "lemma31", "--max", "3")[1]
+    assert "49/49 cases" in run(capsys, "verify", "lemma31")[1]
+    # --format json given once does not stick
+    code, out, _ = run(capsys, "product", "xy", "xy", "--format", "json")
+    assert code == 0 and json.loads(out)
+    assert run(capsys, "product", "xy", "xy")[:2] == (0, "2*xyxy + 4*xxyy + (-6*t)*xxxy\n")
+    assert cli.build_parser() is parser

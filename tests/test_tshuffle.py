@@ -30,7 +30,9 @@ from imzv import (
     xpow_times_ypow,
     yy_product_formula,
 )
-from imzv.tshuffle import MAX_LETTERS
+from imzv.halg import add_pair
+from imzv.tshuffle import MAX_LETTERS, _sh, _tsh
+from imzv.words import all_words
 from imzv.verify import run_oracle_laws
 
 short_words = st.text(alphabet="xy", max_size=4).map(Word)
@@ -177,3 +179,62 @@ def test_a_memo_shared_by_both_recursions_keeps_them_apart():
     assert tshuffle_words("xy", "y", cache) != shuffle_words("xy", "y")
     assert shuffle_words("xy", "y", cache) == shuffle_words("xy", "y")
     assert tshuffle_words("xy", "y", cache) == tshuffle_words("xy", "y")
+
+
+# Reference copies of the t-shuffle and plain shuffle recursions that sum
+# every prefixed entry with add_pair; the engines store the entries that
+# cannot collide directly and must give the same tables in the same order.
+def _ref_tsh(u, v, memo):
+    if not u:
+        return {v: (1, 0)}
+    if not v:
+        return {u: (1, 0)}
+    key = (u, v)
+    if key in memo:
+        return memo[key]
+    a, u1 = u[0], u[1:]
+    b, v1 = v[0], v[1:]
+    out = {}
+    for w, (c0, c1) in _ref_tsh(u1, v, memo).items():
+        add_pair(out, a + w, c0, c1)
+    for w, (c0, c1) in _ref_tsh(u, v1, memo).items():
+        add_pair(out, b + w, c0, c1)
+    if not u1 and a == "y":
+        add_pair(out, "x" + v, 0, -1)
+    if not v1 and b == "y":
+        add_pair(out, "x" + u, 0, -1)
+    memo[key] = out
+    return out
+
+
+def _ref_sh(u, v, memo):
+    if not u:
+        return {v: (1, 0)}
+    if not v:
+        return {u: (1, 0)}
+    key = (u, v, 0)
+    if key in memo:
+        return memo[key]
+    out = {}
+    for w, (c, _) in _ref_sh(u[1:], v, memo).items():
+        add_pair(out, u[0] + w, c, 0)
+    for w, (c, _) in _ref_sh(u, v[1:], memo).items():
+        add_pair(out, v[0] + w, c, 0)
+    memo[key] = out
+    return out
+
+
+@pytest.mark.parametrize(
+    "engine, reference", [(_tsh, _ref_tsh), (_sh, _ref_sh)], ids=["_tsh", "_sh"]
+)
+def test_prefix_tables_match_the_add_pair_recursion(engine, reference):
+    words = [w.letters for w in all_words(5)]
+    shared, ref_shared = {}, {}
+    for u in words:
+        for v in words:
+            for got, want in (
+                (engine(u, v, {}), reference(u, v, {})),
+                (engine(u, v, shared), reference(u, v, ref_shared)),
+            ):
+                assert list(got.items()) == list(want.items()), (u, v)
+    assert len(shared) == len(ref_shared)

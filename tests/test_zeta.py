@@ -22,6 +22,7 @@ from imzv import (
     QtPoly,
     Word,
     ZetaCombo,
+    admissible_indices,
     alternating_zeta_identity,
     euler_decomposition,
     expand_interpolation,
@@ -37,6 +38,8 @@ from imzv import (
     zeta_map,
     zeta_uniform_product,
 )
+from imzv.halg import accumulate
+from imzv.zeta import MAX_PATTERNS
 
 admissible = st.lists(
     st.integers(min_value=1, max_value=4), min_size=1, max_size=4
@@ -116,6 +119,52 @@ def test_expansion_has_one_term_per_merge_pattern(idx):
     total = sum(c.eval_at(Fraction(1)) for c in got.terms.values())
     assert total == 2 ** (idx.depth - 1)
     assert all(j.weight == idx.weight for j in got.terms)
+
+
+def _mask_loop_expansion(zc):
+    """Reference expansion: one mask per merge pattern, bit j - 1 set when
+    part j is added to the part before it, in ascending mask order."""
+    out = {}
+    for idx, c in zc.terms.items():
+        n = idx.depth
+        for mask in range(1 << (n - 1)):
+            merged = [idx.parts[0]]
+            for j in range(1, n):
+                if mask >> (j - 1) & 1:
+                    merged[-1] += idx.parts[j]
+                else:
+                    merged.append(idx.parts[j])
+            accumulate(out, Index(merged), c * QtPoly.t(bin(mask).count("1")))
+    return ZetaCombo(PLAIN, out, zc.scalar)
+
+
+def test_expansion_matches_the_mask_loop():
+    indices = [i for i in admissible_indices(12) if i.depth <= 8]
+    assert len(indices) == 1980
+    for idx in indices:
+        zc = ZetaCombo(INTERPOLATED, {idx: QtPoly({0: 2, 1: -3})}, 5)
+        got, want = expand_interpolation(zc), _mask_loop_expansion(zc)
+        assert got == want, idx
+        assert list(got.terms.items()) == list(want.terms.items()), idx
+
+
+def test_expansion_drops_merged_terms_that_cancel():
+    zc = interpolated_symbol((2, 1)) - interpolated_symbol((3,)).scale(QtPoly.t())
+    got = expand_interpolation(zc)
+    assert got == _mask_loop_expansion(zc)
+    assert got == ZetaCombo(PLAIN, {Index((2, 1)): 1})
+    assert str(got) == "z(2,1)"
+
+
+def test_expansion_over_the_pattern_limit_builds_no_index(monkeypatch):
+    zc = interpolated_symbol((2,) + (1,) * 17) + interpolated_symbol((3,) + (1,) * 10)
+
+    def refuse(parts):
+        raise AssertionError("built Index%r despite the pattern limit" % (parts,))
+
+    monkeypatch.setattr("imzv.zeta.Index", refuse)
+    with pytest.raises(ValueError, match="more than the limit of %d" % MAX_PATTERNS):
+        expand_interpolation(zc)
 
 
 def test_star_view_and_expansion():
