@@ -6,6 +6,12 @@ is a Python int and any other one a fractions.Fraction in lowest terms,
 so the word products, which all lie in Z[t], never build a Fraction.
 Fractions enter only through parsing and eval_at.  Since Fraction(n)
 equals, hashes and prints like n, the split is invisible from outside.
+
+A QtPoly never changes after it is built: every operation returns a new
+polynomial, and make_qtpoly takes ownership of the table it wraps, which
+nobody may mutate afterwards.  So one QtPoly may be shared as the
+coefficient of many terms, and the product engines share one per
+distinct coefficient.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ def _exact(c):
 def make_qtpoly(table: dict) -> "QtPoly":
     """Wrap a degree -> coefficient table that is already clean (no zero
     entries, no negative degrees, integral values as int) without
-    copying or re-checking it."""
+    copying or re-checking it; nobody may mutate the table afterwards."""
     res = object.__new__(QtPoly)
     res.coeffs = table
     return res
@@ -159,11 +165,15 @@ class QtPoly:
         return None
 
     def __str__(self):
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if len(coeffs) == 1:
+            (deg, c), = coeffs.items()
+            return _term_str(c, deg) if c > 0 else "-" + _term_str(-c, deg)
+        if not coeffs:
             return "0"
         pieces = []
-        for deg in sorted(self.coeffs):
-            c = self.coeffs[deg]
+        for deg in sorted(coeffs):
+            c = coeffs[deg]
             mag = _term_str(abs(c), deg)
             if not pieces:
                 pieces.append(mag if c > 0 else "-" + mag)

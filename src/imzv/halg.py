@@ -7,6 +7,12 @@ matches ascending index order on the zeta side.
 Word products lie in Z[t] with t-degree at most one, so the product
 engines sum into a pair table, str word -> (c0, c1) meaning c0 + c1*t,
 with add_pair and wrap it once with from_pairs.
+
+Coefficients are shared, never mutated: from_pairs gives all words with
+the same pair one QtPoly, and every operation here builds new
+coefficients instead of changing old ones, so no table wrapped by
+make_qtpoly or make_helement may be mutated afterwards.  Both printed
+forms render each distinct coefficient object once (render_terms).
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 import json
 
 from .coeffs import QtPoly, make_qtpoly, parse_qtpoly
-from .words import EMPTY_WORD, Word, parse_word
+from .words import EMPTY_WORD, Word, _make_word, parse_word
 
 
 def accumulate(table: dict, key, c: QtPoly):
@@ -42,15 +48,32 @@ def add_pair(table: dict, w: str, c0: int, c1: int):
 
 
 def from_pairs(table: dict) -> "HElement":
-    """Wrap a pair table built by add_pair (no zero pairs) as an HElement."""
+    """Wrap a pair table built by add_pair (no zero pairs, words of x's and
+    y's built from checked words) as an HElement, with one QtPoly for each
+    distinct pair, shared by all its words."""
+    polys = {}
     terms = {}
-    for w, (c0, c1) in table.items():
-        if not c1:
-            coeffs = {0: c0}
-        else:
-            coeffs = {0: c0, 1: c1} if c0 else {1: c1}
-        terms[Word(w)] = make_qtpoly(coeffs)
+    for w, pair in table.items():
+        c = polys.get(pair)
+        if c is None:
+            c0, c1 = pair
+            if not c1:
+                coeffs = {0: c0}
+            else:
+                coeffs = {0: c0, 1: c1} if c0 else {1: c1}
+            c = polys[pair] = make_qtpoly(coeffs)
+        terms[_make_word(w)] = c
     return make_helement(terms)
+
+
+def render_terms(items, render) -> list:
+    """(key, render(c)) for each (key, c) of items, calling render once per
+    distinct coefficient object."""
+    text = {}
+    return [
+        (key, text[i] if (i := id(c)) in text else text.setdefault(i, render(c)))
+        for key, c in items
+    ]
 
 
 def make_helement(terms: dict) -> "HElement":
@@ -140,7 +163,7 @@ class HElement:
         return self.terms.get(Word(w), QtPoly.zero())
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: item[0].sort_key())
+        return sorted(self.terms.items(), key=_reversed_word_order, reverse=True)
 
     def substitute_t(self, t0) -> "HElement":
         """Evaluate every coefficient at a rational t value."""
@@ -154,31 +177,34 @@ class HElement:
     def __str__(self):
         if not self.terms:
             return "0"
-        return " + ".join(_term_str(w, c) for w, c in self.sorted_terms())
+        return " + ".join(
+            p + str(w) for w, p in render_terms(self.sorted_terms(), _coeff_prefix)
+        )
 
     def __repr__(self):
         return "HElement(%s)" % str(self)
 
     def to_json_obj(self):
         return [
-            {"word": str(w), "coeff": str(c)} for w, c in self.sorted_terms()
+            {"word": str(w), "coeff": c} for w, c in render_terms(self.sorted_terms(), str)
         ]
 
 
-def _term_str(w: Word, c: QtPoly) -> str:
+def _reversed_word_order(item):
+    # canonical order is length first, then y before x; within one length
+    # y before x is reverse alphabetical order, so sorting on this key in
+    # reverse gives it without translating every word
+    s = item[0].letters
+    return -len(s), s
+
+
+def _coeff_prefix(c: QtPoly) -> str:
+    """What a printed term puts before its word: nothing for 1, "n*" for
+    another positive integer n, "(c)*" otherwise."""
     mono = c.as_monomial()
-    plain = (
-        mono is not None
-        and mono[0] == 0
-        and mono[1] > 0
-        and mono[1].denominator == 1
-    )
-    if plain:
-        n = mono[1]
-        if n == 1:
-            return str(w)
-        return "%d*%s" % (n, w)
-    return "(%s)*%s" % (c, w)
+    if mono is not None and mono[0] == 0 and mono[1] > 0 and mono[1].denominator == 1:
+        return "" if mono[1] == 1 else "%d*" % mono[1]
+    return "(%s)*" % c
 
 
 def parse_helement(text: str) -> HElement:

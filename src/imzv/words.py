@@ -47,7 +47,7 @@ class Word:
     def __add__(self, other):
         """Concatenation."""
         if isinstance(other, Word):
-            return Word(self.letters + other.letters)
+            return _make_word(self.letters + other.letters)
         return NotImplemented
 
     def sort_key(self):
@@ -64,6 +64,13 @@ class Word:
 
     def __repr__(self):
         return "Word(%r)" % self.letters
+
+
+def _make_word(letters: str) -> Word:
+    """Wrap a string of x's and y's without re-checking it."""
+    w = object.__new__(Word)
+    object.__setattr__(w, "letters", letters)
+    return w
 
 
 EMPTY_WORD = Word("")
@@ -113,7 +120,7 @@ class Index:
         return self.parts < other.parts
 
     def __str__(self):
-        return "(%s)" % ",".join(str(p) for p in self.parts)
+        return "(%s)" % ",".join(map(str, self.parts))
 
     def __repr__(self):
         return "Index(%r)" % (self.parts,)

@@ -20,7 +20,7 @@ import json
 import re
 
 from .coeffs import QtPoly, binom, parse_qtpoly
-from .halg import HElement, accumulate
+from .halg import HElement, accumulate, render_terms
 from .tshuffle import compositions, tshuffle_words
 from .words import Index, Word, _make_index
 from . import closedforms
@@ -130,7 +130,7 @@ class ZetaCombo:
 
     def sorted_terms(self):
         """Terms in canonical order: weight first, then parts lexicographically."""
-        return sorted(self.terms.items(), key=lambda kv: (kv[0].weight, kv[0].parts))
+        return sorted(self.terms.items(), key=_index_order)
 
     def substitute_t(self, t0) -> "ZetaCombo":
         """Evaluate all coefficients at a rational t0; interpolated becomes plain."""
@@ -142,20 +142,10 @@ class ZetaCombo:
 
     def __str__(self):
         sym = _SYMBOL[self.kind]
-        pieces = []
-        if self.scalar:
-            pieces.append(_scalar_str(self.scalar))
-        for idx, c in self.sorted_terms():
-            pieces.append(_zeta_term_str(c, "%s%s" % (sym, idx)))
-        if not pieces:
-            return "0"
-        out = pieces[0]
-        for piece in pieces[1:]:
-            if piece.startswith("-"):
-                out += " - " + piece[1:]
-            else:
-                out += " + " + piece
-        return out
+        pieces = [_scalar_str(self.scalar)] if self.scalar else []
+        for idx, (first, later) in render_terms(self.sorted_terms(), _zeta_prefixes):
+            pieces.append((later if pieces else first) + sym + str(idx))
+        return "".join(pieces) or "0"
 
     def __repr__(self):
         return "ZetaCombo(%s: %s)" % (self.kind, self)
@@ -165,10 +155,17 @@ class ZetaCombo:
             "kind": self.kind,
             "scalar": str(self.scalar),
             "terms": [
-                {"index": list(idx.parts), "coeff": str(c)}
-                for idx, c in self.sorted_terms()
+                {"index": list(idx.parts), "coeff": c}
+                for idx, c in render_terms(self.sorted_terms(), str)
             ],
         }
+
+
+def _index_order(item):
+    # (weight, parts) flattened into one tuple: the same order, compared
+    # without a nested tuple
+    parts = item[0].parts
+    return (sum(parts),) + parts
 
 
 def _scalar_str(c: QtPoly) -> str:
@@ -178,23 +175,22 @@ def _scalar_str(c: QtPoly) -> str:
     return "(%s)" % c
 
 
-def _zeta_term_str(c: QtPoly, symbol: str) -> str:
-    """Render one term with the sign folded out front when possible."""
+def _zeta_prefixes(c: QtPoly):
+    """What a printed term puts before its symbol, with the sign folded out
+    front when c is a monomial: as the first piece, and after another."""
     mono = c.as_monomial()
     if mono is None:
-        return "(%s)*%s" % (c, symbol)
-    deg, coef = mono
-    sign = "-" if coef < 0 else ""
-    coef = abs(coef)
-    if deg == 0:
-        body = symbol if coef == 1 else "%s*%s" % (coef, symbol)
+        first = "(%s)*" % c
     else:
-        tpart = "t" if deg == 1 else "t^%d" % deg
-        if coef == 1:
-            body = "%s*%s" % (tpart, symbol)
-        else:
-            body = "%s*%s*%s" % (coef, tpart, symbol)
-    return sign + body
+        deg, coef = mono
+        first = "-" if coef < 0 else ""
+        if abs(coef) != 1:
+            first += "%s*" % abs(coef)
+        if deg:
+            first += "t*" if deg == 1 else "t^%d*" % deg
+    if first.startswith("-"):
+        return first, " - " + first[1:]
+    return first, " + " + first
 
 
 def zeta_map(v: HElement, kind=INTERPOLATED) -> ZetaCombo:
@@ -225,9 +221,10 @@ def expand_interpolation(zc: ZetaCombo) -> ZetaCombo:
 
     Each symbol of depth n expands over the 2^(n-1) ways of either keeping
     or adding together adjacent parts, with a factor t per addition:
-    z^t(2,1) = z(2,1) + t*z(3).  One walk from the last part to the first
-    builds each merged index once.  Refuses a combo with more than
-    MAX_PATTERNS patterns in all before building any.
+    z^t(2,1) = z(2,1) + t*z(3).  One walk from the last part to the first,
+    level by level, builds each merged tuple once; the sums are kept on
+    tuples and wrapped as indices at the end.  Refuses a combo with more
+    than MAX_PATTERNS patterns in all before building any.
     """
     if zc.kind != INTERPOLATED:
         raise ValueError("can only expand an interpolated combo, got %s" % zc.kind)
@@ -241,18 +238,21 @@ def expand_interpolation(zc: ZetaCombo) -> ZetaCombo:
     for idx, c in zc.terms.items():
         parts = idx.parts
         scaled = [c] + [c * QtPoly.t(k) for k in range(1, len(parts))]
-
-        def walk(j, run, tail, fused):
-            # parts[j:] are placed: run is the open leftmost sum, tail the
-            # closed sums after it; parts[j-1] is kept apart or fused
-            if not j:
-                accumulate(out, Index((run,) + tail), scaled[fused])
-                return
-            walk(j - 1, parts[j - 1], (run,) + tail, fused)
-            walk(j - 1, parts[j - 1] + run, tail, fused + 1)
-
-        walk(len(parts) - 1, parts[-1], (), 0)
-    return _make_combo(PLAIN, out, zc.scalar)
+        # each state places a suffix of the parts: run is its open leftmost
+        # sum, tail the closed sums after it.  The next part to the left is
+        # kept apart before it is fused, so the leaves come in ascending
+        # order of the fusion mask, bit j - 1 set when part j is fused
+        level = [(parts[-1], (), 0)]
+        for p in reversed(parts[:-1]):
+            grown = []
+            for run, tail, fused in level:
+                grown.append((p, (run,) + tail, fused))
+                grown.append((p + run, tail, fused + 1))
+            level = grown
+        for run, tail, fused in level:
+            accumulate(out, (run,) + tail, scaled[fused])
+    # sums of positive parts are positive, so no merged index is re-checked
+    return _make_combo(PLAIN, {_make_index(k): c for k, c in out.items()}, zc.scalar)
 
 
 def star_view(zc: ZetaCombo) -> ZetaCombo:

@@ -19,6 +19,7 @@ from imzv import (
     parse_helement,
     tshuffle,
     tshuffle_words,
+    zeta_map,
 )
 
 import json
@@ -162,3 +163,37 @@ def test_from_pairs_equals_the_checked_constructor():
     )
     assert from_pairs(table) == built
     assert str(from_pairs(table)) == str(built)
+
+
+def test_from_pairs_shares_one_coefficient_per_distinct_pair():
+    table = {"": (3, 0), "xy": (2, -1), "y": (0, 4), "xxy": (2, -1), "yy": (3, 0)}
+    got = from_pairs(table)
+    assert len({id(c) for c in got.terms.values()}) == len(set(table.values())) == 3
+    for w, pair in table.items():
+        for w2, pair2 in table.items():
+            assert (got.terms[Word(w)] is got.terms[Word(w2)]) == (pair == pair2)
+
+
+def test_operations_leave_a_product_with_shared_coefficients_unchanged():
+    prod = tshuffle_words("xxyxy", "xyxy")
+    assert len({id(c) for c in prod.terms.values()}) < len(prod.terms)
+    before = {w: dict(c.coeffs) for w, c in prod.terms.items()}
+    other = tshuffle_words("xyy", "xxyy")
+    combo = zeta_map(prod)
+    for operation in (
+        lambda: prod.scale(QtPoly({0: 2, 1: -1})),
+        lambda: prod + prod,
+        lambda: prod + other,
+        lambda: prod - other,
+        lambda: prod - prod,
+        lambda: -prod,
+        lambda: prod * other,
+        lambda: prod.substitute_t(Fraction(1, 2)),
+        lambda: zeta_map(prod),
+        lambda: combo + combo,
+        lambda: combo - zeta_map(other),
+        lambda: combo.scale(QtPoly.t()),
+        lambda: combo.substitute_t(3),
+    ):
+        operation()
+        assert {w: dict(c.coeffs) for w, c in prod.terms.items()} == before

@@ -163,6 +163,7 @@ def test_expansion_over_the_pattern_limit_builds_no_index(monkeypatch):
         raise AssertionError("built Index%r despite the pattern limit" % (parts,))
 
     monkeypatch.setattr("imzv.zeta.Index", refuse)
+    monkeypatch.setattr("imzv.zeta._make_index", refuse)
     with pytest.raises(ValueError, match="more than the limit of %d" % MAX_PATTERNS):
         expand_interpolation(zc)
 
