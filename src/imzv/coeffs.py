@@ -165,15 +165,11 @@ class QtPoly:
         return None
 
     def __str__(self):
-        coeffs = self.coeffs
-        if len(coeffs) == 1:
-            (deg, c), = coeffs.items()
-            return _term_str(c, deg) if c > 0 else "-" + _term_str(-c, deg)
-        if not coeffs:
+        if not self.coeffs:
             return "0"
         pieces = []
-        for deg in sorted(coeffs):
-            c = coeffs[deg]
+        for deg in sorted(self.coeffs):
+            c = self.coeffs[deg]
             mag = _term_str(abs(c), deg)
             if not pieces:
                 pieces.append(mag if c > 0 else "-" + mag)

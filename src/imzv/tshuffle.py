@@ -68,20 +68,10 @@ def interleavings(s1: str, s2: str):
 
 def _add_prefixed(out: dict, b: str, table: dict, overlap: bool):
     """Add b.w for every word w of the pair table into out; the entries
-    are stored directly unless some b.w may already be in out, and a sum
-    that cancels deletes the word, as add_pair does."""
+    are stored directly unless some b.w may already be in out."""
     if overlap:
-        for w, c in table.items():
-            bw = b + w
-            old = out.get(bw)
-            if old is None:
-                out[bw] = c
-            else:
-                s0, s1 = old[0] + c[0], old[1] + c[1]
-                if s0 or s1:
-                    out[bw] = (s0, s1)
-                else:
-                    del out[bw]
+        for w, (c0, c1) in table.items():
+            add_pair(out, b + w, c0, c1)
     else:
         for w, c in table.items():
             out[b + w] = c

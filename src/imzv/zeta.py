@@ -221,10 +221,9 @@ def expand_interpolation(zc: ZetaCombo) -> ZetaCombo:
 
     Each symbol of depth n expands over the 2^(n-1) ways of either keeping
     or adding together adjacent parts, with a factor t per addition:
-    z^t(2,1) = z(2,1) + t*z(3).  One walk from the last part to the first,
-    level by level, builds each merged tuple once; the sums are kept on
-    tuples and wrapped as indices at the end.  Refuses a combo with more
-    than MAX_PATTERNS patterns in all before building any.
+    z^t(2,1) = z(2,1) + t*z(3).  One walk from the last part to the first
+    builds each merged index once.  Refuses a combo with more than
+    MAX_PATTERNS patterns in all before building any.
     """
     if zc.kind != INTERPOLATED:
         raise ValueError("can only expand an interpolated combo, got %s" % zc.kind)
@@ -238,21 +237,19 @@ def expand_interpolation(zc: ZetaCombo) -> ZetaCombo:
     for idx, c in zc.terms.items():
         parts = idx.parts
         scaled = [c] + [c * QtPoly.t(k) for k in range(1, len(parts))]
-        # each state places a suffix of the parts: run is its open leftmost
-        # sum, tail the closed sums after it.  The next part to the left is
-        # kept apart before it is fused, so the leaves come in ascending
-        # order of the fusion mask, bit j - 1 set when part j is fused
-        level = [(parts[-1], (), 0)]
-        for p in reversed(parts[:-1]):
-            grown = []
-            for run, tail, fused in level:
-                grown.append((p, (run,) + tail, fused))
-                grown.append((p + run, tail, fused + 1))
-            level = grown
-        for run, tail, fused in level:
-            accumulate(out, (run,) + tail, scaled[fused])
-    # sums of positive parts are positive, so no merged index is re-checked
-    return _make_combo(PLAIN, {_make_index(k): c for k, c in out.items()}, zc.scalar)
+
+        def walk(j, run, tail, fused):
+            # parts[j:] are placed: run is the open leftmost sum, tail the
+            # closed sums after it; parts[j-1] is kept apart or fused.
+            # Sums of positive parts are positive, so no leaf is re-checked
+            if not j:
+                accumulate(out, _make_index((run,) + tail), scaled[fused])
+                return
+            walk(j - 1, parts[j - 1], (run,) + tail, fused)
+            walk(j - 1, parts[j - 1] + run, tail, fused + 1)
+
+        walk(len(parts) - 1, parts[-1], (), 0)
+    return _make_combo(PLAIN, out, zc.scalar)
 
 
 def star_view(zc: ZetaCombo) -> ZetaCombo:

@@ -1,7 +1,6 @@
 """Byte-identity of the printed products and expansions.
 
-HElement and ZetaCombo render each distinct coefficient object once, and
-QtPoly prints a one-term polynomial without its general loop.  The
+HElement and ZetaCombo render each distinct coefficient object once.  The
 references below are plain renderers that print every term on its own:
 the sorted QtPoly loop, str(c) per term and a sort on Word.sort_key.
 Every output must match them byte for byte, text and JSON.
@@ -9,8 +8,6 @@ Every output must match them byte for byte, text and JSON.
 
 import json
 from fractions import Fraction
-
-import pytest
 
 from imzv import (
     EMPTY_WORD,
@@ -121,18 +118,6 @@ def _combo_json(zc):
         "scalar": _loop_str(zc.scalar),
         "terms": [{"index": list(idx.parts), "coeff": _loop_str(c)} for idx, c in _index_terms(zc)],
     })
-
-
-@pytest.mark.parametrize("deg", [0, 1, 2, 7])
-@pytest.mark.parametrize("k", [1, -1, 2, -5, 12, Fraction(-3, 2), Fraction(7, 4), Fraction(-1, 3)])
-def test_one_term_fast_path_matches_the_loop(deg, k):
-    c = QtPoly({deg: k})
-    assert str(c) == _loop_str(c)
-
-
-def test_several_terms_print_through_the_loop():
-    for c in (QtPoly(), QtPoly({0: 2, 1: -3}), QtPoly({1: -1, 0: Fraction(-3, 2), 4: 1})):
-        assert str(c) == _loop_str(c)
 
 
 def test_products_print_byte_identically():

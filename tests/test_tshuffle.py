@@ -31,7 +31,7 @@ from imzv import (
     yy_product_formula,
 )
 from imzv.halg import add_pair
-from imzv.tshuffle import MAX_LETTERS, _add_prefixed, _sh, _tsh
+from imzv.tshuffle import MAX_LETTERS, _sh, _tsh
 from imzv.words import all_words
 from imzv.verify import run_oracle_laws
 
@@ -238,14 +238,3 @@ def test_prefix_tables_match_the_add_pair_recursion(engine, reference):
             ):
                 assert list(got.items()) == list(want.items()), (u, v)
     assert len(shared) == len(ref_shared)
-
-
-def test_prefixed_sums_merge_like_add_pair():
-    table = {"y": (-1, 1), "xy": (2, 0), "yy": (0, -3)}
-    got = {"xxy": (3, 0), "xy": (1, -1), "yx": (4, 0)}
-    want = dict(got)
-    _add_prefixed(got, "x", table, True)
-    for w, (c0, c1) in table.items():
-        add_pair(want, "x" + w, c0, c1)
-    assert list(got.items()) == list(want.items())
-    assert got == {"xxy": (5, 0), "yx": (4, 0), "xyy": (0, -3)}
