@@ -8,11 +8,15 @@ Word products lie in Z[t] with t-degree at most one, so the product
 engines sum into a pair table, str word -> (c0, c1) meaning c0 + c1*t,
 with add_pair and wrap it once with from_pairs.
 
-Coefficients are shared, never mutated: from_pairs gives all words with
-the same pair one QtPoly, and every operation here builds new
-coefficients instead of changing old ones, so no table wrapped by
-make_qtpoly or make_helement may be mutated afterwards.  Both printed
-forms render each distinct coefficient object once (render_terms).
+Coefficients and words are shared, never mutated: from_pairs gives all
+words with the same pair one QtPoly, and, given a product engine's cache,
+gives every element wrapped with that cache one Word per distinct word
+and one QtPoly per distinct pair.  Every operation here builds new terms
+and coefficients instead of changing old ones, so no table wrapped by
+make_qtpoly or make_helement, and no object shared across products, may
+be mutated afterwards; a Word only fills its own index slot once, which
+equality, hashing and printing never read.  Both printed forms render
+each distinct coefficient object once (render_terms).
 """
 
 from __future__ import annotations
@@ -47,11 +51,25 @@ def add_pair(table: dict, w: str, c0: int, c1: int):
         del table[w]
 
 
-def from_pairs(table: dict) -> "HElement":
+# The entry a product engine's memo reserves for from_pairs.  A str never
+# equals the (u, v) and (u, v, 0) tuple keys of the engines' own entries.
+_SHARED = "from_pairs"
+
+
+def from_pairs(table: dict, cache: dict | None = None) -> "HElement":
     """Wrap a pair table built by add_pair (no zero pairs, words of x's and
     y's built from checked words) as an HElement, with one QtPoly for each
-    distinct pair, shared by all its words."""
-    polys = {}
+    distinct pair, shared by all its words.
+
+    With a cache, one Word per distinct word and one QtPoly per distinct
+    pair are kept in it and shared by every element wrapped with it."""
+    if cache is None:
+        words, polys = {}, {}
+    else:
+        shared = cache.get(_SHARED)
+        if shared is None:
+            shared = cache[_SHARED] = ({}, {})
+        words, polys = shared
     terms = {}
     for w, pair in table.items():
         c = polys.get(pair)
@@ -62,7 +80,10 @@ def from_pairs(table: dict) -> "HElement":
             else:
                 coeffs = {0: c0, 1: c1} if c0 else {1: c1}
             c = polys[pair] = make_qtpoly(coeffs)
-        terms[_make_word(w)] = c
+        word = words.get(w)
+        if word is None:
+            word = words[w] = _make_word(w)
+        terms[word] = c
     return make_helement(terms)
 
 

@@ -13,6 +13,13 @@ degree at most one in t (corrections contribute single standalone words, so
 no path multiplies two t factors), so every engine here sums into one
 halg pair table, word -> (c0, c1) meaning c0 + c1*t, and wraps it once
 with halg.from_pairs.
+
+A cache passed to tshuffle_words or shuffle_words holds the recursion's
+tables under (u, v) and (u, v, 0) keys, and one entry for from_pairs
+with a Word per distinct word and a QtPoly per distinct pair; every
+product wrapped with that cache shares them, and a zeta_map of any of
+them computes each shared word's index once.  Nothing is shared between
+caches, and a call without one shares nothing with any other call.
 """
 
 from __future__ import annotations
@@ -51,21 +58,6 @@ def compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def interleavings(s1: str, s2: str):
-    """Yield every order-preserving interleaving of two letter strings,
-    one per merge pattern (C(n+m, n) of them, with repetitions as words)."""
-    if not s1:
-        yield s2
-        return
-    if not s2:
-        yield s1
-        return
-    for rest in interleavings(s1[1:], s2):
-        yield s1[0] + rest
-    for rest in interleavings(s1, s2[1:]):
-        yield s2[0] + rest
-
-
 def _add_prefixed(out: dict, b: str, table: dict, overlap: bool):
     """Add b.w for every word w of the pair table into out; the entries
     are stored directly unless some b.w may already be in out."""
@@ -102,10 +94,13 @@ def _tsh(u: str, v: str, memo: dict) -> dict:
 
 
 def tshuffle_words(w1, w2, cache: dict | None = None) -> HElement:
-    """The t-shuffle product of two words, by direct recursion."""
-    if cache is None:
-        cache = {}
-    return from_pairs(_tsh(*_letters(w1, w2), cache))
+    """The t-shuffle product of two words, by direct recursion.
+
+    A cache passed in keeps the recursion's tables, and one Word and one
+    coefficient per distinct word and pair, for every later product that
+    uses it; the results must not be mutated."""
+    table = _tsh(*_letters(w1, w2), {} if cache is None else cache)
+    return from_pairs(table, cache)
 
 
 def tshuffle(u: HElement, v: HElement, cache: dict | None = None) -> HElement:
@@ -164,10 +159,10 @@ def _add_concat(acc: dict, left: dict, mid: str, right: dict):
 
 def shuffle_words(w1, w2, cache: dict | None = None) -> HElement:
     """The ordinary shuffle product: sum over all order-preserving
-    interleavings.  Equals the t-shuffle at t = 0."""
-    if cache is None:
-        cache = {}
-    return from_pairs(_sh(*_letters(w1, w2), cache))
+    interleavings.  Equals the t-shuffle at t = 0.  A cache is kept and
+    shared as in tshuffle_words, and one cache may serve both."""
+    table = _sh(*_letters(w1, w2), {} if cache is None else cache)
+    return from_pairs(table, cache)
 
 
 def yy_product_formula(m: int, n: int) -> HElement:

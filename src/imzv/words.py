@@ -19,16 +19,22 @@ _LETTER_ORDER = str.maketrans("yx", "ab")
 
 
 class Word:
-    """An immutable word over {x, y}; the empty word is the unit and prints as 1."""
+    """An immutable word over {x, y}; the empty word is the unit and prints as 1.
 
-    __slots__ = ("letters",)
+    Equality, hashing and printing use the letters alone.  The private
+    _index slot holds the zeta index of an admissible word once
+    index_from_word has computed it, and None before that.
+    """
+
+    __slots__ = ("letters", "_index")
 
     def __init__(self, letters=""):
         if isinstance(letters, Word):
             letters = letters.letters
         if letters.strip("xy"):
             raise ValueError("word letters must be x or y, got %r" % letters)
-        object.__setattr__(self, "letters", letters)
+        _set_letters(self, letters)
+        _set_index(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
@@ -66,10 +72,17 @@ class Word:
         return "Word(%r)" % self.letters
 
 
+# The slots' own setters: they skip Word.__setattr__ without the lookup
+# by name that object.__setattr__ makes, which _make_word pays per term.
+_set_letters = Word.letters.__set__
+_set_index = Word._index.__set__
+
+
 def _make_word(letters: str) -> Word:
     """Wrap a string of x's and y's without re-checking it."""
     w = object.__new__(Word)
-    object.__setattr__(w, "letters", letters)
+    _set_letters(w, letters)
+    _set_index(w, None)
     return w
 
 
@@ -139,11 +152,23 @@ def word_from_index(idx: Index) -> Word:
 
 
 def index_from_word(w: Word) -> Index:
-    """Inverse of word_from_index; defined for nonempty words ending in y."""
+    """Inverse of word_from_index; defined for nonempty words ending in y.
+
+    The index of an admissible word is computed once and kept on the word,
+    so every later call, and zeta_map, only reads it.  No other word keeps
+    one: zeta_map takes a kept index as proof that the word is admissible.
+    """
+    idx = w._index
+    if idx is not None:
+        return idx
     s = w.letters
     if not s or s[-1] != "y":
         raise ValueError("word %s does not encode an index (must end in y)" % w)
-    return _make_index(tuple([len(run) + 1 for run in s[:-1].split("y")]))
+    # each run of x's before a y gives a part len(run) + 1 >= 1 unchecked
+    idx = _make_index(tuple([len(run) + 1 for run in s[:-1].split("y")]))
+    if s[0] == "x":
+        _set_index(w, idx)
+    return idx
 
 
 def is_admissible(w: Word) -> bool:

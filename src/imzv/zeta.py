@@ -22,7 +22,7 @@ import re
 from .coeffs import QtPoly, binom, parse_qtpoly
 from .halg import HElement, accumulate, render_terms
 from .tshuffle import compositions, tshuffle_words
-from .words import Index, Word, _make_index
+from .words import Index, Word, _make_index, index_from_word
 from . import closedforms
 
 INTERPOLATED = "interpolated"
@@ -197,22 +197,27 @@ def zeta_map(v: HElement, kind=INTERPOLATED) -> ZetaCombo:
     """Apply the zeta symbol map to an element whose words are all admissible.
 
     Raises ValueError when some word is nonempty and not admissible, since
-    such words carry no convergent zeta value.
+    such words carry no convergent zeta value.  A word's index is computed,
+    and its admissibility checked, the first time a Word object is mapped;
+    later maps of the same object read the index kept on it.
     """
     if kind not in _KINDS:
         raise ValueError("unknown combo kind %r" % (kind,))
     terms = {}
     scalar = QtPoly.zero()
-    # distinct words give distinct indices, so every key is set once, and
-    # each run of x's before a y gives a part len(run) + 1 >= 1 unchecked
+    # distinct words give distinct indices, so every key is set once; only
+    # admissible words keep an index, so a kept one needs no further check
     for w, c in v.terms.items():
-        s = w.letters
-        if not s:
-            scalar = c
-        elif s[0] == "x" and s[-1] == "y":
-            terms[_make_index(tuple([len(run) + 1 for run in s[:-1].split("y")]))] = c
-        else:
-            raise ValueError("word %s lies outside the admissible span" % w)
+        idx = w._index
+        if idx is None:
+            s = w.letters
+            if not s:
+                scalar = c
+                continue
+            if s[0] != "x" or s[-1] != "y":
+                raise ValueError("word %s lies outside the admissible span" % w)
+            idx = index_from_word(w)
+        terms[idx] = c
     return _make_combo(kind, terms, scalar)
 
 

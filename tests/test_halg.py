@@ -174,11 +174,38 @@ def test_from_pairs_shares_one_coefficient_per_distinct_pair():
             assert (got.terms[Word(w)] is got.terms[Word(w2)]) == (pair == pair2)
 
 
+def test_products_from_one_cache_share_words_and_coefficients():
+    cache = {}
+    prod = tshuffle_words("xxyxy", "xyxy", cache)
+    other = tshuffle_words("xxyy", "xyxxy", cache)
+    again = tshuffle_words("xxyxy", "xyxy", cache)
+    assert again == prod
+    shared = {w.letters: w for w in prod.terms}
+    common = [w for w in other.terms if w.letters in shared]
+    assert common
+    for w in common:
+        assert w is shared[w.letters]
+        if prod.terms[w] == other.terms[w]:
+            assert prod.terms[w] is other.terms[w]
+    for w, c in again.terms.items():
+        assert w is shared[w.letters] and c is prod.terms[w]
+    fresh = tshuffle_words("xxyy", "xyxxy")
+    assert fresh == other
+    assert not any(w is shared.get(w.letters) for w in fresh.terms)
+
+
+def _snapshot(v):
+    return [(w.letters, dict(c.coeffs)) for w, c in v.terms.items()]
+
+
 def test_operations_leave_a_product_with_shared_coefficients_unchanged():
-    prod = tshuffle_words("xxyxy", "xyxy")
+    # prod and other come from one cache, so they share words and
+    # coefficients: no operation on one may change the other
+    cache = {}
+    prod = tshuffle_words("xxyxy", "xyxy", cache)
     assert len({id(c) for c in prod.terms.values()}) < len(prod.terms)
-    before = {w: dict(c.coeffs) for w, c in prod.terms.items()}
-    other = tshuffle_words("xyy", "xxyy")
+    other = tshuffle_words("xxyy", "xyxxy", cache)
+    before = [_snapshot(prod), _snapshot(other)]
     combo = zeta_map(prod)
     for operation in (
         lambda: prod.scale(QtPoly({0: 2, 1: -1})),
@@ -189,11 +216,13 @@ def test_operations_leave_a_product_with_shared_coefficients_unchanged():
         lambda: -prod,
         lambda: prod * other,
         lambda: prod.substitute_t(Fraction(1, 2)),
+        lambda: other.scale(-3) + other.substitute_t(2),
         lambda: zeta_map(prod),
+        lambda: zeta_map(other).scale(QtPoly.t()),
         lambda: combo + combo,
         lambda: combo - zeta_map(other),
         lambda: combo.scale(QtPoly.t()),
         lambda: combo.substitute_t(3),
     ):
         operation()
-        assert {w: dict(c.coeffs) for w, c in prod.terms.items()} == before
+        assert [_snapshot(prod), _snapshot(other)] == before

@@ -120,9 +120,13 @@ def _combo_json(zc):
     })
 
 
-def test_products_print_byte_identically():
+def _table_pairs():
     words = [EMPTY_WORD] + list(admissible_words(9))
-    pairs = [(u, v) for u in words for v in words if len(u) + len(v) <= 9]
+    return [(u, v) for u in words for v in words if len(u) + len(v) <= 9]
+
+
+def test_products_print_byte_identically():
+    pairs = _table_pairs()
     assert len(pairs) == 832
     for u, v in pairs:
         prod = tshuffle_words(u, v)
@@ -131,6 +135,24 @@ def test_products_print_byte_identically():
         combo = zeta_map(prod)
         assert str(combo) == _combo_text(combo), (u, v)
         assert zeta_combo_to_json(combo) == _combo_json(combo), (u, v)
+
+
+def test_products_with_one_shared_cache_print_as_with_a_fresh_one():
+    # every product and its zeta image built through one cache, and every
+    # one mapped twice, against the same built with a cache of its own
+    cache = {}
+    for u, v in _table_pairs():
+        fresh = tshuffle_words(u, v, {})
+        shared = tshuffle_words(u, v, cache)
+        assert list(shared.terms.items()) == list(fresh.terms.items()), (u, v)
+        assert str(shared) == str(fresh), (u, v)
+        assert helement_to_json(shared) == helement_to_json(fresh), (u, v)
+        want = zeta_map(fresh)
+        for combo in (zeta_map(shared), zeta_map(shared)):
+            assert list(combo.terms.items()) == list(want.terms.items()), (u, v)
+            assert combo.scalar == want.scalar, (u, v)
+            assert str(combo) == str(want), (u, v)
+            assert zeta_combo_to_json(combo) == zeta_combo_to_json(want), (u, v)
 
 
 COEFFS = [QtPoly.one(), QtPoly({0: 2, 1: -3}), QtPoly({0: Fraction(-3, 2)}), QtPoly({1: -1})]

@@ -19,7 +19,6 @@ from imzv import (
     Word,
     binom,
     compositions,
-    interleavings,
     parse_helement,
     shuffle_words,
     split_product,
@@ -146,9 +145,29 @@ def test_compositions_count_and_order():
     assert list(compositions(0, 0)) == [()]
 
 
-def test_interleavings_count():
-    assert len(list(interleavings("xy", "y"))) == binom(3, 1)
-    assert sorted(interleavings("x", "y")) == ["xy", "yx"]
+@pytest.mark.parametrize(
+    "u, v", [("", "xy"), ("x", "y"), ("xy", "y"), ("xxy", "xyy"), ("yxy", "xyxxy")]
+)
+def test_shuffle_multiplicities_count_the_interleavings(u, v):
+    prod = shuffle_words(u, v)
+    assert sum(c.eval_at(0) for c in prod.terms.values()) == binom(len(u) + len(v), len(u))
+
+
+def test_one_cache_serves_tshuffle_and_shuffle():
+    words = list(all_words(4))
+    shared = {}
+    tcache, scache = {}, {}
+    for u in words:
+        for v in words:
+            t_shared = tshuffle_words(u, v, shared)
+            s_shared = shuffle_words(u, v, shared)
+            assert list(t_shared.terms.items()) == list(tshuffle_words(u, v, tcache).terms.items())
+            assert list(s_shared.terms.items()) == list(shuffle_words(u, v, scache).terms.items())
+            assert str(t_shared) == str(tshuffle_words(u, v)), (u, v)
+            assert str(s_shared) == str(shuffle_words(u, v)), (u, v)
+            # both engines hand out the cache's one Word per distinct word
+            by_letters = {w.letters: w for w in t_shared.terms}
+            assert all(by_letters.get(w.letters, w) is w for w in s_shared.terms)
 
 
 _LETTER_ENGINES = {

@@ -26,7 +26,9 @@ from imzv import (
     alternating_zeta_identity,
     euler_decomposition,
     expand_interpolation,
+    index_from_word,
     interpolated_symbol,
+    is_admissible,
     parse_zeta_combo,
     product_combo,
     star_expand,
@@ -83,6 +85,39 @@ def test_zeta_map_names_the_word_outside_the_admissible_span(word):
     v = HElement.from_word("xy") + HElement.from_word(word, QtPoly.t())
     with pytest.raises(ValueError, match="word %s lies outside" % word):
         zeta_map(v)
+
+
+def test_zeta_map_refuses_a_non_admissible_word_every_time_and_keeps_no_index():
+    cache = {}
+    prod = tshuffle_words("y", "xy", cache)
+    bad = [w for w in prod.terms if not is_admissible(w)]
+    assert bad
+    for _ in range(2):
+        with pytest.raises(ValueError, match="lies outside the admissible span"):
+            zeta_map(prod)
+        assert all(w._index is None for w in bad)
+    # the same word objects, met again through the cache, are still refused
+    again = tshuffle_words("xy", "y", cache)
+    assert {id(w) for w in again.terms if not is_admissible(w)} == {id(w) for w in bad}
+    with pytest.raises(ValueError):
+        zeta_map(again)
+    assert index_from_word(Word("yy")) == Index((1, 1))
+    yy = Word("yy")
+    index_from_word(yy)
+    assert yy._index is None
+    with pytest.raises(ValueError):
+        zeta_map(HElement({yy: 1}))
+
+
+def test_public_words_map_to_their_indices():
+    w = Word("xxy")
+    assert w._index is None
+    assert zeta_map(HElement({w: 2})) == ZetaCombo(INTERPOLATED, {Index((3,)): 2})
+    assert index_from_word(w) == Index((3,))
+    assert index_from_word(w) is index_from_word(w)
+    assert zeta_map(HElement.from_word(Word("xyxxy"), QtPoly.t()), PLAIN) == ZetaCombo(
+        PLAIN, {Index((2, 3)): QtPoly.t()}
+    )
 
 
 def test_zeta_map_rejects_unknown_kind():
