@@ -54,18 +54,15 @@ from .zeta import (
     STAR,
     ZetaCombo,
     alternating_zeta_identity,
-    alternating_zeta_sum,
     euler_decomposition,
     expand_interpolation,
     interpolated_symbol,
     parse_zeta_combo,
-    product_combo,
     star_expand,
     star_view,
     zeta_combo_from_json,
     zeta_combo_to_json,
     zeta_map,
-    zeta_uniform_product,
 )
 from .mzvnum import EvalResult, eval_combo, eval_mzv, zeta_ref
 from .verify import DEFAULT_SEED, SUITES, Failure, VerifyReport
@@ -94,7 +91,6 @@ __all__ = [
     "alternating_product_sum",
     "alternating_product_weight4_form",
     "alternating_zeta_identity",
-    "alternating_zeta_sum",
     "binom",
     "block_product",
     "compositions",
@@ -117,7 +113,6 @@ __all__ = [
     "parse_word",
     "parse_zeta_combo",
     "pattern_product",
-    "product_combo",
     "shuffle_words",
     "split_product",
     "star_expand",
@@ -133,5 +128,4 @@ __all__ = [
     "zeta_combo_to_json",
     "zeta_map",
     "zeta_ref",
-    "zeta_uniform_product",
 ]

@@ -4,6 +4,10 @@ HElement stores a word -> QtPoly map with no zero coefficients.  Words print
 in canonical order (length first, then y before x), which for fixed weight
 matches ascending index order on the zeta side.
 
+Both the word and the zeta side sum key -> QtPoly tables with accumulate,
+evaluate them at a value of t with specialize, and split printed sums
+with signed_pieces.
+
 Word products lie in Z[t] with t-degree at most one, so the product
 engines sum into a pair table, str word -> (c0, c1) meaning c0 + c1*t,
 with add_pair and wrap it once with from_pairs.
@@ -36,6 +40,41 @@ def accumulate(table: dict, key, c: QtPoly):
         table[key] = c
     elif old is not None:
         del table[key]
+
+
+def specialize(terms: dict, t0) -> dict:
+    """key -> constant QtPoly of each coefficient of terms at t0, with the
+    keys whose coefficient vanishes there dropped."""
+    out = {}
+    for key, c in terms.items():
+        v = c.eval_at(t0)
+        if v:
+            out[key] = QtPoly.const(v)
+    return out
+
+
+def signed_pieces(s: str):
+    """Split a printed sum on its top-level + and - signs, respecting
+    parentheses: yields (sign, text) per term, sign 1 or -1."""
+    depth = 0
+    start = 0
+    sign = 1
+    first = True
+    for i, ch in enumerate(s):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch in "+-" and depth == 0 and not first:
+            yield sign, s[start:i]
+            sign = 1 if ch == "+" else -1
+            start = i + 1
+        if not ch.isspace():
+            if first and ch in "+-" and depth == 0:
+                sign = 1 if ch == "+" else -1
+                start = i + 1
+            first = False
+    yield sign, s[start:]
 
 
 def add_pair(table: dict, w: str, c0: int, c1: int):
@@ -188,12 +227,7 @@ class HElement:
 
     def substitute_t(self, t0) -> "HElement":
         """Evaluate every coefficient at a rational t value."""
-        out = {}
-        for w, c in self.terms.items():
-            v = c.eval_at(t0)
-            if v:
-                out[w] = QtPoly.const(v)
-        return make_helement(out)
+        return make_helement(specialize(self.terms, t0))
 
     def __str__(self):
         if not self.terms:
@@ -229,12 +263,13 @@ def _coeff_prefix(c: QtPoly) -> str:
 
 
 def parse_helement(text: str) -> HElement:
-    """Parse the textual form, e.g. "2*xyxy + 4*xxyy + (-6*t)*xxxy"."""
+    """Parse the textual form, e.g. "2*xyxy + 4*xxyy + (-6*t)*xxxy"; a term
+    after a top-level "-" is subtracted, so "xy - 2*xxy" is xy + (-2)*xxy."""
     s = text.strip()
     out = {}
     if s == "0":
         return make_helement(out)
-    for piece in _split_terms(s):
+    for sign, piece in signed_pieces(s):
         piece = piece.strip()
         if not piece:
             raise ValueError("cannot parse element %r" % text)
@@ -243,6 +278,8 @@ def parse_helement(text: str) -> HElement:
             coeff = parse_qtpoly(cpart)
         else:
             coeff, wpart = QtPoly.one(), piece
+        if sign < 0:
+            coeff = -coeff
         accumulate(out, parse_word(wpart), coeff)
     return make_helement(out)
 
@@ -252,20 +289,6 @@ def helement_from_json(obj) -> HElement:
     for rec in obj:
         accumulate(out, parse_word(rec["word"]), parse_qtpoly(rec["coeff"]))
     return make_helement(out)
-
-
-def _split_terms(s: str):
-    depth = 0
-    start = 0
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "+" and depth == 0:
-            yield s[start:i]
-            start = i + 1
-    yield s[start:]
 
 
 def helement_to_json(v: HElement) -> str:

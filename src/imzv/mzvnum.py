@@ -208,6 +208,8 @@ def eval_combo(zc, t_value=0, target_abs_err=1e-6, cache=None) -> EvalResult:
         used = max(used, r.cutoff_used)
     if not math.isfinite(value):
         raise ValueError("the value is outside the double range at this t")
+    # even a combo with no symbols rounds its scalar to a double
+    est = max(est, TARGET_FLOOR)
     return EvalResult(value, est, used, est <= target)
 
 

@@ -37,12 +37,7 @@ from .words import (
     index_from_word,
     word_from_index,
 )
-from .zeta import (
-    alternating_zeta_identity,
-    euler_decomposition,
-    zeta_map,
-    zeta_uniform_product,
-)
+from .zeta import alternating_zeta_identity, euler_decomposition, zeta_map
 
 DEFAULT_SEED = 1812
 # split point of the duality suite's series; 1/2 would make it a tautology
@@ -294,12 +289,13 @@ def run_alternating_zeta(max_k: int = 6):
 
 @_suite("euler", {"max_arg": ("max",)})
 def run_depth_one_products(max_arg: int = 6):
-    """Two-factor depth-one decomposition at t=0 against the classical
-    coefficients (suite euler)."""
+    """Interpolated Euler decomposition of z^t(i)*z^t(j) against the zeta
+    image of the oracle product, exactly in Q[t] (suite euler)."""
+    cache = {}
     for i in range(2, max_arg + 1):
         for j in range(2, max_arg + 1):
-            lhs = zeta_uniform_product(i, 1, 0, j, 0).substitute_t(0)
-            yield {"i": i, "j": j}, lhs, euler_decomposition(i, j)
+            rhs = zeta_map(tshuffle_words("x" * (i - 1) + "y", "x" * (j - 1) + "y", cache))
+            yield {"i": i, "j": j}, euler_decomposition(i, j), rhs
 
 
 def _sample_pairs(n_pairs, max_weight, seed):

@@ -192,15 +192,14 @@ def parse_word(text: str) -> Word:
 
 
 def parse_index(text: str) -> Index:
+    """Read "(2,1)" or "2,1": integers between commas, none of them empty."""
     s = text.strip()
     if s.startswith("(") and s.endswith(")"):
         s = s[1:-1]
     try:
-        parts = [int(p) for p in s.split(",") if p.strip() != ""]
+        parts = [int(p) for p in s.split(",")]
     except ValueError:
         raise ValueError("cannot parse index %r" % text) from None
-    if not parts:
-        raise ValueError("cannot parse index %r" % text)
     return Index(parts)
 
 

@@ -12,6 +12,8 @@ Combos of different kinds never mix: adding a plain combo to a star
 combo raises instead of producing a meaningless hybrid.  The map from
 admissible words sends z_{l1}...z_{ln} to the symbol for (l1,...,ln)
 and the empty word to the scalar 1.
+euler_decomposition states the depth-one product z^t(i)*z^t(j) as an
+interpolated combo, pinned to the t-shuffle oracle by the euler suite.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ import json
 import re
 
 from .coeffs import QtPoly, binom, parse_qtpoly
-from .halg import HElement, accumulate, render_terms
-from .tshuffle import compositions, tshuffle_words
-from .words import Index, Word, _make_index, index_from_word
+from .halg import HElement, accumulate, render_terms, signed_pieces, specialize
+from .tshuffle import compositions
+from .words import Index, _make_index, index_from_word, parse_index
 from . import closedforms
 
 INTERPOLATED = "interpolated"
@@ -62,11 +64,9 @@ class ZetaCombo:
                 idx = Index(idx)
             if not idx.admissible:
                 raise ValueError("non-admissible index %s in combo" % idx)
-            c = c if isinstance(c, QtPoly) else QtPoly.const(c)
-            if c:
-                clean[idx] = clean[idx] + c if idx in clean else c
+            accumulate(clean, idx, c if isinstance(c, QtPoly) else QtPoly.const(c))
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "terms", {i: c for i, c in clean.items() if c})
+        object.__setattr__(self, "terms", clean)
         s = scalar if isinstance(scalar, QtPoly) else QtPoly.const(scalar)
         object.__setattr__(self, "scalar", s)
 
@@ -135,10 +135,7 @@ class ZetaCombo:
     def substitute_t(self, t0) -> "ZetaCombo":
         """Evaluate all coefficients at a rational t0; interpolated becomes plain."""
         kind = PLAIN if self.kind == INTERPOLATED else self.kind
-        terms = {
-            idx: QtPoly.const(c.eval_at(t0)) for idx, c in self.terms.items()
-        }
-        return ZetaCombo(kind, terms, QtPoly.const(self.scalar.eval_at(t0)))
+        return _make_combo(kind, specialize(self.terms, t0), QtPoly.const(self.scalar.eval_at(t0)))
 
     def __str__(self):
         sym = _SYMBOL[self.kind]
@@ -265,8 +262,7 @@ def star_view(zc: ZetaCombo) -> ZetaCombo:
     """
     if zc.kind != INTERPOLATED:
         raise ValueError("star view needs an interpolated combo, got %s" % zc.kind)
-    terms = {idx: QtPoly.const(c.eval_at(1)) for idx, c in zc.terms.items()}
-    return ZetaCombo(STAR, terms, QtPoly.const(zc.scalar.eval_at(1)))
+    return _make_combo(STAR, specialize(zc.terms, 1), QtPoly.const(zc.scalar.eval_at(1)))
 
 
 def star_expand(zc: ZetaCombo) -> ZetaCombo:
@@ -280,29 +276,6 @@ def star_expand(zc: ZetaCombo) -> ZetaCombo:
 _COMBO_TERM_RE = re.compile(
     r"^(?P<coeff>.*?)\*?\s*(?P<sym>zs|z)\s*\((?P<idx>[^()]*)\)$"
 )
-
-
-def _signed_pieces(s: str):
-    """Split on top-level + and - while respecting parentheses."""
-    depth = 0
-    start = 0
-    sign = 1
-    first = True
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch in "+-" and depth == 0 and not first:
-            yield sign, s[start:i]
-            sign = 1 if ch == "+" else -1
-            start = i + 1
-        if not ch.isspace():
-            if first and ch in "+-" and depth == 0:
-                sign = 1 if ch == "+" else -1
-                start = i + 1
-            first = False
-    yield sign, s[start:]
 
 
 def parse_zeta_combo(text: str) -> ZetaCombo:
@@ -319,7 +292,7 @@ def parse_zeta_combo(text: str) -> ZetaCombo:
     terms = {}
     scalar = QtPoly.zero()
     kinds = set()
-    for sign, piece in _signed_pieces(s):
+    for sign, piece in signed_pieces(s):
         piece = piece.strip()
         if not piece:
             raise ValueError("cannot parse zeta combo %r" % text)
@@ -335,18 +308,14 @@ def parse_zeta_combo(text: str) -> ZetaCombo:
             coeff = QtPoly.one()
         if sign < 0:
             coeff = -coeff
-        try:
-            parts = [int(p) for p in m.group("idx").split(",")]
-        except ValueError:
-            raise ValueError("cannot parse index in %r" % piece) from None
-        idx = Index(parts)
+        idx = parse_index(m.group("idx"))
         if not idx.admissible:
             raise ValueError("non-admissible index %s in combo" % idx)
         accumulate(terms, idx, coeff)
     if len(kinds) > 1:
         raise ValueError("cannot mix z and zs symbols in one combo")
     kind = STAR if kinds == {"zs"} else PLAIN
-    return ZetaCombo(kind, terms, scalar)
+    return _make_combo(kind, terms, scalar)
 
 
 def zeta_combo_from_json(obj) -> ZetaCombo:
@@ -365,26 +334,6 @@ def interpolated_symbol(parts) -> ZetaCombo:
     return ZetaCombo(INTERPOLATED, {Index(parts): QtPoly.one()})
 
 
-def zeta_uniform_product(m: int, p: int, n: int, u: int, v: int) -> ZetaCombo:
-    """Product z^t(m, p^n) * z^t(u, p^v) as an interpolated combo.
-
-    Both factors repeat one part p below a distinct head, the shape covered
-    by the uniform-tail product formula; requires m, u >= 2 and p, n, v >= 1, 0.
-    """
-    if m < 2 or u < 2:
-        raise ValueError("head parts must be at least 2 for admissibility")
-    if p < 1 or n < 0 or v < 0:
-        raise ValueError("need a positive repeated part and nonnegative tail counts")
-    a_exps = (m - 1,) + (p - 1,) * n
-    b_exps = (u - 1,) + (p - 1,) * v
-    return zeta_map(closedforms.pattern_product(a_exps, b_exps))
-
-
-def alternating_zeta_sum(k: int, p: int = 2) -> ZetaCombo:
-    """Alternating product sum sum_j (-1)^j z^t(p,1^j) z^t(p,1^(k-j))."""
-    return zeta_map(closedforms.alternating_product_sum(k, p))
-
-
 def alternating_zeta_identity(k: int):
     """LHS and stated RHS of the alternating double-product identity at p=2.
 
@@ -394,7 +343,7 @@ def alternating_zeta_identity(k: int):
     """
     if k < 1:
         raise ValueError("need k >= 1")
-    lhs = alternating_zeta_sum(k, 2)
+    lhs = zeta_map(closedforms.alternating_product_sum(k, 2))
     if k % 2 == 1:
         return lhs, ZetaCombo.zero(INTERPOLATED)
     terms = {}
@@ -409,17 +358,19 @@ def alternating_zeta_identity(k: int):
 
 
 def euler_decomposition(i: int, j: int) -> ZetaCombo:
-    """Classical two-factor decomposition of z(i)*z(j) into depth-two values."""
+    """Euler decomposition of z^t(i)*z^t(j) into interpolated values:
+
+        sum_{k=2}^{i+j-1} [C(k-1, i-1) + C(k-1, j-1)] z^t(k, i+j-k)
+            - t*C(i+j, i) z^t(i+j).
+
+    Its value at t = 0 is the classical decomposition of z(i)*z(j)."""
     if i < 2 or j < 2:
         raise ValueError("need i, j >= 2")
-    terms = {}
-    for k in range(1, j + 1):
-        accumulate(terms, Index((i + j - k, k)), QtPoly.const(binom(i + j - k - 1, i - 1)))
-    for k in range(1, i + 1):
-        accumulate(terms, Index((i + j - k, k)), QtPoly.const(binom(i + j - k - 1, j - 1)))
-    return _make_combo(PLAIN, terms, QtPoly.zero())
-
-
-def product_combo(w1: Word, w2: Word, cache=None) -> ZetaCombo:
-    """Zeta image of the deformed product of two admissible words."""
-    return zeta_map(tshuffle_words(w1, w2, cache))
+    n = i + j
+    # both binomials vanish below k = min(i, j)
+    terms = {
+        _make_index((k, n - k)): QtPoly.const(binom(k - 1, i - 1) + binom(k - 1, j - 1))
+        for k in range(min(i, j), n)
+    }
+    terms[_make_index((n,))] = QtPoly({1: -binom(n, i)})
+    return _make_combo(INTERPOLATED, terms, QtPoly.zero())

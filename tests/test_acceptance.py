@@ -148,7 +148,7 @@ def test_criterion_09_alternating_sums():
 
 def test_criterion_10_depth_one_decomposition():
     _run_suite(
-        10, "two-factor decomposition at t=0", 5, run_depth_one_products, max_arg=6
+        10, "interpolated Euler decomposition", 5, run_depth_one_products, max_arg=6
     )
 
 

@@ -94,6 +94,13 @@ def test_eval_combo(capsys):
     assert out.startswith("2.70580808")
 
 
+@pytest.mark.parametrize("combo, value", [("1/3", "0.33333333"), ("z(2) - z(2)", "0.00000000")])
+def test_eval_of_no_symbols_reports_the_floor(capsys, combo, value):
+    code, out, _ = run(capsys, "eval", combo)
+    assert code == 0
+    assert out == "%s ± 1.000e-09\n" % value
+
+
 def test_eval_rejects_non_admissible(capsys):
     code, _, err = run(capsys, "eval", "z(1,2)")
     assert code == 2
@@ -242,6 +249,16 @@ def test_index_report(capsys):
     assert lines["depth"] == "2"
     assert lines["admissible"] == "True"
     assert lines["dual"] == "(3,1)"
+
+
+@pytest.mark.parametrize("argv", [
+    ("index", "(2,,1)"), ("dual", "(2,1,)"), ("eval", "z(2,,1)"), ("expand", "(3,)"),
+])
+def test_an_index_with_an_empty_part_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert not out
+    assert "cannot parse index" in err
 
 
 def test_index_json_for_non_admissible_word(capsys):

@@ -114,6 +114,19 @@ def test_json_round_trip(u):
     assert helement_from_json(json.loads(helement_to_json(u))) == u
 
 
+def test_parse_subtracts_a_term_after_a_top_level_minus():
+    want = HElement.from_word("xy") + HElement.from_word("xxy", -2)
+    assert parse_helement("xy - 2*xxy") == want
+    assert parse_helement("-2*xxy + xy") == want
+    assert parse_helement("xy + (-2)*xxy") == want
+
+
+def test_substitute_t_drops_a_coefficient_that_vanishes_there():
+    u = HElement.from_word("xy", QtPoly({0: 1, 1: -1})) + HElement.from_word("y", QtPoly.t())
+    assert u.substitute_t(1) == HElement.from_word("y")
+    assert u.substitute_t(0) == HElement.from_word("xy")
+
+
 def test_parse_rejects_bad_letters():
     with pytest.raises(ValueError):
         parse_helement("2*xz + y")

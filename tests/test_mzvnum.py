@@ -117,10 +117,12 @@ def test_cache_reuses_default_cutoff_results():
 
 
 def test_combo_of_scalar_only():
-    zc = parse_zeta_combo("3/2")
-    res = eval_combo(zc)
-    assert res.value == 1.5
-    assert res.tol_ok
+    # float(1/3) is inexact, so no estimate drops below the floor
+    for text, value in (("3/2", 1.5), ("1/3", 1 / 3), ("z(2) - z(2)", 0.0)):
+        res = eval_combo(parse_zeta_combo(text))
+        assert res.value == value
+        assert res.error_estimate == mzvnum.TARGET_FLOOR
+        assert res.tol_ok
 
 
 def test_combo_linear_accumulation():

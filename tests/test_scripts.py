@@ -1,7 +1,9 @@
 """Smoke tests for the scripts under scripts/.
 
 The discrepancy report rebuilds defective variant readings from private
-tshuffle helpers, so a change to those helpers shows here first.
+tshuffle helpers, so a change to those helpers shows here first.  The
+calibration report reads the private series of mzvnum, and each of its
+rows must find the true error within the proven bound.
 """
 
 import importlib.util
@@ -30,3 +32,11 @@ def test_discrepancy_report_main(capsys):
         "block-split-boundary-prefixes",
         "alternating-merge-parity-family-clamped",
     }
+
+
+def test_calibrate_eval_main(capsys):
+    assert load_script("calibrate_eval").main() == 0
+    out = capsys.readouterr().out
+    rows = [line for line in out.splitlines() if "honest=" in line]
+    assert len(rows) == 24
+    assert "honest=False" not in out

@@ -99,6 +99,9 @@ def test_parse_index_rejects_garbage():
         parse_index("(2,)x")
     with pytest.raises(ValueError):
         parse_index("()")
+    for text in ("(2,,1)", "(2,1,)", "(,2)", "2,,1", "(2, ,1)"):
+        with pytest.raises(ValueError):
+            parse_index(text)
 
 
 def test_admissibility_on_words():

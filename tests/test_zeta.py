@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from imzv import (
     INTERPOLATED,
@@ -30,16 +30,15 @@ from imzv import (
     interpolated_symbol,
     is_admissible,
     parse_zeta_combo,
-    product_combo,
+    pattern_product,
     star_expand,
     star_view,
     tshuffle_words,
-    word_from_index,
     zeta_combo_from_json,
     zeta_combo_to_json,
     zeta_map,
-    zeta_uniform_product,
 )
+from imzv.coeffs import binom
 from imzv.halg import accumulate
 from imzv.zeta import MAX_PATTERNS
 
@@ -65,6 +64,8 @@ interp_combos = st.dictionaries(admissible, coeffs, max_size=3).map(
 def test_combo_rejects_non_admissible_index():
     with pytest.raises(ValueError):
         ZetaCombo(PLAIN, {Index((1, 2)): 1})
+    with pytest.raises(ValueError, match="non-admissible"):
+        parse_zeta_combo("z(1,2) - z(1,2)")
 
 
 def test_combo_rejects_kind_mixing():
@@ -209,6 +210,19 @@ def test_star_view_and_expansion():
     assert str(star_expand(star_view(zc))) == "z(5,1) + z(6)"
 
 
+def test_specializing_drops_a_coefficient_that_vanishes_there():
+    one_minus_t = QtPoly({0: 1, 1: -1})
+    zc = ZetaCombo(INTERPOLATED, {Index((2,)): one_minus_t, Index((3,)): QtPoly.t()})
+    at1 = zc.substitute_t(1)
+    assert at1.kind == PLAIN and at1.terms == {Index((3,)): QtPoly.one()}
+    assert star_view(zc).terms == {Index((3,)): QtPoly.one()}
+    assert zc.substitute_t(0).terms == {Index((2,)): QtPoly.one()}
+
+
+def test_combo_sums_repeated_indices_to_zero():
+    assert ZetaCombo(PLAIN, {Index((2,)): 1, (2,): -1}).is_zero()
+
+
 def test_substitute_t_specializes_kind():
     zc = interpolated_symbol((2, 1))
     at0 = expand_interpolation(zc).substitute_t(Fraction(0))
@@ -249,19 +263,48 @@ def test_alternating_identity_holds_for_small_chains():
             assert not lhs.is_zero()
 
 
+def _depth_one_product(i, j):
+    """The oracle: zeta image of the t-shuffle of x^(i-1)y and x^(j-1)y."""
+    return zeta_map(tshuffle_words("x" * (i - 1) + "y", "x" * (j - 1) + "y"))
+
+
+def _classical_euler(i, j):
+    """The textbook z(i)z(j) = sum_k [C(k-1, i-1) + C(k-1, j-1)] z(k, i+j-k),
+    kept here apart from the package's interpolated form."""
+    terms = {}
+    for k in range(1, j + 1):
+        accumulate(terms, Index((i + j - k, k)), QtPoly.const(binom(i + j - k - 1, i - 1)))
+    for k in range(1, i + 1):
+        accumulate(terms, Index((i + j - k, k)), QtPoly.const(binom(i + j - k - 1, j - 1)))
+    return ZetaCombo(PLAIN, terms)
+
+
 def test_euler_decomposition_of_squares():
-    assert euler_decomposition(2, 2) == parse_zeta_combo("2*z(2,2) + 4*z(3,1)")
+    zc = euler_decomposition(2, 2)
+    assert zc.kind == INTERPOLATED
+    assert str(zc) == "2*z(2,2) + 4*z(3,1) - 6*t*z(4)"
+    assert zc.substitute_t(0) == parse_zeta_combo("2*z(2,2) + 4*z(3,1)")
+
+
+def test_euler_decomposition_matches_the_oracle_in_qt():
+    for i in range(2, 9):
+        for j in range(2, 9):
+            got, want = euler_decomposition(i, j), _depth_one_product(i, j)
+            assert got.kind == want.kind == INTERPOLATED
+            assert got.scalar == want.scalar
+            assert got.terms == want.terms, (i, j)
 
 
 def test_euler_decomposition_matches_product_at_t_zero():
-    for i in range(2, 5):
-        for j in range(2, 5):
-            prod = zeta_uniform_product(i, 1, 0, j, 0).substitute_t(Fraction(0))
-            assert prod == euler_decomposition(i, j), (i, j)
+    for i in range(2, 9):
+        for j in range(2, 9):
+            classical = _classical_euler(i, j)
+            assert euler_decomposition(i, j).substitute_t(0) == classical, (i, j)
+            assert _depth_one_product(i, j).substitute_t(Fraction(0)) == classical, (i, j)
 
 
 def test_uniform_product_frozen_example():
-    got = zeta_uniform_product(2, 2, 1, 2, 0)
+    got = zeta_map(pattern_product((1, 1), (1,)))
     want = parse_zeta_combo(
         "3*z(2,2,2) + 4*z(2,3,1) - 6*t*z(2,4) + 4*z(3,1,2)"
         " + 4*z(3,2,1) - 6*t*z(3,3) - 3*t*z(4,2)"
@@ -269,8 +312,3 @@ def test_uniform_product_frozen_example():
     assert got.terms == want.terms
 
 
-@settings(max_examples=25, deadline=None)
-@given(i1=admissible, i2=admissible)
-def test_product_combo_matches_word_oracle(i1, i2):
-    w1, w2 = word_from_index(i1), word_from_index(i2)
-    assert product_combo(w1, w2) == zeta_map(tshuffle_words(w1, w2))
