@@ -207,28 +207,48 @@ _TERM_RE = re.compile(
 )
 
 
+def signed_pieces(s: str):
+    """Split a printed sum on its top-level + and - signs, respecting
+    parentheses: yields (sign, text) per term, sign 1 or -1."""
+    depth = 0
+    start = 0
+    sign = 1
+    first = True
+    for i, ch in enumerate(s):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch in "+-" and depth == 0 and not first:
+            yield sign, s[start:i]
+            sign = 1 if ch == "+" else -1
+            start = i + 1
+        if not ch.isspace():
+            if first and ch in "+-" and depth == 0:
+                sign = 1 if ch == "+" else -1
+                start = i + 1
+            first = False
+    yield sign, s[start:]
+
+
 def parse_qtpoly(text: str) -> QtPoly:
-    """Parse strings like "2 - 3*t + t^2", "-t", "1/2", "0"."""
-    s = text.strip()
-    if s.startswith("(") and s.endswith(")"):
-        s = s[1:-1].strip()
-    if not s:
+    """Parse strings like "2 - 3*t + t^2", "-t", "1/2", "0", "-(1+t)": a
+    signed sum of terms, each a monomial or a parenthesised sum."""
+    if not text.strip():
         raise ValueError("empty polynomial")
-    # normalize to explicit leading sign, then split into signed terms
-    if s[0] not in "+-":
-        s = "+" + s
-    chunks = re.findall(r"[+-][^+-]+", s.replace(" ", ""))
-    if "".join(chunks) != s.replace(" ", ""):
-        raise ValueError("cannot parse polynomial %r" % text)
     out = {}
-    for chunk in chunks:
-        sign = -1 if chunk[0] == "-" else 1
-        m = _TERM_RE.match(chunk[1:])
-        if not m or (m.group("num") is None and m.group("t") is None):
-            raise ValueError("cannot parse polynomial term %r" % chunk)
-        c = Fraction(m.group("num")) if m.group("num") else Fraction(1)
-        deg = 0
-        if m.group("t"):
-            deg = int(m.group("pow")) if m.group("pow") else 1
-        out[deg] = out.get(deg, 0) + sign * c
+    for sign, piece in signed_pieces(text):
+        piece = piece.replace(" ", "")
+        if piece.startswith("(") and piece.endswith(")"):
+            terms = parse_qtpoly(piece[1:-1]).coeffs.items()
+        else:
+            m = _TERM_RE.match(piece)
+            if not m or (m.group("num") is None and m.group("t") is None):
+                raise ValueError("cannot parse polynomial term %r" % piece)
+            deg = 0
+            if m.group("t"):
+                deg = int(m.group("pow")) if m.group("pow") else 1
+            terms = [(deg, Fraction(m.group("num") or 1))]
+        for deg, c in terms:
+            out[deg] = out.get(deg, 0) + sign * c
     return QtPoly(out)

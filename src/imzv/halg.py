@@ -6,7 +6,7 @@ matches ascending index order on the zeta side.
 
 Both the word and the zeta side sum key -> QtPoly tables with accumulate,
 evaluate them at a value of t with specialize, and split printed sums
-with signed_pieces.
+with coeffs.signed_pieces.
 
 Word products lie in Z[t] with t-degree at most one, so the product
 engines sum into a pair table, str word -> (c0, c1) meaning c0 + c1*t,
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 
-from .coeffs import QtPoly, make_qtpoly, parse_qtpoly
+from .coeffs import QtPoly, make_qtpoly, parse_qtpoly, signed_pieces
 from .words import EMPTY_WORD, Word, _make_word, parse_word
 
 
@@ -51,30 +51,6 @@ def specialize(terms: dict, t0) -> dict:
         if v:
             out[key] = QtPoly.const(v)
     return out
-
-
-def signed_pieces(s: str):
-    """Split a printed sum on its top-level + and - signs, respecting
-    parentheses: yields (sign, text) per term, sign 1 or -1."""
-    depth = 0
-    start = 0
-    sign = 1
-    first = True
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch in "+-" and depth == 0 and not first:
-            yield sign, s[start:i]
-            sign = 1 if ch == "+" else -1
-            start = i + 1
-        if not ch.isspace():
-            if first and ch in "+-" and depth == 0:
-                sign = 1 if ch == "+" else -1
-                start = i + 1
-            first = False
-    yield sign, s[start:]
 
 
 def add_pair(table: dict, w: str, c0: int, c1: int):
@@ -223,7 +199,13 @@ class HElement:
         return self.terms.get(Word(w), QtPoly.zero())
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=_reversed_word_order, reverse=True)
+        """Terms in canonical order: length first, then y before x.  Within
+        one length y before x is reverse alphabetical order, so one reverse
+        sort on (-length, letters) gives it, compared in C; distinct words
+        never tie, so the comparison never reaches the word or coefficient."""
+        rows = [(-len(s := w.letters), s, w, c) for w, c in self.terms.items()]
+        rows.sort(reverse=True)
+        return [(w, c) for _, _, w, c in rows]
 
     def substitute_t(self, t0) -> "HElement":
         """Evaluate every coefficient at a rational t value."""
@@ -238,20 +220,6 @@ class HElement:
 
     def __repr__(self):
         return "HElement(%s)" % str(self)
-
-    def to_json_obj(self):
-        return [
-            {"word": str(w), "coeff": c} for w, c in render_terms(self.sorted_terms(), str)
-        ]
-
-
-def _reversed_word_order(item):
-    # canonical order is length first, then y before x; within one length
-    # y before x is reverse alphabetical order, so sorting on this key in
-    # reverse gives it without translating every word
-    s = item[0].letters
-    return -len(s), s
-
 
 def _coeff_prefix(c: QtPoly) -> str:
     """What a printed term puts before its word: nothing for 1, "n*" for
@@ -291,5 +259,15 @@ def helement_from_json(obj) -> HElement:
     return make_helement(out)
 
 
+def json_str(c) -> str:
+    """str(c) as a JSON string."""
+    return json.dumps(str(c))
+
+
 def helement_to_json(v: HElement) -> str:
-    return json.dumps(v.to_json_obj())
+    """The JSON list of {"word", "coeff"} rows in canonical order, written
+    directly: a word is x's and y's, or 1, so it needs no escaping."""
+    return "[%s]" % ", ".join([
+        '{"word": "%s", "coeff": %s}' % (w.letters or "1", q)
+        for w, q in render_terms(v.sorted_terms(), json_str)
+    ])

@@ -139,10 +139,13 @@ class Index:
         return "Index(%r)" % (self.parts,)
 
 
+_set_parts = Index.parts.__set__
+
+
 def _make_index(parts: tuple) -> Index:
     """Wrap a nonempty tuple of positive ints without re-checking it."""
     idx = object.__new__(Index)
-    object.__setattr__(idx, "parts", parts)
+    _set_parts(idx, parts)
     return idx
 
 
@@ -192,14 +195,15 @@ def parse_word(text: str) -> Word:
 
 
 def parse_index(text: str) -> Index:
-    """Read "(2,1)" or "2,1": integers between commas, none of them empty."""
+    """Read "(2,1)" or "2, 1": runs of ASCII digits between commas, each
+    nonempty once stripped of surrounding spaces."""
     s = text.strip()
     if s.startswith("(") and s.endswith(")"):
         s = s[1:-1]
-    try:
-        parts = [int(p) for p in s.split(",")]
-    except ValueError:
-        raise ValueError("cannot parse index %r" % text) from None
+    parts = [p.strip() for p in s.split(",")]
+    for p in parts:
+        if not (p.isascii() and p.isdigit()):
+            raise ValueError("cannot parse index %r" % text)
     return Index(parts)
 
 

@@ -21,8 +21,8 @@ from __future__ import annotations
 import json
 import re
 
-from .coeffs import QtPoly, binom, parse_qtpoly
-from .halg import HElement, accumulate, render_terms, signed_pieces, specialize
+from .coeffs import QtPoly, binom, parse_qtpoly, signed_pieces
+from .halg import HElement, accumulate, json_str, render_terms, specialize
 from .tshuffle import compositions
 from .words import Index, _make_index, index_from_word, parse_index
 from . import closedforms
@@ -129,8 +129,12 @@ class ZetaCombo:
         return self.terms.get(idx, QtPoly.zero())
 
     def sorted_terms(self):
-        """Terms in canonical order: weight first, then parts lexicographically."""
-        return sorted(self.terms.items(), key=_index_order)
+        """Terms in canonical order: weight first, then parts lexicographically.
+        One sort on (weight, parts), compared in C; distinct indices never
+        tie, so the comparison never reaches the index or coefficient."""
+        rows = [(sum(p := i.parts), p, i, c) for i, c in self.terms.items()]
+        rows.sort()
+        return [(i, c) for _, _, i, c in rows]
 
     def substitute_t(self, t0) -> "ZetaCombo":
         """Evaluate all coefficients at a rational t0; interpolated becomes plain."""
@@ -146,24 +150,6 @@ class ZetaCombo:
 
     def __repr__(self):
         return "ZetaCombo(%s: %s)" % (self.kind, self)
-
-    def to_json_obj(self):
-        return {
-            "kind": self.kind,
-            "scalar": str(self.scalar),
-            "terms": [
-                {"index": list(idx.parts), "coeff": c}
-                for idx, c in render_terms(self.sorted_terms(), str)
-            ],
-        }
-
-
-def _index_order(item):
-    # (weight, parts) flattened into one tuple: the same order, compared
-    # without a nested tuple
-    parts = item[0].parts
-    return (sum(parts),) + parts
-
 
 def _scalar_str(c: QtPoly) -> str:
     mono = c.as_monomial()
@@ -223,8 +209,10 @@ def expand_interpolation(zc: ZetaCombo) -> ZetaCombo:
 
     Each symbol of depth n expands over the 2^(n-1) ways of either keeping
     or adding together adjacent parts, with a factor t per addition:
-    z^t(2,1) = z(2,1) + t*z(3).  One walk from the last part to the first
-    builds each merged index once.  Refuses a combo with more than
+    z^t(2,1) = z(2,1) + t*z(3).  One depth-first walk from the first part
+    to the last builds each merged index once; it closes the open sum
+    before fusing the next part into it, so the indices of one symbol
+    arrive in canonical order.  Refuses a combo with more than
     MAX_PATTERNS patterns in all before building any.
     """
     if zc.kind != INTERPOLATED:
@@ -238,19 +226,20 @@ def expand_interpolation(zc: ZetaCombo) -> ZetaCombo:
     out = {}
     for idx, c in zc.terms.items():
         parts = idx.parts
-        scaled = [c] + [c * QtPoly.t(k) for k in range(1, len(parts))]
+        last = len(parts)
+        scaled = [c] + [c * QtPoly.t(k) for k in range(1, last)]
 
-        def walk(j, run, tail, fused):
-            # parts[j:] are placed: run is the open leftmost sum, tail the
-            # closed sums after it; parts[j-1] is kept apart or fused.
-            # Sums of positive parts are positive, so no leaf is re-checked
-            if not j:
-                accumulate(out, _make_index((run,) + tail), scaled[fused])
+        def walk(j, head, run, fused):
+            # parts[:j] are placed: head holds the closed sums, run the open
+            # rightmost one; parts[j] is kept apart or fused.  Sums of
+            # positive parts are positive, so no leaf is re-checked
+            if j == last:
+                accumulate(out, _make_index(head + (run,)), scaled[fused])
                 return
-            walk(j - 1, parts[j - 1], (run,) + tail, fused)
-            walk(j - 1, parts[j - 1] + run, tail, fused + 1)
+            walk(j + 1, head + (run,), parts[j], fused)
+            walk(j + 1, head, run + parts[j], fused + 1)
 
-        walk(len(parts) - 1, parts[-1], (), 0)
+        walk(1, (), parts[0], 0)
     return _make_combo(PLAIN, out, zc.scalar)
 
 
@@ -326,7 +315,16 @@ def zeta_combo_from_json(obj) -> ZetaCombo:
 
 
 def zeta_combo_to_json(zc: ZetaCombo) -> str:
-    return json.dumps(zc.to_json_obj())
+    """The JSON object of kind, scalar and {"index", "coeff"} rows in
+    canonical order, written directly: an index prints as its int list."""
+    return '{"kind": %s, "scalar": %s, "terms": [%s]}' % (
+        json.dumps(zc.kind),
+        json_str(zc.scalar),
+        ", ".join([
+            '{"index": %r, "coeff": %s}' % (list(idx.parts), q)
+            for idx, q in render_terms(zc.sorted_terms(), json_str)
+        ]),
+    )
 
 
 def interpolated_symbol(parts) -> ZetaCombo:

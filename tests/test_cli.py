@@ -5,12 +5,17 @@ code: 0 for success, 1 for a failed identity or tolerance, 2 for usage
 and parse errors.
 """
 
+import itertools
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from imzv import cli, mzvnum
+from imzv import admissible_indices, cli, mzvnum
 from imzv.cli import main
 from imzv.verify import SUITES, run_yy_products
 
@@ -259,6 +264,44 @@ def test_an_index_with_an_empty_part_is_a_usage_error(capsys, argv):
     assert code == 2
     assert not out
     assert "cannot parse index" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("index", "(1_0)"), ("dual", "(+2)"), ("eval", "z(2, -1)"), ("expand", "(2,1_0)"),
+])
+def test_an_index_part_other_than_ascii_digits_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert not out
+    assert "cannot parse index" in err
+
+
+def test_product_and_expand_json_replies_are_what_json_dumps_writes(capsys):
+    words = ["1"] + ["".join(w) for n in (1, 2, 3) for w in itertools.product("xy", repeat=n)]
+    requests = [("product", u, v) for u in words for v in words]
+    requests += [("expand", str(idx)) for idx in admissible_indices(7)]
+    for argv in requests:
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0, argv
+        assert out == json.dumps(json.loads(out)) + "\n", argv
+
+
+def test_python_dash_m_runs_the_cli_from_a_checkout():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def imzv(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "imzv", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    done = imzv("product", "xy", "xy")
+    assert done.returncode == 0
+    assert done.stdout == "2*xyxy + 4*xxyy + (-6*t)*xxxy\n"
+    bad = imzv("product", "xz", "xy")
+    assert bad.returncode == 2
+    assert bad.stdout == ""
+    assert bad.stderr.startswith("error:")
 
 
 def test_index_json_for_non_admissible_word(capsys):

@@ -8,6 +8,7 @@ and their zeta images never carry a Fraction.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from imzv import (
@@ -16,6 +17,7 @@ from imzv import (
     Word,
     binom,
     parse_qtpoly,
+    parse_zeta_combo,
     pattern_product,
     tshuffle,
     tshuffle_words,
@@ -96,6 +98,21 @@ def test_parse_accepts_parens_and_fractions():
     assert parse_qtpoly("(1 - 2*t)") == QtPoly({0: 1, 1: -2})
     assert parse_qtpoly("3/2*t^2") == QtPoly({2: Fraction(3, 2)})
     assert parse_qtpoly("-t") == QtPoly({1: -1})
+
+
+def test_parse_reads_signed_parenthesised_terms_as_the_combo_parser_does():
+    assert parse_qtpoly("2*t - (1)") == QtPoly({0: -1, 1: 2})
+    assert parse_qtpoly("-(1+t)") == QtPoly({0: -1, 1: -1})
+    assert parse_qtpoly("(1) + (2 - t) - ((t))") == QtPoly({0: 3, 1: -2})
+    assert parse_zeta_combo("-(1+t)*z(2)").coeff((2,)) == parse_qtpoly("-(1+t)")
+    for text in ("", " ", "()", "1 +", "--1", "2*(1+t)", "(1+t", "1+t)", "(1)(2)"):
+        with pytest.raises(ValueError):
+            parse_qtpoly(text)
+
+
+@given(a=polys)
+def test_negated_parenthesised_form_parses_to_the_negative(a):
+    assert parse_qtpoly("-(%s)" % a) == -a
 
 
 def test_monomial_introspection():

@@ -11,16 +11,19 @@ from fractions import Fraction
 
 from imzv import (
     EMPTY_WORD,
+    HElement,
     QtPoly,
+    Word,
     admissible_indices,
     admissible_words,
     expand_interpolation,
     helement_to_json,
+    star_view,
     tshuffle_words,
     zeta_combo_to_json,
     zeta_map,
 )
-from imzv.zeta import _SYMBOL, INTERPOLATED, ZetaCombo
+from imzv.zeta import _SYMBOL, INTERPOLATED, PLAIN, ZetaCombo
 
 
 def _loop_str(c):
@@ -177,3 +180,43 @@ def test_expanded_sums_of_symbols_print_byte_identically():
     assert len({idx.weight for idx in got.terms}) == 6
     assert str(got) == _combo_text(got)
     assert zeta_combo_to_json(got) == _combo_json(got)
+
+
+# Fraction and high-degree t coefficients, on words and on indices
+ODD = [
+    QtPoly({0: Fraction(-1, 3), 7: 2}),
+    QtPoly({12: -1}),
+    QtPoly({0: Fraction(5, 2), 1: Fraction(-7, 4), 9: Fraction(1, 6)}),
+]
+
+
+def test_edge_case_elements_print_byte_identically():
+    unit = tshuffle_words(EMPTY_WORD, EMPTY_WORD)
+    elements = [
+        HElement.zero(),
+        unit,
+        tshuffle_words(EMPTY_WORD, Word("xy")),
+        tshuffle_words(Word("xyy"), EMPTY_WORD),
+        HElement({"": ODD[0], "xy": ODD[1], "yxx": ODD[2], "y": Fraction(3, 2)}),
+    ]
+    assert helement_to_json(elements[0]) == "[]"
+    assert helement_to_json(unit) == '[{"word": "1", "coeff": "1"}]'
+    for v in elements:
+        assert str(v) == _element_text(v), v
+        assert helement_to_json(v) == _element_json(v), v
+
+
+def test_edge_case_combos_print_byte_identically():
+    combos = [
+        ZetaCombo.zero(),
+        ZetaCombo(INTERPOLATED),
+        ZetaCombo(PLAIN, {}, Fraction(-3, 2)),
+        ZetaCombo(INTERPOLATED, {}, QtPoly({0: 1, 1: -1})),
+        zeta_map(tshuffle_words(EMPTY_WORD, EMPTY_WORD)),
+        star_view(zeta_map(tshuffle_words(Word("xy"), Word("xxy")))),
+        ZetaCombo(PLAIN, {(2, 1): ODD[0], (3,): ODD[1], (2, 1, 1, 2): ODD[2]}, ODD[2]),
+    ]
+    assert zeta_combo_to_json(combos[0]) == '{"kind": "plain", "scalar": "0", "terms": []}'
+    for zc in combos:
+        assert str(zc) == _combo_text(zc), zc
+        assert zeta_combo_to_json(zc) == _combo_json(zc), zc

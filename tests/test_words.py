@@ -104,6 +104,15 @@ def test_parse_index_rejects_garbage():
             parse_index(text)
 
 
+def test_parse_index_reads_ascii_digits_only():
+    assert parse_index("(2, 1)") == Index((2, 1))
+    assert parse_index(" 3 ,2 ") == Index((3, 2))
+    # int() takes all of these; the index grammar takes none
+    for text in ("(1_0)", "(+2)", "(2,-1)", "(2, 1.0)", "(\u0663)", "(2, 0x1)", "(2, 1 1)"):
+        with pytest.raises(ValueError, match="cannot parse index"):
+            parse_index(text)
+
+
 def test_admissibility_on_words():
     assert is_admissible(Word("xy"))
     assert is_admissible(EMPTY_WORD)
