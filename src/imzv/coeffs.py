@@ -198,10 +198,11 @@ def _term_str(c: Fraction, deg: int) -> str:
     return "%s*%s" % (c, tpart)
 
 
+# Spaces may separate the tokens of a term but never split a number.
 _TERM_RE = re.compile(
     r"""^\s*
-        (?:(?P<num>\d+(?:/\d+)?)\s*\*?\s*)?     # optional rational factor
-        (?:(?P<t>t)(?:\^(?P<pow>\d+))?)?        # optional t power
+        (?:(?P<num>\d+)(?:\s*/\s*(?P<den>\d+))?\s*\*?\s*)?   # optional rational factor
+        (?:(?P<t>t)(?:\s*\^\s*(?P<pow>\d+))?)?                # optional t power
         \s*$""",
     re.VERBOSE,
 )
@@ -238,7 +239,7 @@ def parse_qtpoly(text: str) -> QtPoly:
         raise ValueError("empty polynomial")
     out = {}
     for sign, piece in signed_pieces(text):
-        piece = piece.replace(" ", "")
+        piece = piece.strip()
         if piece.startswith("(") and piece.endswith(")"):
             terms = parse_qtpoly(piece[1:-1]).coeffs.items()
         else:
@@ -248,7 +249,8 @@ def parse_qtpoly(text: str) -> QtPoly:
             deg = 0
             if m.group("t"):
                 deg = int(m.group("pow")) if m.group("pow") else 1
-            terms = [(deg, Fraction(m.group("num") or 1))]
+            num, den = m.group("num", "den")
+            terms = [(deg, Fraction(int(num or 1), int(den or 1)))]
         for deg, c in terms:
             out[deg] = out.get(deg, 0) + sign * c
     return QtPoly(out)

@@ -30,13 +30,13 @@ compares with the split of w at 1/3.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from operator import mul
 
 from .words import Index, word_from_index
-from . import zeta as zeta_mod
 
 TARGET_FLOOR = 1e-9
 SERIES_TERMS = 64
@@ -46,6 +46,7 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 _REVSWAP = str.maketrans("xy", "yx")
 
 
+@dataclass(slots=True)
 class EvalResult:
     """Outcome of a numeric evaluation.
 
@@ -58,21 +59,10 @@ class EvalResult:
     tol_ok        whether error_estimate met the requested target
     """
 
-    __slots__ = ("value", "error_estimate", "cutoff_used", "tol_ok")
-
-    def __init__(self, value, error_estimate, cutoff_used, tol_ok):
-        self.value = float(value)
-        self.error_estimate = float(error_estimate)
-        self.cutoff_used = int(cutoff_used)
-        self.tol_ok = bool(tol_ok)
-
-    def __repr__(self):
-        return "EvalResult(value=%.12g, error_estimate=%.3g, cutoff_used=%d, tol_ok=%s)" % (
-            self.value,
-            self.error_estimate,
-            self.cutoff_used,
-            self.tol_ok,
-        )
+    value: float
+    error_estimate: float
+    cutoff_used: int
+    tol_ok: bool
 
 
 def _admissible(index) -> Index:
@@ -186,10 +176,7 @@ def eval_combo(zc, t_value=0, target_abs_err=1e-6, cache=None) -> EvalResult:
     is refused with ValueError before any series is summed, and so is a
     value that overflows.
     """
-    if zc.kind == zeta_mod.INTERPOLATED:
-        zc = zeta_mod.expand_interpolation(zc)
-    elif zc.kind == zeta_mod.STAR:
-        zc = zeta_mod.star_expand(zc)
+    zc = zc.to_plain()
     t0 = Fraction(t_value)
     target = max(float(target_abs_err), TARGET_FLOOR)
     if cache is None:

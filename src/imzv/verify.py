@@ -14,7 +14,7 @@ import functools
 import inspect
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Callable
@@ -51,14 +51,6 @@ class Failure:
     rhs: str
     diff: str
 
-    def to_json_obj(self):
-        return {
-            "parameters": self.parameters,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "diff": self.diff,
-        }
-
 
 @dataclass
 class VerifyReport:
@@ -81,14 +73,7 @@ class VerifyReport:
         return self.cases_total > 0 and self.cases_passed == self.cases_total
 
     def to_json_obj(self):
-        return {
-            "schema": 1,
-            "suite": self.suite,
-            "cases_total": self.cases_total,
-            "cases_passed": self.cases_passed,
-            "failures": [f.to_json_obj() for f in self.failures],
-            "wall_time_s": self.wall_time_s,
-        }
+        return {"schema": 1, **asdict(self)}
 
 
 def _exact(lhs, rhs, keywords):

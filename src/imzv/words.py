@@ -14,10 +14,6 @@ import itertools
 X = "x"
 Y = "y"
 
-# canonical term order: length first, then letters with y before x
-_LETTER_ORDER = str.maketrans("yx", "ab")
-
-
 class Word:
     """An immutable word over {x, y}; the empty word is the unit and prints as 1.
 
@@ -56,12 +52,6 @@ class Word:
             return _make_word(self.letters + other.letters)
         return NotImplemented
 
-    def sort_key(self):
-        return (len(self.letters), self.letters.translate(_LETTER_ORDER))
-
-    def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
-
     def count(self, letter: str) -> int:
         return self.letters.count(letter)
 
@@ -95,7 +85,9 @@ class Index:
     __slots__ = ("parts",)
 
     def __init__(self, parts):
-        parts = tuple(map(int, parts))
+        parts = tuple(parts)
+        if not all(type(p) is int for p in parts):
+            raise ValueError("index parts must be ints, got %r" % (parts,))
         if not parts:
             raise ValueError("index needs at least one part")
         if min(parts) < 1:
@@ -128,9 +120,6 @@ class Index:
 
     def __hash__(self):
         return hash(self.parts)
-
-    def __lt__(self, other):
-        return self.parts < other.parts
 
     def __str__(self):
         return "(%s)" % ",".join(map(str, self.parts))
@@ -204,7 +193,7 @@ def parse_index(text: str) -> Index:
     for p in parts:
         if not (p.isascii() and p.isdigit()):
             raise ValueError("cannot parse index %r" % text)
-    return Index(parts)
+    return Index([int(p) for p in parts])
 
 
 def words_of_length(n: int):

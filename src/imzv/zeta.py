@@ -8,6 +8,11 @@ scalar part.  Its ``kind`` records which family the symbols denote:
 * ``"plain"``        -- ordinary values with strict summation,
 * ``"star"``         -- star values with non-strict summation.
 
+A kind's symbol is the sum of plain ones over every way of adding
+together adjacent parts, a weight s per addition (Yamamoto, J. Algebra
+385, 2013): s = t, 0 and 1 for the three kinds.  ZetaCombo.to_plain
+applies that rewrite, S_s; S_s after S_r is S_(s+r).
+
 Combos of different kinds never mix: adding a plain combo to a star
 combo raises instead of producing a meaningless hybrid.  The map from
 admissible words sends z_{l1}...z_{ln} to the symbol for (l1,...,ln)
@@ -34,10 +39,9 @@ STAR = "star"
 _KINDS = (INTERPOLATED, PLAIN, STAR)
 _SYMBOL = {INTERPOLATED: "z", PLAIN: "z", STAR: "zs"}
 
-# Largest number of merge patterns expand_interpolation (and star_expand)
-# builds for one combo, summed over its symbols.  2^17 is one symbol of
-# depth 18, about 1.6 s of expansion on a 2-core Xeon VM under Python 3.11;
-# each further part doubles the cost.
+# Largest number of merge patterns _fuse builds for one combo, summed over
+# its symbols.  2^17 is one symbol of depth 18, about 1.6 s of expansion on
+# a 2-core Xeon VM under Python 3.11; each further part doubles the cost.
 MAX_PATTERNS = 1 << 17
 
 
@@ -136,10 +140,17 @@ class ZetaCombo:
         rows.sort()
         return [(i, c) for _, _, i, c in rows]
 
+    def to_plain(self) -> "ZetaCombo":
+        """The same combo in plain symbols, its coefficients and scalar
+        untouched: S_s of its terms for its kind's fusion weight s."""
+        return _make_combo(PLAIN, _fuse(self.terms, _FUSION[self.kind]), self.scalar)
+
     def substitute_t(self, t0) -> "ZetaCombo":
-        """Evaluate all coefficients at a rational t0; interpolated becomes plain."""
-        kind = PLAIN if self.kind == INTERPOLATED else self.kind
-        return _make_combo(kind, specialize(self.terms, t0), QtPoly.const(self.scalar.eval_at(t0)))
+        """The plain combo with this combo's value at a rational t0: its
+        symbols written in plain ones, then every coefficient evaluated
+        at t0."""
+        terms = specialize(self.to_plain().terms, t0)
+        return _make_combo(PLAIN, terms, QtPoly.const(self.scalar.eval_at(t0)))
 
     def __str__(self):
         sym = _SYMBOL[self.kind]
@@ -204,30 +215,37 @@ def zeta_map(v: HElement, kind=INTERPOLATED) -> ZetaCombo:
     return _make_combo(kind, terms, scalar)
 
 
-def expand_interpolation(zc: ZetaCombo) -> ZetaCombo:
-    """Rewrite interpolated symbols as plain ones.
+# The fusion weight of each kind, the one place a kind's meaning is stated.
+_FUSION = {INTERPOLATED: QtPoly.t(), PLAIN: QtPoly.zero(), STAR: QtPoly.one()}
 
-    Each symbol of depth n expands over the 2^(n-1) ways of either keeping
-    or adding together adjacent parts, with a factor t per addition:
-    z^t(2,1) = z(2,1) + t*z(3).  One depth-first walk from the first part
-    to the last builds each merged index once; it closes the open sum
-    before fusing the next part into it, so the indices of one symbol
-    arrive in canonical order.  Refuses a combo with more than
-    MAX_PATTERNS patterns in all before building any.
+
+def _fuse(terms: dict, s: QtPoly) -> dict:
+    """S_s: rewrite an Index -> QtPoly table over the 2^(n-1) ways of
+    either keeping or adding together adjacent parts of each index of
+    depth n, with a factor s per addition.  S_0 is the identity and
+    returns the table itself.
+
+    One depth-first walk from the first part to the last builds each
+    merged index once; it closes the open sum before fusing the next part
+    into it, so the indices of one symbol arrive in canonical order.
+    Refuses a table with more than MAX_PATTERNS patterns in all before
+    building any.
     """
-    if zc.kind != INTERPOLATED:
-        raise ValueError("can only expand an interpolated combo, got %s" % zc.kind)
-    patterns = sum(1 << (len(idx.parts) - 1) for idx in zc.terms)
+    if not s:
+        return terms
+    patterns = sum(1 << (len(idx.parts) - 1) for idx in terms)
     if patterns > MAX_PATTERNS:
         raise ValueError(
             "expansion needs %d merge patterns, more than the limit of %d"
             % (patterns, MAX_PATTERNS)
         )
     out = {}
-    for idx, c in zc.terms.items():
+    for idx, c in terms.items():
         parts = idx.parts
         last = len(parts)
-        scaled = [c] + [c * QtPoly.t(k) for k in range(1, last)]
+        scaled = [c]
+        for _ in range(1, last):
+            scaled.append(scaled[-1] * s)
 
         def walk(j, head, run, fused):
             # parts[:j] are placed: head holds the closed sums, run the open
@@ -240,7 +258,15 @@ def expand_interpolation(zc: ZetaCombo) -> ZetaCombo:
             walk(j + 1, head, run + parts[j], fused + 1)
 
         walk(1, (), parts[0], 0)
-    return _make_combo(PLAIN, out, zc.scalar)
+    return out
+
+
+def expand_interpolation(zc: ZetaCombo) -> ZetaCombo:
+    """Rewrite interpolated symbols as plain ones, a factor t per addition
+    of adjacent parts: z^t(2,1) = z(2,1) + t*z(3)."""
+    if zc.kind != INTERPOLATED:
+        raise ValueError("can only expand an interpolated combo, got %s" % zc.kind)
+    return zc.to_plain()
 
 
 def star_view(zc: ZetaCombo) -> ZetaCombo:
@@ -255,11 +281,11 @@ def star_view(zc: ZetaCombo) -> ZetaCombo:
 
 
 def star_expand(zc: ZetaCombo) -> ZetaCombo:
-    """Rewrite star symbols as plain ones (every merge pattern, weight 1)."""
+    """Rewrite star symbols as plain ones (every merge pattern, weight 1),
+    keeping the coefficients as they are."""
     if zc.kind != STAR:
         raise ValueError("can only star-expand a star combo, got %s" % zc.kind)
-    as_interp = _make_combo(INTERPOLATED, zc.terms, zc.scalar)
-    return expand_interpolation(as_interp).substitute_t(1)
+    return zc.to_plain()
 
 
 _COMBO_TERM_RE = re.compile(

@@ -165,6 +165,20 @@ def test_eval_coefficients_at_t_one(capsys):
     assert out.startswith("1.05787996")
 
 
+def test_eval_keeps_the_t_of_star_coefficients(capsys):
+    code, out, _ = run(capsys, "eval", "t*zs(2)", "--t", "0")
+    assert code == 0
+    assert out == "0.00000000 ± 1.000e-09\n"
+
+
+@pytest.mark.parametrize("combo", ["1 2*z(2)", "1 2*t*z(2)", "12 t^1 0*z(2)", "1 2"])
+def test_eval_refuses_a_number_split_by_a_space(capsys, combo):
+    code, out, err = run(capsys, "eval", combo)
+    assert code == 2
+    assert not out
+    assert "cannot parse polynomial term" in err
+
+
 def test_eval_json_format(capsys):
     code, out, _ = run(capsys, "eval", "z(3)", "--format", "json")
     assert code == 0

@@ -110,6 +110,19 @@ def test_parse_reads_signed_parenthesised_terms_as_the_combo_parser_does():
             parse_qtpoly(text)
 
 
+def test_spaces_separate_the_tokens_of_a_term_but_never_split_a_number():
+    assert parse_qtpoly("1 / 2") == QtPoly.const(Fraction(1, 2))
+    assert parse_qtpoly("t ^ 2") == QtPoly.t(2)
+    assert parse_qtpoly("2 * t") == parse_qtpoly("2 t") == QtPoly({1: 2})
+    assert parse_qtpoly(" 3/4 ") == QtPoly.const(Fraction(3, 4))
+    assert parse_qtpoly("-( 1 + t )") == QtPoly({0: -1, 1: -1})
+    for text in ("1 2", "1 2*t", "12 t^1 0", "t 2", "1 2/3"):
+        with pytest.raises(ValueError, match="cannot parse polynomial term"):
+            parse_qtpoly(text)
+    with pytest.raises(ValueError, match="cannot parse polynomial term"):
+        parse_zeta_combo("1 2*z(2)")
+
+
 @given(a=polys)
 def test_negated_parenthesised_form_parses_to_the_negative(a):
     assert parse_qtpoly("-(%s)" % a) == -a

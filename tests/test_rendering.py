@@ -2,7 +2,8 @@
 
 HElement and ZetaCombo render each distinct coefficient object once.  The
 references below are plain renderers that print every term on its own:
-the sorted QtPoly loop, str(c) per term and a sort on Word.sort_key.
+the sorted QtPoly loop, str(c) per term and a sort on (length, letters
+with y before x).
 Every output must match them byte for byte, text and JSON.
 """
 
@@ -50,8 +51,12 @@ def _mag_str(k, deg):
     return "%s*%s" % (k, tpart)
 
 
+_Y_BEFORE_X = str.maketrans("yx", "ab")
+
+
 def _word_terms(v):
-    return sorted(v.terms.items(), key=lambda item: item[0].sort_key())
+    return sorted(v.terms.items(),
+                  key=lambda item: (len(item[0]), item[0].letters.translate(_Y_BEFORE_X)))
 
 
 def _element_text(v):

@@ -6,6 +6,7 @@ refuses a keyword below the suite's least value before any case runs.
 """
 
 import inspect
+import json
 
 import pytest
 
@@ -49,6 +50,16 @@ def test_a_wrong_closed_form_is_the_one_failure_reported(monkeypatch):
     assert failure.lhs == str(lhs)
     assert failure.rhs == str(rhs)
     assert failure.diff == str(lhs - rhs) == "y"
+
+
+def test_report_json_puts_the_schema_first_and_each_field_in_order():
+    report = verify.VerifyReport("yy")
+    report.record({"m": 2, "n": 3}, False, "y", "0", "y")
+    report.record({"m": 3, "n": 3}, True)
+    assert json.dumps(report.to_json_obj()) == (
+        '{"schema": 1, "suite": "yy", "cases_total": 2, "cases_passed": 1, '
+        '"failures": [{"parameters": {"m": 2, "n": 3}, "lhs": "y", "rhs": "0", '
+        '"diff": "y"}], "wall_time_s": 0.0}')
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,8 @@ z_k = x^(k-1) y, so every index word ends in y and admissibility of the
 index (first part at least 2) matches the word starting with x.
 """
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,12 +18,14 @@ from imzv import (
     admissible_words,
     all_words,
     dual,
+    eval_mzv,
     index_from_word,
     is_admissible,
     parse_index,
     parse_word,
     word_from_index,
     words_of_length,
+    zeta_combo_from_json,
 )
 
 words = st.text(alphabet="xy", max_size=8).map(Word)
@@ -61,6 +65,20 @@ def test_index_validation():
         Index(())
     with pytest.raises(ValueError):
         Index((2, 0))
+
+
+@pytest.mark.parametrize("parts", [[2.5, 1], "21", (2.0,), (True, 2), (Fraction(2),)])
+def test_index_parts_must_be_ints(parts):
+    with pytest.raises(ValueError, match="must be ints"):
+        Index(parts)
+
+
+def test_a_non_integer_part_is_refused_where_an_index_is_read():
+    with pytest.raises(ValueError, match="must be ints"):
+        eval_mzv((2.9,))
+    with pytest.raises(ValueError, match="must be ints"):
+        zeta_combo_from_json({"kind": "plain", "scalar": "0",
+                              "terms": [{"index": [2.5], "coeff": "1"}]})
 
 
 def test_index_statistics():

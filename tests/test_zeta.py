@@ -24,6 +24,7 @@ from imzv import (
     ZetaCombo,
     admissible_indices,
     alternating_zeta_identity,
+    eval_combo,
     euler_decomposition,
     expand_interpolation,
     index_from_word,
@@ -40,7 +41,7 @@ from imzv import (
 )
 from imzv.coeffs import binom
 from imzv.halg import accumulate
-from imzv.zeta import MAX_PATTERNS
+from imzv.zeta import MAX_PATTERNS, _fuse
 
 admissible = st.lists(
     st.integers(min_value=1, max_value=4), min_size=1, max_size=4
@@ -58,6 +59,9 @@ plain_combos = st.dictionaries(admissible, coeffs, max_size=3).map(
 )
 interp_combos = st.dictionaries(admissible, coeffs, max_size=3).map(
     lambda terms: ZetaCombo(INTERPOLATED, terms)
+)
+star_combos = st.dictionaries(admissible, coeffs, max_size=3).map(
+    lambda terms: ZetaCombo(STAR, terms)
 )
 
 
@@ -203,6 +207,58 @@ def test_expansion_over_the_pattern_limit_builds_no_index(monkeypatch):
     monkeypatch.setattr("imzv.zeta._make_index", refuse)
     with pytest.raises(ValueError, match="more than the limit of %d" % MAX_PATTERNS):
         expand_interpolation(zc)
+
+
+# t, -t, 1, 1/2 and 0: the interpolated, inverse, star, midway and plain weights
+FUSION_WEIGHTS = [QtPoly.t(), -QtPoly.t(), QtPoly.one(), QtPoly.const(Fraction(1, 2)),
+                  QtPoly.zero()]
+light_tables = st.dictionaries(
+    st.sampled_from(list(admissible_indices(8))), coeffs, max_size=4
+).map(lambda terms: ZetaCombo(PLAIN, terms).terms)
+
+
+@given(terms=light_tables)
+def test_fusions_compose_by_adding_their_weights(terms):
+    # S_r after S_s is S_(s+r); s = t, r = -t says that S_(-t) undoes S_t
+    for s in FUSION_WEIGHTS:
+        for r in FUSION_WEIGHTS:
+            assert _fuse(_fuse(terms, s), r) == _fuse(terms, s + r), (s, r)
+    assert _fuse(terms, QtPoly.zero()) is terms
+
+
+def test_substitute_t_over_the_pattern_limit_is_refused():
+    parts = (2,) + (1,) * 18  # 2^18 patterns, twice the limit
+    star = ZetaCombo(STAR, {Index(parts): 1})
+    for zc in (interpolated_symbol(parts), star):
+        with pytest.raises(ValueError, match="more than the limit of %d" % MAX_PATTERNS):
+            zc.substitute_t(0)
+
+
+@given(zc=st.one_of(interp_combos, star_combos),
+       t0=st.sampled_from([0, Fraction(1, 2), 1, Fraction(-1, 3)]))
+def test_substitute_t_keeps_the_value_bit_for_bit(zc, t0):
+    plain = zc.substitute_t(t0)
+    assert plain.kind == PLAIN
+    assert all(c.is_const() for c in plain.terms.values())
+    want, got = eval_combo(zc, t0), eval_combo(plain, t0)
+    assert got.value.hex() == want.value.hex()
+    assert got.error_estimate.hex() == want.error_estimate.hex()
+    assert (got.cutoff_used, got.tol_ok) == (want.cutoff_used, want.tol_ok)
+
+
+def test_substitute_t_writes_each_kind_in_plain_symbols():
+    want = parse_zeta_combo("z(2,1) + z(3)")
+    assert interpolated_symbol((2, 1)).substitute_t(1) == want
+    assert parse_zeta_combo("zs(2,1)").substitute_t(0) == want
+    assert eval_combo(want, 1).value == eval_combo(interpolated_symbol((2, 1)), 1).value
+
+
+def test_star_coefficients_keep_their_t():
+    zc = parse_zeta_combo("t*zs(2)")
+    assert star_expand(zc) == ZetaCombo(PLAIN, {Index((2,)): QtPoly.t()})
+    assert zc.substitute_t(0).is_zero()
+    assert eval_combo(zc, 0).value == 0.0
+    assert eval_combo(zc, 2).value == 2 * eval_combo(parse_zeta_combo("z(2)")).value
 
 
 def test_star_view_and_expansion():
