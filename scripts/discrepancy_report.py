@@ -76,8 +76,10 @@ def expanded_without_unit_tail(m, j, n, k) -> HElement:
 
 
 def block_split_variant(a_word, b_word, mode) -> HElement:
-    """Two-block split recursion with one of the defective readings,
-    summed into pair tables the way tshuffle._block_rec sums."""
+    """The block recursion with one of the defective readings, summed into
+    pair tables.  The script keeps its own copy of the recursion, which
+    splits a at the end of its first block, so each defect sits where a
+    typeset reading puts it."""
 
     def rec(a_blocks, b, shmemo):
         if not a_blocks:

@@ -130,6 +130,11 @@ def _cmd_expand(args) -> int:
 
 def _cmd_eval(args) -> int:
     combo = parse_zeta_combo(args.combo)
+    # Fraction also reads other scripts' digits and 1_0; --t does not
+    if not args.t.isascii() or "_" in args.t:
+        raise ValueError(
+            "--t must be a number in ASCII digits without underscores, got %r" % args.t
+        )
     t0 = Fraction(args.t)
     result = eval_combo(combo, t0, target_abs_err=args.tol)
     if args.format == "json":

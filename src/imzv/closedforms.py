@@ -21,7 +21,7 @@ from math import comb
 
 from .coeffs import binom
 from .halg import HElement, add_pair, from_pairs
-from .tshuffle import _tsh, compositions
+from .tshuffle import _tsh, _yy_corrections, compositions
 
 
 def _zword(exps) -> str:
@@ -124,10 +124,9 @@ def height_one_product(a: int, r: int, b: int, s: int) -> HElement:
                     w = _zword(alpha[:-2]) + "x" * (alpha[-2] + alpha[-1] + 1) + "y" * g
                     add_pair(acc, w, 0, -ce)
                     continue
-                # inner replacement: ... x^{alpha_{l+1}} y^{i+1} x y^{rest}
-                for i in range(max(min(h - l, g - 1) - 1, 0), r + s - l - 2):
-                    c = ce * (binom(i, h - l - 1) + binom(i, g - 2))
-                    add_pair(acc, head + "y" * (i + 1) + "x" + "y" * (r + s - l - i - 2), 0, -c)
+                # inner replacement: ... x^{alpha_{l+1}} y, then each y^{h-l} sh y^{g-1} correction
+                for w, c in _yy_corrections(h - l, g - 1):
+                    add_pair(acc, head + "y" + w, 0, -ce * c)
                 # single-height tail: only present when the other word has one y
                 if g == 1:
                     add_pair(acc, head + "x" + "y" * (h - l), 0, -ce)
@@ -158,9 +157,8 @@ def expanded_height_one_product(m: int, j: int, n: int, k: int) -> HElement:
             for aa in compositions(n - n1, m1 + 1):
                 base = "y".join("x" * e for e in (aa[0] + m + n1, *aa[1:]))
                 add_pair(acc, base + "y" * (m2 + k), cm, 0)
-                for i in range(max(min(m2, k - 1) - 1, 0), m2 + k - 2):
-                    c = cn * (binom(i, m2 - 1) + binom(i, k - 2))
-                    add_pair(acc, base + "y" * (i + 1) + "x" + "y" * (m2 + k - i - 2), 0, -c)
+                for w, c in _yy_corrections(m2, k - 1):
+                    add_pair(acc, base + "y" + w, 0, -cn * c)
         # left word's last y merged into a bumped run
         for j1 in range(n - n1 + 1):
             j2 = n - n1 - j1
@@ -192,9 +190,8 @@ def expanded_height_one_product(m: int, j: int, n: int, k: int) -> HElement:
                 runs[-1] += 1
                 base = "y".join("x" * e for e in runs)
                 add_pair(acc, base + "y" * (j + k - k1), cb, 0)
-                for i in range(max(min(j, k - k1) - 1, 0), j + k - k1 - 1):
-                    c = ca * (binom(i, j - 1) + binom(i, k - k1 - 1))
-                    add_pair(acc, base + "y" * i + "x" + "y" * (j + k - k1 - i - 1), 0, -c)
+                for w, c in _yy_corrections(j, k - k1):
+                    add_pair(acc, base + w, 0, -ca * c)
 
     # right word's last y merged, all of its y's used as separators
     for m1 in range(m):

@@ -198,11 +198,12 @@ def _term_str(c: Fraction, deg: int) -> str:
     return "%s*%s" % (c, tpart)
 
 
-# Spaces may separate the tokens of a term but never split a number.
+# Spaces may separate the tokens of a term but never split a number, and
+# numbers are ASCII digits only.
 _TERM_RE = re.compile(
     r"""^\s*
-        (?:(?P<num>\d+)(?:\s*/\s*(?P<den>\d+))?\s*\*?\s*)?   # optional rational factor
-        (?:(?P<t>t)(?:\s*\^\s*(?P<pow>\d+))?)?                # optional t power
+        (?:(?P<num>[0-9]+)(?:\s*/\s*(?P<den>[0-9]+))?\s*\*?\s*)?   # optional rational factor
+        (?:(?P<t>t)(?:\s*\^\s*(?P<pow>[0-9]+))?)?                    # optional t power
         \s*$""",
     re.VERBOSE,
 )

@@ -14,6 +14,14 @@ no path multiplies two t factors), so every engine here sums into one
 halg pair table, word -> (c0, c1) meaning c0 + c1*t, and wraps it once
 with halg.from_pairs.
 
+The two split engines share one step, _split: the split formula for
+a sh b at one letter of a, summed from the tables of the tails
+a[k:] sh b[i:] for every suffix b[i:] of b.  split_product takes those
+tails from the recursion.  block_product splits at the end of a's first
+block, and builds its tails with the same step bottom-up: from a's last
+block to its first, each block suffix of a against every suffix of b,
+each level from the one below, so no tail is computed twice.
+
 A cache passed to tshuffle_words or shuffle_words holds the recursion's
 tables under (u, v) and (u, v, 0) keys, and one entry for from_pairs
 with a Word per distinct word and a QtPoly per distinct pair; every
@@ -26,12 +34,7 @@ from __future__ import annotations
 
 from .coeffs import QtPoly, binom
 from .halg import HElement, add_pair, from_pairs, make_helement
-from .words import Word
-
-# Most letters the two factors of a product may hold together: _tsh and
-# _sh recurse once per letter, and 500 levels leave room under Python's
-# default recursion limit of 1000 for the caller's own frames.
-MAX_LETTERS = 500
+from .words import MAX_LETTERS, Word
 
 
 def _letters(w1, w2) -> tuple:
@@ -165,6 +168,16 @@ def shuffle_words(w1, w2, cache: dict | None = None) -> HElement:
     return from_pairs(table, cache)
 
 
+def _yy_corrections(m: int, n: int):
+    """Lemma 3.1's correction family for y^m sh y^n: the words
+    y^i x y^(m+n-i-1) with their coefficients C(i, m-1) + C(i, n-1), for
+    i = min(m,n)-1 .. m+n-2.  Each enters the product as -t times its
+    coefficient; the height-one forms reuse the family inside longer words.
+    """
+    for i in range(max(min(m, n) - 1, 0), m + n - 1):
+        yield "y" * i + "x" + "y" * (m + n - i - 1), binom(i, m - 1) + binom(i, n - 1)
+
+
 def yy_product_formula(m: int, n: int) -> HElement:
     """Closed form for y^m sh y^n:
 
@@ -175,9 +188,8 @@ def yy_product_formula(m: int, n: int) -> HElement:
         raise ValueError("need m, n >= 1")
     acc = {}
     add_pair(acc, "y" * (m + n), binom(m + n, n), 0)
-    for i in range(max(min(m, n) - 1, 0), m + n - 1):
-        c = binom(i, m - 1) + binom(i, n - 1)
-        add_pair(acc, "y" * i + "x" + "y" * (m + n - i - 1), 0, -c)
+    for w, c in _yy_corrections(m, n):
+        add_pair(acc, w, 0, -c)
     return from_pairs(acc)
 
 
@@ -196,33 +208,42 @@ def xpow_times_ypow(m: int, n: int) -> HElement:
     return from_pairs(acc)
 
 
-def split_product(a_word, b_word, k: int, cache: dict | None = None) -> HElement:
-    """The t-shuffle a sh b computed by splitting a at letter position k
-    (1 <= k <= len(a)):
+def _split(a: str, b: str, k: int, tails, shmemo: dict) -> dict:
+    """The split formula for a sh b at letter position k (1 <= k <= len(a)):
 
         sum_{i=0}^{n} (a[:k-1] sh0 b[:i]) a_k (a[k:] sh b[i:])
         - (a[:k-1] sh0 b[:n-1].rho(b_n)) a_k a[k+1:]...
         - [k == m] sum_{i=0}^{n-1} (a[:m-1] sh0 b[:i]) rho(a_m) b[i:]
 
-    where sh0 is the plain shuffle.  The value does not depend on k.
+    where sh0 is the plain shuffle, summed into a pair table.  tails[i] is
+    the pair table of a[k:] sh b[i:] for i = 0..n.  The value does not
+    depend on k.
+    """
+    m, n = len(a), len(b)
+    pre, mid = a[: k - 1], a[k - 1]
+    acc = {}
+    for i in range(n + 1):
+        _add_concat(acc, _sh(pre, b[:i], shmemo), mid, tails[i])
+    if n >= 1 and b[-1] == "y":
+        _add_concat(acc, _sh(pre, b[: n - 1] + "x", shmemo), a[k - 1:], _MINUS_T)
+    if k == m and a[-1] == "y":
+        for i in range(n):
+            _add_concat(acc, _sh(pre, b[:i], shmemo), "x" + b[i:], _MINUS_T)
+    return acc
+
+
+def split_product(a_word, b_word, k: int, cache: dict | None = None) -> HElement:
+    """The t-shuffle a sh b computed by splitting a at letter position k
+    (1 <= k <= len(a)), with the oracle's tables for the tails a[k:] sh b[i:]
+    (kept in cache, as in tshuffle_words).  The value does not depend on k.
     """
     a, b = _letters(a_word, b_word)
-    m, n = len(a), len(b)
-    if not 1 <= k <= m:
+    if not 1 <= k <= len(a):
         raise ValueError("k must satisfy 1 <= k <= len(a)")
     if cache is None:
         cache = {}
-    shmemo = {}
-    pre, mid, post = a[: k - 1], a[k - 1], a[k:]
-    acc = {}
-    for i in range(n + 1):
-        _add_concat(acc, _sh(pre, b[:i], shmemo), mid, _tsh(post, b[i:], cache))
-    if n >= 1 and b[-1] == "y":
-        _add_concat(acc, _sh(pre, b[: n - 1] + "x", shmemo), mid + post, _MINUS_T)
-    if k == m and a[-1] == "y":
-        for i in range(n):
-            _add_concat(acc, _sh(a[: m - 1], b[:i], shmemo), "x" + b[i:], _MINUS_T)
-    return from_pairs(acc)
+    tails = [_tsh(a[k:], b[i:], cache) for i in range(len(b) + 1)]
+    return from_pairs(_split(a, b, k, tails, {}))
 
 
 def word_blocks(w) -> tuple:
@@ -242,41 +263,21 @@ def _blocks_to_string(blocks) -> str:
 
 
 def block_product(blocks_a, blocks_b) -> HElement:
-    """The t-shuffle of two words given as (letter, exponent) blocks,
-    computed by the block recursion: split the first block of a off,
-    interleave its head with prefixes of b, and recurse on the rest.
+    """The t-shuffle of two words given as (letter, exponent) blocks: the
+    split formula at the end of a's first block, with every tail built
+    bottom-up by the same step (see the module docstring).
 
-    Zero exponents are allowed and ignored.  The recursion bottoms out at
-    an empty a, and the plain shuffle handles the prefix factors, so this
-    engine never calls the letter-level t-shuffle recursion.
+    Zero exponents are allowed and ignored.  The plain shuffle handles the
+    prefix factors, so this engine never calls the letter-level t-shuffle
+    recursion.
     """
     a_blocks = tuple((ch, e) for ch, e in blocks_a if e > 0)
     _, b = _letters(_blocks_to_string(a_blocks), _blocks_to_string(blocks_b))
-    return from_pairs(_block_rec(a_blocks, b, {}))
-
-
-def _block_rec(a_blocks: tuple, b: str, shmemo: dict) -> dict:
-    if not a_blocks:
-        return {b: (1, 0)}
-    a1, m1 = a_blocks[0]
-    head = a1 * (m1 - 1)
-    tail_blocks = a_blocks[1:]
-    n = len(b)
-
-    acc = {}
-    # prefix-split sum: nonempty prefixes of b absorbed into the shuffle,
-    # the empty prefix giving the a_1^{m_1} (rest sh b) term
-    for i in range(1, n + 1):
-        right = _block_rec(tail_blocks, b[i:], shmemo)
-        _add_concat(acc, _sh(head, b[:i], shmemo), a1, right)
-    _add_concat(acc, {a1 * m1: (1, 0)}, "", _block_rec(tail_blocks, b, shmemo))
-    # single-block correction: one term per proper prefix of b, including
-    # prefixes that end inside b's last block
-    if len(a_blocks) == 1 and a1 == "y":
-        for i in range(n):
-            _add_concat(acc, _sh(head, b[:i], shmemo), "x" + b[i:], _MINUS_T)
-    # trailing correction from b's last letter
-    if n >= 1 and b[-1] == "y":
-        tail = a1 + _blocks_to_string(tail_blocks)
-        _add_concat(acc, _sh(head, b[: n - 1] + "x", shmemo), tail, _MINUS_T)
-    return acc
+    shmemo = {}
+    # tables[i] is the pair table of s sh b[i:], s the block suffix of a so far
+    tables = [{b[i:]: (1, 0)} for i in range(len(b) + 1)]
+    s = ""
+    for ch, e in reversed(a_blocks):
+        s = ch * e + s
+        tables = [_split(s, b[i:], e, tables[i:], shmemo) for i in range(len(b) + 1)]
+    return from_pairs(tables[0])

@@ -30,7 +30,6 @@ from .tshuffle import (
     yy_product_formula,
 )
 from .words import (
-    Word,
     admissible_indices,
     all_words,
     dual,
@@ -160,10 +159,6 @@ def _suite(sid, flags, compare=_exact, least=None):
     return wrap
 
 
-def _word_from_exps(exps) -> Word:
-    return Word("".join("x" * e + "y" for e in exps))
-
-
 @_suite("lemma31", {"max_run": ("max",)})
 def run_yy_products(max_run: int = 7):
     """Closed form for y-run products against the oracle (suite lemma31)."""
@@ -195,7 +190,8 @@ def run_pattern_products(max_run: int = 3, max_exp: int = 2):
     for a_exps in shapes:
         for b_exps in shapes:
             lhs = closedforms.pattern_product(a_exps, b_exps)
-            rhs = tshuffle_words(_word_from_exps(a_exps), _word_from_exps(b_exps), cache)
+            a_word, b_word = closedforms._zword(a_exps), closedforms._zword(b_exps)
+            rhs = tshuffle_words(a_word, b_word, cache)
             yield {"a_exps": list(a_exps), "b_exps": list(b_exps)}, lhs, rhs
 
 

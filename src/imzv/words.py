@@ -14,6 +14,11 @@ import itertools
 X = "x"
 Y = "y"
 
+# Most letters of any word the program builds: the product engines recurse
+# once per letter, and 500 levels leave room under Python's default
+# recursion limit of 1000 for the caller's own frames.
+MAX_LETTERS = 500
+
 class Word:
     """An immutable word over {x, y}; the empty word is the unit and prints as 1.
 
@@ -139,7 +144,11 @@ def _make_index(parts: tuple) -> Index:
 
 
 def word_from_index(idx: Index) -> Word:
-    """The word z_{l1}...z_{ln} for the index (l1,...,ln)."""
+    """The word z_{l1}...z_{ln} for the index (l1,...,ln), refused when
+    its weight, the word's length, is above MAX_LETTERS."""
+    if idx.weight > MAX_LETTERS:
+        raise ValueError("an index of weight %d is over the limit of %d letters"
+                         % (idx.weight, MAX_LETTERS))
     return Word("".join("x" * (p - 1) + "y" for p in idx.parts))
 
 

@@ -179,6 +179,40 @@ def test_eval_refuses_a_number_split_by_a_space(capsys, combo):
     assert "cannot parse polynomial term" in err
 
 
+@pytest.mark.parametrize("combo", ["\u0663*z(2)", "t^\u0662*z(2)", "\uff13*z(2)"])
+def test_eval_refuses_digits_other_than_ascii(capsys, combo):
+    code, out, err = run(capsys, "eval", combo)
+    assert code == 2
+    assert not out
+    assert "cannot parse polynomial term" in err
+
+
+@pytest.mark.parametrize("t", ["1_0", "\u0663", "\uff11/2", "1/\u0662"])
+def test_eval_refuses_a_t_other_than_ascii_digits(capsys, t):
+    code, out, err = run(capsys, "eval", "t*z(2)", "--t", t)
+    assert code == 2
+    assert not out
+    assert "--t" in err
+
+
+@pytest.mark.parametrize("t, value", [
+    ("0", "0.00000000"), ("1/2", "0.82246703"), ("-0.5", "-0.82246703"),
+])
+def test_eval_reads_ascii_values_of_t(capsys, t, value):
+    code, out, _ = run(capsys, "eval", "t*z(2)", "--t", t)
+    assert code == 0
+    assert out == "%s ± 1.000e-09\n" % value
+
+
+@pytest.mark.parametrize("command, arg", [("index", "(%d)"), ("dual", "(%d)"), ("eval", "z(%d)")])
+def test_an_index_over_the_letter_limit_is_a_usage_error(capsys, command, arg):
+    assert run(capsys, command, arg % 500)[0] == 0
+    code, out, err = run(capsys, command, arg % 501)
+    assert code == 2
+    assert not out
+    assert "over the limit of 500 letters" in err
+
+
 def test_eval_json_format(capsys):
     code, out, _ = run(capsys, "eval", "z(3)", "--format", "json")
     assert code == 0

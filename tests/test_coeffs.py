@@ -123,6 +123,15 @@ def test_spaces_separate_the_tokens_of_a_term_but_never_split_a_number():
         parse_zeta_combo("1 2*z(2)")
 
 
+def test_numbers_are_ascii_digits_only():
+    # \d would read each of these as the ASCII number beside it
+    for text in ("\u0663*t", "t^\u0662", "\u0663", "1/\u0662", "\uff13*t", "t^\uff12"):
+        with pytest.raises(ValueError, match="cannot parse polynomial term"):
+            parse_qtpoly(text)
+    with pytest.raises(ValueError, match="cannot parse polynomial term"):
+        parse_zeta_combo("\u0663*z(2)")
+
+
 @given(a=polys)
 def test_negated_parenthesised_form_parses_to_the_negative(a):
     assert parse_qtpoly("-(%s)" % a) == -a

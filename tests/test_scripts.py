@@ -6,6 +6,7 @@ calibration report reads the private series of mzvnum, and each of its
 rows must find the true error within the proven bound.
 """
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -20,9 +21,16 @@ def load_script(name):
     return module
 
 
+# sha256 of the report's full output: any change to a variant, a grid or
+# the oracle shows as a different digest
+DISCREPANCY_REPORT_SHA256 = "6b15f1bcf82e6329667ab1bc7609be7fb383c817ea3f50a2c9c0329140e4da58"
+
+
 def test_discrepancy_report_main(capsys):
     assert load_script("discrepancy_report").main() == 0
-    report = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DISCREPANCY_REPORT_SHA256
+    report = json.loads(out)
     assert report["schema"] == 1
     assert report["kind"] == "formula-discrepancy"
     assert report["count"] == len(report["reports"]) == 879

@@ -29,6 +29,7 @@ from imzv import (
     xpow_times_ypow,
     yy_product_formula,
 )
+import imzv.words
 from imzv.halg import add_pair
 from imzv.tshuffle import MAX_LETTERS, _sh, _tsh
 from imzv.words import all_words
@@ -138,6 +139,28 @@ def test_block_product_matches_recursion(w1, w2):
     assert got == tshuffle_words(w1, w2)
 
 
+def test_split_and_block_products_match_the_oracle_on_all_words_up_to_four_letters():
+    words = list(all_words(4))
+    cache = {}
+    splits = blocks = 0
+    for u in words:
+        for v in words:
+            want = tshuffle_words(u, v, cache)
+            for k in range(1, len(u) + 1):
+                assert split_product(u, v, k) == want, (u, v, k)
+                splits += 1
+            assert block_product(word_blocks(u), word_blocks(v)) == want, (u, v)
+            blocks += 1
+    assert (splits, blocks) == (3038, 961)
+
+
+def test_block_product_takes_at_most_one_frame_per_block():
+    # 498 blocks of one letter each: two Python frames per block would
+    # pass the default recursion limit of 1000
+    a = "xy" * 249
+    assert block_product(word_blocks(a), word_blocks("y")) == tshuffle_words(a, "y")
+
+
 def test_compositions_count_and_order():
     rows = list(compositions(3, 2))
     assert rows == [(0, 3), (1, 2), (2, 1), (3, 0)]
@@ -186,6 +209,10 @@ def test_products_up_to_the_letter_limit_run_and_longer_are_refused(engine):
     assert engine(long, "x") == HElement.from_word(long + "x", MAX_LETTERS)
     with pytest.raises(ValueError, match="over the limit of %d" % MAX_LETTERS):
         engine(long + "x", "x")
+
+
+def test_the_product_engines_share_the_word_letter_limit():
+    assert MAX_LETTERS is imzv.words.MAX_LETTERS == 500
 
 
 def test_correction_terms_at_the_letter_limit():

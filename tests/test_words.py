@@ -27,6 +27,7 @@ from imzv import (
     words_of_length,
     zeta_combo_from_json,
 )
+from imzv.words import MAX_LETTERS
 
 words = st.text(alphabet="xy", max_size=8).map(Word)
 indices = st.lists(
@@ -98,6 +99,16 @@ def test_index_word_round_trip(idx):
 @given(idx=indices)
 def test_word_weight_equals_index_weight(idx):
     assert len(word_from_index(idx)) == idx.weight
+
+
+def test_an_index_whose_word_is_over_the_letter_limit_is_refused():
+    assert word_from_index(Index((MAX_LETTERS,))) == Word("x" * (MAX_LETTERS - 1) + "y")
+    assert len(word_from_index(Index((2,) * (MAX_LETTERS // 2)))) == MAX_LETTERS
+    for parts in ((MAX_LETTERS + 1,), (MAX_LETTERS, 1), (10**7,)):
+        with pytest.raises(ValueError, match="over the limit of %d letters" % MAX_LETTERS):
+            word_from_index(Index(parts))
+        with pytest.raises(ValueError, match="over the limit"):
+            eval_mzv(parts)
 
 
 def test_index_from_word_needs_trailing_y():
