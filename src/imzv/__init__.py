@@ -34,6 +34,7 @@ from .tshuffle import (
     shuffle_words,
     split_product,
     tshuffle,
+    tshuffle_table,
     tshuffle_words,
     word_blocks,
     xpow_times_ypow,
@@ -118,6 +119,7 @@ __all__ = [
     "star_expand",
     "star_view",
     "tshuffle",
+    "tshuffle_table",
     "tshuffle_words",
     "word_blocks",
     "word_from_index",

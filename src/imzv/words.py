@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import itertools
 
+from .coeffs import SPACES
+
 X = "x"
 Y = "y"
 
@@ -127,13 +129,18 @@ class Index:
         return hash(self.parts)
 
     def __str__(self):
-        return "(%s)" % ",".join(map(str, self.parts))
+        return parts_str(self.parts)
 
     def __repr__(self):
         return "Index(%r)" % (self.parts,)
 
 
 _set_parts = Index.parts.__set__
+
+
+def parts_str(parts: tuple) -> str:
+    """How an index prints: "(2,1)" for the parts (2, 1)."""
+    return "(%s)" % ",".join(map(str, parts))
 
 
 def _make_index(parts: tuple) -> Index:
@@ -186,7 +193,7 @@ def dual(w: Word) -> Word:
 
 
 def parse_word(text: str) -> Word:
-    s = text.strip()
+    s = text.strip(SPACES)
     if s == "1":
         return EMPTY_WORD
     return Word(s)
@@ -194,11 +201,11 @@ def parse_word(text: str) -> Word:
 
 def parse_index(text: str) -> Index:
     """Read "(2,1)" or "2, 1": runs of ASCII digits between commas, each
-    nonempty once stripped of surrounding spaces."""
-    s = text.strip()
+    nonempty once stripped of surrounding ASCII spaces."""
+    s = text.strip(SPACES)
     if s.startswith("(") and s.endswith(")"):
         s = s[1:-1]
-    parts = [p.strip() for p in s.split(",")]
+    parts = [p.strip(SPACES) for p in s.split(",")]
     for p in parts:
         if not (p.isascii() and p.isdigit()):
             raise ValueError("cannot parse index %r" % text)

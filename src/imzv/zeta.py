@@ -26,10 +26,18 @@ from __future__ import annotations
 import json
 import re
 
-from .coeffs import QtPoly, binom, parse_qtpoly, signed_pieces
-from .halg import HElement, accumulate, json_str, render_terms, specialize
+from .coeffs import SPACE_CLASS, SPACES, QtPoly, binom, parse_qtpoly, signed_pieces
+from .halg import (
+    HElement,
+    accumulate,
+    by_identity,
+    json_str,
+    specialize,
+    write_json,
+    write_text,
+)
 from .tshuffle import compositions
-from .words import Index, _make_index, index_from_word, parse_index
+from .words import Index, _make_index, index_from_word, parse_index, parts_str
 from . import closedforms
 
 INTERPOLATED = "interpolated"
@@ -133,12 +141,8 @@ class ZetaCombo:
         return self.terms.get(idx, QtPoly.zero())
 
     def sorted_terms(self):
-        """Terms in canonical order: weight first, then parts lexicographically.
-        One sort on (weight, parts), compared in C; distinct indices never
-        tie, so the comparison never reaches the index or coefficient."""
-        rows = [(sum(p := i.parts), p, i, c) for i, c in self.terms.items()]
-        rows.sort()
-        return [(i, c) for _, _, i, c in rows]
+        """Terms in canonical order (_canonical)."""
+        return [(i, c) for _, _, i, c in _canonical(self.terms)]
 
     def to_plain(self) -> "ZetaCombo":
         """The same combo in plain symbols, its coefficients and scalar
@@ -153,14 +157,24 @@ class ZetaCombo:
         return _make_combo(PLAIN, terms, QtPoly.const(self.scalar.eval_at(t0)))
 
     def __str__(self):
-        sym = _SYMBOL[self.kind]
-        pieces = [_scalar_str(self.scalar)] if self.scalar else []
-        for idx, (first, later) in render_terms(self.sorted_terms(), _zeta_prefixes):
-            pieces.append((later if pieces else first) + sym + str(idx))
-        return "".join(pieces) or "0"
+        return _combo_str(self.kind, self.scalar, self._rows(), by_identity(self.terms))
+
+    def _rows(self) -> list:
+        return [(p, id(c)) for _, p, _, c in _canonical(self.terms)]
 
     def __repr__(self):
         return "ZetaCombo(%s: %s)" % (self.kind, self)
+
+
+def _canonical(terms: dict) -> list:
+    """(weight, parts, index, c) for each term of an Index -> c table, in
+    canonical order: weight first, then parts lexicographically.  One sort
+    of these tuples, compared in C; distinct indices never tie, so the
+    comparison never reaches the index or coefficient."""
+    rows = [(sum(p := i.parts), p, i, c) for i, c in terms.items()]
+    rows.sort()
+    return rows
+
 
 def _scalar_str(c: QtPoly) -> str:
     mono = c.as_monomial()
@@ -169,22 +183,45 @@ def _scalar_str(c: QtPoly) -> str:
     return "(%s)" % c
 
 
-def _zeta_prefixes(c: QtPoly):
-    """What a printed term puts before its symbol, with the sign folded out
-    front when c is a monomial: as the first piece, and after another."""
+def _zeta_prefix(c: QtPoly) -> str:
+    """What a later printed term puts before its symbol: " + " or " - ",
+    then the coefficient, with its sign folded out front when c is a
+    monomial."""
     mono = c.as_monomial()
     if mono is None:
-        first = "(%s)*" % c
-    else:
-        deg, coef = mono
-        first = "-" if coef < 0 else ""
-        if abs(coef) != 1:
-            first += "%s*" % abs(coef)
-        if deg:
-            first += "t*" if deg == 1 else "t^%d*" % deg
-    if first.startswith("-"):
-        return first, " - " + first[1:]
-    return first, " + " + first
+        return " + (%s)*" % c
+    deg, coef = mono
+    out = " - " if coef < 0 else " + "
+    if abs(coef) != 1:
+        out += "%s*" % abs(coef)
+    if deg:
+        out += "t*" if deg == 1 else "t^%d*" % deg
+    return out
+
+
+def _combo_str(kind, scalar: QtPoly, rows, poly) -> str:
+    """How a combo of this kind and scalar prints with rows (parts, c) as
+    its terms, in canonical order; poly(c) is the QtPoly of c."""
+    sym = _SYMBOL[kind]
+    return write_text(
+        [(sym + parts_str(parts), c) for parts, c in rows],
+        lambda c: _zeta_prefix(poly(c)),
+        _scalar_str(scalar) if scalar else "",
+    )
+
+
+def _combo_json(kind, scalar: QtPoly, rows, poly) -> str:
+    """The JSON object of kind, scalar and {"index", "coeff"} rows for
+    rows (parts, c) in canonical order; poly(c) is the QtPoly of c."""
+    return '{"kind": %s, "scalar": %s, "terms": %s}' % (
+        json.dumps(kind),
+        json_str(scalar),
+        write_json(
+            [(list(parts), c) for parts, c in rows],
+            '{"index": %s, "coeff": %s}',
+            lambda c: json_str(poly(c)),
+        ),
+    )
 
 
 def zeta_map(v: HElement, kind=INTERPOLATED) -> ZetaCombo:
@@ -219,46 +256,82 @@ def zeta_map(v: HElement, kind=INTERPOLATED) -> ZetaCombo:
 _FUSION = {INTERPOLATED: QtPoly.t(), PLAIN: QtPoly.zero(), STAR: QtPoly.one()}
 
 
+def _check_patterns(patterns: int):
+    if patterns > MAX_PATTERNS:
+        raise ValueError(
+            "expansion needs %d merge patterns, more than the limit of %d"
+            % (patterns, MAX_PATTERNS)
+        )
+
+
+def _powers(c: QtPoly, s: QtPoly, n: int) -> list:
+    """c, c*s, ..., c*s^(n-1): the coefficient of a pattern by its additions."""
+    out = [c]
+    for _ in range(1, n):
+        out.append(out[-1] * s)
+    return out
+
+
+def _fusion_rows(parts: tuple) -> list:
+    """The 2^(n-1) ways of keeping apart or adding together the adjacent
+    parts of a depth-n index, as (merged parts, number of additions).
+
+    One depth-first walk from the first part to the last builds each row
+    once; it closes the open rightmost sum before adding the next part
+    into it, so the rows arrive in canonical order: ascending parts, at
+    one weight.  Sums of positive parts are positive, so no row needs a
+    check."""
+    rows = []
+    add = rows.append
+    last = len(parts)
+
+    def walk(j, head, run, fused):
+        # parts[:j] are placed: head holds the closed sums, run the open one
+        if j == last:
+            add((head + (run,), fused))
+            return
+        walk(j + 1, head + (run,), parts[j], fused)
+        walk(j + 1, head, run + parts[j], fused + 1)
+
+    walk(1, (), parts[0], 0)
+    return rows
+
+
 def _fuse(terms: dict, s: QtPoly) -> dict:
     """S_s: rewrite an Index -> QtPoly table over the 2^(n-1) ways of
     either keeping or adding together adjacent parts of each index of
     depth n, with a factor s per addition.  S_0 is the identity and
     returns the table itself.
 
-    One depth-first walk from the first part to the last builds each
-    merged index once; it closes the open sum before fusing the next part
-    into it, so the indices of one symbol arrive in canonical order.
-    Refuses a table with more than MAX_PATTERNS patterns in all before
-    building any.
+    The rows of each symbol come from _fusion_rows, the same walk the
+    command line prints an expansion from, and sum into the table as
+    Index keys.  Refuses a table with more than MAX_PATTERNS patterns in
+    all before building any.
     """
     if not s:
         return terms
-    patterns = sum(1 << (len(idx.parts) - 1) for idx in terms)
-    if patterns > MAX_PATTERNS:
-        raise ValueError(
-            "expansion needs %d merge patterns, more than the limit of %d"
-            % (patterns, MAX_PATTERNS)
-        )
+    _check_patterns(sum(1 << (len(idx.parts) - 1) for idx in terms))
     out = {}
     for idx, c in terms.items():
-        parts = idx.parts
-        last = len(parts)
-        scaled = [c]
-        for _ in range(1, last):
-            scaled.append(scaled[-1] * s)
-
-        def walk(j, head, run, fused):
-            # parts[:j] are placed: head holds the closed sums, run the open
-            # rightmost one; parts[j] is kept apart or fused.  Sums of
-            # positive parts are positive, so no leaf is re-checked
-            if j == last:
-                accumulate(out, _make_index(head + (run,)), scaled[fused])
-                return
-            walk(j + 1, head + (run,), parts[j], fused)
-            walk(j + 1, head, run + parts[j], fused + 1)
-
-        walk(1, (), parts[0], 0)
+        scaled = _powers(c, s, len(idx.parts))
+        for parts, k in _fusion_rows(idx.parts):
+            accumulate(out, _make_index(parts), scaled[k])
     return out
+
+
+def write_expansion(idx: Index, as_json: bool) -> str:
+    """What expand_interpolation(interpolated_symbol(idx.parts)) prints, as
+    text or as JSON, written from the rows of _fusion_rows without building
+    the combo: one symbol's rows are already in canonical order, and a row
+    with k additions has the coefficient t^k.  Refuses a non-admissible
+    index and one over MAX_PATTERNS before building any row."""
+    if not idx.admissible:
+        raise ValueError("non-admissible index %s in combo" % idx)
+    depth = len(idx.parts)
+    _check_patterns(1 << (depth - 1))
+    scaled = _powers(QtPoly.one(), _FUSION[INTERPOLATED], depth)
+    write = _combo_json if as_json else _combo_str
+    return write(PLAIN, QtPoly.zero(), _fusion_rows(idx.parts), scaled.__getitem__)
 
 
 def expand_interpolation(zc: ZetaCombo) -> ZetaCombo:
@@ -289,7 +362,7 @@ def star_expand(zc: ZetaCombo) -> ZetaCombo:
 
 
 _COMBO_TERM_RE = re.compile(
-    r"^(?P<coeff>.*?)\*?\s*(?P<sym>zs|z)\s*\((?P<idx>[^()]*)\)$"
+    r"^(?P<coeff>.*?)\*?{s}*(?P<sym>zs|z){s}*\((?P<idx>[^()]*)\)$".format(s=SPACE_CLASS)
 )
 
 
@@ -299,7 +372,7 @@ def parse_zeta_combo(text: str) -> ZetaCombo:
     Plain z(...) symbols give a plain combo, zs(...) a star combo; the two
     may not appear together.  Bare coefficients join the scalar part.
     """
-    s = text.strip()
+    s = text.strip(SPACES)
     if not s:
         raise ValueError("empty zeta combo")
     if s == "0":
@@ -308,7 +381,7 @@ def parse_zeta_combo(text: str) -> ZetaCombo:
     scalar = QtPoly.zero()
     kinds = set()
     for sign, piece in signed_pieces(s):
-        piece = piece.strip()
+        piece = piece.strip(SPACES)
         if not piece:
             raise ValueError("cannot parse zeta combo %r" % text)
         m = _COMBO_TERM_RE.match(piece)
@@ -316,7 +389,7 @@ def parse_zeta_combo(text: str) -> ZetaCombo:
             scalar = scalar + parse_qtpoly(piece) * QtPoly.const(sign)
             continue
         kinds.add(m.group("sym"))
-        cpart = m.group("coeff").strip().rstrip("*").strip()
+        cpart = m.group("coeff").strip(SPACES).rstrip("*").strip(SPACES)
         if cpart:
             coeff = parse_qtpoly(cpart)
         else:
@@ -343,14 +416,7 @@ def zeta_combo_from_json(obj) -> ZetaCombo:
 def zeta_combo_to_json(zc: ZetaCombo) -> str:
     """The JSON object of kind, scalar and {"index", "coeff"} rows in
     canonical order, written directly: an index prints as its int list."""
-    return '{"kind": %s, "scalar": %s, "terms": [%s]}' % (
-        json.dumps(zc.kind),
-        json_str(zc.scalar),
-        ", ".join([
-            '{"index": %r, "coeff": %s}' % (list(idx.parts), q)
-            for idx, q in render_terms(zc.sorted_terms(), json_str)
-        ]),
-    )
+    return _combo_json(zc.kind, zc.scalar, zc._rows(), by_identity(zc.terms))
 
 
 def interpolated_symbol(parts) -> ZetaCombo:
