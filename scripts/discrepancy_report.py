@@ -44,7 +44,7 @@ from imzv.words import Word, all_words
 
 
 def _diff_rows(diff: HElement):
-    return [{"word": str(w), "coeff": str(c)} for w, c in diff.sorted_terms()]
+    return [{"word": w or "1", "coeff": str(c)} for w, c in diff.sorted_terms()]
 
 
 def _report(variant, parameters, oracle, got):

@@ -1,8 +1,9 @@
 """The word algebra over Q[t]: linear combinations of words with concatenation.
 
-HElement stores a word -> QtPoly map with no zero coefficients.  Words print
-in canonical order (length first, then y before x), which for fixed weight
-matches ascending index order on the zeta side.
+HElement stores a word -> QtPoly map with no zero coefficients, keyed by
+the word's letters as a plain str, like every product engine's table.
+Words print in canonical order (length first, then y before x), which
+for fixed weight matches ascending index order on the zeta side.
 
 Both the word and the zeta side sum key -> QtPoly tables with accumulate,
 evaluate them at a value of t with specialize, and split printed sums
@@ -12,14 +13,12 @@ Word products lie in Z[t] with t-degree at most one, so the product
 engines sum into a pair table, str word -> (c0, c1) meaning c0 + c1*t,
 with add_pair and wrap it once with from_pairs.
 
-Coefficients and words are shared, never mutated: from_pairs gives all
-words with the same pair one QtPoly, and, given a product engine's cache,
-gives every element wrapped with that cache one Word per distinct word
-and one QtPoly per distinct pair.  Every operation here builds new terms
-and coefficients instead of changing old ones, so no table wrapped by
-make_qtpoly or make_helement, and no object shared across products, may
-be mutated afterwards; a Word only fills its own index slot once, which
-equality, hashing and printing never read.
+Coefficients are shared, never mutated: from_pairs gives all words with
+the same pair one QtPoly, and, given a product engine's cache, gives
+every element wrapped with that cache one QtPoly per distinct pair.
+Every operation here builds new terms and coefficients instead of
+changing old ones, so no table wrapped by make_qtpoly or make_helement,
+and no coefficient shared across products, may be mutated afterwards.
 
 Every printed sum, of words or of zeta symbols, comes from two row
 writers, write_text and write_json, fed (key text, coefficient) rows in
@@ -34,7 +33,7 @@ from __future__ import annotations
 import json
 
 from .coeffs import SPACES, QtPoly, make_qtpoly, parse_qtpoly, signed_pieces
-from .words import EMPTY_WORD, Word, _make_word, parse_word
+from .words import Word, parse_word
 
 
 def accumulate(table: dict, key, c: QtPoly):
@@ -90,25 +89,14 @@ def from_pairs(table: dict, cache: dict | None = None) -> "HElement":
     y's built from checked words) as an HElement, with one QtPoly for each
     distinct pair, shared by all its words.
 
-    With a cache, one Word per distinct word and one QtPoly per distinct
-    pair are kept in it and shared by every element wrapped with it."""
-    if cache is None:
-        words, polys = {}, {}
-    else:
-        shared = cache.get(_SHARED)
-        if shared is None:
-            shared = cache[_SHARED] = ({}, {})
-        words, polys = shared
-    terms = {}
-    for w, pair in table.items():
-        c = polys.get(pair)
-        if c is None:
-            c = polys[pair] = pair_poly(pair)
-        word = words.get(w)
-        if word is None:
-            word = words[w] = _make_word(w)
-        terms[word] = c
-    return make_helement(terms)
+    With a cache, the QtPoly of each distinct pair is kept in it and shared
+    by every element wrapped with it."""
+    polys = None if cache is None else cache.get(_SHARED)
+    if polys is None:
+        polys = _Rendered(pair_poly)
+        if cache is not None:
+            cache[_SHARED] = polys
+    return make_helement({w: polys[pair] for w, pair in table.items()})
 
 
 def canonical_words(words) -> list:
@@ -121,7 +109,8 @@ def canonical_words(words) -> list:
 
 
 class _Rendered(dict):
-    """render(c) for each coefficient value c, computed on first lookup."""
+    """render(c) for each key c, computed on first lookup: the text of a
+    coefficient in the row writers, the QtPoly of a pair in from_pairs."""
 
     __slots__ = ("render",)
 
@@ -181,14 +170,15 @@ def table_json(table: dict, poly) -> str:
 
 
 def make_helement(terms: dict) -> "HElement":
-    """Wrap a Word -> nonzero QtPoly table without copying or re-checking it."""
+    """Wrap a str word -> nonzero QtPoly table without copying or re-checking it."""
     res = object.__new__(HElement)
     res.terms = terms
     return res
 
 
 class HElement:
-    """A finite Q[t]-linear combination of words."""
+    """A finite Q[t]-linear combination of words.  The constructor checks
+    each key, a Word or a str of x's and y's, and stores its letters."""
 
     __slots__ = ("terms",)
 
@@ -199,7 +189,7 @@ class HElement:
                 if not isinstance(c, QtPoly):
                     c = QtPoly.const(c)
                 if not c.is_zero():
-                    table[Word(w)] = c
+                    table[Word(w).letters] = c
         self.terms = table
 
     @classmethod
@@ -208,11 +198,11 @@ class HElement:
 
     @classmethod
     def unit(cls) -> "HElement":
-        return cls({EMPTY_WORD: QtPoly.one()})
+        return cls({"": QtPoly.one()})
 
     @classmethod
     def from_word(cls, w, coeff=1) -> "HElement":
-        return cls({Word(w): coeff if isinstance(coeff, QtPoly) else QtPoly.const(coeff)})
+        return cls({w: coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -264,12 +254,12 @@ class HElement:
         return make_helement(out)
 
     def coeff(self, w) -> QtPoly:
-        return self.terms.get(Word(w), QtPoly.zero())
+        return self.terms.get(Word(w).letters, QtPoly.zero())
 
     def sorted_terms(self):
-        """Terms in canonical order (canonical_words)."""
-        by_letters = {w.letters: (w, c) for w, c in self.terms.items()}
-        return [by_letters[s] for s in canonical_words(by_letters)]
+        """(letters, coefficient) terms in canonical order (canonical_words)."""
+        terms = self.terms
+        return [(w, terms[w]) for w in canonical_words(terms)]
 
     def substitute_t(self, t0) -> "HElement":
         """Evaluate every coefficient at a rational t value."""
@@ -279,7 +269,7 @@ class HElement:
         return table_str(self._id_table(), by_identity(self.terms))
 
     def _id_table(self) -> dict:
-        return {w.letters: id(c) for w, c in self.terms.items()}
+        return {w: id(c) for w, c in self.terms.items()}
 
     def __repr__(self):
         return "HElement(%s)" % str(self)
@@ -311,14 +301,14 @@ def parse_helement(text: str) -> HElement:
             coeff, wpart = QtPoly.one(), piece
         if sign < 0:
             coeff = -coeff
-        accumulate(out, parse_word(wpart), coeff)
+        accumulate(out, parse_word(wpart).letters, coeff)
     return make_helement(out)
 
 
 def helement_from_json(obj) -> HElement:
     out = {}
     for rec in obj:
-        accumulate(out, parse_word(rec["word"]), parse_qtpoly(rec["coeff"]))
+        accumulate(out, parse_word(rec["word"]).letters, parse_qtpoly(rec["coeff"]))
     return make_helement(out)
 
 

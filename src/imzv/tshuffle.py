@@ -25,10 +25,9 @@ each level from the one below, so no tail is computed twice.
 
 A cache passed to tshuffle_words or shuffle_words holds the recursion's
 tables under (u, v) and (u, v, 0) keys, and one entry for from_pairs
-with a Word per distinct word and a QtPoly per distinct pair; every
-product wrapped with that cache shares them, and a zeta_map of any of
-them computes each shared word's index once.  Nothing is shared between
-caches, and a call without one shares nothing with any other call.
+with a QtPoly per distinct pair; every product wrapped with that cache
+shares them.  Every table here, and every HElement built from one, is
+keyed by the word's letters as a plain str.
 """
 
 from __future__ import annotations
@@ -113,9 +112,9 @@ def tshuffle_words(w1, w2, cache: dict | None = None) -> HElement:
     """The t-shuffle product of two words, by direct recursion: its pair
     table (tshuffle_table) wrapped with halg.from_pairs.
 
-    A cache passed in keeps the recursion's tables, and one Word and one
-    coefficient per distinct word and pair, for every later product that
-    uses it; the results must not be mutated."""
+    A cache passed in keeps the recursion's tables, and one coefficient
+    per distinct pair, for every later product that uses it; the results
+    must not be mutated."""
     return from_pairs(tshuffle_table(w1, w2, cache), cache)
 
 
@@ -130,7 +129,7 @@ def tshuffle(u: HElement, v: HElement, cache: dict | None = None) -> HElement:
     for w1, a in u.terms.items():
         for w2, b in v.terms.items():
             ab = (a * b).coeffs.items()
-            for w, (c0, c1) in _tsh(w1.letters, w2.letters, cache).items():
+            for w, (c0, c1) in _tsh(w1, w2, cache).items():
                 row = acc.setdefault(w, {})
                 for d, k in ab:
                     row[d] = row.get(d, 0) + k * c0
@@ -139,7 +138,7 @@ def tshuffle(u: HElement, v: HElement, cache: dict | None = None) -> HElement:
     for w, row in acc.items():
         c = QtPoly(row)
         if c:
-            terms[Word(w)] = c
+            terms[w] = c
     return make_helement(terms)
 
 

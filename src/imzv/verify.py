@@ -103,8 +103,11 @@ class Suite:
     rhs, keywords) returns None when the two sides agree, else the (lhs,
     rhs, diff) to report.  flags maps each runner keyword to the
     `imzv verify` flags (argparse dests) that may set it, which must agree
-    when several are given; least maps a keyword to the smallest value it
-    accepts.
+    when several are given.  least maps a keyword to the smallest value it
+    accepts, and most to the largest: at the most of every keyword the
+    grid runs in about 10 s on a 2-core VM, so a grid that could not
+    finish is refused before any case runs.  Each item of a *_values
+    keyword, a collection, is checked on its own.
     """
 
     sid: str
@@ -112,15 +115,24 @@ class Suite:
     compare: Callable
     flags: dict
     least: dict
+    most: dict
 
     def check(self, keywords: dict, spell=str):
-        """Refuse a keyword below its least value, naming it spell(keyword)."""
-        for key, low in self.least.items():
-            value = keywords.get(key, low)
-            if value < low:
+        """Refuse a keyword below its least value or above its most, naming
+        it spell(keyword)."""
+        for key, value in keywords.items():
+            low, high = self.least.get(key), self.most.get(key)
+            if value is None or (low is None and high is None):
+                continue
+            for item in value if key.endswith("_values") else (value,):
+                if low is not None and item < low:
+                    bound = "at least %d" % low
+                elif high is not None and item > high:
+                    bound = "at most %d" % high
+                else:
+                    continue
                 raise ValueError(
-                    "%s must be at least %d for suite %s, got %d"
-                    % (spell(key), low, self.sid, value)
+                    "%s must be %s for suite %s, got %d" % (spell(key), bound, self.sid, item)
                 )
 
     def run(self, *args, **kwargs) -> VerifyReport:
@@ -141,13 +153,13 @@ class Suite:
         return report
 
 
-def _suite(sid, flags, compare=_exact, least=None):
+def _suite(sid, flags, most, compare=_exact, least=None):
     """Turn a case generator into the runner of suite `sid`: the runner takes
     the generator's keywords and returns a VerifyReport, and carries the
     suite record as its `suite` attribute."""
 
     def wrap(cases):
-        record = Suite(sid, cases, compare, flags, least or {})
+        record = Suite(sid, cases, compare, flags, least or {}, most)
 
         @functools.wraps(cases)
         def runner(*args, **kwargs) -> VerifyReport:
@@ -159,7 +171,7 @@ def _suite(sid, flags, compare=_exact, least=None):
     return wrap
 
 
-@_suite("lemma31", {"max_run": ("max",)})
+@_suite("lemma31", {"max_run": ("max",)}, {"max_run": 140})
 def run_yy_products(max_run: int = 7):
     """Closed form for y-run products against the oracle (suite lemma31)."""
     cache = {}
@@ -169,7 +181,7 @@ def run_yy_products(max_run: int = 7):
             yield {"m": m, "n": n}, lhs, tshuffle_words("y" * m, "y" * n, cache)
 
 
-@_suite("eq42", {"max_exp": ("max_exp", "max")})
+@_suite("eq42", {"max_exp": ("max_exp", "max")}, {"max_exp": 10})
 def run_xy_products(max_exp: int = 6):
     """Block closed form for x-run times y-run against the oracle (suite eq42)."""
     cache = {}
@@ -180,7 +192,10 @@ def run_xy_products(max_exp: int = 6):
 
 
 # both words share the one run-count bound, so --s is an alternative to --r
-@_suite("theorem22", {"max_run": ("r", "s", "max"), "max_exp": ("max_exp",)})
+# the default grid (3, 2) and the benchmark's (2, 3) need both bounds at 3,
+# whose grid (3, 3) takes about 25 s: each bound is per keyword
+@_suite("theorem22", {"max_run": ("r", "s", "max"), "max_exp": ("max_exp",)},
+        {"max_run": 3, "max_exp": 3})
 def run_pattern_products(max_run: int = 3, max_exp: int = 2):
     """General pattern-filling product against the oracle (suite theorem22)."""
     cache = {}
@@ -195,7 +210,8 @@ def run_pattern_products(max_run: int = 3, max_exp: int = 2):
             yield {"a_exps": list(a_exps), "b_exps": list(b_exps)}, lhs, rhs
 
 
-@_suite("prop32", {"max_exp": ("max_exp", "max"), "max_run": ("r", "s")})
+@_suite("prop32", {"max_exp": ("max_exp", "max"), "max_run": ("r", "s")},
+        {"max_exp": 6, "max_run": 6})
 def run_height_one(max_exp: int = 3, max_run: int = 4):
     """Height-one closed form against the oracle (suite prop32)."""
     cache = {}
@@ -207,7 +223,7 @@ def run_height_one(max_exp: int = 3, max_run: int = 4):
         yield {"a": a, "r": r, "b": b, "s": s}, lhs, rhs
 
 
-@_suite("eq48", {"max_param": ("max",)})
+@_suite("eq48", {"max_param": ("max",)}, {"max_param": 5})
 def run_expanded_height_one(max_param: int = 3):
     """Expanded-chain height-one form against the oracle and against the
     direct height-one form on their shared domain (suite eq48)."""
@@ -221,7 +237,8 @@ def run_expanded_height_one(max_param: int = 3):
         yield dict(parameters, check="agree"), lhs, other
 
 
-@_suite("height2", {"max_exp": ("max_exp",), "max_run": ("r", "max")})
+@_suite("height2", {"max_exp": ("max_exp",), "max_run": ("r", "max")},
+        {"max_exp": 4, "max_run": 3})
 def run_height_two(max_exp: int = 2, max_run: int = 2):
     """Height-two case formula against the oracle (suite height2)."""
     cache = {}
@@ -235,7 +252,7 @@ def run_height_two(max_exp: int = 2, max_run: int = 2):
 
 
 # a *_values keyword is set from its flag as a one-item list
-@_suite("prop41", {"k_values": ("k",), "p_values": ("p",)})
+@_suite("prop41", {"k_values": ("k",), "p_values": ("p",)}, {"k_values": 10, "p_values": 6})
 def run_alternating_sums(k_values=None, p_values=None):
     """Alternating product sums: zero at odd k, closed form at even k
     (suite prop41)."""
@@ -251,7 +268,7 @@ def run_alternating_sums(k_values=None, p_values=None):
             yield {"k": k, "p": p}, lhs, rhs
 
 
-@_suite("cor42", {"max_k": ("k", "max")})
+@_suite("cor42", {"max_k": ("k", "max")}, {"max_k": 60})
 def run_alternating_weight4(max_k: int = 6):
     """Alternating sums of z(2,1^i) blocks against the specialized closed
     form (suite cor42)."""
@@ -260,7 +277,7 @@ def run_alternating_weight4(max_k: int = 6):
         yield {"k": k}, lhs, closedforms.alternating_product_weight4_form(k)
 
 
-@_suite("prop43", {"max_k": ("k", "max")})
+@_suite("prop43", {"max_k": ("k", "max")}, {"max_k": 60})
 def run_alternating_zeta(max_k: int = 6):
     """Zeta-level alternating identity, both sides as combos (suite prop43)."""
     for k in range(1, max_k + 1):
@@ -268,7 +285,7 @@ def run_alternating_zeta(max_k: int = 6):
         yield {"k": k}, lhs, rhs
 
 
-@_suite("euler", {"max_arg": ("max",)})
+@_suite("euler", {"max_arg": ("max",)}, {"max_arg": 130})
 def run_depth_one_products(max_arg: int = 6):
     """Interpolated Euler decomposition of z^t(i)*z^t(j) against the zeta
     image of the oracle product, exactly in Q[t] (suite euler)."""
@@ -292,11 +309,13 @@ def _sample_pairs(n_pairs, max_weight, seed):
     return pairs
 
 
-# two factors of weight >= 2 need max_weight >= 4
+# two factors of weight >= 2 need max_weight >= 4; a product of weight at
+# most 12 has at most 3^10 merge patterns, under zeta.MAX_PATTERNS
 @_suite(
     "homomorphism-numeric",
     {"n_pairs": ("pairs",), "max_weight": ("max_weight",), "seed": ("seed",),
      "tol": ("tol",)},
+    {"n_pairs": 500, "max_weight": 12},
     _within_tol,
     least={"max_weight": 4},
 )
@@ -323,7 +342,8 @@ def run_homomorphism_numeric(
             yield parameters, lhs, rhs
 
 
-@_suite("duality-numeric", {"max_weight": ("max_weight",)}, _within_estimates)
+@_suite("duality-numeric", {"max_weight": ("max_weight",)}, {"max_weight": 15},
+        _within_estimates)
 def run_duality_numeric(max_weight: int = 8):
     """Numeric duality check: each admissible index evaluates to the same
     value as its dual, within combined error estimates (suite duality-numeric).
@@ -340,7 +360,7 @@ def run_duality_numeric(max_weight: int = 8):
         yield {"index": list(idx.parts), "dual": list(partner.parts)}, r1, r2
 
 
-@_suite("oracle-laws", {})
+@_suite("oracle-laws", {}, {"max_len_comm": 7, "max_len_assoc": 3})
 def run_oracle_laws(max_len_comm: int = 4, max_len_assoc: int = 3):
     """Commutativity and associativity of the deformed product, exhaustively
     on short words (not a CLI suite; used by the acceptance checks)."""
@@ -363,7 +383,7 @@ def run_oracle_laws(max_len_comm: int = 4, max_len_assoc: int = 3):
                 yield parameters, lhs, rhs
 
 
-@_suite("shuffle-consistency", {})
+@_suite("shuffle-consistency", {}, {"max_len": 6})
 def run_shuffle_consistency(max_len: int = 5):
     """The deformed product at t=0 equals the combinatorial shuffle
     (not a CLI suite; used by the acceptance checks)."""

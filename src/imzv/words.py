@@ -5,10 +5,16 @@ z_{l1} ... z_{ln} with z_k = x^(k-1) y, so words ending in y correspond
 bijectively to indices.  A word is admissible when it is empty or starts
 with x and ends with y; admissible nonempty words are exactly the images
 of indices with l1 >= 2, the convergent zeta arguments.
+
+A Word is the checked form of a word where it enters or leaves the
+program; sums and products key their terms by the plain letter string.
+admissible_index maps such a string to its index through one bounded
+process-wide cache.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .coeffs import SPACES
@@ -24,20 +30,20 @@ MAX_LETTERS = 500
 class Word:
     """An immutable word over {x, y}; the empty word is the unit and prints as 1.
 
-    Equality, hashing and printing use the letters alone.  The private
-    _index slot holds the zeta index of an admissible word once
-    index_from_word has computed it, and None before that.
+    Equality, hashing and printing use the letters alone.  A Word is the
+    checked form of a word at the API edge: parsing, enumeration,
+    word_from_index and dual.  Inside sums and products a word is its
+    letters, a plain str.
     """
 
-    __slots__ = ("letters", "_index")
+    __slots__ = ("letters",)
 
     def __init__(self, letters=""):
         if isinstance(letters, Word):
             letters = letters.letters
         if letters.strip("xy"):
             raise ValueError("word letters must be x or y, got %r" % letters)
-        _set_letters(self, letters)
-        _set_index(self, None)
+        object.__setattr__(self, "letters", letters)
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
@@ -53,12 +59,6 @@ class Word:
     def __hash__(self):
         return hash(self.letters)
 
-    def __add__(self, other):
-        """Concatenation."""
-        if isinstance(other, Word):
-            return _make_word(self.letters + other.letters)
-        return NotImplemented
-
     def count(self, letter: str) -> int:
         return self.letters.count(letter)
 
@@ -67,20 +67,6 @@ class Word:
 
     def __repr__(self):
         return "Word(%r)" % self.letters
-
-
-# The slots' own setters: they skip Word.__setattr__ without the lookup
-# by name that object.__setattr__ makes, which _make_word pays per term.
-_set_letters = Word.letters.__set__
-_set_index = Word._index.__set__
-
-
-def _make_word(letters: str) -> Word:
-    """Wrap a string of x's and y's without re-checking it."""
-    w = object.__new__(Word)
-    _set_letters(w, letters)
-    _set_index(w, None)
-    return w
 
 
 EMPTY_WORD = Word("")
@@ -159,24 +145,33 @@ def word_from_index(idx: Index) -> Word:
     return Word("".join("x" * (p - 1) + "y" for p in idx.parts))
 
 
-def index_from_word(w: Word) -> Index:
-    """Inverse of word_from_index; defined for nonempty words ending in y.
+def _index_of(s: str) -> Index:
+    """The index of a nonempty string of x's and y's ending in y."""
+    # each run of x's before a y gives a part len(run) + 1 >= 1 unchecked
+    return _make_index(tuple([len(run) + 1 for run in s[:-1].split("y")]))
 
-    The index of an admissible word is computed once and kept on the word,
-    so every later call, and zeta_map, only reads it.  No other word keeps
-    one: zeta_map takes a kept index as proof that the word is admissible.
-    """
-    idx = w._index
-    if idx is not None:
-        return idx
+
+def index_from_word(w: Word) -> Index:
+    """Inverse of word_from_index; defined for nonempty words ending in y."""
     s = w.letters
     if not s or s[-1] != "y":
         raise ValueError("word %s does not encode an index (must end in y)" % w)
-    # each run of x's before a y gives a part len(run) + 1 >= 1 unchecked
-    idx = _make_index(tuple([len(run) + 1 for run in s[:-1].split("y")]))
-    if s[0] == "x":
-        _set_index(w, idx)
-    return idx
+    return _index_of(s)
+
+
+# Most indices admissible_index keeps: a constant well above the 1,023
+# admissible words of weight <= 11 that one table of products maps.
+_ADMISSIBLE_INDICES = 1 << 16
+
+
+@functools.lru_cache(maxsize=_ADMISSIBLE_INDICES)
+def admissible_index(letters: str) -> Index:
+    """The zeta index of a nonempty admissible word, given by its letters
+    (x's and y's, already checked), from one bounded process-wide cache.
+    Any other word is refused, every time: a refusal is never kept."""
+    if not letters or letters[0] != "x" or letters[-1] != "y":
+        raise ValueError("word %s lies outside the admissible span" % (letters or "1"))
+    return _index_of(letters)
 
 
 def is_admissible(w: Word) -> bool:

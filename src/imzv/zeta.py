@@ -37,7 +37,7 @@ from .halg import (
     write_text,
 )
 from .tshuffle import compositions
-from .words import Index, _make_index, index_from_word, parse_index, parts_str
+from .words import Index, _make_index, admissible_index, parse_index, parts_str
 from . import closedforms
 
 INTERPOLATED = "interpolated"
@@ -228,28 +228,14 @@ def zeta_map(v: HElement, kind=INTERPOLATED) -> ZetaCombo:
     """Apply the zeta symbol map to an element whose words are all admissible.
 
     Raises ValueError when some word is nonempty and not admissible, since
-    such words carry no convergent zeta value.  A word's index is computed,
-    and its admissibility checked, the first time a Word object is mapped;
-    later maps of the same object read the index kept on it.
+    such words carry no convergent zeta value.  Each index comes from
+    words.admissible_index, which keeps the indices it computes.
     """
     if kind not in _KINDS:
         raise ValueError("unknown combo kind %r" % (kind,))
-    terms = {}
-    scalar = QtPoly.zero()
-    # distinct words give distinct indices, so every key is set once; only
-    # admissible words keep an index, so a kept one needs no further check
-    for w, c in v.terms.items():
-        idx = w._index
-        if idx is None:
-            s = w.letters
-            if not s:
-                scalar = c
-                continue
-            if s[0] != "x" or s[-1] != "y":
-                raise ValueError("word %s lies outside the admissible span" % w)
-            idx = index_from_word(w)
-        terms[idx] = c
-    return _make_combo(kind, terms, scalar)
+    # distinct words give distinct indices, so every key is set once
+    terms = {admissible_index(w): c for w, c in v.terms.items() if w}
+    return _make_combo(kind, terms, v.terms.get("") or QtPoly.zero())
 
 
 # The fusion weight of each kind, the one place a kind's meaning is stated.

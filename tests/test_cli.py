@@ -428,6 +428,29 @@ def test_verify_accepts_every_flag_its_suite_reads(capsys, suite, flag):
     assert "cases passed" in out
 
 
+@pytest.mark.parametrize(
+    "suite, flag, most",
+    [
+        (suite, flag, runner.suite.most[key])
+        for suite, runner in sorted(SUITES.items())
+        for key, flags in runner.suite.flags.items()
+        if key in runner.suite.most
+        for flag in flags
+    ],
+)
+def test_verify_refuses_a_flag_over_its_most_before_any_work(capsys, monkeypatch, suite,
+                                                             flag, most):
+    def refuse(**kwargs):
+        raise AssertionError("ran a grid over the bound of %s" % flag)
+
+    refuse.suite = SUITES[suite].suite
+    monkeypatch.setitem(SUITES, suite, refuse)
+    code, out, err = run(capsys, "verify", suite, "--" + flag.replace("_", "-"), str(most + 1))
+    assert code == 2
+    assert not out
+    assert "--" + flag.replace("_", "-") in err and "at most %d" % most in err
+
+
 def test_a_reused_parser_keeps_no_state_between_calls(capsys):
     parser = cli.build_parser()
     # a --tol given once does not become the default of the next call

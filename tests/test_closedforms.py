@@ -117,6 +117,6 @@ def test_alternating_weight4_specialization():
 
 def test_every_output_word_ends_in_y():
     out = pattern_product((1, 0), (2,))
-    assert all(w.letters.endswith("y") for w in out.terms)
+    assert all(w.endswith("y") for w in out.terms)
     out = height_one_product(2, 2, 1, 1)
-    assert all(w.letters.endswith("y") for w in out.terms)
+    assert all(w.endswith("y") for w in out.terms)

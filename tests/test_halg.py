@@ -78,7 +78,7 @@ def test_concatenation_of_words():
 
 def test_zero_coefficients_are_dropped():
     u = HElement({Word("xy"): QtPoly.zero(), Word("y"): QtPoly.one()})
-    assert list(w.letters for w, _ in u.sorted_terms()) == ["y"]
+    assert list(w for w, _ in u.sorted_terms()) == ["y"]
 
 
 @given(u=elements, c=coeffs)
@@ -184,7 +184,7 @@ def test_from_pairs_shares_one_coefficient_per_distinct_pair():
     assert len({id(c) for c in got.terms.values()}) == len(set(table.values())) == 3
     for w, pair in table.items():
         for w2, pair2 in table.items():
-            assert (got.terms[Word(w)] is got.terms[Word(w2)]) == (pair == pair2)
+            assert (got.terms[w] is got.terms[w2]) == (pair == pair2)
 
 
 def test_products_from_one_cache_share_words_and_coefficients():
@@ -193,27 +193,25 @@ def test_products_from_one_cache_share_words_and_coefficients():
     other = tshuffle_words("xxyy", "xyxxy", cache)
     again = tshuffle_words("xxyxy", "xyxy", cache)
     assert again == prod
-    shared = {w.letters: w for w in prod.terms}
-    common = [w for w in other.terms if w.letters in shared]
+    common = [w for w in other.terms if w in prod.terms]
     assert common
     for w in common:
-        assert w is shared[w.letters]
         if prod.terms[w] == other.terms[w]:
             assert prod.terms[w] is other.terms[w]
     for w, c in again.terms.items():
-        assert w is shared[w.letters] and c is prod.terms[w]
+        assert c is prod.terms[w]
     fresh = tshuffle_words("xxyy", "xyxxy")
     assert fresh == other
-    assert not any(w is shared.get(w.letters) for w in fresh.terms)
+    assert not any(c is other.terms[w] for w, c in fresh.terms.items())
 
 
 def _snapshot(v):
-    return [(w.letters, dict(c.coeffs)) for w, c in v.terms.items()]
+    return [(w, dict(c.coeffs)) for w, c in v.terms.items()]
 
 
 def test_operations_leave_a_product_with_shared_coefficients_unchanged():
-    # prod and other come from one cache, so they share words and
-    # coefficients: no operation on one may change the other
+    # prod and other come from one cache, so they share coefficients: no
+    # operation on one may change the other
     cache = {}
     prod = tshuffle_words("xxyxy", "xyxy", cache)
     assert len({id(c) for c in prod.terms.values()}) < len(prod.terms)
@@ -239,3 +237,59 @@ def test_operations_leave_a_product_with_shared_coefficients_unchanged():
     ):
         operation()
         assert [_snapshot(prod), _snapshot(other)] == before
+
+
+def _keys_are_letters(v):
+    return v.terms and all(type(w) is str for w in v.terms)
+
+
+def test_every_producer_keys_terms_by_letters():
+    from imzv import closedforms
+    from imzv.tshuffle import (
+        block_product,
+        shuffle_words,
+        split_product,
+        word_blocks,
+        xpow_times_ypow,
+        yy_product_formula,
+    )
+
+    u = HElement({Word("xy"): 2, Word(""): QtPoly.t(), "y": 1})
+    v = tshuffle_words(Word("xxy"), Word("y"))
+    produced = [
+        u,
+        v,
+        HElement.unit(),
+        HElement.from_word(Word("xy")),
+        shuffle_words(Word("xy"), Word("yx")),
+        tshuffle(u, v),
+        split_product(Word("xyy"), Word("xy"), 2),
+        block_product(word_blocks("xxyy"), word_blocks(Word("xyy"))),
+        closedforms.pattern_product((1, 0), (2,)),
+        closedforms.height_one_product(2, 2, 1, 1),
+        closedforms.expanded_height_one_product(1, 2, 1, 1),
+        closedforms.height_two_product(1, 1, 1, 1, 1, 2),
+        closedforms.alternating_product_sum(2, 2),
+        closedforms.alternating_product_closed_form(2, 2),
+        closedforms.alternating_product_weight4_form(2),
+        yy_product_formula(2, 3),
+        xpow_times_ypow(2, 2),
+        parse_helement("2*xyxy + (-6*t)*xxxy - 1"),
+        helement_from_json(json.loads(helement_to_json(v))),
+        u + v,
+        u - v,
+        -u,
+        u * v,
+        u.scale(QtPoly({0: 2, 1: -1})),
+        3 * u,
+        v.substitute_t(Fraction(1, 2)),
+    ]
+    for element in produced:
+        assert _keys_are_letters(element), element
+    assert all(type(w) is str for w, _ in v.sorted_terms())
+    # an element built from Word keys is the same element as the engine's:
+    # a table mixing Word and str keys would compare unequal
+    assert HElement({Word(w): c for w, c in v.terms.items()}) == v
+    assert HElement({Word("xyxy"): 2, Word("xxyy"): 4}) == shuffle_words("xy", "xy")
+    assert helement_from_json(json.loads(helement_to_json(v))) == v
+    assert parse_helement(str(v)) == v

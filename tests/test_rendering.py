@@ -55,8 +55,10 @@ _Y_BEFORE_X = str.maketrans("yx", "ab")
 
 
 def _word_terms(v):
-    return sorted(v.terms.items(),
-                  key=lambda item: (len(item[0]), item[0].letters.translate(_Y_BEFORE_X)))
+    """(Word, c) terms in canonical order: a Word prints the empty word as 1."""
+    terms = sorted(v.terms.items(),
+                   key=lambda item: (len(item[0]), item[0].translate(_Y_BEFORE_X)))
+    return [(Word(w), c) for w, c in terms]
 
 
 def _element_text(v):

@@ -2,11 +2,17 @@
 
 Every runner is a Suite record run by one driver: it records each case
 once, forms the difference of the two sides only for a failing case, and
-refuses a keyword below the suite's least value before any case runs.
+refuses a keyword below the suite's least value or above its most before
+any case runs.
 """
 
+import dataclasses
+import functools
+import importlib.util
 import inspect
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +36,14 @@ _SMALL_GRIDS = [
     (verify.run_oracle_laws, {"max_len_comm": 2, "max_len_assoc": 2}),
     (verify.run_shuffle_consistency, {"max_len": 2}),
 ]
+
+
+# every runner, the two that are not CLI suites included
+_RUNNERS = dict(
+    verify.SUITES,
+    **{"oracle-laws": verify.run_oracle_laws,
+       "shuffle-consistency": verify.run_shuffle_consistency},
+)
 
 
 def test_a_wrong_closed_form_is_the_one_failure_reported(monkeypatch):
@@ -77,10 +91,7 @@ def test_passing_cases_form_no_difference(monkeypatch, runner, kwargs):
 
 
 def test_every_runner_keeps_its_keywords_and_record():
-    runners = dict(verify.SUITES)
-    runners["oracle-laws"] = verify.run_oracle_laws
-    runners["shuffle-consistency"] = verify.run_shuffle_consistency
-    for sid, runner in runners.items():
+    for sid, runner in _RUNNERS.items():
         assert runner.suite.sid == sid
         # every flag-set keyword is a keyword of the runner
         params = inspect.signature(runner).parameters
@@ -96,6 +107,51 @@ def test_homomorphism_refuses_small_weight_before_sampling(monkeypatch, max_weig
     monkeypatch.setattr(verify, "_sample_pairs", refuse)
     with pytest.raises(ValueError, match="max_weight must be at least 4"):
         verify.run_homomorphism_numeric(max_weight=max_weight)
+
+
+@pytest.mark.parametrize(
+    "sid, key, most",
+    [(sid, key, most) for sid, runner in sorted(_RUNNERS.items())
+     for key, most in sorted(runner.suite.most.items())],
+)
+def test_a_keyword_over_its_most_is_refused_before_any_case(sid, key, most):
+    record = _RUNNERS[sid].suite
+
+    @functools.wraps(record.cases)
+    def refuse(**kwargs):
+        raise AssertionError("ran a grid over the bound of %s" % key)
+
+    record = dataclasses.replace(record, cases=refuse)
+    over = [most + 1] if key.endswith("_values") else most + 1
+    with pytest.raises(ValueError, match="%s must be at most %d for suite %s, got %d"
+                       % (key, most, sid, most + 1)):
+        record.run(**{key: over})
+    # the most itself is accepted
+    record.check({key: [1, most] if key.endswith("_values") else most})
+
+
+def test_every_item_of_a_values_keyword_is_checked():
+    check = verify.run_alternating_sums.suite.check
+    check({"k_values": range(1, 11), "p_values": (1, 6)})
+    with pytest.raises(ValueError, match="k_values must be at most 10"):
+        check({"k_values": [2, 11, 4]})
+
+
+def test_every_default_grid_is_within_its_bounds():
+    for runner in _RUNNERS.values():
+        params = inspect.signature(runner).parameters
+        runner.suite.check({key: p.default for key, p in params.items()})
+
+
+def test_every_benchmark_grid_is_within_its_bounds(monkeypatch):
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules while being built
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for sid, grid, _ in workloads.VERIFY_GRID:
+        _RUNNERS[sid].suite.check(grid)
 
 
 def test_positional_arguments_bind_like_keywords():

@@ -27,7 +27,7 @@ from imzv import (
     words_of_length,
     zeta_combo_from_json,
 )
-from imzv.words import MAX_LETTERS
+from imzv.words import MAX_LETTERS, admissible_index
 
 words = st.text(alphabet="xy", max_size=8).map(Word)
 indices = st.lists(
@@ -189,3 +189,16 @@ def test_admissible_indices_are_sorted_and_bounded():
     assert all(i.admissible and i.weight <= 5 for i in idxs)
     assert len(set(idxs)) == len(idxs)
     assert Index((2,)) in idxs and Index((2, 1, 1, 1)) in idxs
+
+
+def test_admissible_index_keeps_each_index_and_refuses_other_words_every_time():
+    # a fixed bound, well above the admissible words one product table maps
+    assert admissible_index.cache_info().maxsize == 1 << 16
+    assert admissible_index("xyxxy") == Index((2, 3))
+    assert admissible_index("xyxxy") is admissible_index("xyxxy")
+    for letters in ("", "y", "yxy", "xyx", "xx"):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="lies outside the admissible span"):
+                admissible_index(letters)
+    for w in admissible_words(8):
+        assert admissible_index(w.letters) == index_from_word(w)
