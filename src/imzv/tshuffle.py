@@ -12,16 +12,18 @@ checked against this recursion.  A product of two plain words is always of
 degree at most one in t (corrections contribute single standalone words, so
 no path multiplies two t factors), so every engine here sums into one
 halg pair table, word -> (c0, c1) meaning c0 + c1*t, and wraps it once
-with halg.from_pairs.  tshuffle_table hands out the recursion's table
-itself, for a caller that prints it (imzv product) instead of wrapping it.
+with halg.from_pairs.
 
-The two split engines share one step, _split: the split formula for
-a sh b at one letter of a, summed from the tables of the tails
-a[k:] sh b[i:] for every suffix b[i:] of b.  split_product takes those
-tails from the recursion.  block_product splits at the end of a's first
-block, and builds its tails with the same step bottom-up: from a's last
-block to its first, each block suffix of a against every suffix of b,
-each level from the one below, so no tail is computed twice.
+Three engines share one step, _split: the split formula for a sh b at
+one letter of a, summed from the tables of the tails a[k:] sh b[i:] for
+every suffix b[i:] of b.  split_product and tshuffle_table take those
+tails from the recursion; tshuffle_table, the table imzv product prints
+without wrapping it, splits the longer word at its middle letter, which
+sums far fewer entries than the recursion builds for the whole product.
+block_product splits at the end of a's first block, and builds its tails
+with the same step bottom-up: from a's last block to its first, each
+block suffix of a against every suffix of b, each level from the one
+below, so no tail is computed twice.
 
 A cache passed to tshuffle_words or shuffle_words holds the recursion's
 tables under (u, v) and (u, v, 0) keys, and one entry for from_pairs
@@ -96,26 +98,34 @@ def _tsh(u: str, v: str, memo: dict) -> dict:
     return out
 
 
-def tshuffle_table(w1, w2, cache: dict | None = None) -> dict:
-    """The t-shuffle product of two words as the recursion's own pair
-    table, str word -> (c0, c1) meaning c0 + c1*t, with no zero pairs:
-    what tshuffle_words wraps, and what halg.table_str and table_json print
-    without building a Word or a QtPoly per term.  Refuses words over
-    MAX_LETTERS letters in all before any work.
+def tshuffle_table(w1, w2) -> dict:
+    """The t-shuffle product of two words as a pair table, str word ->
+    (c0, c1) meaning c0 + c1*t, with no zero pairs, for halg.table_str and
+    table_json to print without building a Word or a QtPoly per term.
+    Refuses words over MAX_LETTERS letters in all before any work.
 
-    The table may be a cache entry or part of one, so it must not be
-    mutated; a cache is kept as in tshuffle_words."""
-    return _tsh(*_letters(w1, w2), {} if cache is None else cache)
+    The table is the split formula at the middle letter of the longer
+    word (the product commutes), its tails from the recursion; nothing is
+    kept between calls.  Tests pin it to tshuffle_words, the recursion's
+    own table."""
+    a, b = _letters(w1, w2)
+    if len(a) < len(b):
+        a, b = b, a
+    memo = {}
+    if len(a) < 2 or not b:
+        return _tsh(a, b, memo)
+    return _split_at(a, b, len(a) // 2, memo, memo)
 
 
 def tshuffle_words(w1, w2, cache: dict | None = None) -> HElement:
     """The t-shuffle product of two words, by direct recursion: its pair
-    table (tshuffle_table) wrapped with halg.from_pairs.
+    table wrapped with halg.from_pairs.
 
     A cache passed in keeps the recursion's tables, and one coefficient
     per distinct pair, for every later product that uses it; the results
     must not be mutated."""
-    return from_pairs(tshuffle_table(w1, w2, cache), cache)
+    table = _tsh(*_letters(w1, w2), {} if cache is None else cache)
+    return from_pairs(table, cache)
 
 
 def tshuffle(u: HElement, v: HElement, cache: dict | None = None) -> HElement:
@@ -164,12 +174,24 @@ _MINUS_T = {"": (0, -1)}
 
 def _add_concat(acc: dict, left: dict, mid: str, right: dict):
     """Add the concatenation product left . mid . right into the pair table
-    acc.  left is a plain shuffle table (c1 = 0), so every product stays of
-    t-degree at most one."""
+    acc in place, deleting a word whose sum cancels, as add_pair does.
+    left is a plain shuffle table (c1 = 0, c0 != 0), so every product is a
+    nonzero pair of t-degree at most one."""
+    get = acc.get
     for lw, (l0, _) in left.items():
         head = lw + mid
         for rw, (r0, r1) in right.items():
-            add_pair(acc, head + rw, l0 * r0, l0 * r1)
+            w = head + rw
+            old = get(w)
+            if old is None:
+                acc[w] = (l0 * r0, l0 * r1)
+                continue
+            c0 = old[0] + l0 * r0
+            c1 = old[1] + l0 * r1
+            if c0 or c1:
+                acc[w] = (c0, c1)
+            else:
+                del acc[w]
 
 
 def shuffle_words(w1, w2, cache: dict | None = None) -> HElement:
@@ -244,6 +266,13 @@ def _split(a: str, b: str, k: int, tails, shmemo: dict) -> dict:
     return acc
 
 
+def _split_at(a: str, b: str, k: int, memo: dict, shmemo: dict) -> dict:
+    """_split at letter position k, the tails a[k:] sh b[i:] from the
+    recursion with memo."""
+    tails = [_tsh(a[k:], b[i:], memo) for i in range(len(b) + 1)]
+    return _split(a, b, k, tails, shmemo)
+
+
 def split_product(a_word, b_word, k: int, cache: dict | None = None) -> HElement:
     """The t-shuffle a sh b computed by splitting a at letter position k
     (1 <= k <= len(a)), with the oracle's tables for the tails a[k:] sh b[i:]
@@ -252,10 +281,7 @@ def split_product(a_word, b_word, k: int, cache: dict | None = None) -> HElement
     a, b = _letters(a_word, b_word)
     if not 1 <= k <= len(a):
         raise ValueError("k must satisfy 1 <= k <= len(a)")
-    if cache is None:
-        cache = {}
-    tails = [_tsh(a[k:], b[i:], cache) for i in range(len(b) + 1)]
-    return from_pairs(_split(a, b, k, tails, {}))
+    return from_pairs(_split_at(a, b, k, {} if cache is None else cache, {}))
 
 
 def word_blocks(w) -> tuple:

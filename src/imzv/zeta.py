@@ -157,10 +157,9 @@ class ZetaCombo:
         return _make_combo(PLAIN, terms, QtPoly.const(self.scalar.eval_at(t0)))
 
     def __str__(self):
-        return _combo_str(self.kind, self.scalar, self._rows(), by_identity(self.terms))
-
-    def _rows(self) -> list:
-        return [(p, id(c)) for _, p, _, c in _canonical(self.terms)]
+        sym = _SYMBOL[self.kind]
+        rows = [(sym + parts_str(p), id(c)) for _, p, _, c in _canonical(self.terms)]
+        return _combo_str(self.scalar, rows, by_identity(self.terms))
 
     def __repr__(self):
         return "ZetaCombo(%s: %s)" % (self.kind, self)
@@ -199,28 +198,21 @@ def _zeta_prefix(c: QtPoly) -> str:
     return out
 
 
-def _combo_str(kind, scalar: QtPoly, rows, poly) -> str:
-    """How a combo of this kind and scalar prints with rows (parts, c) as
+def _combo_str(scalar: QtPoly, rows, poly) -> str:
+    """How a combo with this scalar prints with rows (symbol text, c) as
     its terms, in canonical order; poly(c) is the QtPoly of c."""
-    sym = _SYMBOL[kind]
-    return write_text(
-        [(sym + parts_str(parts), c) for parts, c in rows],
-        lambda c: _zeta_prefix(poly(c)),
-        _scalar_str(scalar) if scalar else "",
-    )
+    return write_text(rows, lambda c: _zeta_prefix(poly(c)),
+                      _scalar_str(scalar) if scalar else "")
 
 
 def _combo_json(kind, scalar: QtPoly, rows, poly) -> str:
     """The JSON object of kind, scalar and {"index", "coeff"} rows for
-    rows (parts, c) in canonical order; poly(c) is the QtPoly of c."""
+    rows (index text, c) in canonical order, an index's text its int
+    list; poly(c) is the QtPoly of c."""
     return '{"kind": %s, "scalar": %s, "terms": %s}' % (
         json.dumps(kind),
         json_str(scalar),
-        write_json(
-            [(list(parts), c) for parts, c in rows],
-            '{"index": %s, "coeff": %s}',
-            lambda c: json_str(poly(c)),
-        ),
+        write_json(rows, '{"index": %s, "coeff": %s}', lambda c: json_str(poly(c))),
     )
 
 
@@ -258,29 +250,41 @@ def _powers(c: QtPoly, s: QtPoly, n: int) -> list:
     return out
 
 
-def _fusion_rows(parts: tuple) -> list:
+def _fusion_rows(parts: tuple, head, close) -> list:
     """The 2^(n-1) ways of keeping apart or adding together the adjacent
-    parts of a depth-n index, as (merged parts, number of additions).
+    parts of a depth-n index, as rows (head, run, number of additions):
+    run is the rightmost sum, and head the sums before it, each closed
+    onto the start head in turn as close(head, sum).  _fuse closes sums
+    into a tuple of parts, write_expansion into the printed index.
 
     One depth-first walk from the first part to the last builds each row
     once; it closes the open rightmost sum before adding the next part
     into it, so the rows arrive in canonical order: ascending parts, at
     one weight.  Sums of positive parts are positive, so no row needs a
     check."""
+    last = len(parts) - 1
+    if not last:
+        return [(head, parts[0], 0)]
     rows = []
     add = rows.append
-    last = len(parts)
 
     def walk(j, head, run, fused):
-        # parts[:j] are placed: head holds the closed sums, run the open one
+        # parts[:j] are placed: head holds the closed sums, run the open
+        # one; the last part ends both of its rows here
+        p = parts[j]
         if j == last:
-            add((head + (run,), fused))
+            add((close(head, run), p, fused))
+            add((head, run + p, fused + 1))
             return
-        walk(j + 1, head + (run,), parts[j], fused)
-        walk(j + 1, head, run + parts[j], fused + 1)
+        walk(j + 1, close(head, run), p, fused)
+        walk(j + 1, head, run + p, fused + 1)
 
-    walk(1, (), parts[0], 0)
+    walk(1, head, parts[0], 0)
     return rows
+
+
+def _close_part(head: tuple, run: int) -> tuple:
+    return head + (run,)
 
 
 def _fuse(terms: dict, s: QtPoly) -> dict:
@@ -290,9 +294,11 @@ def _fuse(terms: dict, s: QtPoly) -> dict:
     returns the table itself.
 
     The rows of each symbol come from _fusion_rows, the same walk the
-    command line prints an expansion from, and sum into the table as
-    Index keys.  Refuses a table with more than MAX_PATTERNS patterns in
-    all before building any.
+    command line prints an expansion from.  They sum into a table keyed
+    by their parts tuples, which hash in C where an Index hashes through
+    Python, and each distinct key becomes an Index once at the end.
+    Refuses a table with more than MAX_PATTERNS patterns in all before
+    building any.
     """
     if not s:
         return terms
@@ -300,24 +306,34 @@ def _fuse(terms: dict, s: QtPoly) -> dict:
     out = {}
     for idx, c in terms.items():
         scaled = _powers(c, s, len(idx.parts))
-        for parts, k in _fusion_rows(idx.parts):
-            accumulate(out, _make_index(parts), scaled[k])
-    return out
+        for head, run, k in _fusion_rows(idx.parts, (), _close_part):
+            accumulate(out, head + (run,), scaled[k])
+    return {_make_index(parts): c for parts, c in out.items()}
+
+
+# How write_expansion prints an index, as (start, separator, end): "z(2,1)"
+# as text, "[2, 1]" in JSON
+_INDEX_TEXT = {False: ("z(", ",", ")"), True: ("[", ", ", "]")}
 
 
 def write_expansion(idx: Index, as_json: bool) -> str:
     """What expand_interpolation(interpolated_symbol(idx.parts)) prints, as
     text or as JSON, written from the rows of _fusion_rows without building
-    the combo: one symbol's rows are already in canonical order, and a row
-    with k additions has the coefficient t^k.  Refuses a non-admissible
-    index and one over MAX_PATTERNS before building any row."""
+    the combo: each row's printed index is closed during the walk, one
+    symbol's rows are already in canonical order, and a row with k
+    additions has the coefficient t^k.  Refuses a non-admissible index and
+    one over MAX_PATTERNS before building any row."""
     if not idx.admissible:
         raise ValueError("non-admissible index %s in combo" % idx)
     depth = len(idx.parts)
     _check_patterns(1 << (depth - 1))
     scaled = _powers(QtPoly.one(), _FUSION[INTERPOLATED], depth)
-    write = _combo_json if as_json else _combo_str
-    return write(PLAIN, QtPoly.zero(), _fusion_rows(idx.parts), scaled.__getitem__)
+    start, sep, end = _INDEX_TEXT[as_json]
+    walk = _fusion_rows(idx.parts, start, lambda head, run: f"{head}{run}{sep}")
+    rows = [(f"{head}{run}{end}", k) for head, run, k in walk]
+    if as_json:
+        return _combo_json(PLAIN, QtPoly.zero(), rows, scaled.__getitem__)
+    return _combo_str(QtPoly.zero(), rows, scaled.__getitem__)
 
 
 def expand_interpolation(zc: ZetaCombo) -> ZetaCombo:
@@ -402,7 +418,8 @@ def zeta_combo_from_json(obj) -> ZetaCombo:
 def zeta_combo_to_json(zc: ZetaCombo) -> str:
     """The JSON object of kind, scalar and {"index", "coeff"} rows in
     canonical order, written directly: an index prints as its int list."""
-    return _combo_json(zc.kind, zc.scalar, zc._rows(), by_identity(zc.terms))
+    rows = [(str(list(p)), id(c)) for _, p, _, c in _canonical(zc.terms)]
+    return _combo_json(zc.kind, zc.scalar, rows, by_identity(zc.terms))
 
 
 def interpolated_symbol(parts) -> ZetaCombo:

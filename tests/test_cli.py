@@ -5,6 +5,7 @@ code: 0 for success, 1 for a failed identity or tolerance, 2 for usage
 and parse errors.
 """
 
+import importlib
 import itertools
 import json
 import os
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from imzv import admissible_indices, cli, mzvnum
+from imzv import admissible_indices, cli, mzvnum, tshuffle_words
 from imzv.cli import main
 from imzv.verify import SUITES, run_yy_products
 
@@ -202,6 +203,27 @@ def test_eval_reads_ascii_values_of_t(capsys, t, value):
     code, out, _ = run(capsys, "eval", "t*z(2)", "--t", t)
     assert code == 0
     assert out == "%s ± 1.000e-09\n" % value
+
+
+def test_product_at_the_letter_limit_and_one_letter_over(capsys, monkeypatch):
+    long = "x" * 499
+    code, out, _ = run(capsys, "product", long, "x")
+    assert code == 0
+    assert out == str(tshuffle_words(long, "x")) + "\n" == "500*" + long + "x\n"
+
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    # the package binds the name tshuffle to the bilinear product
+    engines = importlib.import_module("imzv.tshuffle")
+    monkeypatch.setattr(engines, "_tsh", no_table)
+    monkeypatch.setattr(engines, "_split", no_table)
+    with pytest.raises(AssertionError, match="a table was built"):
+        main(["product", "xy", "y"])
+    code, out, err = run(capsys, "product", long + "x", "x")
+    assert code == 2
+    assert not out
+    assert "over the limit of 500" in err
 
 
 @pytest.mark.parametrize("command, arg", [("index", "(%d)"), ("dual", "(%d)"), ("eval", "z(%d)")])

@@ -1,9 +1,12 @@
 """The product and expand replies, written from the engine tables.
 
-`imzv product` prints the t-shuffle recursion's pair table and `imzv
-expand` the fusion walk's rows without building an HElement or a
-ZetaCombo.  These tests hold both replies, text and JSON, to what the
-object writers print for the same product or expansion, replay the
+`imzv product` prints the pair table of tshuffle_table, the split formula
+at the middle letter of the longer word, and `imzv expand` the fusion
+walk's rows, each row's index text closed during the walk, without
+building an HElement or a ZetaCombo.  These tests hold both replies, text
+and JSON, to what the object writers print for the same product or
+expansion: a product to tshuffle_words, the recursion that is the oracle,
+and an expansion to expand_interpolation.  They also replay the
 benchmark's recorded request pool against its golden outputs, and pin the
 pattern limit and the parsers' spaces on these paths.
 """
@@ -101,12 +104,16 @@ def test_expand_accepts_the_deepest_index_under_the_pattern_limit(capsys):
     assert len(json.loads(out)["terms"]) == MAX_PATTERNS
 
 
+def _no_rows(*args):
+    raise AssertionError("a row was built")
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_expand_refuses_one_part_more_before_any_row(capsys, monkeypatch, fmt):
-    def no_rows(*args):
-        raise AssertionError("a row was built")
-
-    monkeypatch.setattr("imzv.zeta._fusion_rows", no_rows)
+    monkeypatch.setattr("imzv.zeta._fusion_rows", _no_rows)
+    # the patched walk is the one the reply takes its rows from
+    with pytest.raises(AssertionError, match="a row was built"):
+        main(["expand", "(2,1)", "--format", fmt])
     code, out, err = reply(capsys, "expand", "(2" + ",1" * 18 + ")", "--format", fmt)
     assert code == 2
     assert not out
@@ -114,10 +121,9 @@ def test_expand_refuses_one_part_more_before_any_row(capsys, monkeypatch, fmt):
 
 
 def test_the_fusion_map_refuses_one_part_more_before_any_row(monkeypatch):
-    def no_rows(*args):
-        raise AssertionError("a row was built")
-
-    monkeypatch.setattr("imzv.zeta._fusion_rows", no_rows)
+    monkeypatch.setattr("imzv.zeta._fusion_rows", _no_rows)
+    with pytest.raises(AssertionError, match="a row was built"):
+        expand_interpolation(interpolated_symbol((2, 1)))
     with pytest.raises(ValueError, match="262144 merge patterns"):
         expand_interpolation(interpolated_symbol((2,) + (1,) * 18))
 

@@ -30,8 +30,8 @@ from imzv import (
     yy_product_formula,
 )
 import imzv.words
-from imzv.halg import add_pair
-from imzv.tshuffle import MAX_LETTERS, _sh, _tsh
+from imzv.halg import add_pair, from_pairs
+from imzv.tshuffle import MAX_LETTERS, _add_concat, _sh, _tsh, tshuffle_table
 from imzv.words import all_words
 from imzv.verify import run_oracle_laws
 
@@ -199,6 +199,7 @@ _LETTER_ENGINES = {
     "shuffle_words": shuffle_words,
     "split_product": lambda u, v: split_product(u, v, 1),
     "block_product": lambda u, v: block_product(word_blocks(u), word_blocks(v)),
+    "tshuffle_table": lambda u, v: from_pairs(tshuffle_table(u, v)),
 }
 
 
@@ -218,6 +219,18 @@ def test_the_product_engines_share_the_word_letter_limit():
 def test_correction_terms_at_the_letter_limit():
     m = MAX_LETTERS - 1
     assert tshuffle_words("y" * m, "y") == yy_product_formula(m, 1)
+    for u, v in (("y" * m, "y"), ("y", "y" * m)):
+        assert from_pairs(tshuffle_table(u, v)) == yy_product_formula(m, 1)
+
+
+def test_the_printed_table_is_the_recursion_on_every_pair_up_to_five_letters():
+    # tshuffle_table sums the split formula at the middle of the longer
+    # word; the reference is the recursion's own table, with a fresh memo
+    words = [w.letters for w in all_words(5)]
+    assert len(words) == 63 and "" in words and "yxxyx" in words
+    for u in words:
+        for v in words:
+            assert tshuffle_table(u, v) == _tsh(u, v, {}), (u, v)
 
 
 def test_a_memo_shared_by_both_recursions_keeps_them_apart():
@@ -284,3 +297,17 @@ def test_prefix_tables_match_the_add_pair_recursion(engine, reference):
             ):
                 assert list(got.items()) == list(want.items()), (u, v)
     assert len(shared) == len(ref_shared)
+
+
+def test_concatenation_sums_like_add_pair_and_drops_a_cancelled_word():
+    # the split formula's own sums never cancel (c0 >= 0 >= c1 throughout),
+    # so the cancelling entries are set up in acc beforehand
+    left, mid, right = {"x": (1, 0), "y": (2, 0)}, "y", {"x": (1, -1), "": (0, 2)}
+    acc = {"xyx": (-1, 1), "yy": (3, -4), "xx": (5, 0)}
+    want = dict(acc)
+    for lw, (l0, _) in left.items():
+        for rw, (r0, r1) in right.items():
+            add_pair(want, lw + mid + rw, l0 * r0, l0 * r1)
+    _add_concat(acc, left, mid, right)
+    assert list(acc.items()) == list(want.items())
+    assert acc == {"yy": (3, 0), "xx": (5, 0), "xy": (0, 2), "yyx": (2, -2)}
