@@ -22,10 +22,11 @@ and no coefficient shared across products, may be mutated afterwards.
 
 Every printed sum, of words or of zeta symbols, comes from two row
 writers, write_text and write_json, fed (key text, coefficient) rows in
-canonical order; each renders a coefficient once per distinct value.
-table_str and table_json feed them the rows of a str word -> coefficient
-table, an HElement's or a product engine's pair table alike, so the
-command line prints a product from its pair table without wrapping it.
+canonical order; each renders a coefficient once per distinct value, so
+an object's writer hands them each row's QtPoly itself.  table_str and
+table_json feed them the rows of a str word -> coefficient table, an
+HElement's or a product engine's pair table alike, so the command line
+prints a product from its pair table without wrapping it.
 """
 
 from __future__ import annotations
@@ -147,11 +148,10 @@ def _word_rows(table: dict) -> list:
     return [(w or "1", table[w]) for w in canonical_words(table)]
 
 
-def by_identity(terms: dict):
-    """The map from id(c) back to c for the coefficients c of terms.  An
-    object's writer keys its rows by id(c), since a QtPoly hashes by value
-    in Python, and passes this map as poly."""
-    return {id(c): c for c in terms.values()}.__getitem__
+def itself(c: QtPoly) -> QtPoly:
+    """c itself: the poly an object's writer passes, its rows holding
+    each coefficient's QtPoly."""
+    return c
 
 
 def table_str(table: dict, poly) -> str:
@@ -266,10 +266,7 @@ class HElement:
         return make_helement(specialize(self.terms, t0))
 
     def __str__(self):
-        return table_str(self._id_table(), by_identity(self.terms))
-
-    def _id_table(self) -> dict:
-        return {w: id(c) for w, c in self.terms.items()}
+        return table_str(self.terms, itself)
 
     def __repr__(self):
         return "HElement(%s)" % str(self)
@@ -319,4 +316,4 @@ def json_str(c) -> str:
 
 def helement_to_json(v: HElement) -> str:
     """The JSON list of {"word", "coeff"} rows in canonical order."""
-    return table_json(v._id_table(), by_identity(v.terms))
+    return table_json(v.terms, itself)

@@ -36,7 +36,7 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import mul
 
-from .words import Index, word_from_index
+from .words import Index, parts_str, word_from_index
 
 TARGET_FLOOR = 1e-9
 SERIES_TERMS = 64
@@ -182,14 +182,14 @@ def eval_combo(zc, t_value=0, target_abs_err=1e-6, cache=None) -> EvalResult:
     if cache is None:
         cache = {}
     value = _coefficient(zc.scalar.eval_at(t0), "the constant term")
-    terms = [(idx, _coefficient(poly.eval_at(t0), "the coefficient of z%s" % idx))
-             for idx, poly in zc.sorted_terms()]
+    terms = [(p, _coefficient(c.eval_at(t0), "the coefficient of z" + parts_str(p)))
+             for p, c in zc.sorted_terms()]
     est = 0.0
     used = 1
-    for idx, c in terms:
+    for parts, c in terms:
         if c == 0.0:
             continue
-        r = eval_mzv(idx, cache=cache)
+        r = eval_mzv(parts, cache=cache)
         value += c * r.value
         est += abs(c) * r.error_estimate
         used = max(used, r.cutoff_used)

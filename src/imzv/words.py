@@ -6,9 +6,10 @@ bijectively to indices.  A word is admissible when it is empty or starts
 with x and ends with y; admissible nonempty words are exactly the images
 of indices with l1 >= 2, the convergent zeta arguments.
 
-A Word is the checked form of a word where it enters or leaves the
-program; sums and products key their terms by the plain letter string.
-admissible_index maps such a string to its index through one bounded
+A Word and an Index are the checked forms of a word and an index where
+they enter or leave the program; sums and products key their terms by
+the plain letter string, zeta combos by the plain tuple of parts.
+admissible_parts maps a letter string to its parts through one bounded
 process-wide cache.
 """
 
@@ -18,9 +19,6 @@ import functools
 import itertools
 
 from .coeffs import SPACES
-
-X = "x"
-Y = "y"
 
 # Most letters of any word the program builds: the product engines recurse
 # once per letter, and 500 levels leave room under Python's default
@@ -121,19 +119,9 @@ class Index:
         return "Index(%r)" % (self.parts,)
 
 
-_set_parts = Index.parts.__set__
-
-
 def parts_str(parts: tuple) -> str:
     """How an index prints: "(2,1)" for the parts (2, 1)."""
     return "(%s)" % ",".join(map(str, parts))
-
-
-def _make_index(parts: tuple) -> Index:
-    """Wrap a nonempty tuple of positive ints without re-checking it."""
-    idx = object.__new__(Index)
-    _set_parts(idx, parts)
-    return idx
 
 
 def word_from_index(idx: Index) -> Word:
@@ -145,10 +133,10 @@ def word_from_index(idx: Index) -> Word:
     return Word("".join("x" * (p - 1) + "y" for p in idx.parts))
 
 
-def _index_of(s: str) -> Index:
-    """The index of a nonempty string of x's and y's ending in y."""
-    # each run of x's before a y gives a part len(run) + 1 >= 1 unchecked
-    return _make_index(tuple([len(run) + 1 for run in s[:-1].split("y")]))
+def _parts_of(s: str) -> tuple:
+    """The index parts of a nonempty string of x's and y's ending in y."""
+    # each run of x's before a y gives a part len(run) + 1 >= 1
+    return tuple([len(run) + 1 for run in s[:-1].split("y")])
 
 
 def index_from_word(w: Word) -> Index:
@@ -156,22 +144,22 @@ def index_from_word(w: Word) -> Index:
     s = w.letters
     if not s or s[-1] != "y":
         raise ValueError("word %s does not encode an index (must end in y)" % w)
-    return _index_of(s)
+    return Index(_parts_of(s))
 
 
-# Most indices admissible_index keeps: a constant well above the 1,023
+# Most indices admissible_parts keeps: a constant well above the 1,023
 # admissible words of weight <= 11 that one table of products maps.
 _ADMISSIBLE_INDICES = 1 << 16
 
 
 @functools.lru_cache(maxsize=_ADMISSIBLE_INDICES)
-def admissible_index(letters: str) -> Index:
-    """The zeta index of a nonempty admissible word, given by its letters
-    (x's and y's, already checked), from one bounded process-wide cache.
-    Any other word is refused, every time: a refusal is never kept."""
+def admissible_parts(letters: str) -> tuple:
+    """The zeta index parts of a nonempty admissible word, given by its
+    letters (x's and y's, already checked), from one bounded process-wide
+    cache.  Any other word is refused, every time: a refusal is never kept."""
     if not letters or letters[0] != "x" or letters[-1] != "y":
         raise ValueError("word %s lies outside the admissible span" % (letters or "1"))
-    return _index_of(letters)
+    return _parts_of(letters)
 
 
 def is_admissible(w: Word) -> bool:

@@ -1,7 +1,10 @@
 """Linear combinations of zeta values and the word-to-zeta map.
 
 A ZetaCombo is a finite Q[t]-linear combination of zeta symbols plus a
-scalar part.  Its ``kind`` records which family the symbols denote:
+scalar part.  Its terms map each symbol's tuple of index parts to its
+coefficient; an Index is only the checked form of an index where it
+enters or leaves the program.  Its ``kind`` records which family the
+symbols denote:
 
 * ``"interpolated"`` -- the one-parameter family z^t(l1,...,ln) that is
   the plain value at t=0 and the star value at t=1,
@@ -27,17 +30,9 @@ import json
 import re
 
 from .coeffs import SPACE_CLASS, SPACES, QtPoly, binom, parse_qtpoly, signed_pieces
-from .halg import (
-    HElement,
-    accumulate,
-    by_identity,
-    json_str,
-    specialize,
-    write_json,
-    write_text,
-)
+from .halg import HElement, accumulate, itself, json_str, specialize, write_json, write_text
 from .tshuffle import compositions
-from .words import Index, _make_index, admissible_index, parse_index, parts_str
+from .words import Index, admissible_parts, parse_index, parts_str
 from . import closedforms
 
 INTERPOLATED = "interpolated"
@@ -54,7 +49,7 @@ MAX_PATTERNS = 1 << 17
 
 
 def _make_combo(kind, terms: dict, scalar: QtPoly) -> "ZetaCombo":
-    """Wrap a clean Index -> nonzero QtPoly table without re-checking it."""
+    """Wrap a clean parts -> nonzero QtPoly table without re-checking it."""
     out = object.__new__(ZetaCombo)
     object.__setattr__(out, "kind", kind)
     object.__setattr__(out, "terms", terms)
@@ -62,21 +57,37 @@ def _make_combo(kind, terms: dict, scalar: QtPoly) -> "ZetaCombo":
     return out
 
 
+def _known_kind(kind):
+    if kind not in _KINDS:
+        raise ValueError("unknown combo kind %r" % (kind,))
+    return kind
+
+
+def _admissible_parts(idx) -> tuple:
+    """The parts of an Index or of a sequence of parts, checked as an Index
+    and refused unless admissible."""
+    if not isinstance(idx, Index):
+        idx = Index(idx)
+    if not idx.admissible:
+        raise ValueError("non-admissible index %s in combo" % idx)
+    return idx.parts
+
+
 class ZetaCombo:
-    """A scalar plus a Q[t]-linear combination of admissible zeta symbols."""
+    """A scalar plus a Q[t]-linear combination of admissible zeta symbols.
+
+    terms maps the tuple of parts of each symbol's index to its nonzero
+    coefficient.  The constructor takes Index or tuple keys and checks
+    each one."""
 
     __slots__ = ("kind", "scalar", "terms")
 
     def __init__(self, kind=PLAIN, terms=None, scalar=0):
-        if kind not in _KINDS:
-            raise ValueError("unknown combo kind %r" % (kind,))
+        _known_kind(kind)
         clean = {}
         for idx, c in (terms or {}).items():
-            if not isinstance(idx, Index):
-                idx = Index(idx)
-            if not idx.admissible:
-                raise ValueError("non-admissible index %s in combo" % idx)
-            accumulate(clean, idx, c if isinstance(c, QtPoly) else QtPoly.const(c))
+            accumulate(clean, _admissible_parts(idx),
+                       c if isinstance(c, QtPoly) else QtPoly.const(c))
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "terms", clean)
         s = scalar if isinstance(scalar, QtPoly) else QtPoly.const(scalar)
@@ -115,8 +126,8 @@ class ZetaCombo:
             return NotImplemented
         self._check_kind(other)
         terms = dict(self.terms)
-        for idx, c in other.terms.items():
-            accumulate(terms, idx, c)
+        for parts, c in other.terms.items():
+            accumulate(terms, parts, c)
         return _make_combo(self.kind, terms, self.scalar + other.scalar)
 
     def __neg__(self):
@@ -129,20 +140,20 @@ class ZetaCombo:
 
     def scale(self, c) -> "ZetaCombo":
         c = c if isinstance(c, QtPoly) else QtPoly.const(c)
-        terms = {i: p for i, p0 in self.terms.items() if (p := p0 * c)}
+        terms = {parts: p for parts, p0 in self.terms.items() if (p := p0 * c)}
         return _make_combo(self.kind, terms, self.scalar * c)
 
     def __rmul__(self, c):
         return self.scale(c)
 
     def coeff(self, idx) -> QtPoly:
-        if not isinstance(idx, Index):
-            idx = Index(idx)
-        return self.terms.get(idx, QtPoly.zero())
+        """The coefficient of an index, given as an Index or its parts."""
+        parts = idx.parts if isinstance(idx, Index) else Index(idx).parts
+        return self.terms.get(parts, QtPoly.zero())
 
     def sorted_terms(self):
-        """Terms in canonical order (_canonical)."""
-        return [(i, c) for _, _, i, c in _canonical(self.terms)]
+        """(parts, coefficient) terms in canonical order (_canonical)."""
+        return [(p, c) for _, p, c in _canonical(self.terms)]
 
     def to_plain(self) -> "ZetaCombo":
         """The same combo in plain symbols, its coefficients and scalar
@@ -158,19 +169,19 @@ class ZetaCombo:
 
     def __str__(self):
         sym = _SYMBOL[self.kind]
-        rows = [(sym + parts_str(p), id(c)) for _, p, _, c in _canonical(self.terms)]
-        return _combo_str(self.scalar, rows, by_identity(self.terms))
+        rows = [(sym + parts_str(p), c) for _, p, c in _canonical(self.terms)]
+        return _combo_str(self.scalar, rows, itself)
 
     def __repr__(self):
         return "ZetaCombo(%s: %s)" % (self.kind, self)
 
 
 def _canonical(terms: dict) -> list:
-    """(weight, parts, index, c) for each term of an Index -> c table, in
-    canonical order: weight first, then parts lexicographically.  One sort
-    of these tuples, compared in C; distinct indices never tie, so the
-    comparison never reaches the index or coefficient."""
-    rows = [(sum(p := i.parts), p, i, c) for i, c in terms.items()]
+    """(weight, parts, c) for each term of a parts -> c table, in canonical
+    order: weight first, then parts lexicographically.  One sort of these
+    tuples, compared in C; distinct parts never tie, so the comparison
+    never reaches the coefficient."""
+    rows = [(sum(p), p, c) for p, c in terms.items()]
     rows.sort()
     return rows
 
@@ -220,13 +231,12 @@ def zeta_map(v: HElement, kind=INTERPOLATED) -> ZetaCombo:
     """Apply the zeta symbol map to an element whose words are all admissible.
 
     Raises ValueError when some word is nonempty and not admissible, since
-    such words carry no convergent zeta value.  Each index comes from
-    words.admissible_index, which keeps the indices it computes.
+    such words carry no convergent zeta value.  Each key comes from
+    words.admissible_parts, which keeps the parts it computes.
     """
-    if kind not in _KINDS:
-        raise ValueError("unknown combo kind %r" % (kind,))
-    # distinct words give distinct indices, so every key is set once
-    terms = {admissible_index(w): c for w, c in v.terms.items() if w}
+    _known_kind(kind)
+    # distinct words give distinct parts, so every key is set once
+    terms = {admissible_parts(w): c for w, c in v.terms.items() if w}
     return _make_combo(kind, terms, v.terms.get("") or QtPoly.zero())
 
 
@@ -288,27 +298,25 @@ def _close_part(head: tuple, run: int) -> tuple:
 
 
 def _fuse(terms: dict, s: QtPoly) -> dict:
-    """S_s: rewrite an Index -> QtPoly table over the 2^(n-1) ways of
+    """S_s: rewrite a parts -> QtPoly table over the 2^(n-1) ways of
     either keeping or adding together adjacent parts of each index of
     depth n, with a factor s per addition.  S_0 is the identity and
     returns the table itself.
 
     The rows of each symbol come from _fusion_rows, the same walk the
-    command line prints an expansion from.  They sum into a table keyed
-    by their parts tuples, which hash in C where an Index hashes through
-    Python, and each distinct key becomes an Index once at the end.
+    command line prints an expansion from, and sum into a new parts table.
     Refuses a table with more than MAX_PATTERNS patterns in all before
     building any.
     """
     if not s:
         return terms
-    _check_patterns(sum(1 << (len(idx.parts) - 1) for idx in terms))
+    _check_patterns(sum(1 << (len(parts) - 1) for parts in terms))
     out = {}
-    for idx, c in terms.items():
-        scaled = _powers(c, s, len(idx.parts))
-        for head, run, k in _fusion_rows(idx.parts, (), _close_part):
+    for parts, c in terms.items():
+        scaled = _powers(c, s, len(parts))
+        for head, run, k in _fusion_rows(parts, (), _close_part):
             accumulate(out, head + (run,), scaled[k])
-    return {_make_index(parts): c for parts, c in out.items()}
+    return out
 
 
 # How write_expansion prints an index, as (start, separator, end): "z(2,1)"
@@ -323,13 +331,12 @@ def write_expansion(idx: Index, as_json: bool) -> str:
     symbol's rows are already in canonical order, and a row with k
     additions has the coefficient t^k.  Refuses a non-admissible index and
     one over MAX_PATTERNS before building any row."""
-    if not idx.admissible:
-        raise ValueError("non-admissible index %s in combo" % idx)
-    depth = len(idx.parts)
+    parts = _admissible_parts(idx)
+    depth = len(parts)
     _check_patterns(1 << (depth - 1))
     scaled = _powers(QtPoly.one(), _FUSION[INTERPOLATED], depth)
     start, sep, end = _INDEX_TEXT[as_json]
-    walk = _fusion_rows(idx.parts, start, lambda head, run: f"{head}{run}{sep}")
+    walk = _fusion_rows(parts, start, lambda head, run: f"{head}{run}{sep}")
     rows = [(f"{head}{run}{end}", k) for head, run, k in walk]
     if as_json:
         return _combo_json(PLAIN, QtPoly.zero(), rows, scaled.__getitem__)
@@ -398,10 +405,7 @@ def parse_zeta_combo(text: str) -> ZetaCombo:
             coeff = QtPoly.one()
         if sign < 0:
             coeff = -coeff
-        idx = parse_index(m.group("idx"))
-        if not idx.admissible:
-            raise ValueError("non-admissible index %s in combo" % idx)
-        accumulate(terms, idx, coeff)
+        accumulate(terms, _admissible_parts(parse_index(m.group("idx"))), coeff)
     if len(kinds) > 1:
         raise ValueError("cannot mix z and zs symbols in one combo")
     kind = STAR if kinds == {"zs"} else PLAIN
@@ -409,22 +413,24 @@ def parse_zeta_combo(text: str) -> ZetaCombo:
 
 
 def zeta_combo_from_json(obj) -> ZetaCombo:
-    terms = {
-        Index(rec["index"]): parse_qtpoly(rec["coeff"]) for rec in obj["terms"]
-    }
-    return ZetaCombo(obj["kind"], terms, parse_qtpoly(obj["scalar"]))
+    """The combo of a JSON object as zeta_combo_to_json writes it; the
+    coefficients of a repeated index add up."""
+    terms = {}
+    for rec in obj["terms"]:
+        accumulate(terms, _admissible_parts(rec["index"]), parse_qtpoly(rec["coeff"]))
+    return _make_combo(_known_kind(obj["kind"]), terms, parse_qtpoly(obj["scalar"]))
 
 
 def zeta_combo_to_json(zc: ZetaCombo) -> str:
     """The JSON object of kind, scalar and {"index", "coeff"} rows in
     canonical order, written directly: an index prints as its int list."""
-    rows = [(str(list(p)), id(c)) for _, p, _, c in _canonical(zc.terms)]
-    return _combo_json(zc.kind, zc.scalar, rows, by_identity(zc.terms))
+    rows = [(str(list(p)), c) for _, p, c in _canonical(zc.terms)]
+    return _combo_json(zc.kind, zc.scalar, rows, itself)
 
 
 def interpolated_symbol(parts) -> ZetaCombo:
     """The combo holding the single interpolated symbol for ``parts``."""
-    return ZetaCombo(INTERPOLATED, {Index(parts): QtPoly.one()})
+    return _make_combo(INTERPOLATED, {_admissible_parts(parts): QtPoly.one()}, QtPoly.zero())
 
 
 def alternating_zeta_identity(k: int):
@@ -442,11 +448,11 @@ def alternating_zeta_identity(k: int):
     terms = {}
     for aa in compositions(1, k + 2):
         parts = (aa[-1] + 2,) + tuple(q + 1 for q in aa[:-1])
-        accumulate(terms, Index(parts), QtPoly.const(2 * (aa[-1] + 1)))
+        accumulate(terms, parts, QtPoly.const(2 * (aa[-1] + 1)))
     for i in range(k):
         parts = (2,) + (1,) * i + (3,) + (1,) * (k - i - 1)
-        accumulate(terms, Index(parts), QtPoly({1: 2 * (2 * (-1) ** i - 1)}))
-    accumulate(terms, Index((4,) + (1,) * k), QtPoly({1: -6}))
+        accumulate(terms, parts, QtPoly({1: 2 * (2 * (-1) ** i - 1)}))
+    accumulate(terms, (4,) + (1,) * k, QtPoly({1: -6}))
     return lhs, _make_combo(INTERPOLATED, terms, QtPoly.zero())
 
 
@@ -462,8 +468,8 @@ def euler_decomposition(i: int, j: int) -> ZetaCombo:
     n = i + j
     # both binomials vanish below k = min(i, j)
     terms = {
-        _make_index((k, n - k)): QtPoly.const(binom(k - 1, i - 1) + binom(k - 1, j - 1))
+        (k, n - k): QtPoly.const(binom(k - 1, i - 1) + binom(k - 1, j - 1))
         for k in range(min(i, j), n)
     }
-    terms[_make_index((n,))] = QtPoly({1: -binom(n, i)})
+    terms[(n,)] = QtPoly({1: -binom(n, i)})
     return _make_combo(INTERPOLATED, terms, QtPoly.zero())

@@ -137,6 +137,13 @@ def test_eval_refuses_coefficients_outside_double_range(capsys, argv):
     assert err.count("\n") == 1
 
 
+def test_eval_names_the_symbol_whose_coefficient_is_refused(capsys):
+    code, out, err = run(capsys, "eval", "t^2000*z(2,1)", "--t", "2")
+    assert code == 2
+    assert not out
+    assert "the coefficient of z(2,1) is outside the double range" in err
+
+
 def test_eval_prints_a_value_near_the_double_limit_in_exponent_form(capsys):
     # finite, but eight decimals of it in fixed point would be 318 characters
     code, out, err = run(capsys, "eval", "1" + "0" * 308 + "*z(2)")

@@ -13,6 +13,7 @@ from fractions import Fraction
 from imzv import (
     EMPTY_WORD,
     HElement,
+    Index,
     QtPoly,
     Word,
     admissible_indices,
@@ -82,7 +83,9 @@ def _element_json(v):
 
 
 def _index_terms(zc):
-    return sorted(zc.terms.items(), key=lambda kv: (kv[0].weight, kv[0].parts))
+    """(Index, c) terms in canonical order: an Index prints its parts as (2,1)."""
+    terms = sorted(zc.terms.items(), key=lambda item: (sum(item[0]), item[0]))
+    return [(Index(p), c) for p, c in terms]
 
 
 def _combo_text(zc):
@@ -184,7 +187,7 @@ def test_expanded_sums_of_symbols_print_byte_identically():
         INTERPOLATED, {idx: COEFFS[n % len(COEFFS)] for n, idx in enumerate(indices)}, -2
     )
     got = expand_interpolation(zc)
-    assert len({idx.weight for idx in got.terms}) == 6
+    assert len({sum(parts) for parts in got.terms}) == 6
     assert str(got) == _combo_text(got)
     assert zeta_combo_to_json(got) == _combo_json(got)
 

@@ -27,7 +27,7 @@ from imzv import (
     words_of_length,
     zeta_combo_from_json,
 )
-from imzv.words import MAX_LETTERS, admissible_index
+from imzv.words import MAX_LETTERS, admissible_parts
 
 words = st.text(alphabet="xy", max_size=8).map(Word)
 indices = st.lists(
@@ -193,12 +193,12 @@ def test_admissible_indices_are_sorted_and_bounded():
 
 def test_admissible_index_keeps_each_index_and_refuses_other_words_every_time():
     # a fixed bound, well above the admissible words one product table maps
-    assert admissible_index.cache_info().maxsize == 1 << 16
-    assert admissible_index("xyxxy") == Index((2, 3))
-    assert admissible_index("xyxxy") is admissible_index("xyxxy")
+    assert admissible_parts.cache_info().maxsize == 1 << 16
+    assert admissible_parts("xyxxy") == (2, 3)
+    assert admissible_parts("xyxxy") is admissible_parts("xyxxy")
     for letters in ("", "y", "yxy", "xyx", "xx"):
         for _ in range(2):
             with pytest.raises(ValueError, match="lies outside the admissible span"):
-                admissible_index(letters)
+                admissible_parts(letters)
     for w in admissible_words(8):
-        assert admissible_index(w.letters) == index_from_word(w)
+        assert admissible_parts(w.letters) == index_from_word(w).parts
