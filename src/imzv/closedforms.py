@@ -6,9 +6,11 @@ behind all of them: walk the output y's in order, each taken from the left
 or the right word together with the x's that land in front of it, weighted
 by the number of ways those x's interleave; for the t part replace one y by
 x in each merge pattern, namely whichever of the two source words' final
-y's lands first in the output.  The height-one forms list the same terms
-family by family.  The grid tests pin each function to the recursive
-engine exactly, coefficient by coefficient.
+y's lands first in the output.  pattern_product is that walk, and the one
+replacement rule; height_two_product is pattern_product on its two words'
+shapes.  The height-one forms list the same terms family by family.  The
+grid tests pin each function to the recursive engine exactly, coefficient
+by coefficient.
 
 Each function sums into one halg pair table, word -> (c0, c1) meaning
 c0 + c1*t: a plain word adds (c, 0) and a merged word (0, -c).  The table
@@ -29,31 +31,38 @@ def _zword(exps) -> str:
     return "".join("x" * e + "y" for e in exps)
 
 
-def _pattern_sum(a_exps, b_exps, replaced) -> HElement:
-    """Sum over the y merge patterns of the two words: each pattern's
-    multinomially filled words, minus t times the same words with the y at
-    pattern position replaced(pattern) turned into x.
+def pattern_product(a_exps, b_exps) -> HElement:
+    """t-shuffle of x^{a1}y...x^{ar}y with x^{b1}y...x^{bs}y, built from
+    the merge patterns of the y's (all exponents >= 0).
+
+    Each pattern contributes its multinomially filled words, minus t times
+    the same words with one y turned into x: the earlier of the two final
+    y's.  The later final y stays, so every output word still ends in y.
 
     One walk places the output y's in order.  The next y comes from the
     left (0) or the right (1) word; it takes all x's still pending from its
     own word's current run plus the first q of the other word's current
     run, which can interleave with the own run in comb(run + q, q) ways.
-    The word and the pattern grow along the walk, and each leaf adds one
-    filling of one pattern.
+    A word's final y placed while the other word still has a y to place is
+    the earlier final y, so the walk carries its position j, and each leaf
+    adds one filling of one pattern and its merged word.
     """
+    a_exps, b_exps = tuple(a_exps), tuple(b_exps)
+    if not a_exps or not b_exps:
+        raise ValueError("need at least one y run on each side")
+    if min(a_exps + b_exps) < 0:
+        raise ValueError("need exponents >= 0")
     # each word's x runs, then an empty run after its final y
-    exps = (tuple(a_exps) + (0,), tuple(b_exps) + (0,))
+    exps = (a_exps + (0,), b_exps + (0,))
     ends = [len(a_exps), len(b_exps)]
     # at[side]: that word's next y; pending[side]: its x's not yet placed
     at, pending = [0, 0], [exps[0][0], exps[1][0]]
     acc: dict = {}
-    pattern: list = []
     parts: list = []
 
-    def walk(mult):
+    def walk(mult, j):
         if at == ends:
             add_pair(acc, "".join(parts), mult, 0)
-            j = replaced(pattern)
             merged = "".join(parts[:j]) + parts[j][:-1] + "x" + "".join(parts[j + 1:])
             add_pair(acc, merged, 0, -mult)
             return
@@ -63,37 +72,17 @@ def _pattern_sum(a_exps, b_exps, replaced) -> HElement:
                 continue
             own, theirs = pending[side], pending[other]
             at[side], pending[side] = i + 1, exps[side][i + 1]
-            pattern.append(side)
+            # this word's final y, the other word's still to come
+            here = len(parts) if at[side] == ends[side] and at[other] < ends[other] else j
             for q in range(theirs + 1):
                 parts.append("x" * (own + q) + "y")
                 pending[other] = theirs - q
-                walk(mult * comb(own + q, q))
+                walk(mult * comb(own + q, q), here)
                 parts.pop()
-            pattern.pop()
             at[side], pending[side], pending[other] = i, own, theirs
 
-    walk(1)
+    walk(1, None)
     return from_pairs(acc)
-
-
-def _earlier_final_y(pattern) -> int:
-    """Pattern position of the earlier of the two words' final y's: the
-    last y from the word that does not supply the very last one."""
-    return max(i for i, lab in enumerate(pattern) if lab != pattern[-1])
-
-
-def pattern_product(a_exps, b_exps) -> HElement:
-    """t-shuffle of x^{a1}y...x^{ar}y with x^{b1}y...x^{bs}y, built from
-    the merge patterns of the y's.
-
-    Each pattern contributes its multinomially filled words, minus t times
-    the same words with one y turned into x: the earlier of the two final
-    y's.  The later final y stays, so every output word still ends in y.
-    """
-    a_exps, b_exps = tuple(a_exps), tuple(b_exps)
-    if not a_exps or not b_exps:
-        raise ValueError("need at least one y run on each side")
-    return _pattern_sum(a_exps, b_exps, _earlier_final_y)
 
 
 def height_one_product(a: int, r: int, b: int, s: int) -> HElement:
@@ -209,46 +198,25 @@ def expanded_height_one_product(m: int, j: int, n: int, k: int) -> HElement:
     return from_pairs(acc)
 
 
-def _height_two_replacement(pattern, r: int, s1: int, s2: int) -> int:
-    """Pattern position of the y replaced by x, for a left word with r y's
-    against a right word with y blocks of sizes s1 and s2.
-
-    Routed by the case split on where the first left y sits relative to the
-    right word's first block, then by the guards (trailing left y's present,
-    single final right y, all right y's leading) that decide which final y
-    comes first.
-    """
-    upos = [i for i, lab in enumerate(pattern) if lab == 0]
-    vpos = [i for i, lab in enumerate(pattern) if lab == 1]
-    last_u, last_v = upos[-1], vpos[-1]
-    if upos[0] <= s1:
-        # first left y lands in or right after the right word's first block
-        trailing_u = sum(1 for p in upos if p > vpos[s1])
-        if not trailing_u:
-            return last_u
-        if s2 == 1:
-            return vpos[s1]
-        return min(last_u, last_v)
-    # first left y lands inside the right word's second block
-    if upos[0] == s1 + s2:
-        return last_v
-    if r == 1:
-        return upos[0]
-    return min(last_u, last_v)
-
-
 def height_two_product(a: int, r: int, b1: int, s1: int,
                        b2: int, s2: int) -> HElement:
-    """t-shuffle of x^a y^r with x^{b1} y^{s1} x^{b2} y^{s2}, built from the
-    four-way case split on where the left word's y's land in the right
-    word's two y blocks (a, b1, b2 >= 0 and r, s1, s2 >= 1)."""
+    """t-shuffle of x^a y^r with x^{b1} y^{s1} x^{b2} y^{s2} (a, b1, b2 >= 0
+    and r, s1, s2 >= 1): pattern_product on the two words' exponent tuples.
+
+    The paper splits this product four ways, on where the left word's y's
+    land in the right word's two y blocks, and names in each case the y
+    turned into x.  Every case names the earlier of the two final y's, the
+    one pattern_product turns: with no left y after the right word's first
+    second-block y, the left final y; with s2 = 1 and a left y after it,
+    that y, the right final y; with every right y before the first left
+    y, the right final y; with r = 1 and a right y after it, the left
+    final y; otherwise the earlier of the two, by name.
+    """
     if min(r, s1, s2) < 1 or min(a, b1, b2) < 0:
         raise ValueError("need r, s1, s2 >= 1 and a, b1, b2 >= 0")
     a_exps = (a,) + (0,) * (r - 1)
     b_exps = (b1,) + (0,) * (s1 - 1) + (b2,) + (0,) * (s2 - 1)
-    return _pattern_sum(
-        a_exps, b_exps, lambda pattern: _height_two_replacement(pattern, r, s1, s2)
-    )
+    return pattern_product(a_exps, b_exps)
 
 
 def alternating_product_sum(k: int, p: int) -> HElement:

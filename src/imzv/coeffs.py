@@ -209,8 +209,8 @@ def _term_str(c: Fraction, deg: int) -> str:
 # numbers are ASCII digits only.
 _TERM_RE = re.compile(
     r"""^{s}*
-        (?:(?P<num>[0-9]+)(?:{s}*/{s}*(?P<den>[0-9]+))?{s}*\*?{s}*)?   # optional rational factor
-        (?:(?P<t>t)(?:{s}*\^{s}*(?P<pow>[0-9]+))?)?                    # optional t power
+        (?:(?P<num>[0-9]+)(?:{s}*/{s}*(?P<den>[0-9]+))?{s}*(?:\*{s}*(?=t))?)?  # optional rational factor; a * only before t
+        (?:(?P<t>t)(?:{s}*\^{s}*(?P<pow>[0-9]+))?)?                             # optional t power
         {s}*$""".format(s=SPACE_CLASS),
     re.VERBOSE,
 )

@@ -293,6 +293,8 @@ def parse_helement(text: str) -> HElement:
             raise ValueError("cannot parse element %r" % text)
         if "*" in piece:
             cpart, _, wpart = piece.rpartition("*")
+            if not wpart.strip(SPACES):
+                raise ValueError("cannot parse element %r: no word after '*'" % text)
             coeff = parse_qtpoly(cpart)
         else:
             coeff, wpart = QtPoly.one(), piece

@@ -50,7 +50,9 @@ def _letters(w1, w2) -> tuple:
 
 def compositions(total: int, parts: int):
     """All tuples of `parts` nonnegative integers summing to `total`, in
-    lexicographic order."""
+    lexicographic order; none for a negative total."""
+    if total < 0:
+        return
     if parts == 0:
         if total == 0:
             yield ()
@@ -232,6 +234,8 @@ def xpow_times_ypow(m: int, n: int) -> HElement:
     one per composition of m into n+1 runs, minus t times the merge words
     x^(m_1) y ... x^(m_{n-1}) y x^(m_n + m - i + 1), where the last y
     merged into the x run, over compositions (m_1..m_n) of i < m."""
+    if m < 0 or n < 0:
+        raise ValueError("need m, n >= 0")
     acc = {}
     for comp in compositions(m, n + 1):
         add_pair(acc, "y".join("x" * c for c in comp), 1, 0)
@@ -305,10 +309,13 @@ def block_product(blocks_a, blocks_b) -> HElement:
     split formula at the end of a's first block, with every tail built
     bottom-up by the same step (see the module docstring).
 
-    Zero exponents are allowed and ignored.  The plain shuffle handles the
-    prefix factors, so this engine never calls the letter-level t-shuffle
-    recursion.
+    Zero exponents are allowed and ignored; a negative one is refused.
+    The plain shuffle handles the prefix factors, so this engine never
+    calls the letter-level t-shuffle recursion.
     """
+    blocks_a, blocks_b = tuple(blocks_a), tuple(blocks_b)
+    if any(e < 0 for _, e in blocks_a + blocks_b):
+        raise ValueError("need exponents >= 0")
     a_blocks = tuple((ch, e) for ch, e in blocks_a if e > 0)
     _, b = _letters(_blocks_to_string(a_blocks), _blocks_to_string(blocks_b))
     shmemo = {}

@@ -371,7 +371,7 @@ def star_expand(zc: ZetaCombo) -> ZetaCombo:
 
 
 _COMBO_TERM_RE = re.compile(
-    r"^(?P<coeff>.*?)\*?{s}*(?P<sym>zs|z){s}*\((?P<idx>[^()]*)\)$".format(s=SPACE_CLASS)
+    r"^(?P<coeff>.*?)(?P<star>\*?){s}*(?P<sym>zs|z){s}*\((?P<idx>[^()]*)\)$".format(s=SPACE_CLASS)
 )
 
 
@@ -398,9 +398,11 @@ def parse_zeta_combo(text: str) -> ZetaCombo:
             scalar = scalar + parse_qtpoly(piece) * QtPoly.const(sign)
             continue
         kinds.add(m.group("sym"))
-        cpart = m.group("coeff").strip(SPACES).rstrip("*").strip(SPACES)
+        cpart = m.group("coeff").strip(SPACES)
         if cpart:
             coeff = parse_qtpoly(cpart)
+        elif m.group("star"):
+            raise ValueError("cannot parse zeta combo %r: no coefficient before '*'" % text)
         else:
             coeff = QtPoly.one()
         if sign < 0:

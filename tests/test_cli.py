@@ -113,6 +113,14 @@ def test_eval_rejects_non_admissible(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("combo", ["*z(2)", "2**z(2)"])
+def test_eval_refuses_a_star_that_joins_a_coefficient_to_nothing(capsys, combo):
+    code, out, err = run(capsys, "eval", combo)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
 def test_eval_tolerance_failure_exits_one(capsys):
     # the estimate for 10^6 copies of z(2) cannot drop below 10^6 times
     # the single-term floor, so this tolerance is unreachable

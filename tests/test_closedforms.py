@@ -50,8 +50,15 @@ def test_pattern_product_matches_oracle(a, b):
 
 
 def test_pattern_product_needs_a_run_on_each_side():
-    with pytest.raises(ValueError):
-        pattern_product((), (1,))
+    for a, b in (((), (1,)), ((1,), ())):
+        with pytest.raises(ValueError, match="at least one y run"):
+            pattern_product(a, b)
+
+
+@pytest.mark.parametrize("a, b", [((-1,), (1,)), ((1,), (0, -1))])
+def test_pattern_product_refuses_a_negative_exponent(a, b):
+    with pytest.raises(ValueError, match=">= 0"):
+        pattern_product(a, b)
 
 
 @settings(max_examples=50, deadline=None)
@@ -85,12 +92,27 @@ def test_expanded_and_direct_height_one_agree():
 
 
 @settings(max_examples=30, deadline=None)
-@given(a=runs, b1=runs, b2=runs, r=runs, s1=runs, s2=runs)
+@given(a=exps, b1=exps, b2=exps, r=runs, s1=runs, s2=runs)
 def test_height_two_matches_oracle(a, b1, b2, r, s1, s2):
     lhs = height_two_product(a, r, b1, s1, b2, s2)
     w2 = Word("x" * b1 + "y" * s1 + "x" * b2 + "y" * s2)
     rhs = tshuffle_words(Word("x" * a + "y" * r), w2)
     assert lhs == rhs
+
+
+# each argument one past its bound; r = 0 or s1 = 0 would otherwise make
+# another, valid pair of exponent tuples and a different product
+@pytest.mark.parametrize("args", [
+    (1, 0, 1, 1, 1, 1),
+    (1, 1, 1, 0, 1, 1),
+    (1, 1, 1, 1, 1, 0),
+    (-1, 1, 1, 1, 1, 1),
+    (1, 1, -1, 1, 1, 1),
+    (1, 1, 1, 1, -1, 1),
+])
+def test_height_two_refuses_arguments_below_their_bounds(args):
+    with pytest.raises(ValueError, match="need r, s1, s2 >= 1 and a, b1, b2 >= 0"):
+        height_two_product(*args)
 
 
 def test_alternating_sum_vanishes_for_odd_chain_lengths():

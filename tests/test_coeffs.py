@@ -123,6 +123,14 @@ def test_spaces_separate_the_tokens_of_a_term_but_never_split_a_number():
         parse_zeta_combo("1 2*z(2)")
 
 
+def test_a_star_in_a_term_only_joins_a_factor_to_t():
+    assert parse_qtpoly("2*t") == parse_qtpoly("2 * t") == QtPoly({1: 2})
+    assert parse_qtpoly("1/2*t^3") == QtPoly({3: Fraction(1, 2)})
+    for text in ("2*", "2 *", "1/2*", "2**t", "*t", "t*", "2*t*"):
+        with pytest.raises(ValueError, match="cannot parse polynomial term"):
+            parse_qtpoly(text)
+
+
 def test_numbers_are_ascii_digits_only():
     # \d would read each of these as the ASCII number beside it
     for text in ("\u0663*t", "t^\u0662", "\u0663", "1/\u0662", "\uff13*t", "t^\uff12"):

@@ -132,6 +132,14 @@ def test_parse_rejects_bad_letters():
         parse_helement("2*xz + y")
 
 
+def test_parse_refuses_a_star_that_joins_a_coefficient_to_nothing():
+    # the unit word prints as 1, so a term never ends in its star
+    assert parse_helement("2*1") == HElement.from_word("", 2)
+    for text in ("2*", "xy + 2*", "2 * ", "2**xy", "*xy"):
+        with pytest.raises(ValueError):
+            parse_helement(text)
+
+
 @given(u=elements, value=st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]))
 def test_substitute_t_is_linear(u, value):
     doubled = u + u

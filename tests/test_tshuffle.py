@@ -166,6 +166,28 @@ def test_compositions_count_and_order():
     assert rows == [(0, 3), (1, 2), (2, 1), (3, 0)]
     assert len(list(compositions(4, 3))) == binom(6, 2)
     assert list(compositions(0, 0)) == [()]
+    assert list(compositions(-1, 1)) == []
+    assert list(compositions(-1, 0)) == []
+
+
+@pytest.mark.parametrize("m, n", [(-1, 0), (-2, 3), (2, -1)])
+def test_xy_block_form_refuses_a_negative_exponent(m, n):
+    with pytest.raises(ValueError, match=">= 0"):
+        xpow_times_ypow(m, n)
+
+
+@pytest.mark.parametrize("blocks_a, blocks_b", [
+    ((("x", -1), ("y", 1)), (("y", 1),)),
+    ((("y", 1),), (("x", -1), ("y", 1))),
+])
+def test_block_product_refuses_a_negative_exponent(blocks_a, blocks_b):
+    with pytest.raises(ValueError, match=">= 0"):
+        block_product(blocks_a, blocks_b)
+
+
+def test_block_product_ignores_a_zero_exponent():
+    got = block_product((("x", 0), ("y", 1)), (("y", 1), ("x", 0)))
+    assert got == tshuffle_words("y", "y")
 
 
 @pytest.mark.parametrize(

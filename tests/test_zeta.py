@@ -73,6 +73,17 @@ def test_combo_rejects_non_admissible_index():
         parse_zeta_combo("z(1,2) - z(1,2)")
 
 
+def test_combo_refuses_a_star_that_joins_a_coefficient_to_nothing():
+    with pytest.raises(ValueError, match="no coefficient before"):
+        parse_zeta_combo("*z(2)")
+    with pytest.raises(ValueError, match="no coefficient before"):
+        parse_zeta_combo("z(3) - * zs(2)")
+    for text in ("2**z(2)", "t**z(2)", "2*"):
+        with pytest.raises(ValueError, match="cannot parse polynomial term"):
+            parse_zeta_combo(text)
+    assert parse_zeta_combo("2 * z(2)") == parse_zeta_combo("2*z(2)")
+
+
 def test_combo_rejects_kind_mixing():
     a = ZetaCombo(PLAIN, {Index((2,)): 1})
     b = ZetaCombo(STAR, {Index((2,)): 1})
