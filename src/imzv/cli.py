@@ -133,12 +133,18 @@ def _cmd_expand(args) -> int:
 
 def _cmd_eval(args) -> int:
     combo = parse_zeta_combo(args.combo)
+    t0 = None
     # Fraction also reads other scripts' digits and 1_0; --t does not
-    if not args.t.isascii() or "_" in args.t:
+    if args.t.isascii() and "_" not in args.t:
+        try:
+            t0 = Fraction(args.t)
+        except (ValueError, ZeroDivisionError):
+            pass
+    if t0 is None:
         raise ValueError(
-            "--t must be a number in ASCII digits without underscores, got %r" % args.t
+            "--t must be a number in ASCII digits, without underscores or a zero "
+            "denominator, got %r" % args.t
         )
-    t0 = Fraction(args.t)
     result = eval_combo(combo, t0, target_abs_err=args.tol)
     if args.format == "json":
         print(json.dumps({

@@ -20,11 +20,17 @@ and the reported error_estimate is a proven bound, floored at
 TARGET_FLOOR (1e-9): double precision leaves no headroom below that, so
 tighter targets are not accepted.
 
+Each suffix's coefficients and value go into a memo with one table per
+point and series length, keyed by the suffix letters, so a suffix shared
+by two factors is summed once.  eval_combo gives all its terms one memo,
+made afresh per call; at z = 1/2 the heads and tails draw on one table.
+
 The default split is z = 1/2.  There zeta(dual(w)) sums the same terms
 as zeta(w) in reverse order, so a numeric duality check at 1/2 would pass
 whatever the errors.  At z = 1/3 the split of dual(w) is, term by term,
 the split of w at 2/3: a different series, which the duality suite
-compares with the split of w at 1/3.
+compares with the split of w at 1/3.  Its factors at 1/3 and 2/3 sit in
+separate memo tables, so neither side is served the other's.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from operator import mul
+from operator import mul, truediv
 
 from .words import Index, parts_str, word_from_index
 
@@ -104,25 +110,41 @@ def _series_terms(z: Fraction) -> int:
     return n_terms
 
 
-def _suffix_values(letters: str, n_terms: int, p: Fraction) -> list:
+def _suffix_values(letters: str, n_terms: int, p: Fraction, memo: dict) -> list:
     """Li(v; p) for every suffix v of letters, by length: entry k is the
     value of the length-k suffix, its series cut after p^n_terms.  Every
-    nonempty suffix must end in y."""
+    nonempty suffix must end in y.
+
+    memo holds one table per (p, n_terms), suffix letters -> (coefficients,
+    value); a suffix found there is not summed again, and each new one is
+    built from the next shorter and stored."""
+    table = memo.get((p, n_terms))
+    if table is None:
+        table = memo[p, n_terms] = {}
     coeffs = [1.0] + [0.0] * n_terms
     powers = _powers(p, n_terms)
+    steps = range(1, n_terms + 1)
     values = [1.0]
-    for letter in reversed(letters):
-        if letter == "y":
-            sums = accumulate(coeffs[:-1])
-        else:
-            sums = coeffs[1:]
-        coeffs = [0.0] + [c / m for m, c in enumerate(sums, 1)]
-        values.append(math.fsum(map(mul, coeffs, powers)))
+    for j in range(len(letters) - 1, -1, -1):
+        suffix = letters[j:]
+        hit = table.get(suffix)
+        if hit is None:
+            if suffix[0] == "y":
+                sums = accumulate(coeffs[:-1])
+            else:
+                sums = coeffs[1:]
+            step = [0.0]
+            step += map(truediv, sums, steps)
+            hit = table[suffix] = (step, math.fsum(map(mul, step, powers)))
+        coeffs = hit[0]
+        values.append(hit[1])
     return values
 
 
-def _split_series(letters: str, n_terms: int = SERIES_TERMS, z: Fraction = HALF):
-    """(value, bound) of zeta(letters) by the series split at z.
+def _split_series(letters: str, n_terms: int = SERIES_TERMS, z: Fraction = HALF,
+                  memo: dict | None = None):
+    """(value, bound) of zeta(letters) by the series split at z, the
+    suffix values from memo (see _suffix_values; a fresh one if None).
 
     Truncation: each of the n + 1 terms loses at most _term_loss, which
     is 2 * 2^-n_terms at z = 1/2.  Rounding: the powers of z and 1 - z,
@@ -134,8 +156,10 @@ def _split_series(letters: str, n_terms: int = SERIES_TERMS, z: Fraction = HALF)
     errors below 1e-300.
     """
     n = len(letters)
-    tails = _suffix_values(letters, n_terms, z)
-    heads = _suffix_values(letters[::-1].translate(_REVSWAP), n_terms, 1 - z)
+    if memo is None:
+        memo = {}
+    tails = _suffix_values(letters, n_terms, z, memo)
+    heads = _suffix_values(letters[::-1].translate(_REVSWAP), n_terms, 1 - z, memo)
     value = math.fsum(heads[i] * tails[n - i] for i in range(n + 1))
     k_u = (n_terms + 1) * (n + 2) * _UNIT_ROUNDOFF
     gamma = k_u / (1.0 - k_u)
@@ -143,12 +167,15 @@ def _split_series(letters: str, n_terms: int = SERIES_TERMS, z: Fraction = HALF)
     return value, bound
 
 
-def eval_mzv(index, target_abs_err=1e-9, cache=None, *, split=HALF) -> EvalResult:
+def eval_mzv(index, target_abs_err=1e-9, cache=None, *, split=HALF,
+             memo=None) -> EvalResult:
     """Evaluate one admissible index in double precision with a proven
     error bound, by the series split at the rational point split in (0, 1).
 
     The cache, if given, is a plain dict confined to the calling session;
-    it keys on the index parts and the split point.
+    it keys on the index parts and the split point.  The memo, if given,
+    holds the series of every suffix summed so far (see _suffix_values),
+    for evaluations that share suffixes; the values do not depend on it.
     """
     index = _admissible(index)
     z = Fraction(split)
@@ -160,7 +187,7 @@ def eval_mzv(index, target_abs_err=1e-9, cache=None, *, split=HALF) -> EvalResul
         value, est, used = cache[key]
         return EvalResult(value, est, used, est <= target)
     n_terms = _series_terms(z)
-    value, bound = _split_series(word_from_index(index).letters, n_terms, z)
+    value, bound = _split_series(word_from_index(index).letters, n_terms, z, memo)
     est = max(bound, TARGET_FLOOR)
     if cache is not None:
         cache[key] = (value, est, n_terms)
@@ -172,7 +199,8 @@ def eval_combo(zc, t_value=0, target_abs_err=1e-6, cache=None) -> EvalResult:
 
     Interpolated and star combos are first rewritten in plain symbols;
     coefficient magnitudes weight the per-index error estimates, which
-    add up in absolute value.  A coefficient at t outside the double range
+    add up in absolute value.  The terms share one suffix memo, made
+    afresh for each call.  A coefficient at t outside the double range
     is refused with ValueError before any series is summed, and so is a
     value that overflows.
     """
@@ -186,10 +214,11 @@ def eval_combo(zc, t_value=0, target_abs_err=1e-6, cache=None) -> EvalResult:
              for p, c in zc.sorted_terms()]
     est = 0.0
     used = 1
+    memo = {}
     for parts, c in terms:
         if c == 0.0:
             continue
-        r = eval_mzv(parts, cache=cache)
+        r = eval_mzv(parts, cache=cache, memo=memo)
         value += c * r.value
         est += abs(c) * r.error_estimate
         used = max(used, r.cutoff_used)

@@ -16,14 +16,16 @@ with halg.from_pairs.
 
 Three engines share one step, _split: the split formula for a sh b at
 one letter of a, summed from the tables of the tails a[k:] sh b[i:] for
-every suffix b[i:] of b.  split_product and tshuffle_table take those
-tails from the recursion; tshuffle_table, the table imzv product prints
-without wrapping it, splits the longer word at its middle letter, which
-sums far fewer entries than the recursion builds for the whole product.
-block_product splits at the end of a's first block, and builds its tails
-with the same step bottom-up: from a's last block to its first, each
-block suffix of a against every suffix of b, each level from the one
-below, so no tail is computed twice.
+every suffix b[i:] of b, each times the prefix shuffle a[:k-1] sh b[:i].
+The plain shuffle _sh peels last letters, so all these prefix shuffles
+together build one table per prefix pair (a[:p], b[:q]).  split_product
+and tshuffle_table take the tails from the recursion; tshuffle_table, the
+table imzv product prints without wrapping it, splits the longer word at
+its middle letter, which sums far fewer entries than the recursion builds
+for the whole product.  block_product splits at the end of a's first
+block, and builds its tails with the same step bottom-up: from a's last
+block to its first, each block suffix of a against every suffix of b,
+each level from the one below, so no tail is computed twice.
 
 A cache passed to tshuffle_words or shuffle_words holds the recursion's
 tables under (u, v) and (u, v, 0) keys, and one entry for from_pairs
@@ -155,7 +157,9 @@ def tshuffle(u: HElement, v: HElement, cache: dict | None = None) -> HElement:
 
 
 def _sh(u: str, v: str, memo: dict) -> dict:
-    """Plain shuffle of two strings as a word -> (multiplicity, 0) table."""
+    """Plain shuffle of two strings as a word -> (multiplicity, 0) table.
+    It peels last letters, so every table it builds for u sh v is of a
+    prefix pair u[:p] sh v[:q], shared by the prefix shuffles of _split."""
     if not u:
         return {v: (1, 0)}
     if not v:
@@ -164,8 +168,16 @@ def _sh(u: str, v: str, memo: dict) -> dict:
     hit = memo.get(key)
     if hit is not None:
         return hit
-    out = {u[0] + w: c for w, c in _sh(u[1:], v, memo).items()}
-    _add_prefixed(out, v[0], _sh(u, v[1:], memo), u[0] == v[0])
+    a, b = u[-1], v[-1]
+    # as in _tsh, only a == b can make two appended entries collide
+    out = {w + a: c for w, c in _sh(u[:-1], v, memo).items()}
+    right = _sh(u, v[:-1], memo)
+    if a == b:
+        for w, (c0, _) in right.items():
+            add_pair(out, w + b, c0, 0)
+    else:
+        for w, c in right.items():
+            out[w + b] = c
     memo[key] = out
     return out
 

@@ -211,6 +211,18 @@ def test_eval_refuses_a_t_other_than_ascii_digits(capsys, t):
     assert "--t" in err
 
 
+@pytest.mark.parametrize("t", ["1/0", "3/00", "0/0", "abc", ""])
+def test_eval_refuses_a_t_that_is_not_a_number(capsys, monkeypatch, t):
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluated despite a bad --t")
+
+    monkeypatch.setattr("imzv.cli.eval_combo", refuse)
+    code, out, err = run(capsys, "eval", "1/3", "--t", t)
+    assert code == 2
+    assert not out
+    assert err.startswith("error: --t ") and repr(t) in err
+
+
 @pytest.mark.parametrize("t, value", [
     ("0", "0.00000000"), ("1/2", "0.82246703"), ("-0.5", "-0.82246703"),
 ])

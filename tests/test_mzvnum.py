@@ -216,15 +216,77 @@ def test_split_points_agree_within_their_bounds():
         assert abs(half - third) <= half_bound + third_bound, idx
 
 
+@pytest.mark.parametrize("split", SPLITS)
+def test_a_shared_suffix_memo_changes_no_bit(split):
+    # one memo across every index serves each suffix summed before; every
+    # value and raw bound must be the one a fresh memo gives, bit for bit
+    n_terms = mzvnum._series_terms(split)
+    indices = list(admissible_indices(10))
+    assert len(indices) == 511
+    shared = {}
+    for idx in indices:
+        letters = word_from_index(idx).letters
+        alone = mzvnum._split_series(letters, n_terms, split)
+        got = mzvnum._split_series(letters, n_terms, split, shared)
+        assert [x.hex() for x in got] == [x.hex() for x in alone], idx
+    # at 1/2 the heads, at 1 - z, and the tails, at z, share one table
+    assert set(shared) == {(split, n_terms), (1 - split, n_terms)}
+
+
+def test_at_one_third_the_sides_of_a_duality_pair_keep_their_factors_apart():
+    # the tails of dual(w) at 1/3 are the heads of w at 2/3, letter for
+    # letter; the memo keeps one table per point, so neither side is served
+    # the other's factor, and a shared memo changes no bit of either side
+    z = verify.DUALITY_SPLIT
+    n_terms = mzvnum._series_terms(z)
+    third, two_thirds = (z, n_terms), (1 - z, n_terms)
+    for idx in admissible_indices(8):
+        word = word_from_index(idx)
+        w, d = word.letters, dual(word).letters
+        alone_w, alone_d, shared = {}, {}, {}
+        want = (mzvnum._split_series(w, n_terms, z, alone_w),
+                mzvnum._split_series(d, n_terms, z, alone_d))
+        assert alone_d[third].keys() == alone_w[two_thirds].keys()
+        assert alone_d[two_thirds].keys() == alone_w[third].keys()
+        for table, mirror in ((alone_d[third], alone_w[two_thirds]),
+                              (alone_d[two_thirds], alone_w[third])):
+            assert all(table[v][1] != mirror[v][1] for v in table), idx
+        got = (mzvnum._split_series(w, n_terms, z, shared),
+               mzvnum._split_series(d, n_terms, z, shared))
+        assert got == want, idx
+        assert set(shared) == {third, two_thirds}
+        for key in shared:
+            assert shared[key].keys() == alone_w[key].keys() | alone_d[key].keys()
+
+
+def test_each_eval_combo_call_starts_with_an_empty_memo(monkeypatch):
+    calls = []
+    eval_mzv_ = mzvnum.eval_mzv
+
+    def spy(index, *args, memo, **kwargs):
+        calls.append((memo, len(memo)))
+        return eval_mzv_(index, *args, memo=memo, **kwargs)
+
+    monkeypatch.setattr(mzvnum, "eval_mzv", spy)
+    zc = parse_zeta_combo("z(3,1) + 0*z(2,2) + 2*z(2,1,1)")
+    first, second = eval_combo(zc), eval_combo(zc)
+    assert first == second
+    # one evaluation per nonzero term, the second term served from the
+    # first's memo; the second call's memo is a new one, empty at first
+    assert [size > 0 for _, size in calls] == [False, True, False, True]
+    assert calls[0][0] is calls[1][0] and calls[2][0] is calls[3][0]
+    assert calls[2][0] is not calls[0][0]
+
+
 def test_duality_numeric_never_evaluates_at_one_half(monkeypatch):
     # the split at 1/2 is symmetric under duality term by term, so a
     # duality check run on it would pass whatever its errors
     points = []
     split_series = mzvnum._split_series
 
-    def spy(letters, n_terms=mzvnum.SERIES_TERMS, z=mzvnum.HALF):
+    def spy(letters, n_terms=mzvnum.SERIES_TERMS, z=mzvnum.HALF, memo=None):
         points.append(z)
-        return split_series(letters, n_terms, z)
+        return split_series(letters, n_terms, z, memo)
 
     monkeypatch.setattr(mzvnum, "_split_series", spy)
     report = verify.run_duality_numeric(max_weight=4)
@@ -238,7 +300,8 @@ def _cut_to_ten_terms(monkeypatch):
     # series, as a wrong evaluator with an unchanged error claim would
     suffix_values = mzvnum._suffix_values
     monkeypatch.setattr(
-        mzvnum, "_suffix_values", lambda letters, n_terms, p: suffix_values(letters, 10, p))
+        mzvnum, "_suffix_values",
+        lambda letters, n_terms, p, memo: suffix_values(letters, 10, p, memo))
 
 
 def test_duality_check_at_one_half_cannot_see_a_cut_series(monkeypatch):

@@ -31,7 +31,7 @@ from imzv import (
 )
 import imzv.words
 from imzv.halg import add_pair, from_pairs
-from imzv.tshuffle import MAX_LETTERS, _add_concat, _sh, _tsh, tshuffle_table
+from imzv.tshuffle import MAX_LETTERS, _add_concat, _sh, _split_at, _tsh, tshuffle_table
 from imzv.words import all_words
 from imzv.verify import run_oracle_laws
 
@@ -263,8 +263,9 @@ def test_a_memo_shared_by_both_recursions_keeps_them_apart():
 
 
 # Reference copies of the t-shuffle and plain shuffle recursions that sum
-# every prefixed entry with add_pair; the engines store the entries that
-# cannot collide directly and must give the same tables in the same order.
+# every prefixed (for the plain shuffle, which peels last letters: every
+# suffixed) entry with add_pair; the engines store the entries that cannot
+# collide directly and must give the same tables in the same order.
 def _ref_tsh(u, v, memo):
     if not u:
         return {v: (1, 0)}
@@ -297,10 +298,10 @@ def _ref_sh(u, v, memo):
     if key in memo:
         return memo[key]
     out = {}
-    for w, (c, _) in _ref_sh(u[1:], v, memo).items():
-        add_pair(out, u[0] + w, c, 0)
-    for w, (c, _) in _ref_sh(u, v[1:], memo).items():
-        add_pair(out, v[0] + w, c, 0)
+    for w, (c, _) in _ref_sh(u[:-1], v, memo).items():
+        add_pair(out, w + u[-1], c, 0)
+    for w, (c, _) in _ref_sh(u, v[:-1], memo).items():
+        add_pair(out, w + v[-1], c, 0)
     memo[key] = out
     return out
 
@@ -319,6 +320,28 @@ def test_prefix_tables_match_the_add_pair_recursion(engine, reference):
             ):
                 assert list(got.items()) == list(want.items()), (u, v)
     assert len(shared) == len(ref_shared)
+
+
+def test_the_split_builds_plain_shuffles_of_prefix_pairs_only():
+    # _sh peels last letters, so the prefix shuffles a[:k-1] sh b[:i] of
+    # the split formula, for every i, build tables only of prefix pairs
+    # (a[:p], b[:q]), and of the pairs (a[:p], b[:n-1] x) of its correction
+    words = [w.letters for w in all_words(4)]
+    tables = 0
+    for a in words:
+        for b in words:
+            n = len(b)
+            allowed = {b[:q] for q in range(n + 1)}
+            if n and b[-1] == "y":
+                allowed.add(b[: n - 1] + "x")
+            for k in range(1, len(a) + 1):
+                shmemo = {}
+                assert _split_at(a, b, k, {}, shmemo) == _tsh(a, b, {}), (a, b, k)
+                for u, v, zero in shmemo:
+                    assert zero == 0 and u == a[: len(u)] and len(u) < k, (a, b, k, u)
+                    assert v in allowed, (a, b, k, v)
+                tables += len(shmemo)
+    assert tables == 14012
 
 
 def test_concatenation_sums_like_add_pair_and_drops_a_cancelled_word():
