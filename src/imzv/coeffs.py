@@ -1,17 +1,17 @@
 """Exact coefficients: sparse polynomials in t over Q, and binomials.
 
-QtPoly is a sparse polynomial in the single variable t, stored as a
-degree -> coefficient map with no zero entries.  An integral coefficient
-is a Python int and any other one a fractions.Fraction in lowest terms,
-so the word products, which all lie in Z[t], never build a Fraction.
-Fractions enter only through parsing and eval_at.  Since Fraction(n)
-equals, hashes and prints like n, the split is invisible from outside.
+QtPoly is a sparse polynomial in the single variable t, built from a
+degree -> coefficient dict and stored as one tuple of (degree,
+coefficient) items sorted by degree, with no zero coefficient, so its
+equality and hash are the tuple's.  An integral coefficient is a Python
+int and any other one a fractions.Fraction in lowest terms, so the word
+products, which all lie in Z[t], never build a Fraction.  Fractions
+enter only through parsing and eval_at.  Since Fraction(n) equals,
+hashes and prints like n, the split is invisible from outside.
 
 A QtPoly never changes after it is built: every operation returns a new
-polynomial, and make_qtpoly takes ownership of the table it wraps, which
-nobody may mutate afterwards.  So one QtPoly may be shared as the
-coefficient of many terms, and the product engines share one per
-distinct coefficient.
+polynomial.  So one QtPoly may be shared as the coefficient of many
+terms, and the product engines share one per distinct coefficient.
 """
 
 from __future__ import annotations
@@ -47,12 +47,12 @@ def _exact(c):
     return c.numerator if c.denominator == 1 else c
 
 
-def make_qtpoly(table: dict) -> "QtPoly":
-    """Wrap a degree -> coefficient table that is already clean (no zero
-    entries, no negative degrees, integral values as int) without
-    copying or re-checking it; nobody may mutate the table afterwards."""
+def make_qtpoly(items: tuple) -> "QtPoly":
+    """Wrap a tuple of (degree, coefficient) items that is already clean
+    (sorted by degree, no zero coefficient, no negative degree, integral
+    values as int) without re-checking it."""
     res = object.__new__(QtPoly)
-    res.coeffs = table
+    res.coeffs = items
     return res
 
 
@@ -62,15 +62,15 @@ class QtPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        table = {}
+        items = []
         if coeffs:
-            for deg, c in coeffs.items():
+            for deg, c in sorted(coeffs.items()):
                 c = _exact(c)
                 if c != 0:
                     if deg < 0:
                         raise ValueError("negative t-degree")
-                    table[deg] = c
-        self.coeffs = table
+                    items.append((deg, c))
+        self.coeffs = tuple(items)
 
     @classmethod
     def const(cls, c) -> "QtPoly":
@@ -78,11 +78,11 @@ class QtPoly:
 
     @classmethod
     def zero(cls) -> "QtPoly":
-        return make_qtpoly({})
+        return make_qtpoly(())
 
     @classmethod
     def one(cls) -> "QtPoly":
-        return make_qtpoly({0: 1})
+        return make_qtpoly(((0, 1),))
 
     @classmethod
     def t(cls, power: int = 1) -> "QtPoly":
@@ -93,7 +93,7 @@ class QtPoly:
 
     def degree(self) -> int:
         """Degree in t; the zero polynomial reports -1."""
-        return max(self.coeffs) if self.coeffs else -1
+        return self.coeffs[-1][0] if self.coeffs else -1
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -106,25 +106,32 @@ class QtPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        return hash(self.coeffs)
 
     def __add__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
         out = dict(self.coeffs)
-        for deg, c in other.coeffs.items():
-            s = out.get(deg, 0) + c
+        fresh = False
+        for deg, c in other.coeffs:
+            s = out.get(deg)
+            if s is None:
+                out[deg] = c
+                fresh = True
+                continue
+            s += c
             if s:
                 out[deg] = s if type(s) is int else _exact(s)
             else:
-                out.pop(deg, None)
-        return make_qtpoly(out)
+                del out[deg]
+        # a degree new to the left operand went in after all of its own
+        return make_qtpoly(tuple(sorted(out.items()) if fresh else out.items()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return make_qtpoly({deg: -c for deg, c in self.coeffs.items()})
+        return make_qtpoly(tuple([(deg, -c) for deg, c in self.coeffs]))
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -143,15 +150,17 @@ class QtPoly:
         if other is None:
             return NotImplemented
         out = {}
-        for d1, c1 in self.coeffs.items():
-            for d2, c2 in other.coeffs.items():
+        for d1, c1 in self.coeffs:
+            for d2, c2 in other.coeffs:
                 d = d1 + d2
                 s = out.get(d, 0) + c1 * c2
                 if s:
                     out[d] = s if type(s) is int else _exact(s)
                 else:
                     del out[d]
-        return make_qtpoly(out)
+        # a monomial factor shifts the other's degrees in order
+        both = len(self.coeffs) > 1 and len(other.coeffs) > 1
+        return make_qtpoly(tuple(sorted(out.items()) if both else out.items()))
 
     __rmul__ = __mul__
 
@@ -159,24 +168,20 @@ class QtPoly:
         """Evaluate exactly at a rational point, one power per stored term,
         so a sparse polynomial of high degree costs no more than its terms."""
         t0 = Fraction(t0)
-        return sum((c * t0 ** d for d, c in self.coeffs.items()), Fraction(0))
+        return sum((c * t0 ** d for d, c in self.coeffs), Fraction(0))
 
     def is_const(self) -> bool:
-        return not self.coeffs or set(self.coeffs) == {0}
+        return self.degree() <= 0
 
     def as_monomial(self):
         """Return (degree, coeff) if this is a single term, else None."""
-        if len(self.coeffs) == 1:
-            deg, c = next(iter(self.coeffs.items()))
-            return deg, c
-        return None
+        return self.coeffs[0] if len(self.coeffs) == 1 else None
 
     def __str__(self):
         if not self.coeffs:
             return "0"
         pieces = []
-        for deg in sorted(self.coeffs):
-            c = self.coeffs[deg]
+        for deg, c in self.coeffs:
             mag = _term_str(abs(c), deg)
             if not pieces:
                 pieces.append(mag if c > 0 else "-" + mag)
@@ -249,7 +254,7 @@ def parse_qtpoly(text: str) -> QtPoly:
     for sign, piece in signed_pieces(text):
         piece = piece.strip(SPACES)
         if piece.startswith("(") and piece.endswith(")"):
-            terms = parse_qtpoly(piece[1:-1]).coeffs.items()
+            terms = parse_qtpoly(piece[1:-1]).coeffs
         else:
             m = _TERM_RE.match(piece)
             if not m or (m.group("num") is None and m.group("t") is None):

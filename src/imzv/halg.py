@@ -13,12 +13,12 @@ Word products lie in Z[t] with t-degree at most one, so the product
 engines sum into a pair table, str word -> (c0, c1) meaning c0 + c1*t,
 with add_pair and wrap it once with from_pairs.
 
-Coefficients are shared, never mutated: from_pairs gives all words with
-the same pair one QtPoly, and, given a product engine's cache, gives
-every element wrapped with that cache one QtPoly per distinct pair.
-Every operation here builds new terms and coefficients instead of
-changing old ones, so no table wrapped by make_qtpoly or make_helement,
-and no coefficient shared across products, may be mutated afterwards.
+Coefficients are shared: from_pairs gives all words with the same pair
+one QtPoly, and, given a product engine's cache, gives every element
+wrapped with that cache one QtPoly per distinct pair.  A QtPoly holds a
+tuple of (degree, coefficient) items, so sharing one is always safe.
+Every operation here builds new terms instead of changing old ones, so
+no table wrapped by make_helement may be mutated afterwards.
 
 Every printed sum, of words or of zeta symbols, comes from two row
 writers, write_text and write_json, fed (key text, coefficient) rows in
@@ -81,8 +81,8 @@ def pair_poly(pair: tuple) -> QtPoly:
     """The QtPoly c0 + c1*t of a nonzero pair (c0, c1)."""
     c0, c1 = pair
     if not c1:
-        return make_qtpoly({0: c0})
-    return make_qtpoly({0: c0, 1: c1} if c0 else {1: c1})
+        return make_qtpoly(((0, c0),))
+    return make_qtpoly(((0, c0), (1, c1)) if c0 else ((1, c1),))
 
 
 def from_pairs(table: dict, cache: dict | None = None) -> "HElement":

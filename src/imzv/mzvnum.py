@@ -42,7 +42,7 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import mul, truediv
 
-from .words import Index, parts_str, word_from_index
+from .words import Index, admissible_index_parts, parts_str, word_from_index
 
 TARGET_FLOOR = 1e-9
 SERIES_TERMS = 64
@@ -71,58 +71,51 @@ class EvalResult:
     tol_ok: bool
 
 
-def _admissible(index) -> Index:
-    if not isinstance(index, Index):
-        index = Index(index)
-    if not index.admissible:
-        raise ValueError("cannot evaluate non-admissible index %s" % index)
-    return index
-
-
-@lru_cache(maxsize=8)
-def _powers(p: Fraction, n_terms: int) -> tuple:
-    """p^0 .. p^n_terms, each rounded once to a double (exact at p = 1/2)."""
-    return tuple(float(p**m) for m in range(n_terms + 1))
-
-
 def _cut_loss(p: Fraction, n_terms: int) -> Fraction:
     """Most a factor's series at p can lose when cut after p^n_terms."""
     return p ** (n_terms + 1) / (1 - p)
 
 
 @lru_cache(maxsize=8)
-def _term_loss(z: Fraction, n_terms: int) -> Fraction:
-    """Most one term, a head at 1 - z times a tail at z, loses to the cuts:
-    the head is at most max(1, (1 - z) / z), the tail at most
-    max(1, z / (1 - z)), and each falls short by at most its cut loss."""
+def _split_point(z: Fraction, n_terms: int | None = None) -> tuple:
+    """All the series split at z needs, worked out once per point: the
+    series length n_terms, the factors at z and at 1 - z, each as (p,
+    p^0 .. p^n_terms rounded once to doubles, exact at p = 1/2), and the
+    most one term, a head times a tail, loses to the cuts as ints num and
+    den, so that n times it is one int division, rounded once.
+
+    n_terms is by default the fewest terms that keep the cut loss at z and
+    1 - z within 2^-SERIES_TERMS: SERIES_TERMS at z = 1/2, 112 at z = 1/3.
+    Refuses z outside (0, 1)."""
+    if not 0 < z < 1:
+        raise ValueError("split point must lie strictly between 0 and 1, got %s" % z)
     h = 1 - z
-    return max(1, h / z) * _cut_loss(z, n_terms) + max(1, z / h) * _cut_loss(h, n_terms)
+    if n_terms is None:
+        n_terms = SERIES_TERMS
+        while _cut_loss(max(z, h), n_terms) > Fraction(1, 2**SERIES_TERMS):
+            n_terms += 1
+        return _split_point(z, n_terms)
+    # the head is at most max(1, h / z), the tail at most max(1, z / h),
+    # and each falls short by at most its cut loss
+    loss = max(1, h / z) * _cut_loss(z, n_terms) + max(1, z / h) * _cut_loss(h, n_terms)
+    tail, head = ((p, tuple(float(p**m) for m in range(n_terms + 1))) for p in (z, h))
+    return n_terms, tail, head, loss.numerator, loss.denominator
 
 
-@lru_cache(maxsize=8)
-def _series_terms(z: Fraction) -> int:
-    """Fewest terms that keep the cut loss at z and 1 - z within
-    2^-SERIES_TERMS: SERIES_TERMS at z = 1/2, 112 at z = 1/3."""
-    p = max(z, 1 - z)
-    n_terms = SERIES_TERMS
-    while _cut_loss(p, n_terms) > Fraction(1, 2**SERIES_TERMS):
-        n_terms += 1
-    return n_terms
-
-
-def _suffix_values(letters: str, n_terms: int, p: Fraction, memo: dict) -> list:
-    """Li(v; p) for every suffix v of letters, by length: entry k is the
-    value of the length-k suffix, its series cut after p^n_terms.  Every
+def _suffix_values(letters: str, n_terms: int, factor: tuple, memo: dict) -> list:
+    """Li(v; p) at the factor's point p for every suffix v of letters, by
+    length: entry k is the value of the length-k suffix, its series cut
+    after p^n_terms, at most the factor's own series length.  Every
     nonempty suffix must end in y.
 
     memo holds one table per (p, n_terms), suffix letters -> (coefficients,
     value); a suffix found there is not summed again, and each new one is
     built from the next shorter and stored."""
+    p, powers = factor
     table = memo.get((p, n_terms))
     if table is None:
         table = memo[p, n_terms] = {}
     coeffs = [1.0] + [0.0] * n_terms
-    powers = _powers(p, n_terms)
     steps = range(1, n_terms + 1)
     values = [1.0]
     for j in range(len(letters) - 1, -1, -1):
@@ -146,11 +139,11 @@ def _split_series(letters: str, n_terms: int = SERIES_TERMS, z: Fraction = HALF,
     """(value, bound) of zeta(letters) by the series split at z, the
     suffix values from memo (see _suffix_values; a fresh one if None).
 
-    Truncation: each of the n + 1 terms loses at most _term_loss, which
-    is 2 * 2^-n_terms at z = 1/2.  Rounding: the powers of z and 1 - z,
-    running sums, divisions by m, fsums and products form a chain of at
-    most K = (n_terms + 1)(n + 2) roundings along any path, and all
-    operands are nonnegative, so value = exact * (1 + theta) with
+    Truncation: each of the n + 1 terms loses at most the split point's
+    term loss, which is 2 * 2^-n_terms at z = 1/2.  Rounding: the powers
+    of z and 1 - z, running sums, divisions by m, fsums and products form
+    a chain of at most K = (n_terms + 1)(n + 2) roundings along any path,
+    and all operands are nonnegative, so value = exact * (1 + theta) with
     |theta| <= gamma_K = K u / (1 - K u).  Gradual underflow, possible
     only past weight 150 at z = 1/2 and 120 at z = 1/3, adds absolute
     errors below 1e-300.
@@ -158,12 +151,13 @@ def _split_series(letters: str, n_terms: int = SERIES_TERMS, z: Fraction = HALF,
     n = len(letters)
     if memo is None:
         memo = {}
-    tails = _suffix_values(letters, n_terms, z, memo)
-    heads = _suffix_values(letters[::-1].translate(_REVSWAP), n_terms, 1 - z, memo)
+    _, tail, head, loss_num, loss_den = _split_point(z, n_terms)
+    tails = _suffix_values(letters, n_terms, tail, memo)
+    heads = _suffix_values(letters[::-1].translate(_REVSWAP), n_terms, head, memo)
     value = math.fsum(heads[i] * tails[n - i] for i in range(n + 1))
     k_u = (n_terms + 1) * (n + 2) * _UNIT_ROUNDOFF
     gamma = k_u / (1.0 - k_u)
-    bound = gamma * value / (1.0 - gamma) + float((n + 1) * _term_loss(z, n_terms))
+    bound = gamma * value / (1.0 - gamma) + (n + 1) * loss_num / loss_den
     return value, bound
 
 
@@ -177,20 +171,18 @@ def eval_mzv(index, target_abs_err=1e-9, cache=None, *, split=HALF,
     holds the series of every suffix summed so far (see _suffix_values),
     for evaluations that share suffixes; the values do not depend on it.
     """
-    index = _admissible(index)
-    z = Fraction(split)
-    if not 0 < z < 1:
-        raise ValueError("split point must lie strictly between 0 and 1, got %s" % z)
-    key = (index.parts, z)
+    parts = admissible_index_parts(index)
+    z = split if type(split) is Fraction else Fraction(split)
     target = max(float(target_abs_err), TARGET_FLOOR)
-    if cache is not None and key in cache:
-        value, est, used = cache[key]
+    hit = None if cache is None else cache.get((parts, z))
+    if hit is not None:
+        value, est, used = hit
         return EvalResult(value, est, used, est <= target)
-    n_terms = _series_terms(z)
-    value, bound = _split_series(word_from_index(index).letters, n_terms, z, memo)
+    n_terms = _split_point(z)[0]
+    value, bound = _split_series(word_from_index(Index(parts)).letters, n_terms, z, memo)
     est = max(bound, TARGET_FLOOR)
     if cache is not None:
-        cache[key] = (value, est, n_terms)
+        cache[parts, z] = (value, est, n_terms)
     return EvalResult(value, est, n_terms, est <= target)
 
 

@@ -142,7 +142,7 @@ def tshuffle(u: HElement, v: HElement, cache: dict | None = None) -> HElement:
     acc = {}
     for w1, a in u.terms.items():
         for w2, b in v.terms.items():
-            ab = (a * b).coeffs.items()
+            ab = (a * b).coeffs
             for w, (c0, c1) in _tsh(w1, w2, cache).items():
                 row = acc.setdefault(w, {})
                 for d, k in ab:

@@ -10,7 +10,7 @@ A Word and an Index are the checked forms of a word and an index where
 they enter or leave the program; sums and products key their terms by
 the plain letter string, zeta combos by the plain tuple of parts.
 admissible_parts maps a letter string to its parts through one bounded
-process-wide cache.
+process-wide cache, and admissible_index_parts is the one index check.
 """
 
 from __future__ import annotations
@@ -117,6 +117,16 @@ class Index:
 
     def __repr__(self):
         return "Index(%r)" % (self.parts,)
+
+
+def admissible_index_parts(index) -> tuple:
+    """The parts of an admissible index, given as an Index or as a
+    sequence of parts checked as an Index is; any other index is refused."""
+    if not isinstance(index, Index):
+        index = Index(index)
+    if not index.admissible:
+        raise ValueError("non-admissible index %s" % index)
+    return index.parts
 
 
 def parts_str(parts: tuple) -> str:

@@ -32,7 +32,7 @@ import re
 from .coeffs import SPACE_CLASS, SPACES, QtPoly, binom, parse_qtpoly, signed_pieces
 from .halg import HElement, accumulate, itself, json_str, specialize, write_json, write_text
 from .tshuffle import compositions
-from .words import Index, admissible_parts, parse_index, parts_str
+from .words import Index, admissible_index_parts, admissible_parts, parse_index, parts_str
 from . import closedforms
 
 INTERPOLATED = "interpolated"
@@ -63,16 +63,6 @@ def _known_kind(kind):
     return kind
 
 
-def _admissible_parts(idx) -> tuple:
-    """The parts of an Index or of a sequence of parts, checked as an Index
-    and refused unless admissible."""
-    if not isinstance(idx, Index):
-        idx = Index(idx)
-    if not idx.admissible:
-        raise ValueError("non-admissible index %s in combo" % idx)
-    return idx.parts
-
-
 class ZetaCombo:
     """A scalar plus a Q[t]-linear combination of admissible zeta symbols.
 
@@ -86,7 +76,7 @@ class ZetaCombo:
         _known_kind(kind)
         clean = {}
         for idx, c in (terms or {}).items():
-            accumulate(clean, _admissible_parts(idx),
+            accumulate(clean, admissible_index_parts(idx),
                        c if isinstance(c, QtPoly) else QtPoly.const(c))
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "terms", clean)
@@ -331,7 +321,7 @@ def write_expansion(idx: Index, as_json: bool) -> str:
     symbol's rows are already in canonical order, and a row with k
     additions has the coefficient t^k.  Refuses a non-admissible index and
     one over MAX_PATTERNS before building any row."""
-    parts = _admissible_parts(idx)
+    parts = admissible_index_parts(idx)
     depth = len(parts)
     _check_patterns(1 << (depth - 1))
     scaled = _powers(QtPoly.one(), _FUSION[INTERPOLATED], depth)
@@ -407,7 +397,7 @@ def parse_zeta_combo(text: str) -> ZetaCombo:
             coeff = QtPoly.one()
         if sign < 0:
             coeff = -coeff
-        accumulate(terms, _admissible_parts(parse_index(m.group("idx"))), coeff)
+        accumulate(terms, admissible_index_parts(parse_index(m.group("idx"))), coeff)
     if len(kinds) > 1:
         raise ValueError("cannot mix z and zs symbols in one combo")
     kind = STAR if kinds == {"zs"} else PLAIN
@@ -419,7 +409,7 @@ def zeta_combo_from_json(obj) -> ZetaCombo:
     coefficients of a repeated index add up."""
     terms = {}
     for rec in obj["terms"]:
-        accumulate(terms, _admissible_parts(rec["index"]), parse_qtpoly(rec["coeff"]))
+        accumulate(terms, admissible_index_parts(rec["index"]), parse_qtpoly(rec["coeff"]))
     return _make_combo(_known_kind(obj["kind"]), terms, parse_qtpoly(obj["scalar"]))
 
 
@@ -432,7 +422,7 @@ def zeta_combo_to_json(zc: ZetaCombo) -> str:
 
 def interpolated_symbol(parts) -> ZetaCombo:
     """The combo holding the single interpolated symbol for ``parts``."""
-    return _make_combo(INTERPOLATED, {_admissible_parts(parts): QtPoly.one()}, QtPoly.zero())
+    return _make_combo(INTERPOLATED, {admissible_index_parts(parts): QtPoly.one()}, QtPoly.zero())
 
 
 def alternating_zeta_identity(k: int):

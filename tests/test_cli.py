@@ -107,6 +107,12 @@ def test_eval_of_no_symbols_reports_the_floor(capsys, combo, value):
     assert out == "%s ± 1.000e-09\n" % value
 
 
+def test_eval_keeps_a_coefficient_of_high_degree_sparse(capsys):
+    code, out, _ = run(capsys, "eval", "t^99999999*z(2)", "--t", "1")
+    assert code == 0
+    assert out == "1.64493407 ± 1.000e-09\n"
+
+
 def test_eval_rejects_non_admissible(capsys):
     code, _, err = run(capsys, "eval", "z(1,2)")
     assert code == 2

@@ -9,7 +9,7 @@ and their zeta images never carry a Fraction.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from imzv import (
     HElement,
@@ -191,22 +191,60 @@ def test_integral_fraction_is_stored_as_int():
     assert p == QtPoly({0: 3})
     assert hash(p) == hash(QtPoly({0: 3}))
     assert str(p) == str(QtPoly({0: 3})) == "3"
-    assert type(p.coeffs[0]) is int
+    assert type(dict(p.coeffs)[0]) is int
+
+
+def _is_clean(p):
+    """coeffs is a tuple sorted by degree, with no zero coefficient and
+    every integral coefficient an int."""
+    degrees = [deg for deg, _ in p.coeffs]
+    return (type(p.coeffs) is tuple and degrees == sorted(set(degrees))
+            and all(c != 0 and (type(c) is int or c.denominator != 1) for _, c in p.coeffs))
+
+
+# t + 1 brings a degree new to the left operand, and (1 + t) * (1 - t) and
+# (1 + t) * (1 + t^2) multiply two sums; a monomial factor keeps the order
+@given(a=polys, b=polys)
+@example(a=QtPoly.t(), b=QtPoly.one())
+@example(a=QtPoly({0: 1, 1: 1}), b=QtPoly({0: 1, 1: -1}))
+@example(a=QtPoly({0: 1, 1: 1}), b=QtPoly({0: 1, 2: 1}))
+@example(a=QtPoly({3: Fraction(1, 2)}), b=QtPoly({0: 2, 1: Fraction(2, 3)}))
+def test_every_result_is_a_clean_sorted_tuple_hashed_as_its_value(a, b):
+    for p in (a + b, a - b, a * b, -a, QtPoly(dict(reversed(a.coeffs)))):
+        assert _is_clean(p), p.coeffs
+    for p, q in ((a + b, b + a), (a * b, b * a), (a - b, -(b - a)),
+                 (QtPoly(dict(reversed(a.coeffs))), a)):
+        assert p == q and hash(p) == hash(q)
+
+
+@given(st.dictionaries(st.integers(min_value=0, max_value=5),
+                       st.integers(min_value=-20, max_value=20), max_size=4))
+def test_integral_fractions_equal_and_hash_as_ints(table):
+    p = QtPoly(table)
+    q = QtPoly({deg: Fraction(2 * c, 2) for deg, c in table.items()})
+    assert _is_clean(q) and all(type(c) is int for _, c in q.coeffs)
+    assert p == q and hash(p) == hash(q)
+
+
+def test_storage_is_sparse():
+    p = parse_qtpoly("t^99999999")
+    assert p.coeffs == ((99999999, 1),)
+    assert p.degree() == 99999999
 
 
 def test_mixed_int_fraction_arithmetic_stays_exact():
     half_t = QtPoly.t() * Fraction(1, 2)
-    assert half_t.coeffs == {1: Fraction(1, 2)}
+    assert dict(half_t.coeffs) == {1: Fraction(1, 2)}
     assert half_t * 2 == QtPoly.t()
-    assert type((half_t * 2).coeffs[1]) is int
+    assert type(dict((half_t * 2).coeffs)[1]) is int
     s = QtPoly.const(Fraction(1, 3)) + QtPoly.const(Fraction(2, 3))
-    assert s == QtPoly.one() and type(s.coeffs[0]) is int
+    assert s == QtPoly.one() and type(dict(s.coeffs)[0]) is int
     assert (half_t + half_t - QtPoly.t()).is_zero()
     assert str(QtPoly({0: Fraction(-3, 2), 1: 4})) == "-3/2 + 4*t"
 
 
 def _all_int(coeff_polys):
-    return all(type(c) is int for p in coeff_polys for c in p.coeffs.values())
+    return all(type(c) is int for p in coeff_polys for c in dict(p.coeffs).values())
 
 
 def test_word_products_and_their_zeta_images_have_int_coefficients():

@@ -164,7 +164,7 @@ def _closed_form_cases():
 def test_series_honesty_on_closed_forms(parts, closed_form):
     for split in SPLITS:
         res = eval_mzv(parts, split=split)
-        assert res.cutoff_used == mzvnum._series_terms(split)
+        assert res.cutoff_used == mzvnum._split_point(split)[0]
         assert abs(res.value - closed_form) <= res.error_estimate, split
 
 
@@ -196,7 +196,7 @@ def test_series_rounding_within_gamma_bound(parts):
     letters = word_from_index(Index(parts)).letters
     n = len(letters)
     for split in SPLITS:
-        n_terms = mzvnum._series_terms(split)
+        n_terms = mzvnum._split_point(split)[0]
         tails = _exact_suffix_values(letters, n_terms, split)
         heads = _exact_suffix_values(
             letters[::-1].translate(mzvnum._REVSWAP), n_terms, 1 - split)
@@ -212,7 +212,7 @@ def test_split_points_agree_within_their_bounds():
         letters = word_from_index(idx).letters
         half, half_bound = mzvnum._split_series(letters)
         third, third_bound = mzvnum._split_series(
-            letters, mzvnum._series_terms(verify.DUALITY_SPLIT), verify.DUALITY_SPLIT)
+            letters, mzvnum._split_point(verify.DUALITY_SPLIT)[0], verify.DUALITY_SPLIT)
         assert abs(half - third) <= half_bound + third_bound, idx
 
 
@@ -220,7 +220,7 @@ def test_split_points_agree_within_their_bounds():
 def test_a_shared_suffix_memo_changes_no_bit(split):
     # one memo across every index serves each suffix summed before; every
     # value and raw bound must be the one a fresh memo gives, bit for bit
-    n_terms = mzvnum._series_terms(split)
+    n_terms = mzvnum._split_point(split)[0]
     indices = list(admissible_indices(10))
     assert len(indices) == 511
     shared = {}
@@ -238,7 +238,7 @@ def test_at_one_third_the_sides_of_a_duality_pair_keep_their_factors_apart():
     # letter; the memo keeps one table per point, so neither side is served
     # the other's factor, and a shared memo changes no bit of either side
     z = verify.DUALITY_SPLIT
-    n_terms = mzvnum._series_terms(z)
+    n_terms = mzvnum._split_point(z)[0]
     third, two_thirds = (z, n_terms), (1 - z, n_terms)
     for idx in admissible_indices(8):
         word = word_from_index(idx)

@@ -30,11 +30,12 @@ from imzv.zeta import _SYMBOL, INTERPOLATED, PLAIN, ZetaCombo
 
 def _loop_str(c):
     """Reference QtPoly text: one signed piece per degree, ascending."""
-    if not c.coeffs:
+    coeffs = dict(c.coeffs)
+    if not coeffs:
         return "0"
     pieces = []
-    for deg in sorted(c.coeffs):
-        k = c.coeffs[deg]
+    for deg in sorted(coeffs):
+        k = coeffs[deg]
         mag = _mag_str(abs(k), deg)
         if not pieces:
             pieces.append(mag if k > 0 else "-" + mag)

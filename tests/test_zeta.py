@@ -25,6 +25,7 @@ from imzv import (
     admissible_indices,
     alternating_zeta_identity,
     eval_combo,
+    eval_mzv,
     euler_decomposition,
     expand_interpolation,
     index_from_word,
@@ -71,6 +72,13 @@ def test_combo_rejects_non_admissible_index():
         ZetaCombo(PLAIN, {Index((1, 2)): 1})
     with pytest.raises(ValueError, match="non-admissible"):
         parse_zeta_combo("z(1,2) - z(1,2)")
+
+
+def test_combos_and_the_evaluator_refuse_a_non_admissible_index_alike():
+    with pytest.raises(ValueError, match="non-admissible index"):
+        eval_mzv((1, 2))
+    with pytest.raises(ValueError, match="non-admissible index"):
+        ZetaCombo("plain", {(1, 2): 1})
 
 
 def test_combo_refuses_a_star_that_joins_a_coefficient_to_nothing():
