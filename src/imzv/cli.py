@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from .coeffs import SPACES
-from .halg import pair_poly, table_json, table_str
+from .halg import pair_str, table_json, table_str
 from .mzvnum import eval_combo
 # tshuffle_words stays bound here although product prints the pair table:
 # the benchmark's tracer wraps it in every module that binds it, and its
@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_product(args) -> int:
     table = tshuffle_table(parse_word(args.w1), parse_word(args.w2))
     write = table_json if args.format == "json" else table_str
-    print(write(table, pair_poly))
+    print(write(table, pair_str))
     return 0
 
 

@@ -74,7 +74,8 @@ class QtPoly:
 
     @classmethod
     def const(cls, c) -> "QtPoly":
-        return cls({0: c})
+        c = _exact(c)
+        return make_qtpoly(((0, c),) if c else ())
 
     @classmethod
     def zero(cls) -> "QtPoly":
@@ -86,7 +87,9 @@ class QtPoly:
 
     @classmethod
     def t(cls, power: int = 1) -> "QtPoly":
-        return cls({power: 1})
+        if power < 0:
+            raise ValueError("negative t-degree")
+        return make_qtpoly(((power, 1),))
 
     def is_zero(self) -> bool:
         return not self.coeffs

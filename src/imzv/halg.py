@@ -20,18 +20,18 @@ tuple of (degree, coefficient) items, so sharing one is always safe.
 Every operation here builds new terms instead of changing old ones, so
 no table wrapped by make_helement may be mutated afterwards.
 
-Every printed sum, of words or of zeta symbols, comes from two row
-writers, write_text and write_json, fed (key text, coefficient) rows in
-canonical order; each renders a coefficient once per distinct value, so
-an object's writer hands them each row's QtPoly itself.  table_str and
-table_json feed them the rows of a str word -> coefficient table, an
-HElement's or a product engine's pair table alike, so the command line
-prints a product from its pair table without wrapping it.
+Every printed sum, of words or of zeta symbols, is framed by one writer
+per format, write_text and write_json: each takes the rows already
+written, one string per term in canonical order, and adds only the first
+term's sign, the 0 of an empty sum and the brackets.  Each row is written
+once, where it is produced, from a coefficient text rendered once per
+distinct coefficient.  table_str and table_json write the rows of a str
+word -> coefficient table, an HElement's (text str) or a product engine's
+pair table (text pair_str, straight from the ints), so the command line
+prints a product from its pair table without a QtPoly.
 """
 
 from __future__ import annotations
-
-import json
 
 from .coeffs import SPACES, QtPoly, make_qtpoly, parse_qtpoly, signed_pieces
 from .words import Word, parse_word
@@ -94,7 +94,7 @@ def from_pairs(table: dict, cache: dict | None = None) -> "HElement":
     by every element wrapped with it."""
     polys = None if cache is None else cache.get(_SHARED)
     if polys is None:
-        polys = _Rendered(pair_poly)
+        polys = Rendered(pair_poly)
         if cache is not None:
             cache[_SHARED] = polys
     return make_helement({w: polys[pair] for w, pair in table.items()})
@@ -109,9 +109,10 @@ def canonical_words(words) -> list:
     return out
 
 
-class _Rendered(dict):
-    """render(c) for each key c, computed on first lookup: the text of a
-    coefficient in the row writers, the QtPoly of a pair in from_pairs."""
+class Rendered(dict):
+    """render(c) for each key c, computed on first lookup: a row's
+    coefficient text in the table writers, the QtPoly of a pair in
+    from_pairs."""
 
     __slots__ = ("render",)
 
@@ -123,50 +124,57 @@ class _Rendered(dict):
         return text
 
 
-def write_text(rows, render, head: str = "") -> str:
-    """The printed sum of rows (key text, c) in order, after head.  render(c)
-    is what a later term puts before its key, beginning " + " or " - "; the
-    first term of all drops that to nothing or to "-".  render runs once
-    per distinct c; a sum of no terms prints as 0."""
-    text = _Rendered(render)
-    body = "".join([text[c] + key for key, c in rows])
+def write_text(rows: list, head: str = "") -> str:
+    """The printed sum of rows after head, each row a term's text that
+    begins " + " or " - "; the first term of all drops that to nothing or
+    to "-".  A sum of no terms prints as 0."""
+    body = "".join(rows)
     if head or not body:
         return head + body or "0"
     return body[3:] if body[1] == "+" else "-" + body[3:]
 
 
-def write_json(rows, row_format: str, render) -> str:
-    """The JSON list of rows (key text, c) in order, each written as
-    row_format % (key text, render(c)); render runs once per distinct c."""
-    text = _Rendered(render)
-    return "[%s]" % ", ".join([row_format % (key, text[c]) for key, c in rows])
+def write_json(rows: list) -> str:
+    """The JSON list of rows, each a JSON value already written."""
+    return "[%s]" % ", ".join(rows)
 
 
-def _word_rows(table: dict) -> list:
-    """(printed word, coefficient) for each entry of a str word ->
-    coefficient table, in canonical order."""
-    return [(w or "1", table[w]) for w in canonical_words(table)]
+def pair_str(pair: tuple) -> str:
+    """str(pair_poly(pair)) of a nonzero pair (c0, c1), written straight
+    from the two numbers."""
+    c0, c1 = pair
+    if not c1:
+        return str(c0)
+    t = "t" if c1 == 1 or c1 == -1 else "%s*t" % abs(c1)
+    if not c0:
+        return t if c1 > 0 else "-" + t
+    return "%s %s %s" % (c0, "+" if c1 > 0 else "-", t)
 
 
-def itself(c: QtPoly) -> QtPoly:
-    """c itself: the poly an object's writer passes, its rows holding
-    each coefficient's QtPoly."""
-    return c
+def _word_prefix(text: str) -> str:
+    """What a term puts before its word, from its coefficient's text:
+    " + " for 1, " + n*" for another positive integer n, " + (c)*"
+    otherwise.  Only a positive integer prints as digits alone."""
+    if text.isdigit():
+        return " + " if text == "1" else " + %s*" % text
+    return " + (%s)*" % text
 
 
-def table_str(table: dict, poly) -> str:
+def table_str(table: dict, text) -> str:
     """The printed sum of a str word -> coefficient table, as HElement
-    prints it; poly(c) is the QtPoly of a coefficient c (pair_poly for a
-    pair table)."""
-    return write_text(_word_rows(table), lambda c: " + " + _coeff_prefix(poly(c)))
+    prints it; text(c) is the printed coefficient c (str of a QtPoly,
+    pair_str of a pair), run once per distinct c."""
+    prefix = Rendered(lambda c: _word_prefix(text(c)))
+    return write_text([prefix[table[w]] + (w or "1") for w in canonical_words(table)])
 
 
-def table_json(table: dict, poly) -> str:
+def table_json(table: dict, text) -> str:
     """The JSON list of {"word", "coeff"} rows of a str word -> coefficient
-    table, as helement_to_json writes it: a word is x's and y's, or 1, so
-    it needs no escaping."""
-    return write_json(_word_rows(table), '{"word": "%s", "coeff": %s}',
-                      lambda c: json_str(poly(c)))
+    table, as helement_to_json writes it, text(c) as in table_str.  A word
+    is x's and y's, or 1, and a printed coefficient holds only digits, /,
+    t, ^, *, +, - and spaces, so neither needs escaping."""
+    end = Rendered(lambda c: '", "coeff": "%s"}' % text(c))
+    return write_json(['{"word": "' + (w or "1") + end[table[w]] for w in canonical_words(table)])
 
 
 def make_helement(terms: dict) -> "HElement":
@@ -266,18 +274,10 @@ class HElement:
         return make_helement(specialize(self.terms, t0))
 
     def __str__(self):
-        return table_str(self.terms, itself)
+        return table_str(self.terms, str)
 
     def __repr__(self):
         return "HElement(%s)" % str(self)
-
-def _coeff_prefix(c: QtPoly) -> str:
-    """What a printed term puts before its word: nothing for 1, "n*" for
-    another positive integer n, "(c)*" otherwise."""
-    mono = c.as_monomial()
-    if mono is not None and mono[0] == 0 and mono[1] > 0 and mono[1].denominator == 1:
-        return "" if mono[1] == 1 else "%d*" % mono[1]
-    return "(%s)*" % c
 
 
 def parse_helement(text: str) -> HElement:
@@ -311,11 +311,6 @@ def helement_from_json(obj) -> HElement:
     return make_helement(out)
 
 
-def json_str(c) -> str:
-    """str(c) as a JSON string."""
-    return json.dumps(str(c))
-
-
 def helement_to_json(v: HElement) -> str:
     """The JSON list of {"word", "coeff"} rows in canonical order."""
-    return table_json(v.terms, itself)
+    return table_json(v.terms, str)

@@ -67,17 +67,6 @@ def compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def _add_prefixed(out: dict, b: str, table: dict, overlap: bool):
-    """Add b.w for every word w of the pair table into out; the entries
-    are stored directly unless some b.w may already be in out."""
-    if overlap:
-        for w, (c0, c1) in table.items():
-            add_pair(out, b + w, c0, c1)
-    else:
-        for w, c in table.items():
-            out[b + w] = c
-
-
 def _tsh(u: str, v: str, memo: dict) -> dict:
     """t-shuffle of two plain strings as a word -> (c0, c1) table."""
     if not u:
@@ -91,9 +80,19 @@ def _tsh(u: str, v: str, memo: dict) -> dict:
     a, u1 = u[0], u[1:]
     b, v1 = v[0], v[1:]
     # the words of a(u1 sh v) are all distinct, and for a != b none of
-    # them begins like a word of b(u sh v1), so only a == b needs add_pair
+    # them begins like a word of b(u sh v1), so only a == b sums entries
     out = {a + w: c for w, c in _tsh(u1, v, memo).items()}
-    _add_prefixed(out, b, _tsh(u, v1, memo), a == b)
+    right = _tsh(u, v1, memo)
+    if a == b:
+        # every entry has c0 >= 0 >= c1 and is nonzero, so no sum cancels
+        get = out.get
+        for w, c in right.items():
+            w = b + w
+            old = get(w)
+            out[w] = c if old is None else (old[0] + c[0], old[1] + c[1])
+    else:
+        for w, c in right.items():
+            out[b + w] = c
     if not u1 and a == "y":
         add_pair(out, "x" + v, 0, -1)
     if not v1 and b == "y":
@@ -169,12 +168,16 @@ def _sh(u: str, v: str, memo: dict) -> dict:
     if hit is not None:
         return hit
     a, b = u[-1], v[-1]
-    # as in _tsh, only a == b can make two appended entries collide
+    # as in _tsh, only a == b can make two appended entries collide, and
+    # multiplicities are positive, so no sum cancels
     out = {w + a: c for w, c in _sh(u[:-1], v, memo).items()}
     right = _sh(u, v[:-1], memo)
     if a == b:
-        for w, (c0, _) in right.items():
-            add_pair(out, w + b, c0, 0)
+        get = out.get
+        for w, c in right.items():
+            w += b
+            old = get(w)
+            out[w] = c if old is None else (old[0] + c[0], 0)
     else:
         for w, c in right.items():
             out[w + b] = c

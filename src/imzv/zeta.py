@@ -26,11 +26,10 @@ interpolated combo, pinned to the t-shuffle oracle by the euler suite.
 
 from __future__ import annotations
 
-import json
 import re
 
 from .coeffs import SPACE_CLASS, SPACES, QtPoly, binom, parse_qtpoly, signed_pieces
-from .halg import HElement, accumulate, itself, json_str, specialize, write_json, write_text
+from .halg import HElement, Rendered, accumulate, specialize, write_json, write_text
 from .tshuffle import compositions
 from .words import Index, admissible_index_parts, admissible_parts, parse_index, parts_str
 from . import closedforms
@@ -159,8 +158,9 @@ class ZetaCombo:
 
     def __str__(self):
         sym = _SYMBOL[self.kind]
-        rows = [(sym + parts_str(p), c) for _, p, c in _canonical(self.terms)]
-        return _combo_str(self.scalar, rows, itself)
+        prefix = Rendered(_zeta_prefix)
+        rows = [prefix[c] + sym + parts_str(p) for _, p, c in _canonical(self.terms)]
+        return write_text(rows, _scalar_str(self.scalar) if self.scalar else "")
 
     def __repr__(self):
         return "ZetaCombo(%s: %s)" % (self.kind, self)
@@ -199,22 +199,11 @@ def _zeta_prefix(c: QtPoly) -> str:
     return out
 
 
-def _combo_str(scalar: QtPoly, rows, poly) -> str:
-    """How a combo with this scalar prints with rows (symbol text, c) as
-    its terms, in canonical order; poly(c) is the QtPoly of c."""
-    return write_text(rows, lambda c: _zeta_prefix(poly(c)),
-                      _scalar_str(scalar) if scalar else "")
-
-
-def _combo_json(kind, scalar: QtPoly, rows, poly) -> str:
-    """The JSON object of kind, scalar and {"index", "coeff"} rows for
-    rows (index text, c) in canonical order, an index's text its int
-    list; poly(c) is the QtPoly of c."""
-    return '{"kind": %s, "scalar": %s, "terms": %s}' % (
-        json.dumps(kind),
-        json_str(scalar),
-        write_json(rows, '{"index": %s, "coeff": %s}', lambda c: json_str(poly(c))),
-    )
+def _combo_json(kind, scalar, rows: list) -> str:
+    """The JSON object of kind, scalar and terms, the terms' rows already
+    written.  A kind is a plain word and a printed coefficient holds only
+    digits, /, t, ^, *, +, - and spaces, so neither needs escaping."""
+    return '{"kind": "%s", "scalar": "%s", "terms": %s}' % (kind, scalar, write_json(rows))
 
 
 def zeta_map(v: HElement, kind=INTERPOLATED) -> ZetaCombo:
@@ -250,12 +239,13 @@ def _powers(c: QtPoly, s: QtPoly, n: int) -> list:
     return out
 
 
-def _fusion_rows(parts: tuple, head, close) -> list:
+def _fusion_rows(parts: tuple, head, close, leaf) -> list:
     """The 2^(n-1) ways of keeping apart or adding together the adjacent
-    parts of a depth-n index, as rows (head, run, number of additions):
-    run is the rightmost sum, and head the sums before it, each closed
-    onto the start head in turn as close(head, sum).  _fuse closes sums
-    into a tuple of parts, write_expansion into the printed index.
+    parts of a depth-n index, one row leaf(head, run, number of additions)
+    each: run is the rightmost sum, and head the sums before it, each
+    closed onto the start head in turn as close(head, sum).  _fuse closes
+    sums into a tuple of parts, write_expansion into the printed index,
+    and its leaf writes the whole printed row.
 
     One depth-first walk from the first part to the last builds each row
     once; it closes the open rightmost sum before adding the next part
@@ -264,7 +254,7 @@ def _fusion_rows(parts: tuple, head, close) -> list:
     check."""
     last = len(parts) - 1
     if not last:
-        return [(head, parts[0], 0)]
+        return [leaf(head, parts[0], 0)]
     rows = []
     add = rows.append
 
@@ -273,8 +263,8 @@ def _fusion_rows(parts: tuple, head, close) -> list:
         # one; the last part ends both of its rows here
         p = parts[j]
         if j == last:
-            add((close(head, run), p, fused))
-            add((head, run + p, fused + 1))
+            add(leaf(close(head, run), p, fused))
+            add(leaf(head, run + p, fused + 1))
             return
         walk(j + 1, close(head, run), p, fused)
         walk(j + 1, head, run + p, fused + 1)
@@ -285,6 +275,10 @@ def _fusion_rows(parts: tuple, head, close) -> list:
 
 def _close_part(head: tuple, run: int) -> tuple:
     return head + (run,)
+
+
+def _fused_parts(head: tuple, run: int, fused: int) -> tuple:
+    return head + (run,), fused
 
 
 def _fuse(terms: dict, s: QtPoly) -> dict:
@@ -304,33 +298,34 @@ def _fuse(terms: dict, s: QtPoly) -> dict:
     out = {}
     for parts, c in terms.items():
         scaled = _powers(c, s, len(parts))
-        for head, run, k in _fusion_rows(parts, (), _close_part):
-            accumulate(out, head + (run,), scaled[k])
+        for key, k in _fusion_rows(parts, (), _close_part, _fused_parts):
+            accumulate(out, key, scaled[k])
     return out
-
-
-# How write_expansion prints an index, as (start, separator, end): "z(2,1)"
-# as text, "[2, 1]" in JSON
-_INDEX_TEXT = {False: ("z(", ",", ")"), True: ("[", ", ", "]")}
 
 
 def write_expansion(idx: Index, as_json: bool) -> str:
     """What expand_interpolation(interpolated_symbol(idx.parts)) prints, as
     text or as JSON, written from the rows of _fusion_rows without building
-    the combo: each row's printed index is closed during the walk, one
-    symbol's rows are already in canonical order, and a row with k
-    additions has the coefficient t^k.  Refuses a non-admissible index and
-    one over MAX_PATTERNS before building any row."""
+    the combo: one symbol's rows are already in canonical order, each
+    row's printed index is closed during the walk, and the walk's leaf
+    writes the row with the coefficient t^k of its k additions, whose text
+    is written once per k.  Refuses a non-admissible index and one over
+    MAX_PATTERNS before building any row."""
     parts = admissible_index_parts(idx)
     depth = len(parts)
     _check_patterns(1 << (depth - 1))
-    scaled = _powers(QtPoly.one(), _FUSION[INTERPOLATED], depth)
-    start, sep, end = _INDEX_TEXT[as_json]
-    walk = _fusion_rows(parts, start, lambda head, run: f"{head}{run}{sep}")
-    rows = [(f"{head}{run}{end}", k) for head, run, k in walk]
+    powers = ["1", "t"] + ["t^%d" % k for k in range(2, depth)]
     if as_json:
-        return _combo_json(PLAIN, QtPoly.zero(), rows, scaled.__getitem__)
-    return _combo_str(QtPoly.zero(), rows, scaled.__getitem__)
+        # a row is {"index": [2, 1], "coeff": "t^k"}
+        ends = ['], "coeff": "%s"}' % p for p in powers]
+        rows = _fusion_rows(parts, '{"index": [', lambda head, run: f"{head}{run}, ",
+                            lambda head, run, k: f"{head}{run}{ends[k]}")
+        return _combo_json(PLAIN, "0", rows)
+    # a row is " + t^k*z(2,1)"
+    starts = [" + z("] + [" + %s*z(" % p for p in powers[1:]]
+    rows = _fusion_rows(parts, "", lambda head, run: f"{head}{run},",
+                        lambda head, run, k: f"{starts[k]}{head}{run})")
+    return write_text(rows)
 
 
 def expand_interpolation(zc: ZetaCombo) -> ZetaCombo:
@@ -416,8 +411,9 @@ def zeta_combo_from_json(obj) -> ZetaCombo:
 def zeta_combo_to_json(zc: ZetaCombo) -> str:
     """The JSON object of kind, scalar and {"index", "coeff"} rows in
     canonical order, written directly: an index prints as its int list."""
-    rows = [(str(list(p)), c) for _, p, c in _canonical(zc.terms)]
-    return _combo_json(zc.kind, zc.scalar, rows, itself)
+    end = Rendered(lambda c: ', "coeff": "%s"}' % c)
+    rows = ['{"index": %s%s' % (list(p), end[c]) for _, p, c in _canonical(zc.terms)]
+    return _combo_json(zc.kind, zc.scalar, rows)
 
 
 def interpolated_symbol(parts) -> ZetaCombo:

@@ -194,6 +194,18 @@ def test_integral_fraction_is_stored_as_int():
     assert type(dict(p.coeffs)[0]) is int
 
 
+def test_const_and_t_wrap_one_clean_item():
+    assert QtPoly.const(Fraction(6, 2)).coeffs == ((0, 3),)
+    assert type(QtPoly.const(Fraction(6, 2)).coeffs[0][1]) is int
+    assert QtPoly.const(Fraction(1, 2)).coeffs == ((0, Fraction(1, 2)),)
+    assert QtPoly.const(0).coeffs == QtPoly.const(Fraction(0)).coeffs == ()
+    assert QtPoly.const(-4) == QtPoly({0: -4})
+    assert QtPoly.t().coeffs == ((1, 1),) and QtPoly.t(0) == QtPoly.one()
+    assert QtPoly.t(7) == QtPoly({7: 1})
+    with pytest.raises(ValueError):
+        QtPoly.t(-1)
+
+
 def _is_clean(p):
     """coeffs is a tuple sorted by degree, with no zero coefficient and
     every integral coefficient an int."""

@@ -24,7 +24,7 @@ from imzv import (
 
 import json
 
-from imzv.halg import add_pair, from_pairs
+from imzv.halg import add_pair, from_pairs, pair_poly, pair_str, table_json, table_str
 
 coeffs = st.builds(
     QtPoly,
@@ -184,6 +184,33 @@ def test_from_pairs_equals_the_checked_constructor():
     )
     assert from_pairs(table) == built
     assert str(from_pairs(table)) == str(built)
+
+
+def _poly_prefix(c):
+    """What the QtPoly route puts before a later word: " + " for 1, " + n*"
+    for another positive integer n, " + (c)*" otherwise."""
+    mono = c.as_monomial()
+    if mono is not None and mono[0] == 0 and mono[1] > 0:
+        return " + " if mono[1] == 1 else " + %d*" % mono[1]
+    return " + (%s)*" % c
+
+
+def test_a_pair_prints_as_its_qtpoly_prints():
+    # every nonzero pair of small ints, and of +-10^30; the engines never
+    # make a negative c0 or (0, 1), but the table writers take them
+    values = list(range(-12, 13)) + [10 ** 30, -10 ** 30]
+    pairs = [(c0, c1) for c0 in values for c1 in values if c0 or c1]
+    assert (-3, 0) in pairs and (0, 1) in pairs and (0, -1) in pairs
+    for pair in pairs:
+        c = pair_poly(pair)
+        assert pair_str(pair) == str(c), pair
+        assert table_str({"y": (1, 0), "xy": pair}, pair_str) == "y" + _poly_prefix(c) + "xy"
+        assert table_str({"xy": pair}, pair_str) == str(from_pairs({"xy": pair}))
+        want = json.dumps([{"word": "xy", "coeff": str(c)}])
+        assert table_json({"xy": pair}, pair_str) == want, pair
+    table = {w: pair for w, pair in zip(("", "x", "y", "xy", "yx", "yy"), pairs[::121])}
+    assert table_str(table, pair_str) == str(from_pairs(table))
+    assert table_json(table, pair_str) == helement_to_json(from_pairs(table))
 
 
 def test_from_pairs_shares_one_coefficient_per_distinct_pair():

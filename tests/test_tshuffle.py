@@ -322,6 +322,23 @@ def test_prefix_tables_match_the_add_pair_recursion(engine, reference):
     assert len(shared) == len(ref_shared)
 
 
+@pytest.mark.parametrize("engine", [_tsh, _sh], ids=["_tsh", "_sh"])
+def test_every_recursion_entry_has_c0_at_least_zero_at_least_c1(engine):
+    # the invariant that lets _tsh and _sh sum two colliding entries with
+    # no cancellation check: c0 >= 0 >= c1 on both sides, neither (0, 0),
+    # so no sum is (0, 0).  Checked on every ordered pair of words of at
+    # most 6 letters: the memo keeps the table of each pair of nonempty
+    # words, and of every pair the recursion met on the way.
+    words = [w.letters for w in all_words(6)]
+    for u in words:
+        memo = {}
+        for v in words:
+            engine(u, v, memo)
+        for table in memo.values():
+            for w, (c0, c1) in table.items():
+                assert c0 >= 0 >= c1 and (c0 or c1), (u, w, c0, c1)
+
+
 def test_the_split_builds_plain_shuffles_of_prefix_pairs_only():
     # _sh peels last letters, so the prefix shuffles a[:k-1] sh b[:i] of
     # the split formula, for every i, build tables only of prefix pairs
