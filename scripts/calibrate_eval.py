@@ -15,15 +15,14 @@ import time
 from imzv import mzvnum
 from imzv.mzvnum import HALF, eval_mzv, zeta_ref
 from imzv.verify import DUALITY_SPLIT
-from imzv.words import Index, admissible_indices, dual, index_from_word, word_from_index
+from imzv.words import admissible_indices, dual, index_from_word, word_from_index
 
 
 def _row(label, parts, ref):
     cells = []
     for name, split in (("1/2", HALF), ("1/3", DUALITY_SPLIT)):
         r = eval_mzv(parts, split=split)
-        letters = word_from_index(Index(parts)).letters
-        _, bound = mzvnum._split_series(letters, r.cutoff_used, split)
+        _, bound = mzvnum._split_series(word_from_index(parts), r.cutoff_used, split)
         err = abs(r.value - ref)
         cells.append(
             "%s err=%.2e est=%.0e bound=%.2e n=%-3d honest=%s"

@@ -262,7 +262,7 @@ class HElement:
         return make_helement(out)
 
     def coeff(self, w) -> QtPoly:
-        return self.terms.get(Word(w).letters, QtPoly.zero())
+        return self.terms.get(Word(w), QtPoly.zero())
 
     def sorted_terms(self):
         """(letters, coefficient) terms in canonical order (canonical_words)."""

@@ -42,7 +42,7 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import mul, truediv
 
-from .words import Index, admissible_index_parts, parts_str, word_from_index
+from .words import admissible_index_parts, parts_str, word_from_index
 
 TARGET_FLOOR = 1e-9
 SERIES_TERMS = 64
@@ -179,7 +179,7 @@ def eval_mzv(index, target_abs_err=1e-9, cache=None, *, split=HALF,
         value, est, used = hit
         return EvalResult(value, est, used, est <= target)
     n_terms = _split_point(z)[0]
-    value, bound = _split_series(word_from_index(Index(parts)).letters, n_terms, z, memo)
+    value, bound = _split_series(word_from_index(parts), n_terms, z, memo)
     est = max(bound, TARGET_FLOOR)
     if cache is not None:
         cache[parts, z] = (value, est, n_terms)

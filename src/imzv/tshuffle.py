@@ -305,9 +305,8 @@ def split_product(a_word, b_word, k: int, cache: dict | None = None) -> HElement
 
 def word_blocks(w) -> tuple:
     """Run-length encode a word into (letter, exponent) blocks."""
-    s = Word(w).letters
     blocks = []
-    for ch in s:
+    for ch in Word(w):
         if blocks and blocks[-1][0] == ch:
             blocks[-1][1] += 1
         else:

@@ -338,7 +338,7 @@ def run_homomorphism_numeric(
             lhs = eval_combo(prod, t0, cache=cache).value
             rhs = eval_combo(f1, t0, cache=cache).value
             rhs *= eval_combo(f2, t0, cache=cache).value
-            parameters = {"left": list(idx1.parts), "right": list(idx2.parts), "t": str(t0)}
+            parameters = {"left": list(idx1), "right": list(idx2), "t": str(t0)}
             yield parameters, lhs, rhs
 
 
@@ -357,7 +357,7 @@ def run_duality_numeric(max_weight: int = 8):
         partner = index_from_word(dual(word_from_index(idx)))
         r1 = eval_mzv(idx, cache=cache, split=DUALITY_SPLIT)
         r2 = eval_mzv(partner, cache=cache, split=DUALITY_SPLIT)
-        yield {"index": list(idx.parts), "dual": list(partner.parts)}, r1, r2
+        yield {"index": list(idx), "dual": list(partner)}, r1, r2
 
 
 @_suite("oracle-laws", {}, {"max_len_comm": 7, "max_len_assoc": 3})

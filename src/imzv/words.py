@@ -6,9 +6,12 @@ bijectively to indices.  A word is admissible when it is empty or starts
 with x and ends with y; admissible nonempty words are exactly the images
 of indices with l1 >= 2, the convergent zeta arguments.
 
-A Word and an Index are the checked forms of a word and an index where
-they enter or leave the program; sums and products key their terms by
-the plain letter string, zeta combos by the plain tuple of parts.
+A Word is a str and an Index a tuple, checked when built and printed
+in the paper's notation (the empty word as 1, an index as (2,1)); they
+equal, hash and index as their letters and parts.  Sums and products key
+their terms by the plain letter string, zeta combos by the plain tuple
+of parts, which Word.letters and Index.parts give.  Every function here
+takes a plain str or tuple where it takes a Word or an Index.
 admissible_parts maps a letter string to its parts through one bounded
 process-wide cache, and admissible_index_parts is the one index check.
 """
@@ -25,43 +28,25 @@ from .coeffs import SPACES
 # recursion limit of 1000 for the caller's own frames.
 MAX_LETTERS = 500
 
-class Word:
-    """An immutable word over {x, y}; the empty word is the unit and prints as 1.
+class Word(str):
+    """A word over {x, y}, a str checked when built; the empty word is
+    the unit and prints as 1."""
 
-    Equality, hashing and printing use the letters alone.  A Word is the
-    checked form of a word at the API edge: parsing, enumeration,
-    word_from_index and dual.  Inside sums and products a word is its
-    letters, a plain str.
-    """
+    __slots__ = ()
 
-    __slots__ = ("letters",)
-
-    def __init__(self, letters=""):
+    def __new__(cls, letters=""):
+        # a Word is returned as it is: str.__new__ would read it through
+        # __str__, which turns the empty word into "1"
         if isinstance(letters, Word):
-            letters = letters.letters
+            return letters
         if letters.strip("xy"):
             raise ValueError("word letters must be x or y, got %r" % letters)
-        object.__setattr__(self, "letters", letters)
+        return str.__new__(cls, letters)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __eq__(self, other):
-        if isinstance(other, Word):
-            return self.letters == other.letters
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.letters)
-
-    def count(self, letter: str) -> int:
-        return self.letters.count(letter)
+    letters = property(str.__str__, doc="The letters as a plain str.")
 
     def __str__(self):
-        return self.letters if self.letters else "1"
+        return self.letters or "1"
 
     def __repr__(self):
         return "Word(%r)" % self.letters
@@ -70,50 +55,42 @@ class Word:
 EMPTY_WORD = Word("")
 
 
-class Index:
-    """A zeta index: a nonempty tuple of positive integer parts."""
+class Index(tuple):
+    """A zeta index: a nonempty tuple of positive integer parts, checked
+    when built."""
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts):
-        parts = tuple(parts)
-        if not all(type(p) is int for p in parts):
-            raise ValueError("index parts must be ints, got %r" % (parts,))
-        if not parts:
+    def __new__(cls, parts):
+        self = tuple.__new__(cls, parts)
+        if not all(type(p) is int for p in self):
+            raise ValueError("index parts must be ints, got %r" % (self.parts,))
+        if not self:
             raise ValueError("index needs at least one part")
-        if min(parts) < 1:
-            raise ValueError("index parts must be positive, got %r" % (parts,))
-        object.__setattr__(self, "parts", parts)
+        if min(self) < 1:
+            raise ValueError("index parts must be positive, got %r" % (self.parts,))
+        return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Index is immutable")
+    parts = property(tuple, doc="The parts as a plain tuple.")
 
     @property
     def weight(self) -> int:
-        return sum(self.parts)
+        return sum(self)
 
     @property
     def depth(self) -> int:
-        return len(self.parts)
+        return len(self)
 
     @property
     def height(self) -> int:
-        return sum(1 for p in self.parts if p > 1)
+        return sum(1 for p in self if p > 1)
 
     @property
     def admissible(self) -> bool:
-        return self.parts[0] >= 2
-
-    def __eq__(self, other):
-        if isinstance(other, Index):
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.parts)
+        return self[0] >= 2
 
     def __str__(self):
-        return parts_str(self.parts)
+        return parts_str(self)
 
     def __repr__(self):
         return "Index(%r)" % (self.parts,)
@@ -122,10 +99,9 @@ class Index:
 def admissible_index_parts(index) -> tuple:
     """The parts of an admissible index, given as an Index or as a
     sequence of parts checked as an Index is; any other index is refused."""
-    if not isinstance(index, Index):
-        index = Index(index)
+    index = Index(index)
     if not index.admissible:
-        raise ValueError("non-admissible index %s" % index)
+        raise ValueError("non-admissible index %s" % (index,))
     return index.parts
 
 
@@ -134,13 +110,15 @@ def parts_str(parts: tuple) -> str:
     return "(%s)" % ",".join(map(str, parts))
 
 
-def word_from_index(idx: Index) -> Word:
-    """The word z_{l1}...z_{ln} for the index (l1,...,ln), refused when
-    its weight, the word's length, is above MAX_LETTERS."""
+def word_from_index(idx: tuple) -> Word:
+    """The word z_{l1}...z_{ln} for the index (l1,...,ln), given as an
+    Index or its parts, refused when its weight, the word's length, is
+    above MAX_LETTERS."""
+    idx = Index(idx)
     if idx.weight > MAX_LETTERS:
         raise ValueError("an index of weight %d is over the limit of %d letters"
                          % (idx.weight, MAX_LETTERS))
-    return Word("".join("x" * (p - 1) + "y" for p in idx.parts))
+    return Word("".join("x" * (p - 1) + "y" for p in idx))
 
 
 def _parts_of(s: str) -> tuple:
@@ -149,12 +127,13 @@ def _parts_of(s: str) -> tuple:
     return tuple([len(run) + 1 for run in s[:-1].split("y")])
 
 
-def index_from_word(w: Word) -> Index:
-    """Inverse of word_from_index; defined for nonempty words ending in y."""
-    s = w.letters
-    if not s or s[-1] != "y":
+def index_from_word(w: str) -> Index:
+    """Inverse of word_from_index; defined for nonempty words ending in y,
+    given as a Word or its letters."""
+    w = Word(w)
+    if not w.endswith("y"):
         raise ValueError("word %s does not encode an index (must end in y)" % w)
-    return Index(_parts_of(s))
+    return Index(_parts_of(w))
 
 
 # Most indices admissible_parts keeps: a constant well above the 1,023
@@ -172,17 +151,19 @@ def admissible_parts(letters: str) -> tuple:
     return _parts_of(letters)
 
 
-def is_admissible(w: Word) -> bool:
-    """True for the empty word and for words starting with x and ending in y."""
-    s = w.letters
-    return not s or (s[0] == "x" and s[-1] == "y")
+def is_admissible(w: str) -> bool:
+    """True for the empty word and for words starting with x and ending in
+    y, given as a Word or its letters."""
+    w = Word(w)
+    return not w or (w[0] == "x" and w[-1] == "y")
 
 
-def dual(w: Word) -> Word:
-    """MZV duality on admissible words: reverse and swap x with y."""
-    if not w.letters or not is_admissible(w):
+def dual(w: str) -> Word:
+    """MZV duality on admissible words, given as a Word or its letters:
+    reverse and swap x with y."""
+    if not w or not is_admissible(w):
         raise ValueError("dual is only defined on nonempty admissible words")
-    return Word("".join("x" if ch == "y" else "y" for ch in reversed(w.letters)))
+    return Word("".join("x" if ch == "y" else "y" for ch in reversed(w)))
 
 
 def parse_word(text: str) -> Word:

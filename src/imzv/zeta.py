@@ -2,8 +2,8 @@
 
 A ZetaCombo is a finite Q[t]-linear combination of zeta symbols plus a
 scalar part.  Its terms map each symbol's tuple of index parts to its
-coefficient; an Index is only the checked form of an index where it
-enters or leaves the program.  Its ``kind`` records which family the
+coefficient; an Index, a tuple checked when built, is an index where
+it enters or leaves the program.  Its ``kind`` records which family the
 symbols denote:
 
 * ``"interpolated"`` -- the one-parameter family z^t(l1,...,ln) that is
@@ -66,8 +66,9 @@ class ZetaCombo:
     """A scalar plus a Q[t]-linear combination of admissible zeta symbols.
 
     terms maps the tuple of parts of each symbol's index to its nonzero
-    coefficient.  The constructor takes Index or tuple keys and checks
-    each one."""
+    coefficient.  The constructor takes keys given as an Index or its
+    parts, checks each one and stores its parts, a plain tuple; an Index
+    and a tuple with the same parts are one key."""
 
     __slots__ = ("kind", "scalar", "terms")
 
@@ -137,8 +138,7 @@ class ZetaCombo:
 
     def coeff(self, idx) -> QtPoly:
         """The coefficient of an index, given as an Index or its parts."""
-        parts = idx.parts if isinstance(idx, Index) else Index(idx).parts
-        return self.terms.get(parts, QtPoly.zero())
+        return self.terms.get(Index(idx), QtPoly.zero())
 
     def sorted_terms(self):
         """(parts, coefficient) terms in canonical order (_canonical)."""

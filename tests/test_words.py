@@ -12,8 +12,12 @@ from hypothesis import given, strategies as st
 
 from imzv import (
     EMPTY_WORD,
+    PLAIN,
+    HElement,
     Index,
+    QtPoly,
     Word,
+    ZetaCombo,
     admissible_indices,
     admissible_words,
     all_words,
@@ -27,7 +31,7 @@ from imzv import (
     words_of_length,
     zeta_combo_from_json,
 )
-from imzv.words import MAX_LETTERS, admissible_parts
+from imzv.words import MAX_LETTERS, admissible_index_parts, admissible_parts
 
 words = st.text(alphabet="xy", max_size=8).map(Word)
 indices = st.lists(
@@ -59,6 +63,42 @@ def test_word_is_immutable():
 def test_empty_word_prints_as_one():
     assert str(EMPTY_WORD) == "1"
     assert parse_word("1") == EMPTY_WORD
+
+
+def test_a_word_built_from_a_word_is_that_word():
+    # str.__new__ would read the empty word through __str__, as "1"
+    for w in (Word(EMPTY_WORD), Word(Word("")), Word()):
+        assert len(w) == 0 and w == "" and str(w) == "1" and repr(w) == "Word('')"
+    assert Word(Word("xy")) == "xy"
+
+
+def test_words_and_indices_equal_and_hash_as_their_letters_and_parts():
+    assert Word("xy") == "xy" and hash(Word("xy")) == hash("xy")
+    assert Index((2, 1)) == (2, 1) and hash(Index((2, 1))) == hash((2, 1))
+    assert Word("xy") != Word("yx") and Index((2, 1)) != (1, 2)
+    assert type(Word("xy").letters) is str and type(EMPTY_WORD.letters) is str
+    assert type(Index((2, 1)).parts) is tuple
+    assert EMPTY_WORD.letters == "" and Index((2, 1)).parts == (2, 1)
+    assert str(Index((2, 1))) == "(2,1)" and repr(Index((2, 1))) == "Index((2, 1))"
+    assert repr(Word("xy")) == "Word('xy')"
+
+
+def test_coefficients_are_found_by_a_checked_or_a_plain_key():
+    v = HElement({"xy": 3, Word("xxy"): QtPoly.t()})
+    assert v.coeff(Word("xy")) == v.coeff("xy") == QtPoly.const(3)
+    assert v.coeff(Word("xxy")) == v.coeff("xxy") == QtPoly.t()
+    zc = ZetaCombo(PLAIN, {(2, 1): 2, Index((3,)): QtPoly.t()})
+    assert zc.coeff(Index((2, 1))) == zc.coeff((2, 1)) == QtPoly.const(2)
+    assert zc.coeff(Index((3,))) == zc.coeff((3,)) == QtPoly.t()
+
+
+def test_a_non_admissible_index_is_refused_by_its_printed_form():
+    # an Index is a tuple, so "%s" % index would read it as the arguments
+    for index in (Index((1, 2)), (1, 2)):
+        with pytest.raises(ValueError) as err:
+            admissible_index_parts(index)
+        assert str(err.value) == "non-admissible index (1,2)"
+    assert type(admissible_index_parts(Index((2, 1)))) is tuple
 
 
 def test_index_validation():
@@ -168,6 +208,29 @@ def test_dual_known_pairs():
     assert dual(word_from_index(Index((3,)))) == word_from_index(Index((2, 1)))
     assert dual(word_from_index(Index((4,)))) == word_from_index(Index((2, 1, 1)))
     assert dual(word_from_index(Index((2, 2)))) == word_from_index(Index((2, 2)))
+
+
+def test_plain_letters_and_parts_give_what_words_and_indices_give():
+    for letters in ("xy", "xxy", "xyxy", "xxyxy"):
+        assert dual(letters) == dual(Word(letters))
+        assert type(dual(letters)) is Word
+        assert index_from_word(letters) == index_from_word(Word(letters))
+    for letters in ("", "xy", "yx", "xyx", "y"):
+        assert is_admissible(letters) == is_admissible(Word(letters))
+    for parts in ((2,), (3, 1), (1, 2, 1)):
+        assert word_from_index(parts) == word_from_index(Index(parts))
+        assert word_from_index(list(parts)) == word_from_index(Index(parts))
+        assert type(word_from_index(parts)) is Word
+
+
+def test_plain_text_is_checked_where_a_word_or_an_index_is_taken():
+    for call in (dual, index_from_word, is_admissible):
+        with pytest.raises(ValueError, match="word letters must be x or y"):
+            call("xzy")
+    with pytest.raises(ValueError, match="must be positive"):
+        word_from_index((0,))
+    with pytest.raises(ValueError, match="must be ints"):
+        word_from_index((2.0,))
 
 
 def test_dual_rejects_non_admissible():

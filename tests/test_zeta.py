@@ -294,7 +294,7 @@ def test_specializing_drops_a_coefficient_that_vanishes_there():
 
 
 def test_combo_sums_repeated_indices_to_zero():
-    assert ZetaCombo(PLAIN, {Index((2,)): 1, (2,): -1}).is_zero()
+    assert (ZetaCombo(PLAIN, {Index((2,)): 1}) + ZetaCombo(PLAIN, {(2,): -1})).is_zero()
 
 
 def test_substitute_t_specializes_kind():
