@@ -1,16 +1,19 @@
 """Closed product formulas for whole families of words.
 
 Every function here produces the same element as the recursive engine in
-tshuffle, but by direct summation instead of recursion.  The construction
-behind all of them: walk the output y's in order, each taken from the left
-or the right word together with the x's that land in front of it, weighted
-by the number of ways those x's interleave; for the t part replace one y by
-x in each merge pattern, namely whichever of the two source words' final
-y's lands first in the output.  pattern_product is that walk, and the one
-replacement rule; height_two_product is pattern_product on its two words'
-shapes.  The height-one forms list the same terms family by family.  The
-grid tests pin each function to the recursive engine exactly, coefficient
-by coefficient.
+tshuffle, but by direct summation instead of the oracle's recursion.  The
+general rule behind all of them: walk the output y's in order, each taken
+from the left or the right word together with the x's that land in front
+of it, weighted by the number of ways those x's interleave; for the t part
+replace one y by x in each merge pattern, namely whichever of the two
+source words' final y's lands first in the output.  pattern_product is
+that walk, memoized on a state of four ints (each word's next y and its
+x's still pending), with the one replacement rule applied at the step
+that places the earlier final y; height_two_product is pattern_product on
+its two words' shapes.  The height-one forms list the same terms family by
+family.  The grid tests pin each function to the recursive engine exactly,
+coefficient by coefficient, and none of them but alternating_product_sum
+calls that engine.
 
 Each function sums into one halg pair table, word -> (c0, c1) meaning
 c0 + c1*t: a plain word adds (c, 0) and a merged word (0, -c).  The table
@@ -23,7 +26,7 @@ from math import comb
 
 from .coeffs import binom
 from .halg import HElement, add_pair, from_pairs
-from .tshuffle import _tsh, _yy_corrections, compositions
+from .tshuffle import _check_letters, _tsh, _yy_corrections, compositions
 
 
 def _zword(exps) -> str:
@@ -33,56 +36,62 @@ def _zword(exps) -> str:
 
 def pattern_product(a_exps, b_exps) -> HElement:
     """t-shuffle of x^{a1}y...x^{ar}y with x^{b1}y...x^{bs}y, built from
-    the merge patterns of the y's (all exponents >= 0).
+    the merge patterns of the y's (all exponents >= 0, at most MAX_LETTERS
+    letters in both words together).
 
     Each pattern contributes its multinomially filled words, minus t times
     the same words with one y turned into x: the earlier of the two final
     y's.  The later final y stays, so every output word still ends in y.
 
-    One walk places the output y's in order.  The next y comes from the
-    left (0) or the right (1) word; it takes all x's still pending from its
-    own word's current run plus the first q of the other word's current
-    run, which can interleave with the own run in comb(run + q, q) ways.
-    A word's final y placed while the other word still has a y to place is
-    the earlier final y, so the walk carries its position j, and each leaf
-    adds one filling of one pattern and its merged word.
+    One memoized walk places the output y's in order.  Its state is four
+    ints: the next y of each word and the x's still pending from each
+    word's current run.  The next y comes from the left (0) or the right
+    (1) word; it takes all x's still pending from its own word's run plus
+    the first q of the other word's, which interleave in comb(run + q, q)
+    ways.  Each state returns the pair table of every output suffix from
+    there, word -> (c0, c1).  A word's final y placed while the other word
+    still has a y to place is the earlier final y, so that step, of weight
+    m and x run head, adds each suffix word w both as head+"y"+w at
+    (m*c0, 0) and as head+"x"+w at (0, -m*c0); every suffix after it is
+    plain.
     """
     a_exps, b_exps = tuple(a_exps), tuple(b_exps)
     if not a_exps or not b_exps:
         raise ValueError("need at least one y run on each side")
     if min(a_exps + b_exps) < 0:
         raise ValueError("need exponents >= 0")
+    _check_letters(sum(a_exps + b_exps) + len(a_exps) + len(b_exps))
     # each word's x runs, then an empty run after its final y
     exps = (a_exps + (0,), b_exps + (0,))
-    ends = [len(a_exps), len(b_exps)]
-    # at[side]: that word's next y; pending[side]: its x's not yet placed
-    at, pending = [0, 0], [exps[0][0], exps[1][0]]
-    acc: dict = {}
-    parts: list = []
+    ends = (len(a_exps), len(b_exps))
+    # state: each word's next y, then each word's pending x's; with both
+    # words placed the only suffix left is the empty word
+    memo: dict = {ends + (0, 0): {"": (1, 0)}}
 
-    def walk(mult, j):
-        if at == ends:
-            add_pair(acc, "".join(parts), mult, 0)
-            merged = "".join(parts[:j]) + parts[j][:-1] + "x" + "".join(parts[j + 1:])
-            add_pair(acc, merged, 0, -mult)
-            return
+    def suffix(state):
+        """Pair table of every output suffix after state."""
+        if state in memo:
+            return memo[state]
+        acc = memo[state] = {}
         for side, other in ((0, 1), (1, 0)):
-            i = at[side]
+            i, own, theirs = state[side], state[2 + side], state[2 + other]
             if i == ends[side]:
                 continue
-            own, theirs = pending[side], pending[other]
-            at[side], pending[side] = i + 1, exps[side][i + 1]
+            nxt = list(state)
+            nxt[side], nxt[2 + side] = i + 1, exps[side][i + 1]
             # this word's final y, the other word's still to come
-            here = len(parts) if at[side] == ends[side] and at[other] < ends[other] else j
+            turns = i + 1 == ends[side] and state[other] < ends[other]
             for q in range(theirs + 1):
-                parts.append("x" * (own + q) + "y")
-                pending[other] = theirs - q
-                walk(mult * comb(own + q, q), here)
-                parts.pop()
-            at[side], pending[side], pending[other] = i, own, theirs
+                nxt[2 + other] = theirs - q
+                m, head = comb(own + q, q), "x" * (own + q)
+                # after a turning step the suffix is plain: c1 == 0
+                for w, (c0, c1) in suffix(tuple(nxt)).items():
+                    add_pair(acc, head + "y" + w, m * c0, m * c1)
+                    if turns:
+                        add_pair(acc, head + "x" + w, 0, -m * c0)
+        return acc
 
-    walk(1, None)
-    return from_pairs(acc)
+    return from_pairs(suffix((0, 0, a_exps[0], b_exps[0])))
 
 
 def height_one_product(a: int, r: int, b: int, s: int) -> HElement:

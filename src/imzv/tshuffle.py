@@ -41,12 +41,17 @@ from .halg import HElement, add_pair, from_pairs, make_helement
 from .words import MAX_LETTERS, Word
 
 
+def _check_letters(count: int):
+    """Refuse a product of words with more than MAX_LETTERS letters in all."""
+    if count > MAX_LETTERS:
+        raise ValueError("a product of words with %d letters in all is over the "
+                         "limit of %d" % (count, MAX_LETTERS))
+
+
 def _letters(w1, w2) -> tuple:
     """The letters of both words, refused above MAX_LETTERS in all."""
     u, v = Word(w1).letters, Word(w2).letters
-    if len(u) + len(v) > MAX_LETTERS:
-        raise ValueError("a product of words with %d letters in all is over the "
-                         "limit of %d" % (len(u) + len(v), MAX_LETTERS))
+    _check_letters(len(u) + len(v))
     return u, v
 
 

@@ -193,7 +193,7 @@ def run_xy_products(max_exp: int = 6):
 
 # both words share the one run-count bound, so --s is an alternative to --r
 # the default grid (3, 2) and the benchmark's (2, 3) need both bounds at 3,
-# whose grid (3, 3) takes about 25 s: each bound is per keyword
+# whose grid (3, 3) takes about 7 s (2-core VM): each bound is per keyword
 @_suite("theorem22", {"max_run": ("r", "s", "max"), "max_exp": ("max_exp",)},
         {"max_run": 3, "max_exp": 3})
 def run_pattern_products(max_run: int = 3, max_exp: int = 2):

@@ -7,10 +7,11 @@ lengths cancel to zero, even ones match the binomial closed form and do
 not vanish.
 """
 
+import importlib
 import itertools
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from imzv import (
     HElement,
@@ -24,6 +25,10 @@ from imzv import (
     pattern_product,
     tshuffle_words,
 )
+from imzv import closedforms
+
+# the module, which the package's tshuffle function shadows
+engines = importlib.import_module("imzv.tshuffle")
 
 exps = st.integers(min_value=0, max_value=2)
 runs = st.integers(min_value=1, max_value=2)
@@ -43,10 +48,48 @@ def word_from_exps(e):
 @example(a=[1], b=[0, 2, 2, 1])
 @example(a=[0, 0, 0, 0], b=[0])
 def test_pattern_product_matches_oracle(a, b):
-    assume(len(a) + len(b) <= 5)  # four runs on both sides take 0.4 s a case
     lhs = pattern_product(a, b)
     rhs = tshuffle_words(word_from_exps(a), word_from_exps(b))
     assert lhs == rhs
+
+
+# six runs of x^1 y and four of x^2 y on both sides: 4,007 and 3,241 terms
+@pytest.mark.parametrize("a, terms", [((1,) * 6, 4007), ((2,) * 4, 3241)])
+def test_pattern_product_matches_oracle_on_long_shapes(a, terms):
+    lhs = pattern_product(a, a)
+    assert len(lhs.terms) == terms
+    assert lhs == tshuffle_words(word_from_exps(a), word_from_exps(a))
+
+
+def test_closed_forms_do_not_call_the_recursive_engines(monkeypatch):
+    cases = [((0, 2, 1), (1, 0)), ((2,), (0, 0, 1))]
+    oracle = [tshuffle_words(word_from_exps(a), word_from_exps(b)) for a, b in cases]
+    height_two = tshuffle_words("xxyy", "yxyy")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a closed form called the recursive engine")
+
+    for name in ("_tsh", "_sh", "_split"):
+        monkeypatch.setattr(engines, name, refuse)
+    monkeypatch.setattr(closedforms, "_tsh", refuse)
+    assert [pattern_product(a, b) for a, b in cases] == oracle
+    assert height_two_product(2, 2, 0, 1, 1, 2) == height_two
+
+
+# letters counted from the exponents: sum(exps) + len(exps) per word
+@pytest.mark.parametrize("product, args, letters", [
+    (pattern_product, ((0,) * 2000, (0,)), 2001),
+    (pattern_product, ((1,) * 250, (0,)), 501),
+    (height_two_product, (0, 1500, 0, 1, 0, 1), 1502),
+])
+def test_closed_forms_refuse_words_over_the_letter_limit(product, args, letters):
+    with pytest.raises(ValueError, match="%d letters in all is over the limit of 500" % letters):
+        product(*args)
+
+
+def test_pattern_product_at_the_letter_limit():
+    a, b = (0,) * 499, (0,)
+    assert pattern_product(a, b) == tshuffle_words(word_from_exps(a), word_from_exps(b))
 
 
 def test_pattern_product_needs_a_run_on_each_side():

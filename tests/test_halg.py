@@ -322,8 +322,8 @@ def test_every_producer_keys_terms_by_letters():
     for element in produced:
         assert _keys_are_letters(element), element
     assert all(type(w) is str for w, _ in v.sorted_terms())
-    # an element built from Word keys is the same element as the engine's:
-    # a table mixing Word and str keys would compare unequal
+    # an element built from Word keys equals the engine's, whose keys are
+    # plain str: a Word is its letters, so both tables hold the same keys
     assert HElement({Word(w): c for w, c in v.terms.items()}) == v
     assert HElement({Word("xyxy"): 2, Word("xxyy"): 4}) == shuffle_words("xy", "xy")
     assert helement_from_json(json.loads(helement_to_json(v))) == v

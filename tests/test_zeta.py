@@ -382,8 +382,8 @@ def test_every_producer_keys_terms_by_parts():
     for zc in produced:
         assert _keys_are_parts(zc), zc
     assert all(type(p) is tuple for p, _ in interp.sorted_terms())
-    # a combo built from Index keys is the same combo as one built from
-    # tuple keys: a table mixing Index and tuple keys would compare unequal
+    # a combo built from Index keys equals one built from tuple keys, and
+    # coeff finds a term by either: an Index is its parts, so both are one key
     assert ZetaCombo(INTERPOLATED, {Index(p): c for p, c in interp.terms.items()}) == interp
     assert plain == ZetaCombo(PLAIN, {(2, 1): 2, Index((3,)): QtPoly.t()})
     assert plain.coeff(Index((2, 1))) == plain.coeff((2, 1)) == QtPoly.const(2)
