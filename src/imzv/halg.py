@@ -13,10 +13,10 @@ Word products lie in Z[t] with t-degree at most one, so the product
 engines sum into a pair table, str word -> (c0, c1) meaning c0 + c1*t,
 with add_pair and wrap it once with from_pairs.
 
-Coefficients are shared: from_pairs gives all words with the same pair
-one QtPoly, and, given a product engine's cache, gives every element
-wrapped with that cache one QtPoly per distinct pair.  A QtPoly holds a
-tuple of (degree, coefficient) items, so sharing one is always safe.
+Coefficients are shared: from_pairs takes the QtPoly of each pair from
+one bounded process-wide table, so every element it wraps holds one
+QtPoly per distinct pair.  A QtPoly holds a tuple of (degree,
+coefficient) items, so sharing one is always safe.
 Every operation here builds new terms instead of changing old ones, so
 no table wrapped by make_helement may be mutated afterwards.
 
@@ -72,11 +72,6 @@ def add_pair(table: dict, w: str, c0: int, c1: int):
         del table[w]
 
 
-# The entry a product engine's memo reserves for from_pairs.  A str never
-# equals the (u, v) and (u, v, 0) tuple keys of the engines' own entries.
-_SHARED = "from_pairs"
-
-
 def pair_poly(pair: tuple) -> QtPoly:
     """The QtPoly c0 + c1*t of a nonzero pair (c0, c1)."""
     c0, c1 = pair
@@ -85,19 +80,14 @@ def pair_poly(pair: tuple) -> QtPoly:
     return make_qtpoly(((0, c0), (1, c1)) if c0 else ((1, c1),))
 
 
-def from_pairs(table: dict, cache: dict | None = None) -> "HElement":
+def from_pairs(table: dict) -> "HElement":
     """Wrap a pair table built by add_pair (no zero pairs, words of x's and
-    y's built from checked words) as an HElement, with one QtPoly for each
-    distinct pair, shared by all its words.
-
-    With a cache, the QtPoly of each distinct pair is kept in it and shared
-    by every element wrapped with it."""
-    polys = None if cache is None else cache.get(_SHARED)
-    if polys is None:
-        polys = Rendered(pair_poly)
-        if cache is not None:
-            cache[_SHARED] = polys
-    return make_helement({w: polys[pair] for w, pair in table.items()})
+    y's built from checked words) as an HElement, each distinct pair's
+    QtPoly taken from one process-wide table and shared by every word and
+    every element that has that pair."""
+    if len(_PAIR_POLYS) >= _MAX_PAIRS:
+        _PAIR_POLYS.clear()
+    return make_helement({w: _PAIR_POLYS[pair] for w, pair in table.items()})
 
 
 def canonical_words(words) -> list:
@@ -122,6 +112,11 @@ class Rendered(dict):
     def __missing__(self, c):
         text = self[c] = self.render(c)
         return text
+
+
+# the QtPoly of each pair from_pairs has wrapped, emptied when full
+_MAX_PAIRS = 2 ** 16
+_PAIR_POLYS = Rendered(pair_poly)
 
 
 def write_text(rows: list, head: str = "") -> str:

@@ -94,7 +94,6 @@ def _split_point(z: Fraction, n_terms: int | None = None) -> tuple:
         n_terms = SERIES_TERMS
         while _cut_loss(max(z, h), n_terms) > Fraction(1, 2**SERIES_TERMS):
             n_terms += 1
-        return _split_point(z, n_terms)
     # the head is at most max(1, h / z), the tail at most max(1, z / h),
     # and each falls short by at most its cut loss
     loss = max(1, h / z) * _cut_loss(z, n_terms) + max(1, z / h) * _cut_loss(h, n_terms)
@@ -134,10 +133,10 @@ def _suffix_values(letters: str, n_terms: int, factor: tuple, memo: dict) -> lis
     return values
 
 
-def _split_series(letters: str, n_terms: int = SERIES_TERMS, z: Fraction = HALF,
-                  memo: dict | None = None):
-    """(value, bound) of zeta(letters) by the series split at z, the
-    suffix values from memo (see _suffix_values; a fresh one if None).
+def _split_series(letters: str, point: tuple, memo: dict | None = None):
+    """(value, bound) of zeta(letters) by the series split of point, a
+    _split_point record, the suffix values from memo (see _suffix_values;
+    a fresh one if None).
 
     Truncation: each of the n + 1 terms loses at most the split point's
     term loss, which is 2 * 2^-n_terms at z = 1/2.  Rounding: the powers
@@ -151,7 +150,7 @@ def _split_series(letters: str, n_terms: int = SERIES_TERMS, z: Fraction = HALF,
     n = len(letters)
     if memo is None:
         memo = {}
-    _, tail, head, loss_num, loss_den = _split_point(z, n_terms)
+    n_terms, tail, head, loss_num, loss_den = point
     tails = _suffix_values(letters, n_terms, tail, memo)
     heads = _suffix_values(letters[::-1].translate(_REVSWAP), n_terms, head, memo)
     value = math.fsum(heads[i] * tails[n - i] for i in range(n + 1))
@@ -178,8 +177,9 @@ def eval_mzv(index, target_abs_err=1e-9, cache=None, *, split=HALF,
     if hit is not None:
         value, est, used = hit
         return EvalResult(value, est, used, est <= target)
-    n_terms = _split_point(z)[0]
-    value, bound = _split_series(word_from_index(parts), n_terms, z, memo)
+    point = _split_point(z)
+    n_terms = point[0]
+    value, bound = _split_series(word_from_index(parts), point, memo)
     est = max(bound, TARGET_FLOOR)
     if cache is not None:
         cache[parts, z] = (value, est, n_terms)
@@ -199,8 +199,6 @@ def eval_combo(zc, t_value=0, target_abs_err=1e-6, cache=None) -> EvalResult:
     zc = zc.to_plain()
     t0 = Fraction(t_value)
     target = max(float(target_abs_err), TARGET_FLOOR)
-    if cache is None:
-        cache = {}
     value = _coefficient(zc.scalar.eval_at(t0), "the constant term")
     terms = [(p, _coefficient(c.eval_at(t0), "the coefficient of z" + parts_str(p)))
              for p, c in zc.sorted_terms()]

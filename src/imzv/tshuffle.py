@@ -27,11 +27,11 @@ block, and builds its tails with the same step bottom-up: from a's last
 block to its first, each block suffix of a against every suffix of b,
 each level from the one below, so no tail is computed twice.
 
-A cache passed to tshuffle_words or shuffle_words holds the recursion's
-tables under (u, v) and (u, v, 0) keys, and one entry for from_pairs
-with a QtPoly per distinct pair; every product wrapped with that cache
-shares them.  Every table here, and every HElement built from one, is
-keyed by the word's letters as a plain str.
+A cache passed to an engine holds only the recursions' tables: _tsh's
+under (u, v) keys and _sh's under (u, v, 0) keys, so one cache may serve
+both, and every later product that uses it shares them.  Every table
+here, and every HElement built from one, is keyed by the word's letters
+as a plain str.
 """
 
 from __future__ import annotations
@@ -129,11 +129,9 @@ def tshuffle_words(w1, w2, cache: dict | None = None) -> HElement:
     """The t-shuffle product of two words, by direct recursion: its pair
     table wrapped with halg.from_pairs.
 
-    A cache passed in keeps the recursion's tables, and one coefficient
-    per distinct pair, for every later product that uses it; the results
-    must not be mutated."""
-    table = _tsh(*_letters(w1, w2), {} if cache is None else cache)
-    return from_pairs(table, cache)
+    A cache passed in keeps the recursion's tables for every later
+    product that uses it; the results must not be mutated."""
+    return from_pairs(_tsh(*_letters(w1, w2), {} if cache is None else cache))
 
 
 def tshuffle(u: HElement, v: HElement, cache: dict | None = None) -> HElement:
@@ -220,8 +218,7 @@ def shuffle_words(w1, w2, cache: dict | None = None) -> HElement:
     """The ordinary shuffle product: sum over all order-preserving
     interleavings.  Equals the t-shuffle at t = 0.  A cache is kept and
     shared as in tshuffle_words, and one cache may serve both."""
-    table = _sh(*_letters(w1, w2), {} if cache is None else cache)
-    return from_pairs(table, cache)
+    return from_pairs(_sh(*_letters(w1, w2), {} if cache is None else cache))
 
 
 def _yy_corrections(m: int, n: int):
@@ -239,9 +236,12 @@ def yy_product_formula(m: int, n: int) -> HElement:
 
         C(m+n, n) y^(m+n)
         - t * sum_{i=min(m,n)-1}^{m+n-2} [C(i, m-1) + C(i, n-1)] y^i x y^(m+n-i-1)
+
+    Refuses m + n over MAX_LETTERS before any work.
     """
     if m < 1 or n < 1:
         raise ValueError("need m, n >= 1")
+    _check_letters(m + n)
     acc = {}
     add_pair(acc, "y" * (m + n), binom(m + n, n), 0)
     for w, c in _yy_corrections(m, n):
@@ -253,9 +253,11 @@ def xpow_times_ypow(m: int, n: int) -> HElement:
     """x^m sh y^n: the block words x^(m_1) y x^(m_2) y ... y x^(m_{n+1}),
     one per composition of m into n+1 runs, minus t times the merge words
     x^(m_1) y ... x^(m_{n-1}) y x^(m_n + m - i + 1), where the last y
-    merged into the x run, over compositions (m_1..m_n) of i < m."""
+    merged into the x run, over compositions (m_1..m_n) of i < m.
+    Refuses m + n over MAX_LETTERS before any work."""
     if m < 0 or n < 0:
         raise ValueError("need m, n >= 0")
+    _check_letters(m + n)
     acc = {}
     for comp in compositions(m, n + 1):
         add_pair(acc, "y".join("x" * c for c in comp), 1, 0)
@@ -328,13 +330,15 @@ def block_product(blocks_a, blocks_b) -> HElement:
     split formula at the end of a's first block, with every tail built
     bottom-up by the same step (see the module docstring).
 
-    Zero exponents are allowed and ignored; a negative one is refused.
-    The plain shuffle handles the prefix factors, so this engine never
-    calls the letter-level t-shuffle recursion.
+    Zero exponents are allowed and ignored; a negative one is refused,
+    and so are exponents over MAX_LETTERS in all, before any word is
+    built.  The plain shuffle handles the prefix factors, so this engine
+    never calls the letter-level t-shuffle recursion.
     """
     blocks_a, blocks_b = tuple(blocks_a), tuple(blocks_b)
     if any(e < 0 for _, e in blocks_a + blocks_b):
         raise ValueError("need exponents >= 0")
+    _check_letters(sum(e for _, e in blocks_a + blocks_b))
     a_blocks = tuple((ch, e) for ch, e in blocks_a if e > 0)
     _, b = _letters(_blocks_to_string(a_blocks), _blocks_to_string(blocks_b))
     shmemo = {}

@@ -14,16 +14,19 @@ from imzv import (
     HElement,
     QtPoly,
     Word,
+    block_product,
     helement_from_json,
     helement_to_json,
     parse_helement,
     tshuffle,
     tshuffle_words,
+    word_blocks,
     zeta_map,
 )
 
 import json
 
+from imzv import halg
 from imzv.halg import add_pair, from_pairs, pair_poly, pair_str, table_json, table_str
 
 coeffs = st.builds(
@@ -222,7 +225,7 @@ def test_from_pairs_shares_one_coefficient_per_distinct_pair():
             assert (got.terms[w] is got.terms[w2]) == (pair == pair2)
 
 
-def test_products_from_one_cache_share_words_and_coefficients():
+def test_products_share_one_coefficient_per_distinct_pair_across_the_process():
     cache = {}
     prod = tshuffle_words("xxyxy", "xyxy", cache)
     other = tshuffle_words("xxyy", "xyxxy", cache)
@@ -235,9 +238,24 @@ def test_products_from_one_cache_share_words_and_coefficients():
             assert prod.terms[w] is other.terms[w]
     for w, c in again.terms.items():
         assert c is prod.terms[w]
+    # no memo in common, another engine: the same coefficient objects
     fresh = tshuffle_words("xxyy", "xyxxy")
     assert fresh == other
-    assert not any(c is other.terms[w] for w, c in fresh.terms.items())
+    assert all(c is other.terms[w] for w, c in fresh.terms.items())
+    blocks = block_product(word_blocks("xxyy"), word_blocks("xyxxy"))
+    assert all(c is other.terms[w] for w, c in blocks.terms.items())
+
+
+def test_the_pair_table_is_emptied_once_full(monkeypatch):
+    monkeypatch.setattr(halg, "_MAX_PAIRS", 4)
+    monkeypatch.setattr(halg, "_PAIR_POLYS", halg.Rendered(pair_poly))
+    first = from_pairs({"x": (1, 0), "y": (2, 0), "xy": (3, 0), "yx": (4, 0)})
+    assert len(halg._PAIR_POLYS) == 4
+    second = from_pairs({"x": (1, 0), "yy": (5, -1)})
+    assert len(halg._PAIR_POLYS) == 2
+    assert second.terms["x"] == first.terms["x"]
+    assert second.terms["x"] is not first.terms["x"]
+    assert str(second) == "x + (5 - t)*yy"
 
 
 def _snapshot(v):

@@ -174,7 +174,7 @@ def test_short_series_bound_holds(parts, closed_form):
     # the unfloored bound itself is exercised
     letters = word_from_index(Index(parts)).letters
     for split in SPLITS:
-        value, bound = mzvnum._split_series(letters, 8, split)
+        value, bound = mzvnum._split_series(letters, mzvnum._split_point(split, 8))
         assert abs(value - closed_form) <= bound, split
         assert closed_form - value > 1e-9, split
 
@@ -196,23 +196,29 @@ def test_series_rounding_within_gamma_bound(parts):
     letters = word_from_index(Index(parts)).letters
     n = len(letters)
     for split in SPLITS:
-        n_terms = mzvnum._split_point(split)[0]
-        tails = _exact_suffix_values(letters, n_terms, split)
+        point = mzvnum._split_point(split)
+        tails = _exact_suffix_values(letters, point[0], split)
         heads = _exact_suffix_values(
-            letters[::-1].translate(mzvnum._REVSWAP), n_terms, 1 - split)
+            letters[::-1].translate(mzvnum._REVSWAP), point[0], 1 - split)
         exact = sum(heads[i] * tails[n - i] for i in range(n + 1))
-        value, bound = mzvnum._split_series(letters, n_terms, split)
+        value, bound = mzvnum._split_series(letters, point)
         assert abs(Fraction(value) - exact) <= Fraction(bound), split
         assert bound < 1e-12
+
+
+def test_an_evaluation_works_its_split_point_out_once():
+    mzvnum._split_point.cache_clear()
+    eval_mzv((2, 1), split=Fraction(1, 5))
+    assert mzvnum._split_point.cache_info().currsize == 1
 
 
 def test_split_points_agree_within_their_bounds():
     # two different series for the same value: 1/2 and 1/3 share no factor
     for idx in admissible_indices(8):
         letters = word_from_index(idx).letters
-        half, half_bound = mzvnum._split_series(letters)
+        half, half_bound = mzvnum._split_series(letters, mzvnum._split_point(mzvnum.HALF))
         third, third_bound = mzvnum._split_series(
-            letters, mzvnum._split_point(verify.DUALITY_SPLIT)[0], verify.DUALITY_SPLIT)
+            letters, mzvnum._split_point(verify.DUALITY_SPLIT))
         assert abs(half - third) <= half_bound + third_bound, idx
 
 
@@ -220,14 +226,15 @@ def test_split_points_agree_within_their_bounds():
 def test_a_shared_suffix_memo_changes_no_bit(split):
     # one memo across every index serves each suffix summed before; every
     # value and raw bound must be the one a fresh memo gives, bit for bit
-    n_terms = mzvnum._split_point(split)[0]
+    point = mzvnum._split_point(split)
+    n_terms = point[0]
     indices = list(admissible_indices(10))
     assert len(indices) == 511
     shared = {}
     for idx in indices:
         letters = word_from_index(idx).letters
-        alone = mzvnum._split_series(letters, n_terms, split)
-        got = mzvnum._split_series(letters, n_terms, split, shared)
+        alone = mzvnum._split_series(letters, point)
+        got = mzvnum._split_series(letters, point, shared)
         assert [x.hex() for x in got] == [x.hex() for x in alone], idx
     # at 1/2 the heads, at 1 - z, and the tails, at z, share one table
     assert set(shared) == {(split, n_terms), (1 - split, n_terms)}
@@ -238,21 +245,22 @@ def test_at_one_third_the_sides_of_a_duality_pair_keep_their_factors_apart():
     # letter; the memo keeps one table per point, so neither side is served
     # the other's factor, and a shared memo changes no bit of either side
     z = verify.DUALITY_SPLIT
-    n_terms = mzvnum._split_point(z)[0]
+    point = mzvnum._split_point(z)
+    n_terms = point[0]
     third, two_thirds = (z, n_terms), (1 - z, n_terms)
     for idx in admissible_indices(8):
         word = word_from_index(idx)
         w, d = word.letters, dual(word).letters
         alone_w, alone_d, shared = {}, {}, {}
-        want = (mzvnum._split_series(w, n_terms, z, alone_w),
-                mzvnum._split_series(d, n_terms, z, alone_d))
+        want = (mzvnum._split_series(w, point, alone_w),
+                mzvnum._split_series(d, point, alone_d))
         assert alone_d[third].keys() == alone_w[two_thirds].keys()
         assert alone_d[two_thirds].keys() == alone_w[third].keys()
         for table, mirror in ((alone_d[third], alone_w[two_thirds]),
                               (alone_d[two_thirds], alone_w[third])):
             assert all(table[v][1] != mirror[v][1] for v in table), idx
-        got = (mzvnum._split_series(w, n_terms, z, shared),
-               mzvnum._split_series(d, n_terms, z, shared))
+        got = (mzvnum._split_series(w, point, shared),
+               mzvnum._split_series(d, point, shared))
         assert got == want, idx
         assert set(shared) == {third, two_thirds}
         for key in shared:
@@ -264,6 +272,8 @@ def test_each_eval_combo_call_starts_with_an_empty_memo(monkeypatch):
     eval_mzv_ = mzvnum.eval_mzv
 
     def spy(index, *args, memo, **kwargs):
+        # a combo's parts are distinct, so no result cache is made for them
+        assert kwargs.get("cache") is None
         calls.append((memo, len(memo)))
         return eval_mzv_(index, *args, memo=memo, **kwargs)
 
@@ -284,9 +294,10 @@ def test_duality_numeric_never_evaluates_at_one_half(monkeypatch):
     points = []
     split_series = mzvnum._split_series
 
-    def spy(letters, n_terms=mzvnum.SERIES_TERMS, z=mzvnum.HALF, memo=None):
-        points.append(z)
-        return split_series(letters, n_terms, z, memo)
+    def spy(letters, point, memo=None):
+        # the record's tail factor is (z, powers of z)
+        points.append(point[1][0])
+        return split_series(letters, point, memo)
 
     monkeypatch.setattr(mzvnum, "_split_series", spy)
     report = verify.run_duality_numeric(max_weight=4)

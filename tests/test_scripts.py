@@ -3,13 +3,16 @@
 The discrepancy report rebuilds defective variant readings from private
 tshuffle helpers, so a change to those helpers shows here first.  The
 calibration report reads the private series of mzvnum, and each of its
-rows must find the true error within the proven bound.
+rows must find the true error within the proven bound.  The suite
+summary must exit 1 and say FAIL when a report fails.
 """
 
 import hashlib
 import importlib.util
 import json
 from pathlib import Path
+
+from imzv.verify import VerifyReport
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -48,3 +51,20 @@ def test_calibrate_eval_main(capsys):
     rows = [line for line in out.splitlines() if "honest=" in line]
     assert len(rows) == 24
     assert "honest=False" not in out
+
+
+def test_verify_all_exits_1_and_prints_fail_on_a_failing_report(monkeypatch, capsys):
+    module = load_script("verify_all")
+    failing = VerifyReport("oracle-laws")
+    failing.record({"u": "xy"}, False, "lhs", "rhs", "xy")
+    passing = VerifyReport("shuffle-consistency")
+    passing.record({"u": "y"}, True)
+    monkeypatch.setattr(module, "run_oracle_laws", lambda: failing)
+    monkeypatch.setattr(module, "run_shuffle_consistency", lambda: passing)
+    monkeypatch.setattr(module, "SUITES", {})
+    assert module.main() == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert lines[0].startswith("oracle-laws") and lines[0].endswith("FAIL")
+    assert lines[1] == "    {'u': 'xy'}  diff=xy"
+    assert lines[2].startswith("shuffle-consistency") and lines[2].endswith("ok")

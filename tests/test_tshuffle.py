@@ -185,6 +185,22 @@ def test_block_product_refuses_a_negative_exponent(blocks_a, blocks_b):
         block_product(blocks_a, blocks_b)
 
 
+def test_block_product_refuses_a_huge_exponent_before_building_a_word():
+    with pytest.raises(ValueError, match="over the limit of %d" % MAX_LETTERS):
+        block_product((("x", 10**18), ("y", 1)), (("y", 1),))
+    with pytest.raises(ValueError, match="over the limit of %d" % MAX_LETTERS):
+        block_product((("y", 1),), (("x", 10**18),))
+
+
+@pytest.mark.parametrize("formula, m", [(yy_product_formula, 250), (xpow_times_ypow, 499)])
+def test_the_power_forms_run_up_to_the_letter_limit_and_refuse_longer(formula, m):
+    n = MAX_LETTERS - m
+    got = formula(m, n)
+    assert got and all(len(w) == MAX_LETTERS for w in got.terms)
+    with pytest.raises(ValueError, match="over the limit of %d" % MAX_LETTERS):
+        formula(m, n + 1)
+
+
 def test_block_product_ignores_a_zero_exponent():
     got = block_product((("x", 0), ("y", 1)), (("y", 1), ("x", 0)))
     assert got == tshuffle_words("y", "y")
@@ -210,7 +226,7 @@ def test_one_cache_serves_tshuffle_and_shuffle():
             assert list(s_shared.terms.items()) == list(shuffle_words(u, v, scache).terms.items())
             assert str(t_shared) == str(tshuffle_words(u, v)), (u, v)
             assert str(s_shared) == str(shuffle_words(u, v)), (u, v)
-            # both engines hand out the cache's one coefficient per distinct pair
+            # both engines hand out the one coefficient per distinct pair
             assert all(t_shared.terms[w] is c for w, c in s_shared.terms.items()
                        if t_shared.terms.get(w) == c)
 
@@ -260,6 +276,15 @@ def test_a_memo_shared_by_both_recursions_keeps_them_apart():
     assert tshuffle_words("xy", "y", cache) != shuffle_words("xy", "y")
     assert shuffle_words("xy", "y", cache) == shuffle_words("xy", "y")
     assert tshuffle_words("xy", "y", cache) == tshuffle_words("xy", "y")
+
+
+def test_a_memo_holds_only_the_recursions_tables():
+    cache = {}
+    tshuffle_words("xxyxy", "xyy", cache)
+    shuffle_words("xxyxy", "xyy", cache)
+    tshuffle(HElement.from_word("xyy"), HElement.from_word("yxy"), cache)
+    split_product("xyxy", "xxyy", 2, cache)
+    assert cache and all(type(key) is tuple for key in cache)
 
 
 # Reference copies of the t-shuffle and plain shuffle recursions that sum
