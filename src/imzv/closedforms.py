@@ -102,10 +102,12 @@ def height_one_product(a: int, r: int, b: int, s: int) -> HElement:
     weight C(alpha_1, e): the plain word alpha with a y^{r+s-l} tail, times
     C(r+s-l-1, h-l); for l < h the t parts with an inner y^{i+1} x block
     and, when g = 1, a bumped final run; for l = h the final two runs
-    merged with one extra x.
+    merged with one extra x.  Refuses words over MAX_LETTERS letters in
+    all before any work.
     """
     if min(a, r, b, s) < 1:
         raise ValueError("need a, r, b, s >= 1")
+    _check_letters(a + r + b + s)
     acc: dict = {}
     # each family comes once per word: its x exponent, its own y count h
     # and the other word's y count g
@@ -138,15 +140,16 @@ def expanded_height_one_product(m: int, j: int, n: int, k: int) -> HElement:
     and five replacement families.  The fifth replacement family, active
     only for k = 1, restores the terms the chain loses when the right word
     carries a single y; without it the k = 1 column fails the oracle check.
+    Refuses words over MAX_LETTERS letters in all before any work.
     """
     if min(m, j, n, k) < 1:
         raise ValueError("need m, j, n, k >= 1")
+    _check_letters(m + j + n + k)
     acc: dict = {}
 
+    # every binomial weight below is at least 1, as m, n >= 1
     for n1 in range(n + 1):
         cn = binom(m + n1 - 1, m - 1)
-        if not cn:
-            continue
         # leading run absorbed from the left word, plain and with an inner
         # replacement inside the shared y tail
         for m1 in range(j + 1):
@@ -178,8 +181,6 @@ def expanded_height_one_product(m: int, j: int, n: int, k: int) -> HElement:
         for m1 in range(m):
             m2 = m - 1 - m1
             ca = binom(m1 + n - 1, n - 1)
-            if not ca:
-                continue
             # leading run absorbed from the right word, plain and with an
             # inner replacement past the bumped run
             cb = ca * binom(j + k - k1, j)
@@ -196,8 +197,6 @@ def expanded_height_one_product(m: int, j: int, n: int, k: int) -> HElement:
         for m2 in range(m - m1):
             m3 = m - 1 - m1 - m2
             ca = binom(m1 + n - 1, n - 1)
-            if not ca:
-                continue
             for aa in compositions(m2, k):
                 runs = [aa[0] + n + m1, *aa[1:]]
                 runs[-1] += m3 + 2
@@ -230,9 +229,11 @@ def height_two_product(a: int, r: int, b1: int, s1: int,
 
 def alternating_product_sum(k: int, p: int) -> HElement:
     """sum_{i=0}^{k} (-1)^i  (z_p z_1^i sh z_p z_1^{k-i}) by the recursive
-    engine.  Zero for odd k: the terms cancel in pairs."""
+    engine.  Zero for odd k: the terms cancel in pairs.  Refuses words
+    over MAX_LETTERS letters in all, 2p + k, before any work."""
     if k < 1 or p < 1:
         raise ValueError("need k, p >= 1")
+    _check_letters(2 * p + k)
     zp = "x" * (p - 1) + "y"
     cache: dict = {}
     acc: dict = {}
@@ -248,12 +249,14 @@ def alternating_product_closed_form(k: int, p: int) -> HElement:
 
     The plain part is a single family over compositions into k+2 runs; the
     t part stacks three unsigned families, two alternating families, and a
-    parity-weighted family ending in a fixed xy block.
+    parity-weighted family ending in a fixed xy block.  Refuses words over
+    MAX_LETTERS letters in all, 2p + k, before any work.
     """
     if p < 1:
         raise ValueError("need p >= 1")
     if k < 2 or k % 2:
         raise ValueError("closed form needs even k >= 2")
+    _check_letters(2 * p + k)
     wt = 2 * (p - 1)
     acc: dict = {}
 
@@ -307,9 +310,11 @@ def alternating_product_closed_form(k: int, p: int) -> HElement:
 def alternating_product_weight4_form(k: int) -> HElement:
     """The p = 2 specialization of the alternating sum, for any k >= 1:
     zero for odd k, and for even k a single plain family with weights
-    (a_{k+2} + 1) on the lead run plus two explicit t families."""
+    (a_{k+2} + 1) on the lead run plus two explicit t families.  Refuses
+    words over MAX_LETTERS letters in all, k + 4, before any work."""
     if k < 1:
         raise ValueError("need k >= 1")
+    _check_letters(k + 4)
     if k % 2:
         return HElement.zero()
     acc: dict = {}

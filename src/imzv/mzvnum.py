@@ -20,17 +20,22 @@ and the reported error_estimate is a proven bound, floored at
 TARGET_FLOOR (1e-9): double precision leaves no headroom below that, so
 tighter targets are not accepted.
 
-Each suffix's coefficients and value go into a memo with one table per
-point and series length, keyed by the suffix letters, so a suffix shared
-by two factors is summed once.  eval_combo gives all its terms one memo,
-made afresh per call; at z = 1/2 the heads and tails draw on one table.
+A function here that takes a memo takes one, cache, a plain dict the
+caller owns, and no value or bound depends on it.  eval_mzv keeps a
+finished value under (index parts, z) and each suffix's coefficients and
+value in one table per point and series length, under (p, n_terms),
+keyed by the suffix letters; a tuple of parts never equals a Fraction,
+so the two kinds of key never meet.  A suffix shared by two factors, or
+by two evaluations on one cache, is summed once; at z = 1/2 the heads
+and tails draw on one table.  eval_combo gives all its terms the
+caller's cache, or one fresh dict per call when given none.
 
 The default split is z = 1/2.  There zeta(dual(w)) sums the same terms
 as zeta(w) in reverse order, so a numeric duality check at 1/2 would pass
 whatever the errors.  At z = 1/3 the split of dual(w) is, term by term,
 the split of w at 2/3: a different series, which the duality suite
 compares with the split of w at 1/3.  Its factors at 1/3 and 2/3 sit in
-separate memo tables, so neither side is served the other's.
+separate tables, so neither side is served the other's.
 """
 
 from __future__ import annotations
@@ -101,19 +106,19 @@ def _split_point(z: Fraction, n_terms: int | None = None) -> tuple:
     return n_terms, tail, head, loss.numerator, loss.denominator
 
 
-def _suffix_values(letters: str, n_terms: int, factor: tuple, memo: dict) -> list:
+def _suffix_values(letters: str, n_terms: int, factor: tuple, cache: dict) -> list:
     """Li(v; p) at the factor's point p for every suffix v of letters, by
     length: entry k is the value of the length-k suffix, its series cut
     after p^n_terms, at most the factor's own series length.  Every
     nonempty suffix must end in y.
 
-    memo holds one table per (p, n_terms), suffix letters -> (coefficients,
+    cache holds one table per (p, n_terms), suffix letters -> (coefficients,
     value); a suffix found there is not summed again, and each new one is
     built from the next shorter and stored."""
     p, powers = factor
-    table = memo.get((p, n_terms))
+    table = cache.get((p, n_terms))
     if table is None:
-        table = memo[p, n_terms] = {}
+        table = cache[p, n_terms] = {}
     coeffs = [1.0] + [0.0] * n_terms
     steps = range(1, n_terms + 1)
     values = [1.0]
@@ -133,9 +138,9 @@ def _suffix_values(letters: str, n_terms: int, factor: tuple, memo: dict) -> lis
     return values
 
 
-def _split_series(letters: str, point: tuple, memo: dict | None = None):
+def _split_series(letters: str, point: tuple, cache: dict | None = None):
     """(value, bound) of zeta(letters) by the series split of point, a
-    _split_point record, the suffix values from memo (see _suffix_values;
+    _split_point record, the suffix values from cache (see _suffix_values;
     a fresh one if None).
 
     Truncation: each of the n + 1 terms loses at most the split point's
@@ -148,11 +153,11 @@ def _split_series(letters: str, point: tuple, memo: dict | None = None):
     errors below 1e-300.
     """
     n = len(letters)
-    if memo is None:
-        memo = {}
+    if cache is None:
+        cache = {}
     n_terms, tail, head, loss_num, loss_den = point
-    tails = _suffix_values(letters, n_terms, tail, memo)
-    heads = _suffix_values(letters[::-1].translate(_REVSWAP), n_terms, head, memo)
+    tails = _suffix_values(letters, n_terms, tail, cache)
+    heads = _suffix_values(letters[::-1].translate(_REVSWAP), n_terms, head, cache)
     value = math.fsum(heads[i] * tails[n - i] for i in range(n + 1))
     k_u = (n_terms + 1) * (n + 2) * _UNIT_ROUNDOFF
     gamma = k_u / (1.0 - k_u)
@@ -160,15 +165,15 @@ def _split_series(letters: str, point: tuple, memo: dict | None = None):
     return value, bound
 
 
-def eval_mzv(index, target_abs_err=1e-9, cache=None, *, split=HALF,
-             memo=None) -> EvalResult:
+def eval_mzv(index, target_abs_err=1e-9, cache=None, *, split=HALF) -> EvalResult:
     """Evaluate one admissible index in double precision with a proven
     error bound, by the series split at the rational point split in (0, 1).
 
-    The cache, if given, is a plain dict confined to the calling session;
-    it keys on the index parts and the split point.  The memo, if given,
-    holds the series of every suffix summed so far (see _suffix_values),
-    for evaluations that share suffixes; the values do not depend on it.
+    The cache, if given, is a plain dict owned by the caller.  It keeps
+    each finished value under (index parts, split point) and the series
+    of every suffix summed so far under (point, series length) (see
+    _suffix_values), so later evaluations on it share both; no value or
+    bound depends on it.
     """
     parts = admissible_index_parts(index)
     z = split if type(split) is Fraction else Fraction(split)
@@ -179,7 +184,7 @@ def eval_mzv(index, target_abs_err=1e-9, cache=None, *, split=HALF,
         return EvalResult(value, est, used, est <= target)
     point = _split_point(z)
     n_terms = point[0]
-    value, bound = _split_series(word_from_index(parts), point, memo)
+    value, bound = _split_series(word_from_index(parts), point, cache)
     est = max(bound, TARGET_FLOOR)
     if cache is not None:
         cache[parts, z] = (value, est, n_terms)
@@ -191,10 +196,10 @@ def eval_combo(zc, t_value=0, target_abs_err=1e-6, cache=None) -> EvalResult:
 
     Interpolated and star combos are first rewritten in plain symbols;
     coefficient magnitudes weight the per-index error estimates, which
-    add up in absolute value.  The terms share one suffix memo, made
-    afresh for each call.  A coefficient at t outside the double range
-    is refused with ValueError before any series is summed, and so is a
-    value that overflows.
+    add up in absolute value.  The terms share the caller's cache, or one
+    fresh dict per call when given none (see eval_mzv).  A coefficient at
+    t outside the double range is refused with ValueError before any
+    series is summed, and so is a value that overflows.
     """
     zc = zc.to_plain()
     t0 = Fraction(t_value)
@@ -204,11 +209,11 @@ def eval_combo(zc, t_value=0, target_abs_err=1e-6, cache=None) -> EvalResult:
              for p, c in zc.sorted_terms()]
     est = 0.0
     used = 1
-    memo = {}
+    cache = {} if cache is None else cache
     for parts, c in terms:
         if c == 0.0:
             continue
-        r = eval_mzv(parts, cache=cache, memo=memo)
+        r = eval_mzv(parts, cache=cache)
         value += c * r.value
         est += abs(c) * r.error_estimate
         used = max(used, r.cutoff_used)

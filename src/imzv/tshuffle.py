@@ -27,11 +27,13 @@ block, and builds its tails with the same step bottom-up: from a's last
 block to its first, each block suffix of a against every suffix of b,
 each level from the one below, so no tail is computed twice.
 
-A cache passed to an engine holds only the recursions' tables: _tsh's
-under (u, v) keys and _sh's under (u, v, 0) keys, so one cache may serve
-both, and every later product that uses it shares them.  Every table
-here, and every HElement built from one, is keyed by the word's letters
-as a plain str.
+An engine that takes a memo takes one, cache, a plain dict the caller
+owns, and no value depends on it.  It holds only the recursions' tables:
+_tsh's under (u, v) keys and _sh's under (u, v, 0) keys, so one cache
+serves both.  split_product keeps its tails and its prefix shuffles in
+that one dict, as tshuffle_table does in its own, and every later
+product that uses the cache shares them.  Every table here, and every
+HElement built from one, is keyed by the word's letters as a plain str.
 """
 
 from __future__ import annotations
@@ -57,7 +59,10 @@ def _letters(w1, w2) -> tuple:
 
 def compositions(total: int, parts: int):
     """All tuples of `parts` nonnegative integers summing to `total`, in
-    lexicographic order; none for a negative total."""
+    lexicographic order; none for a negative total.  Refuses a negative
+    `parts`."""
+    if parts < 0:
+        raise ValueError("need parts >= 0")
     if total < 0:
         return
     if parts == 0:
@@ -122,7 +127,7 @@ def tshuffle_table(w1, w2) -> dict:
     memo = {}
     if len(a) < 2 or not b:
         return _tsh(a, b, memo)
-    return _split_at(a, b, len(a) // 2, memo, memo)
+    return _split_at(a, b, len(a) // 2, memo)
 
 
 def tshuffle_words(w1, w2, cache: dict | None = None) -> HElement:
@@ -292,22 +297,23 @@ def _split(a: str, b: str, k: int, tails, shmemo: dict) -> dict:
     return acc
 
 
-def _split_at(a: str, b: str, k: int, memo: dict, shmemo: dict) -> dict:
+def _split_at(a: str, b: str, k: int, memo: dict) -> dict:
     """_split at letter position k, the tails a[k:] sh b[i:] from the
-    recursion with memo."""
+    recursion and the prefix shuffles from _sh, both with memo."""
     tails = [_tsh(a[k:], b[i:], memo) for i in range(len(b) + 1)]
-    return _split(a, b, k, tails, shmemo)
+    return _split(a, b, k, tails, memo)
 
 
 def split_product(a_word, b_word, k: int, cache: dict | None = None) -> HElement:
     """The t-shuffle a sh b computed by splitting a at letter position k
     (1 <= k <= len(a)), with the oracle's tables for the tails a[k:] sh b[i:]
-    (kept in cache, as in tshuffle_words).  The value does not depend on k.
+    and the plain shuffle's for the prefixes, both kept in cache as in
+    tshuffle_words.  The value does not depend on k.
     """
     a, b = _letters(a_word, b_word)
     if not 1 <= k <= len(a):
         raise ValueError("k must satisfy 1 <= k <= len(a)")
-    return from_pairs(_split_at(a, b, k, {} if cache is None else cache, {}))
+    return from_pairs(_split_at(a, b, k, {} if cache is None else cache))
 
 
 def word_blocks(w) -> tuple:
@@ -330,15 +336,19 @@ def block_product(blocks_a, blocks_b) -> HElement:
     split formula at the end of a's first block, with every tail built
     bottom-up by the same step (see the module docstring).
 
-    Zero exponents are allowed and ignored; a negative one is refused,
-    and so are exponents over MAX_LETTERS in all, before any word is
-    built.  The plain shuffle handles the prefix factors, so this engine
-    never calls the letter-level t-shuffle recursion.
+    Each block letter must be "x" or "y".  Zero exponents are allowed and
+    ignored; a negative one is refused, and so are exponents over
+    MAX_LETTERS in all, before any word is built.  The plain shuffle
+    handles the prefix factors, so this engine never calls the
+    letter-level t-shuffle recursion.
     """
     blocks_a, blocks_b = tuple(blocks_a), tuple(blocks_b)
-    if any(e < 0 for _, e in blocks_a + blocks_b):
+    blocks = blocks_a + blocks_b
+    if any(ch not in ("x", "y") for ch, _ in blocks):
+        raise ValueError("each block letter must be x or y")
+    if any(e < 0 for _, e in blocks):
         raise ValueError("need exponents >= 0")
-    _check_letters(sum(e for _, e in blocks_a + blocks_b))
+    _check_letters(sum(e for _, e in blocks))
     a_blocks = tuple((ch, e) for ch, e in blocks_a if e > 0)
     _, b = _letters(_blocks_to_string(a_blocks), _blocks_to_string(blocks_b))
     shmemo = {}

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from imzv import admissible_indices, cli, mzvnum, tshuffle_words
+from imzv import HElement, admissible_indices, cli, mzvnum, tshuffle_words, verify
 from imzv.cli import main
 from imzv.verify import SUITES, run_yy_products
 
@@ -281,6 +281,30 @@ def test_verify_yy_suite(capsys):
     code, out, _ = run(capsys, "verify", "lemma31", "--max", "7")
     assert code == 0
     assert "49/49" in out
+
+
+def test_verify_prints_each_failing_case(capsys, monkeypatch):
+    # a closed form one term off at (2, 3): the text report names that
+    # case and prints both sides and their difference
+    yy_product_formula = verify.yy_product_formula
+
+    def off_by_one_term(m, n):
+        value = yy_product_formula(m, n)
+        if (m, n) == (2, 3):
+            value = value + HElement.from_word("y")
+        return value
+
+    monkeypatch.setattr(verify, "yy_product_formula", off_by_one_term)
+    code, out, _ = run(capsys, "verify", "lemma31", "--max", "3")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("suite lemma31: 8/9 cases passed in ")
+    assert lines[1:] == [
+        '  FAIL {"m": 2, "n": 3}',
+        "    lhs:  %s" % off_by_one_term(2, 3),
+        "    rhs:  %s" % tshuffle_words("yy", "yyy"),
+        "    diff: y",
+    ]
 
 
 def test_verify_alternating_single_case(capsys):

@@ -81,10 +81,42 @@ def test_closed_forms_do_not_call_the_recursive_engines(monkeypatch):
     (pattern_product, ((0,) * 2000, (0,)), 2001),
     (pattern_product, ((1,) * 250, (0,)), 501),
     (height_two_product, (0, 1500, 0, 1, 0, 1), 1502),
+    (height_one_product, (248, 1, 251, 1), 501),
+    (expanded_height_one_product, (248, 2, 250, 1), 501),
+    (alternating_product_sum, (499, 1), 501),
+    (alternating_product_sum, (2, 299), 600),
+    # the closed form takes even k only, so 2p + k is never 501
+    (alternating_product_closed_form, (500, 1), 502),
+    (alternating_product_weight4_form, (497,), 501),
 ])
 def test_closed_forms_refuse_words_over_the_letter_limit(product, args, letters):
     with pytest.raises(ValueError, match="%d letters in all is over the limit of 500" % letters):
         product(*args)
+
+
+@pytest.mark.parametrize("product, args", [
+    (height_one_product, (248, 1, 250, 1)),
+    (expanded_height_one_product, (248, 1, 250, 1)),
+    (alternating_product_closed_form, (498, 1)),
+    (alternating_product_weight4_form, (496,)),
+])
+def test_family_forms_run_at_the_letter_limit(product, args):
+    got = product(*args)
+    assert got and all(len(w) == 500 for w in got.terms)
+
+
+def test_alternating_sum_starts_its_products_at_the_letter_limit(monkeypatch):
+    class Started(Exception):
+        pass
+
+    def started(*args):
+        raise Started
+
+    # its products at 500 letters would fill more memory than a test may,
+    # so only their start is seen
+    monkeypatch.setattr(closedforms, "_tsh", started)
+    with pytest.raises(Started):
+        alternating_product_sum(498, 1)
 
 
 def test_pattern_product_at_the_letter_limit():

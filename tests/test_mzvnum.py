@@ -10,6 +10,7 @@ against the same series in exact rational arithmetic, and the two split
 points against each other.
 """
 
+import inspect
 import math
 import os
 import subprocess
@@ -110,7 +111,10 @@ def test_cache_reuses_default_cutoff_results():
     # another split point must not be served the entry of the first
     third = eval_mzv((3, 1), cache=cache, split=verify.DUALITY_SPLIT)
     assert third.cutoff_used != first.cutoff_used
-    assert len(cache) == 2
+    # the finished values, keyed (parts, z); the suffix tables sit beside
+    # them under (p, n_terms)
+    assert [key for key in cache if type(key[0]) is tuple] == [
+        ((3, 1), mzvnum.HALF), ((3, 1), verify.DUALITY_SPLIT)]
     cache[(3, 1), verify.DUALITY_SPLIT] = (0.0, 1e-9, 0)
     assert eval_mzv((3, 1), cache=cache, split=verify.DUALITY_SPLIT).value == 0.0
     assert eval_mzv((3, 1), cache=cache).value == first.value
@@ -224,8 +228,8 @@ def test_split_points_agree_within_their_bounds():
 
 @pytest.mark.parametrize("split", SPLITS)
 def test_a_shared_suffix_memo_changes_no_bit(split):
-    # one memo across every index serves each suffix summed before; every
-    # value and raw bound must be the one a fresh memo gives, bit for bit
+    # one cache across every index serves each suffix summed before; every
+    # value and raw bound must be the one a fresh cache gives, bit for bit
     point = mzvnum._split_point(split)
     n_terms = point[0]
     indices = list(admissible_indices(10))
@@ -242,8 +246,8 @@ def test_a_shared_suffix_memo_changes_no_bit(split):
 
 def test_at_one_third_the_sides_of_a_duality_pair_keep_their_factors_apart():
     # the tails of dual(w) at 1/3 are the heads of w at 2/3, letter for
-    # letter; the memo keeps one table per point, so neither side is served
-    # the other's factor, and a shared memo changes no bit of either side
+    # letter; the cache keeps one table per point, so neither side is served
+    # the other's factor, and a shared cache changes no bit of either side
     z = verify.DUALITY_SPLIT
     point = mzvnum._split_point(z)
     n_terms = point[0]
@@ -271,21 +275,39 @@ def test_each_eval_combo_call_starts_with_an_empty_memo(monkeypatch):
     calls = []
     eval_mzv_ = mzvnum.eval_mzv
 
-    def spy(index, *args, memo, **kwargs):
-        # a combo's parts are distinct, so no result cache is made for them
-        assert kwargs.get("cache") is None
-        calls.append((memo, len(memo)))
-        return eval_mzv_(index, *args, memo=memo, **kwargs)
+    def spy(index, *args, cache, **kwargs):
+        calls.append((cache, len(cache)))
+        return eval_mzv_(index, *args, cache=cache, **kwargs)
 
     monkeypatch.setattr(mzvnum, "eval_mzv", spy)
     zc = parse_zeta_combo("z(3,1) + 0*z(2,2) + 2*z(2,1,1)")
     first, second = eval_combo(zc), eval_combo(zc)
     assert first == second
     # one evaluation per nonzero term, the second term served from the
-    # first's memo; the second call's memo is a new one, empty at first
+    # first's suffix tables; given no cache, the second call makes a new
+    # one, empty at first
     assert [size > 0 for _, size in calls] == [False, True, False, True]
     assert calls[0][0] is calls[1][0] and calls[2][0] is calls[3][0]
     assert calls[2][0] is not calls[0][0]
+    # a caller's cache serves every term and every later call
+    calls.clear()
+    cache = {}
+    assert eval_combo(zc, cache=cache) == eval_combo(zc, cache=cache) == first
+    assert all(got is cache for got, _ in calls)
+    assert ((3, 1), mzvnum.HALF) in cache and ((2, 1, 1), mzvnum.HALF) in cache
+
+
+def test_eval_mzv_takes_one_cache():
+    assert list(inspect.signature(eval_mzv).parameters) == [
+        "index", "target_abs_err", "cache", "split"]
+    cache = {}
+    first = eval_mzv((2, 1), cache=cache)
+    # besides the value, the cache keeps the suffix series (2,1)'s split
+    # summed, which the next index that shares a suffix draws on
+    n_terms = first.cutoff_used
+    assert set(cache) == {((2, 1), mzvnum.HALF), (mzvnum.HALF, n_terms)}
+    assert "y" in cache[mzvnum.HALF, n_terms]
+    assert eval_mzv((3, 1), cache=cache) == eval_mzv((3, 1))
 
 
 def test_duality_numeric_never_evaluates_at_one_half(monkeypatch):
@@ -294,10 +316,10 @@ def test_duality_numeric_never_evaluates_at_one_half(monkeypatch):
     points = []
     split_series = mzvnum._split_series
 
-    def spy(letters, point, memo=None):
+    def spy(letters, point, cache=None):
         # the record's tail factor is (z, powers of z)
         points.append(point[1][0])
-        return split_series(letters, point, memo)
+        return split_series(letters, point, cache)
 
     monkeypatch.setattr(mzvnum, "_split_series", spy)
     report = verify.run_duality_numeric(max_weight=4)
@@ -312,7 +334,7 @@ def _cut_to_ten_terms(monkeypatch):
     suffix_values = mzvnum._suffix_values
     monkeypatch.setattr(
         mzvnum, "_suffix_values",
-        lambda letters, n_terms, p, memo: suffix_values(letters, 10, p, memo))
+        lambda letters, n_terms, p, cache: suffix_values(letters, 10, p, cache))
 
 
 def test_duality_check_at_one_half_cannot_see_a_cut_series(monkeypatch):

@@ -168,6 +168,9 @@ def test_compositions_count_and_order():
     assert list(compositions(0, 0)) == [()]
     assert list(compositions(-1, 1)) == []
     assert list(compositions(-1, 0)) == []
+    for total in (3, 0, -1):
+        with pytest.raises(ValueError, match="parts >= 0"):
+            list(compositions(total, -1))
 
 
 @pytest.mark.parametrize("m, n", [(-1, 0), (-2, 3), (2, -1)])
@@ -182,6 +185,16 @@ def test_xy_block_form_refuses_a_negative_exponent(m, n):
 ])
 def test_block_product_refuses_a_negative_exponent(blocks_a, blocks_b):
     with pytest.raises(ValueError, match=">= 0"):
+        block_product(blocks_a, blocks_b)
+
+
+@pytest.mark.parametrize("blocks_a, blocks_b", [
+    ((("xy", 1), ("y", 1)), (("y", 1),)),
+    ((("", 3), ("y", 1)), (("y", 1),)),
+    ((("y", 1),), (("x", 1), ("yx", 0))),
+])
+def test_block_product_refuses_a_block_letter_other_than_x_or_y(blocks_a, blocks_b):
+    with pytest.raises(ValueError, match="block letter must be x or y"):
         block_product(blocks_a, blocks_b)
 
 
@@ -276,6 +289,21 @@ def test_a_memo_shared_by_both_recursions_keeps_them_apart():
     assert tshuffle_words("xy", "y", cache) != shuffle_words("xy", "y")
     assert shuffle_words("xy", "y", cache) == shuffle_words("xy", "y")
     assert tshuffle_words("xy", "y", cache) == tshuffle_words("xy", "y")
+
+
+def test_split_product_keeps_its_prefix_shuffles_in_the_cache():
+    cache = {}
+    a, b, k = "xyxy", "xxyy", 2
+    got = split_product(a, b, k, cache)
+    assert got == tshuffle_words(a, b)
+    # the tails a[k:] sh b[i:] under (u, v), the prefix shuffles
+    # a[:k-1] sh b[:i] under (u, v, 0), one dict for both
+    assert {(a[k:], b[i:]) for i in range(len(b))} <= cache.keys()
+    assert {(a[:k - 1], b[:i], 0) for i in range(1, len(b) + 1)} <= cache.keys()
+    # a later product on the cache finds them
+    size = len(cache)
+    assert split_product(a, b, k, cache) == got
+    assert len(cache) == size
 
 
 def test_a_memo_holds_only_the_recursions_tables():
@@ -377,8 +405,10 @@ def test_the_split_builds_plain_shuffles_of_prefix_pairs_only():
             if n and b[-1] == "y":
                 allowed.add(b[: n - 1] + "x")
             for k in range(1, len(a) + 1):
-                shmemo = {}
-                assert _split_at(a, b, k, {}, shmemo) == _tsh(a, b, {}), (a, b, k)
+                memo = {}
+                assert _split_at(a, b, k, memo) == _tsh(a, b, {}), (a, b, k)
+                # the plain shuffle's (u, v, 0) keys, beside the tails' (u, v)
+                shmemo = [key for key in memo if len(key) == 3]
                 for u, v, zero in shmemo:
                     assert zero == 0 and u == a[: len(u)] and len(u) < k, (a, b, k, u)
                     assert v in allowed, (a, b, k, v)

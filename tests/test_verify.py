@@ -99,6 +99,26 @@ def test_every_runner_keeps_its_keywords_and_record():
         assert all(p.default is not p.empty for p in params.values())
 
 
+def test_a_numeric_miss_past_the_tolerance_is_reported(monkeypatch):
+    # every value off by 1e-3: a product's image then misses the product
+    # of its factors' by far more than the tolerance
+    eval_combo = verify.eval_combo
+
+    def off(*args, **kwargs):
+        result = eval_combo(*args, **kwargs)
+        return dataclasses.replace(result, value=result.value + 1e-3)
+
+    monkeypatch.setattr(verify, "eval_combo", off)
+    report = verify.run_homomorphism_numeric(n_pairs=2, max_weight=5, tol=1e-5)
+    assert report.cases_total == 6 and report.cases_passed == 0
+    for failure in report.failures:
+        lhs, rhs, diff = float(failure.lhs), float(failure.rhs), float(failure.diff)
+        assert failure.lhs == "%.12g" % lhs and failure.rhs == "%.12g" % rhs
+        assert failure.diff == "%.3g" % diff
+        assert diff > 1e-5
+        assert diff == pytest.approx(abs(lhs - rhs), rel=1e-2)
+
+
 @pytest.mark.parametrize("max_weight", [3, 2, -1])
 def test_homomorphism_refuses_small_weight_before_sampling(monkeypatch, max_weight):
     def refuse(*args, **kwargs):
