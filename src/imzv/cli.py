@@ -84,7 +84,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a zeta combo numerically")
     p.add_argument("combo", help="combo such as \"2*z(2,2)+4*z(3,1)\" or \"zs(5,1)\"")
-    p.add_argument("--t", default="0", help="rational value for t (default 0)")
+    p.add_argument(
+        "--t", default="0",
+        help="rational value for t (default 0); write a negative fraction "
+        "as --t=-1/2, since argparse reads -1/2 alone as an option",
+    )
     p.add_argument(
         "--tol", type=_tolerance, default=1e-6,
         help="absolute error target (default 1e-6, floor 1e-9)",

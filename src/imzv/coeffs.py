@@ -250,7 +250,9 @@ def signed_pieces(s: str):
 
 def parse_qtpoly(text: str) -> QtPoly:
     """Parse strings like "2 - 3*t + t^2", "-t", "1/2", "0", "-(1+t)": a
-    signed sum of terms, each a monomial or a parenthesised sum."""
+    signed sum of terms, each a monomial or a parenthesised sum.  A
+    coefficient written without a denominator stays an int, and a term
+    with a zero denominator is refused."""
     if not text.strip(SPACES):
         raise ValueError("empty polynomial")
     out = {}
@@ -266,7 +268,12 @@ def parse_qtpoly(text: str) -> QtPoly:
             if m.group("t"):
                 deg = int(m.group("pow")) if m.group("pow") else 1
             num, den = m.group("num", "den")
-            terms = [(deg, Fraction(int(num or 1), int(den or 1)))]
+            c = int(num or 1)
+            if den is not None:
+                if not int(den):
+                    raise ValueError("zero denominator in polynomial term %r" % piece)
+                c = Fraction(c, int(den))
+            terms = [(deg, c)]
         for deg, c in terms:
             out[deg] = out.get(deg, 0) + sign * c
     return QtPoly(out)

@@ -47,7 +47,7 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import mul, truediv
 
-from .words import admissible_index_parts, parts_str, word_from_index
+from .words import admissible_index_parts, index_letters, parts_str
 
 TARGET_FLOOR = 1e-9
 SERIES_TERMS = 64
@@ -169,6 +169,10 @@ def eval_mzv(index, target_abs_err=1e-9, cache=None, *, split=HALF) -> EvalResul
     """Evaluate one admissible index in double precision with a proven
     error bound, by the series split at the rational point split in (0, 1).
 
+    The index is checked once, as admissible_index_parts checks it, and
+    its word's letters are written straight from its parts, refused over
+    MAX_LETTERS, before any series is summed.
+
     The cache, if given, is a plain dict owned by the caller.  It keeps
     each finished value under (index parts, split point) and the series
     of every suffix summed so far under (point, series length) (see
@@ -184,7 +188,7 @@ def eval_mzv(index, target_abs_err=1e-9, cache=None, *, split=HALF) -> EvalResul
         return EvalResult(value, est, used, est <= target)
     point = _split_point(z)
     n_terms = point[0]
-    value, bound = _split_series(word_from_index(parts), point, cache)
+    value, bound = _split_series(index_letters(parts), point, cache)
     est = max(bound, TARGET_FLOOR)
     if cache is not None:
         cache[parts, z] = (value, est, n_terms)

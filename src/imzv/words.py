@@ -97,9 +97,11 @@ class Index(tuple):
 
 
 def admissible_index_parts(index) -> tuple:
-    """The parts of an admissible index, given as an Index or as a
-    sequence of parts checked as an Index is; any other index is refused."""
-    index = Index(index)
+    """The parts of an admissible index, given as an Index, which was
+    checked when built, or as a sequence of parts checked as an Index is;
+    any other index is refused."""
+    if type(index) is not Index:
+        index = Index(index)
     if not index.admissible:
         raise ValueError("non-admissible index %s" % (index,))
     return index.parts
@@ -110,15 +112,21 @@ def parts_str(parts: tuple) -> str:
     return "(%s)" % ",".join(map(str, parts))
 
 
+def index_letters(parts: tuple) -> str:
+    """The letters of the word z_{l1}...z_{ln} for index parts already
+    checked, refused when their weight, the word's length, is above
+    MAX_LETTERS."""
+    weight = sum(parts)
+    if weight > MAX_LETTERS:
+        raise ValueError("an index of weight %d is over the limit of %d letters"
+                         % (weight, MAX_LETTERS))
+    return "".join(["x" * (p - 1) + "y" for p in parts])
+
+
 def word_from_index(idx: tuple) -> Word:
     """The word z_{l1}...z_{ln} for the index (l1,...,ln), given as an
-    Index or its parts, refused when its weight, the word's length, is
-    above MAX_LETTERS."""
-    idx = Index(idx)
-    if idx.weight > MAX_LETTERS:
-        raise ValueError("an index of weight %d is over the limit of %d letters"
-                         % (idx.weight, MAX_LETTERS))
-    return Word("".join("x" * (p - 1) + "y" for p in idx))
+    Index or its parts, refused as index_letters refuses it."""
+    return Word(index_letters(Index(idx)))
 
 
 def _parts_of(s: str) -> tuple:

@@ -239,46 +239,66 @@ def _powers(c: QtPoly, s: QtPoly, n: int) -> list:
     return out
 
 
-def _fusion_rows(parts: tuple, head, close, leaf) -> list:
+def _fusion_rows(parts: tuple, head, piece, sep, ends: list) -> list:
     """The 2^(n-1) ways of keeping apart or adding together the adjacent
-    parts of a depth-n index, one row leaf(head, run, number of additions)
-    each: run is the rightmost sum, and head the sums before it, each
-    closed onto the start head in turn as close(head, sum).  _fuse closes
-    sums into a tuple of parts, write_expansion into the printed index,
-    and its leaf writes the whole printed row.
+    parts of a depth-n index, one row each in canonical order: ascending
+    parts, at one weight.  A row with k additions is head, then its sums,
+    each written piece(sum) and separated by sep, then ends[k].  _fuse
+    writes a sum as a one-part tuple, write_expansion as its digits.
 
-    One depth-first walk from the first part to the last builds each row
-    once; it closes the open rightmost sum before adding the next part
-    into it, so the rows arrive in canonical order: ascending parts, at
-    one weight.  Sums of positive parts are positive, so no row needs a
-    check."""
-    last = len(parts) - 1
-    if not last:
-        return [leaf(head, parts[0], 0)]
+    The index splits into a left half, parts[:m], and a right half.  A
+    left state keeps or adds each gap of the left half: it holds the
+    closed sums written after head, the open last sum and its additions a.
+    A right state does the same for the right half: its open first sum f,
+    the closed sums after it, each written after sep, and its additions b.
+    Every row is a left state, the middle gap kept or added, and a right
+    state, most significant first; so the rows come in canonical order,
+    since keeping a gap gives a smaller part than adding it.
+
+    A row is one join of a left prefix with a right text.  When the middle
+    gap is kept, the prefix closes the open sum too, and the text, the
+    right state's sums and ends[k], is built once per left additions a;
+    when it is added, the prefix is the closed sums, and the text, which
+    starts with the open sum plus f, is built once per (open sum, a).
+    Sums of positive parts are positive, so no row needs a check."""
+    n = len(parts)
+    if n == 1:
+        return [head + piece(parts[0]) + ends[0]]
+    m = n // 2
+    left = [(head, parts[0], 0)]
+    for p in parts[1:m]:
+        grown = []
+        add = grown.append
+        for closed, run, a in left:
+            add((closed + piece(run) + sep, p, a))
+            add((closed, run + p, a + 1))
+        left = grown
+    # sep[:0] is the empty text or tuple: no closed sum yet
+    right = [(parts[-1], sep[:0], 0)]
+    for p in reversed(parts[m:-1]):
+        right = ([(p, sep + piece(f) + rest, b) for f, rest, b in right]
+                 + [(p + f, rest, b + 1) for f, rest, b in right])
+    kept = [(piece(f) + rest, b) for f, rest, b in right]
+    kept_texts = {}
+    added_texts = {}
     rows = []
-    add = rows.append
-
-    def walk(j, head, run, fused):
-        # parts[:j] are placed: head holds the closed sums, run the open
-        # one; the last part ends both of its rows here
-        p = parts[j]
-        if j == last:
-            add(leaf(close(head, run), p, fused))
-            add(leaf(head, run + p, fused + 1))
-            return
-        walk(j + 1, close(head, run), p, fused)
-        walk(j + 1, head, run + p, fused + 1)
-
-    walk(1, head, parts[0], 0)
+    extend = rows.extend
+    for closed, run, a in left:
+        texts = kept_texts.get(a)
+        if texts is None:
+            texts = kept_texts[a] = [text + ends[a + b] for text, b in kept]
+        prefix = closed + piece(run) + sep
+        extend([prefix + text for text in texts])
+        texts = added_texts.get((run, a))
+        if texts is None:
+            texts = added_texts[run, a] = [piece(run + f) + rest + ends[a + b + 1]
+                                           for f, rest, b in right]
+        extend([closed + text for text in texts])
     return rows
 
 
-def _close_part(head: tuple, run: int) -> tuple:
-    return head + (run,)
-
-
-def _fused_parts(head: tuple, run: int, fused: int) -> tuple:
-    return head + (run,), fused
+def _one_part(run: int) -> tuple:
+    return (run,)
 
 
 def _fuse(terms: dict, s: QtPoly) -> dict:
@@ -287,29 +307,33 @@ def _fuse(terms: dict, s: QtPoly) -> dict:
     depth n, with a factor s per addition.  S_0 is the identity and
     returns the table itself.
 
-    The rows of each symbol come from _fusion_rows, the same walk the
-    command line prints an expansion from, and sum into a new parts table.
-    Refuses a table with more than MAX_PATTERNS patterns in all before
-    building any.
+    The rows of each symbol come from _fusion_rows, the enumerator the
+    command line prints an expansion from, as tuples of parts joined from
+    a left and a right half, and sum into a new parts table; a row of
+    depth d has n - d additions.  Refuses a table with more than
+    MAX_PATTERNS patterns in all before building any.
     """
     if not s:
         return terms
     _check_patterns(sum(1 << (len(parts) - 1) for parts in terms))
     out = {}
     for parts, c in terms.items():
-        scaled = _powers(c, s, len(parts))
-        for key, k in _fusion_rows(parts, (), _close_part, _fused_parts):
-            accumulate(out, key, scaled[k])
+        n = len(parts)
+        scaled = _powers(c, s, n)
+        for key in _fusion_rows(parts, (), _one_part, (), [()] * n):
+            accumulate(out, key, scaled[n - len(key)])
     return out
 
 
 def write_expansion(idx: Index, as_json: bool) -> str:
     """What expand_interpolation(interpolated_symbol(idx.parts)) prints, as
     text or as JSON, written from the rows of _fusion_rows without building
-    the combo: one symbol's rows are already in canonical order, each
-    row's printed index is closed during the walk, and the walk's leaf
-    writes the row with the coefficient t^k of its k additions, whose text
-    is written once per k.  Refuses a non-admissible index and one over
+    the combo: one symbol's rows are already in canonical order.  A JSON
+    row is one join of a left prefix with a right text that ends in the
+    coefficient t^k of its k additions.  A text row starts with its
+    coefficient, so it takes one more join: its k is the depth less its
+    number of sums, which is one more than its commas.  Each t^k is
+    written once.  Refuses a non-admissible index and one over
     MAX_PATTERNS before building any row."""
     parts = admissible_index_parts(idx)
     depth = len(parts)
@@ -318,14 +342,11 @@ def write_expansion(idx: Index, as_json: bool) -> str:
     if as_json:
         # a row is {"index": [2, 1], "coeff": "t^k"}
         ends = ['], "coeff": "%s"}' % p for p in powers]
-        rows = _fusion_rows(parts, '{"index": [', lambda head, run: f"{head}{run}, ",
-                            lambda head, run, k: f"{head}{run}{ends[k]}")
-        return _combo_json(PLAIN, "0", rows)
+        return _combo_json(PLAIN, "0", _fusion_rows(parts, '{"index": [', str, ", ", ends))
     # a row is " + t^k*z(2,1)"
     starts = [" + z("] + [" + %s*z(" % p for p in powers[1:]]
-    rows = _fusion_rows(parts, "", lambda head, run: f"{head}{run},",
-                        lambda head, run, k: f"{starts[k]}{head}{run})")
-    return write_text(rows)
+    rows = _fusion_rows(parts, "", str, ",", [")"] * depth)
+    return write_text([starts[depth - 1 - row.count(",")] + row for row in rows])
 
 
 def expand_interpolation(zc: ZetaCombo) -> ZetaCombo:

@@ -229,6 +229,27 @@ def test_eval_refuses_a_t_that_is_not_a_number(capsys, monkeypatch, t):
     assert err.startswith("error: --t ") and repr(t) in err
 
 
+def test_eval_refuses_a_zero_denominator_in_a_coefficient(capsys):
+    code, out, err = run(capsys, "eval", "1/0*z(2)")
+    assert code == 2
+    assert not out
+    assert err == "error: zero denominator in polynomial term '1/0'\n"
+
+
+def test_a_negative_fraction_t_follows_an_equals_sign(capsys):
+    code, out, _ = run(capsys, "eval", "t*z(2)", "--t=-1/2")
+    assert code == 0
+    assert out == "-0.82246703 ± 1.000e-09\n"
+    # as an argument of its own, argparse takes -1/2 for an option, and
+    # the help says so
+    code, out, err = run(capsys, "eval", "t*z(2)", "--t", "-1/2")
+    assert code == 2 and not out
+    assert "argument --t: expected one argument" in err
+    code, out, _ = run(capsys, "eval", "--help")
+    assert code == 0
+    assert "--t=-1/2" in " ".join(out.split())
+
+
 @pytest.mark.parametrize("t, value", [
     ("0", "0.00000000"), ("1/2", "0.82246703"), ("-0.5", "-0.82246703"),
 ])

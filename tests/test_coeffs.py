@@ -6,6 +6,7 @@ split of the coefficients: integral ones are Python ints, so word products
 and their zeta images never carry a Fraction.
 """
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from imzv import (
     QtPoly,
     Word,
     binom,
+    parse_helement,
     parse_qtpoly,
     parse_zeta_combo,
     pattern_product,
@@ -108,6 +110,28 @@ def test_parse_reads_signed_parenthesised_terms_as_the_combo_parser_does():
     for text in ("", " ", "()", "1 +", "--1", "2*(1+t)", "(1+t", "1+t)", "(1)(2)"):
         with pytest.raises(ValueError):
             parse_qtpoly(text)
+
+
+def test_a_zero_denominator_is_refused_naming_its_term():
+    for text, term in [("1/0", "1/0"), ("2 + 3/0*t", "3/0*t"), ("-(1 - 0/0*t^2)", "0/0*t^2"),
+                       ("5 / 00", "5 / 00")]:
+        with pytest.raises(ValueError, match=re.escape("zero denominator in polynomial term %r"
+                                                       % term)):
+            parse_qtpoly(text)
+    for parse, text in [(parse_helement, "1/0*xy"), (parse_zeta_combo, "1/0*z(2)"),
+                        (parse_zeta_combo, "z(2) - 1/0")]:
+        with pytest.raises(ValueError, match="zero denominator in polynomial term '1/0'"):
+            parse(text)
+
+
+def test_integral_coefficients_are_parsed_without_a_fraction(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built a Fraction")
+
+    monkeypatch.setattr("imzv.coeffs.Fraction", refuse)
+    got = parse_qtpoly("2 - 3*t + t^2 - (4*t^3 + 1)")
+    assert got.coeffs == ((0, 1), (1, -3), (2, 1), (3, -4))
+    assert all(type(c) is int for _, c in got.coeffs)
 
 
 def test_spaces_separate_the_tokens_of_a_term_but_never_split_a_number():

@@ -27,7 +27,18 @@ from imzv import (
 import json
 
 from imzv import halg
-from imzv.halg import add_pair, from_pairs, pair_poly, pair_str, table_json, table_str
+from imzv.halg import (
+    add_pair,
+    canonical_words,
+    from_pairs,
+    pair_poly,
+    pair_str,
+    table_json,
+    table_str,
+    write_text,
+)
+from imzv.tshuffle import tshuffle_table
+from imzv.words import all_words
 
 coeffs = st.builds(
     QtPoly,
@@ -214,6 +225,44 @@ def test_a_pair_prints_as_its_qtpoly_prints():
     table = {w: pair for w, pair in zip(("", "x", "y", "xy", "yx", "yy"), pairs[::121])}
     assert table_str(table, pair_str) == str(from_pairs(table))
     assert table_json(table, pair_str) == helement_to_json(from_pairs(table))
+
+
+def _reference_str(table, text):
+    """table_str's reply, each row written in canonical_words order."""
+    rows = []
+    for w in canonical_words(table):
+        c = text(table[w])
+        prefix = " + " if c == "1" else " + %s*" % c if c.isdigit() else " + (%s)*" % c
+        rows.append(prefix + (w or "1"))
+    return write_text(rows)
+
+
+def _reference_json(table, text):
+    return json.dumps([{"word": w or "1", "coeff": text(table[w])} for w in canonical_words(table)])
+
+
+def test_table_writers_match_the_canonical_order_on_every_small_product():
+    # every ordered pair of words of at most 5 letters, the empty word too
+    words = list(all_words(5))
+    assert len(words) ** 2 == 3969
+    for u in words:
+        for v in words:
+            table = tshuffle_table(u, v)
+            assert table_str(table, pair_str) == _reference_str(table, pair_str), (u, v)
+            assert table_json(table, pair_str) == _reference_json(table, pair_str), (u, v)
+
+
+def test_table_writers_keep_the_canonical_order_of_mixed_lengths():
+    v = parse_helement("3*xxy + y - 2*xy + (1 - t)*yx + 1 + 5*x - t*yyy")
+    assert canonical_words(v.terms) == ["", "y", "x", "yx", "xy", "yyy", "xxy"]
+    assert table_str(v.terms, str) == _reference_str(v.terms, str) == str(v)
+    assert table_json(v.terms, str) == _reference_json(v.terms, str) == helement_to_json(v)
+    for table in ({"": QtPoly.one()}, {"": QtPoly.const(-2)}, {}):
+        assert table_str(table, str) == _reference_str(table, str)
+        assert table_json(table, str) == _reference_json(table, str)
+    assert table_str({"": QtPoly.one()}, str) == "1"
+    assert table_json({"": QtPoly.one()}, str) == '[{"word": "1", "coeff": "1"}]'
+    assert table_str({}, str) == "0" and table_json({}, str) == "[]"
 
 
 def test_from_pairs_shares_one_coefficient_per_distinct_pair():

@@ -87,6 +87,24 @@ def test_rejects_non_admissible_index():
         eval_mzv((1, 2))
 
 
+def test_an_index_over_the_letter_limit_or_not_admissible_is_refused_before_any_series(
+        monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a series was summed")
+
+    monkeypatch.setattr(mzvnum, "_split_series", refuse)
+    monkeypatch.setattr(mzvnum, "_suffix_values", refuse)
+    for index in [(501,), (250, 251), (2,) + (1,) * 499, Index((400, 101))]:
+        with pytest.raises(ValueError, match="weight 501 is over the limit of 500 letters"):
+            eval_mzv(index, cache={})
+    for index in [(1, 2), (1,), Index((1, 600))]:
+        with pytest.raises(ValueError, match="non-admissible index"):
+            eval_mzv(index, cache={})
+    # the limit itself reaches the series
+    with pytest.raises(AssertionError, match="a series was summed"):
+        eval_mzv((500,))
+
+
 def test_rejects_split_outside_the_unit_interval():
     for split in (0, 1, Fraction(3, 2), -1):
         with pytest.raises(ValueError):
@@ -295,6 +313,31 @@ def test_each_eval_combo_call_starts_with_an_empty_memo(monkeypatch):
     assert eval_combo(zc, cache=cache) == eval_combo(zc, cache=cache) == first
     assert all(got is cache for got, _ in calls)
     assert ((3, 1), mzvnum.HALF) in cache and ((2, 1, 1), mzvnum.HALF) in cache
+
+
+@pytest.mark.parametrize("t0", [0, Fraction(1, 2), 1, -2])
+def test_eval_combo_sums_its_terms_as_eval_mzv_evaluates_them(t0):
+    # each interpolated symbol of weight at most 10, written in plain ones
+    # and summed term by term from public eval_mzv calls in canonical order
+    indices = list(admissible_indices(10))
+    assert len(indices) == 511
+    cache, own = {}, {}
+    for idx in indices:
+        zc = interpolated_symbol(idx)
+        got = eval_combo(zc, t0, cache=cache)
+        value, est, used = 0.0, 0.0, 1
+        for parts, c in zc.to_plain().sorted_terms():
+            c = float(c.eval_at(t0))
+            if c == 0.0:
+                continue
+            r = eval_mzv(parts, cache=own)
+            value += c * r.value
+            est += abs(c) * r.error_estimate
+            used = max(used, r.cutoff_used)
+        est = max(est, mzvnum.TARGET_FLOOR)
+        assert got.value.hex() == value.hex(), idx
+        assert got.error_estimate.hex() == est.hex(), idx
+        assert (got.cutoff_used, got.tol_ok) == (used, est <= 1e-6), idx
 
 
 def test_eval_mzv_takes_one_cache():

@@ -7,6 +7,7 @@ fix the expansion on small indices, the text and JSON formats, and the
 exact identities exported to the verify suites.
 """
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -43,7 +44,7 @@ from imzv import (
 from imzv.coeffs import binom
 from imzv.halg import accumulate
 from imzv.words import admissible_parts
-from imzv.zeta import MAX_PATTERNS, _fuse
+from imzv.zeta import MAX_PATTERNS, _fuse, write_expansion
 
 admissible = st.lists(
     st.integers(min_value=1, max_value=4), min_size=1, max_size=4
@@ -204,6 +205,76 @@ def test_expansion_matches_the_mask_loop():
         assert got == want, idx
         # one symbol's expansion is built in canonical order
         assert list(got.terms) == [i for i, _ in got.sorted_terms()], idx
+
+
+def _walk_rows(parts):
+    """Reference fusion rows: a depth-first walk from the first part to
+    the last, closing the open rightmost sum before adding the next part
+    into it, one (parts, additions) row per leaf, in the walk's order."""
+    rows = []
+
+    def walk(j, head, run, k):
+        if j == len(parts):
+            rows.append((head + (run,), k))
+            return
+        walk(j + 1, head + (run,), parts[j], k)
+        walk(j + 1, head, run + parts[j], k + 1)
+
+    walk(1, (), parts[0], 0)
+    return rows
+
+
+def _coeff_text(k):
+    return "1" if k == 0 else "t" if k == 1 else "t^%d" % k
+
+
+def _walk_text(parts):
+    """What expand prints, written from the reference walk's rows."""
+    terms = []
+    for row, k in _walk_rows(parts):
+        coeff = "" if k == 0 else _coeff_text(k) + "*"
+        terms.append("%sz(%s)" % (coeff, ",".join(map(str, row))))
+    return " + ".join(terms)
+
+
+def _walk_json(parts):
+    terms = [{"index": list(row), "coeff": _coeff_text(k)} for row, k in _walk_rows(parts)]
+    return json.dumps({"kind": "plain", "scalar": "0", "terms": terms})
+
+
+def test_expand_writes_the_rows_of_the_reference_walk():
+    indices = [i for i in admissible_indices(12) if i.depth <= 8]
+    assert len(indices) == 1980
+    for idx in indices:
+        assert write_expansion(idx, False) == _walk_text(idx.parts), idx
+        assert write_expansion(idx, True) == _walk_json(idx.parts), idx
+
+
+def test_expand_json_matches_the_walk_at_every_depth_up_to_the_limit():
+    # depth 18 has 2^17 rows, the pattern limit
+    for depth in range(1, 19):
+        parts = (2,) + tuple(j % 3 + 1 for j in range(depth - 1))
+        got = write_expansion(Index(parts), True)
+        assert got == _walk_json(parts), parts
+    assert 1 << (depth - 1) == MAX_PATTERNS
+
+
+def test_fusion_sums_the_reference_walk_at_t_one_and_one_plus_2t():
+    # every admissible index with parts of at most 3 and depth at most 6
+    indices = [(first,) + rest for depth in range(1, 7) for first in (2, 3)
+               for rest in itertools.product((1, 2, 3), repeat=depth - 1)]
+    assert len(indices) == 728
+    c = QtPoly({0: 2, 1: -3})
+    for s in (QtPoly.t(), QtPoly.one(), QtPoly({0: 1, 1: 2})):
+        scaled = [c]
+        for _ in range(5):
+            scaled.append(scaled[-1] * s)
+        for parts in indices:
+            got = _fuse({parts: c}, s)
+            rows = _walk_rows(parts)
+            # one symbol's rows are distinct, so the table keeps their order
+            assert list(got) == [row for row, _ in rows], (s, parts)
+            assert all(got[row] == scaled[k] for row, k in rows), (s, parts)
 
 
 def test_expansion_drops_merged_terms_that_cancel():
