@@ -23,14 +23,12 @@ no table wrapped by make_helement may be mutated afterwards.
 Every printed sum, of words or of zeta symbols, is framed by one writer
 per format, write_text and write_json: each takes the rows already
 written, one string per term in canonical order, and adds only the first
-term's sign, the 0 of an empty sum and the brackets (and, for JSON, the
-text every row begins with, when the rows are sorted without it).  Each
-row is written once, where it is produced, from a coefficient text
-rendered once per distinct coefficient.  table_str and table_json write
-the rows of a str word -> coefficient table, an HElement's (text str) or
-a product engine's pair table (text pair_str, straight from the ints),
-so the command line prints a product from its pair table without a
-QtPoly.
+term's sign, the 0 of an empty sum and the brackets.  Each row is written
+once, where it is produced, from a coefficient text rendered once per
+distinct coefficient.  table_str and table_json write the rows of a str
+word -> coefficient table, an HElement's (text str) or a product engine's
+pair table (text pair_str, straight from the ints), so the command line
+prints a product from its pair table without a QtPoly.
 """
 
 from __future__ import annotations
@@ -131,12 +129,9 @@ def write_text(rows: list, head: str = "") -> str:
     return body[3:] if body[1] == "+" else "-" + body[3:]
 
 
-def write_json(rows: list, lead: str = "") -> str:
-    """The JSON list of rows, each a JSON value already written but for
-    lead, the text every row begins with, which is written here."""
-    if not rows:
-        return "[]"
-    return "[" + lead + (", " + lead).join(rows) + "]"
+def write_json(rows: list) -> str:
+    """The JSON list of rows, each a JSON value already written."""
+    return "[%s]" % ", ".join(rows)
 
 
 def pair_str(pair: tuple) -> str:
@@ -163,7 +158,8 @@ def _word_prefix(text: str) -> str:
 def _one_length(table) -> bool:
     """Whether the words of table all have one length, and it is not 0, as
     every word of u ш_t v has |u| + |v| letters.  Such words are in
-    canonical order when reverse sorted, with no sort by length."""
+    canonical order when reverse sorted, with no sort by length; table_json
+    sorts such a table's rows once."""
     lengths = {*map(len, table)}
     return len(lengths) == 1 and 0 not in lengths
 
@@ -171,12 +167,9 @@ def _one_length(table) -> bool:
 def table_str(table: dict, text) -> str:
     """The printed sum of a str word -> coefficient table, as HElement
     prints it; text(c) is the printed coefficient c (str of a QtPoly,
-    pair_str of a pair), run once per distinct c.  The words of a
-    one-length table are sorted once; any other table keeps
-    canonical_words."""
+    pair_str of a pair), run once per distinct c."""
     prefix = Rendered(lambda c: _word_prefix(text(c)))
-    words = sorted(table, reverse=True) if _one_length(table) else canonical_words(table)
-    return write_text([prefix[table[w]] + (w or "1") for w in words])
+    return write_text([prefix[table[w]] + (w or "1") for w in canonical_words(table)])
 
 
 def table_json(table: dict, text) -> str:
@@ -185,18 +178,17 @@ def table_json(table: dict, text) -> str:
     is x's and y's, or 1, and a printed coefficient holds only digits, /,
     t, ^, *, +, - and spaces, so neither needs escaping.
 
-    A row is written from its word on, word + end[c], and write_json puts
-    the '{"word": "' before it.  The rows of a one-length table are sorted
-    once as these finished strings: two of them first differ inside their
-    words, so they sort as their words do, and reversed they are in
-    canonical order.  Any other table keeps canonical_words."""
+    The rows of a one-length table are sorted once as finished strings:
+    they share the text before the word, and two of them first differ
+    inside their words, so they sort as their words do, and reversed they
+    are in canonical order.  Any other table keeps canonical_words."""
     end = Rendered(lambda c: '", "coeff": "%s"}' % text(c))
     if _one_length(table):
-        rows = [w + end[c] for w, c in table.items()]
+        rows = ['{"word": "' + w + end[c] for w, c in table.items()]
         rows.sort(reverse=True)
     else:
-        rows = [(w or "1") + end[table[w]] for w in canonical_words(table)]
-    return write_json(rows, '{"word": "')
+        rows = ['{"word": "' + (w or "1") + end[table[w]] for w in canonical_words(table)]
+    return write_json(rows)
 
 
 def make_helement(terms: dict) -> "HElement":
