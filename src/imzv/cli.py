@@ -3,6 +3,11 @@
 Commands: product, expand, eval, verify, dual, index.  Exit codes form a
 stable contract: 0 on success, 1 when an identity or a tolerance check
 fails, 2 on usage or parse errors.
+
+The parser and its command parsers are built once per process.  A
+request that begins with a command name is parsed by that command's own
+parser, with the namespace, messages and exit codes the whole parser
+gives; any other request is parsed by the whole parser.
 """
 
 from __future__ import annotations
@@ -57,15 +62,20 @@ def _tolerance(text: str) -> float:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built on first use.  parse_args
-    leaves the parser unchanged and returns a fresh Namespace each call,
-    so every main() call can share it."""
+def _parsers() -> tuple:
+    """The one parser of this process and its command parsers by name,
+    built on first use.  Parsing leaves a parser unchanged and returns a
+    fresh Namespace each call, so every main() call can share them."""
     parser = argparse.ArgumentParser(
         prog="imzv",
         description="Deformed shuffle products on words and zeta value identities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+
+    def add_command(name, help):
+        p = commands[name] = sub.add_parser(name, help=help)
+        return p
 
     def add_format(p):
         p.add_argument(
@@ -73,16 +83,16 @@ def build_parser() -> argparse.ArgumentParser:
             help="output format (default text)",
         )
 
-    p = sub.add_parser("product", help="deformed product of two words")
+    p = add_command("product", "deformed product of two words")
     p.add_argument("w1", help="first word over {x,y}, or 1 for the empty word")
     p.add_argument("w2", help="second word")
     add_format(p)
 
-    p = sub.add_parser("expand", help="expand an interpolated symbol into plain ones")
+    p = add_command("expand", "expand an interpolated symbol into plain ones")
     p.add_argument("index", help="admissible index, e.g. \"(2,1)\"")
     add_format(p)
 
-    p = sub.add_parser("eval", help="evaluate a zeta combo numerically")
+    p = add_command("eval", "evaluate a zeta combo numerically")
     p.add_argument("combo", help="combo such as \"2*z(2,2)+4*z(3,1)\" or \"zs(5,1)\"")
     p.add_argument(
         "--t", default="0",
@@ -95,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_format(p)
 
-    p = sub.add_parser("verify", help="run a verification suite")
+    p = add_command("verify", "run a verification suite")
     p.add_argument("suite", choices=sorted(SUITES), help="suite name")
     p.add_argument("--max", type=_integer, default=None, help="generic grid bound")
     p.add_argument("--max-exp", type=_integer, default=None, help="exponent bound")
@@ -112,15 +122,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", type=_integer, default=None, help="number of sampled pairs")
     add_format(p)
 
-    p = sub.add_parser("dual", help="dual of an admissible index or word")
+    p = add_command("dual", "dual of an admissible index or word")
     p.add_argument("arg", help="index like \"(2,1)\" or word like xyy")
     add_format(p)
 
-    p = sub.add_parser("index", help="describe an index or word")
+    p = add_command("index", "describe an index or word")
     p.add_argument("arg", help="index like \"(2,1)\" or word like xyy")
     add_format(p)
 
-    return parser
+    return parser, commands
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole parser, the same object on every call."""
+    return _parsers()[0]
 
 
 def _cmd_product(args) -> int:
@@ -276,9 +291,25 @@ _COMMANDS = {
 }
 
 
+def _parse(argv: list) -> argparse.Namespace:
+    """The namespace build_parser().parse_args(argv) gives, read by the
+    named command's own parser when argv begins with a command name; the
+    whole parser reads any other argv, and refuses what a command parser
+    leaves over, so every message and exit code is the whole parser's."""
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error("unrecognized arguments: %s" % " ".join(extra))
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -76,9 +76,31 @@ class EvalResult:
     tol_ok: bool
 
 
+class _Point(Fraction):
+    """A split point that equals and hashes like its Fraction, its hash
+    worked out once: the cache keys of every evaluation at it hash it."""
+
+    __slots__ = ("_hash",)
+
+    def __new__(cls, *args):
+        self = super().__new__(cls, *args)
+        self._hash = Fraction.__hash__(self)
+        return self
+
+    def __hash__(self):
+        return self._hash
+
+
 def _cut_loss(p: Fraction, n_terms: int) -> Fraction:
     """Most a factor's series at p can lose when cut after p^n_terms."""
     return p ** (n_terms + 1) / (1 - p)
+
+
+@lru_cache(maxsize=8)
+def _steps(n_terms: int) -> tuple:
+    """The divisors 1.0 .. n_terms of a series step, as floats: each is
+    exact, so a quotient is the double that dividing by the int gives."""
+    return tuple(map(float, range(1, n_terms + 1)))
 
 
 @lru_cache(maxsize=8)
@@ -91,7 +113,8 @@ def _split_point(z: Fraction, n_terms: int | None = None) -> tuple:
 
     n_terms is by default the fewest terms that keep the cut loss at z and
     1 - z within 2^-SERIES_TERMS: SERIES_TERMS at z = 1/2, 112 at z = 1/3.
-    Refuses z outside (0, 1)."""
+    Each factor's p is a _Point, so the cache keys built on it hash it
+    once, here.  Refuses z outside (0, 1)."""
     if not 0 < z < 1:
         raise ValueError("split point must lie strictly between 0 and 1, got %s" % z)
     h = 1 - z
@@ -102,7 +125,7 @@ def _split_point(z: Fraction, n_terms: int | None = None) -> tuple:
     # the head is at most max(1, h / z), the tail at most max(1, z / h),
     # and each falls short by at most its cut loss
     loss = max(1, h / z) * _cut_loss(z, n_terms) + max(1, z / h) * _cut_loss(h, n_terms)
-    tail, head = ((p, tuple(float(p**m) for m in range(n_terms + 1))) for p in (z, h))
+    tail, head = ((_Point(p), tuple(float(p**m) for m in range(n_terms + 1))) for p in (z, h))
     return n_terms, tail, head, loss.numerator, loss.denominator
 
 
@@ -120,7 +143,7 @@ def _suffix_values(letters: str, n_terms: int, factor: tuple, cache: dict) -> li
     if table is None:
         table = cache[p, n_terms] = {}
     coeffs = [1.0] + [0.0] * n_terms
-    steps = range(1, n_terms + 1)
+    steps = _steps(n_terms)
     values = [1.0]
     for j in range(len(letters) - 1, -1, -1):
         suffix = letters[j:]
@@ -171,7 +194,8 @@ def eval_mzv(index, target_abs_err=1e-9, cache=None, *, split=HALF) -> EvalResul
 
     The index is checked once, as admissible_index_parts checks it, and
     its word's letters are written straight from its parts, refused over
-    MAX_LETTERS, before any series is summed.
+    MAX_LETTERS, before any series is summed; so is a negative or NaN
+    target_abs_err.
 
     The cache, if given, is a plain dict owned by the caller.  It keeps
     each finished value under (index parts, split point) and the series
@@ -180,18 +204,19 @@ def eval_mzv(index, target_abs_err=1e-9, cache=None, *, split=HALF) -> EvalResul
     bound depends on it.
     """
     parts = admissible_index_parts(index)
-    z = split if type(split) is Fraction else Fraction(split)
-    target = max(float(target_abs_err), TARGET_FLOOR)
-    hit = None if cache is None else cache.get((parts, z))
+    target = _target(target_abs_err)
+    point = _split_point(split if type(split) is Fraction else Fraction(split))
+    n_terms = point[0]
+    # the tail factor's point is z, hashed once when the point was built
+    key = (parts, point[1][0])
+    hit = None if cache is None else cache.get(key)
     if hit is not None:
         value, est, used = hit
         return EvalResult(value, est, used, est <= target)
-    point = _split_point(z)
-    n_terms = point[0]
     value, bound = _split_series(index_letters(parts), point, cache)
     est = max(bound, TARGET_FLOOR)
     if cache is not None:
-        cache[parts, z] = (value, est, n_terms)
+        cache[key] = (value, est, n_terms)
     return EvalResult(value, est, n_terms, est <= target)
 
 
@@ -203,13 +228,14 @@ def eval_combo(zc, t_value=0, target_abs_err=1e-6, cache=None) -> EvalResult:
     add up in absolute value.  The terms share the caller's cache, or one
     fresh dict per call when given none (see eval_mzv).  A coefficient at
     t outside the double range is refused with ValueError before any
-    series is summed, and so is a value that overflows.
+    series is summed, as is a negative or NaN target_abs_err, and so is a
+    value that overflows.
     """
+    target = _target(target_abs_err)
     zc = zc.to_plain()
     t0 = Fraction(t_value)
-    target = max(float(target_abs_err), TARGET_FLOOR)
-    value = _coefficient(zc.scalar.eval_at(t0), "the constant term")
-    terms = [(p, _coefficient(c.eval_at(t0), "the coefficient of z" + parts_str(p)))
+    value = _coefficient(zc.scalar, t0, "the constant term")
+    terms = [(p, _coefficient(c, t0, "the coefficient of z" + parts_str(p)))
              for p, c in zc.sorted_terms()]
     est = 0.0
     used = 1
@@ -228,11 +254,29 @@ def eval_combo(zc, t_value=0, target_abs_err=1e-6, cache=None) -> EvalResult:
     return EvalResult(value, est, used, est <= target)
 
 
-def _coefficient(value: Fraction, what: str) -> float:
-    """An exact coefficient as a float, refused when it is outside the
-    double range."""
+def _target(target_abs_err) -> float:
+    """The requested error target, floored at TARGET_FLOOR; a negative or
+    NaN target is refused."""
+    target = float(target_abs_err)
+    if not target >= 0.0:
+        raise ValueError("target_abs_err must be a nonnegative number, got %r"
+                         % target_abs_err)
+    return max(target, TARGET_FLOOR)
+
+
+def _coefficient(poly, t0: Fraction, what: str) -> float:
+    """A coefficient polynomial at t0 as a float, rounded once, and refused
+    when it is outside the double range.  With int coefficients and t0 =
+    num/den it is the int sum of c_d num^d den^(top - d) over den^top: int
+    true division rounds correctly, so this is the double, or the
+    OverflowError, that float(poly.eval_at(t0)) gives."""
+    items = poly.coeffs
     try:
-        return float(value)
+        if all(type(c) is int for _, c in items):
+            num, den = t0.numerator, t0.denominator
+            top = items[-1][0] if items else 0
+            return sum(c * num**d * den ** (top - d) for d, c in items) / den**top
+        return float(poly.eval_at(t0))
     except OverflowError:
         raise ValueError("%s is outside the double range at this t" % what) from None
 

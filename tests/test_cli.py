@@ -450,6 +450,14 @@ def test_python_dash_m_runs_the_cli_from_a_checkout():
     assert bad.returncode == 2
     assert bad.stdout == ""
     assert bad.stderr.startswith("error:")
+    # main() with no argv reads sys.argv, through the command's own parser
+    done = imzv("eval", "z(2)", "--format", "json")
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["tol_ok"] is True
+    bad = imzv("product", "xy", "xy", "--bogus")
+    assert bad.returncode == 2
+    assert bad.stdout == ""
+    assert bad.stderr.endswith("imzv: error: unrecognized arguments: --bogus\n")
 
 
 def test_index_json_for_non_admissible_word(capsys):
@@ -570,3 +578,65 @@ def test_a_reused_parser_keeps_no_state_between_calls(capsys):
     assert code == 0 and json.loads(out)
     assert run(capsys, "product", "xy", "xy")[:2] == (0, "2*xyxy + 4*xxyy + (-6*t)*xxxy\n")
     assert cli.build_parser() is parser
+
+
+# every flag of every command, in long, = and repeated forms
+_ARGV_SHAPES = [
+    ["product", "xy", "xy"],
+    ["product", "1", "y", "--format", "json"],
+    ["product", "--format=text", "xy", "--", "y"],
+    ["expand", "(2,1)"],
+    ["expand", "(3,1,2)", "--format", "json"],
+    ["eval", "z(2)"],
+    ["eval", "t*z(2,1)", "--t", "1/2", "--tol", "1e-3", "--format", "json"],
+    ["eval", "t*z(2)", "--t=-1/2", "--tol=0"],
+    ["eval", "z(3)", "--t", "1", "--t", "2"],
+    ["eval", "z(3)", "--to", "1e-4", "--form", "json"],
+    ["verify", "lemma31"],
+    ["verify", "lemma31", "--max", "3", "--format", "json"],
+    ["verify", "eq42", "--max-exp", "2"],
+    ["verify", "theorem22", "--r", "2", "--s", "2", "--max", "2", "--max-exp", "2"],
+    ["verify", "prop41", "--k", "4", "--p", "2"],
+    ["verify", "homomorphism-numeric", "--pairs", "3", "--max-weight", "5", "--seed", "7",
+     "--tol", "1e-8"],
+    ["verify", "duality-numeric", "--max-weight", "4"],
+    ["dual", "(2,1)"],
+    ["dual", "xyy", "--format", "json"],
+    ["index", "yx"],
+    ["index", "(2,1)", "--format", "json"],
+]
+
+
+@pytest.mark.parametrize("argv", _ARGV_SHAPES, ids=" ".join)
+def test_a_command_parser_reads_what_the_whole_parser_reads(argv):
+    args = cli._parse(list(argv))
+    assert vars(args) == vars(cli.build_parser().parse_args(argv))
+    assert args.command == argv[0]
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["bogus", "xy"],
+    ["-h"],
+    ["--help"],
+    ["eval", "--help"],
+    ["product", "-h"],
+    ["product", "xy", "xy", "--bogus"],
+    ["product", "xy", "xy", "extra", "-"],
+    ["eval", "z(2)", "-t", "1"],
+    ["product", "xy"],
+    ["eval"],
+    ["product", "xy", "xy", "--format", "xml"],
+    ["eval", "z(2)", "--t", "-1/2"],
+    ["eval", "z(2)", "--tol", "nan"],
+    ["verify", "bogus"],
+    ["verify", "lemma31", "--max", "3.5"],
+    ["--", "product", "xy", "xy"],
+    ["-x", "product"],
+], ids=lambda argv: " ".join(argv) or "no-argv")
+def test_a_usage_error_reads_as_from_the_whole_parser(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    want = exc.value.code, *capsys.readouterr()
+    assert run(capsys, *argv) == want
+    assert want[0] in (0, 2)

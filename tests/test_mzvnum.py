@@ -10,6 +10,7 @@ against the same series in exact rational arithmetic, and the two split
 points against each other.
 """
 
+import hashlib
 import inspect
 import math
 import os
@@ -22,6 +23,7 @@ import pytest
 
 from imzv import (
     Index,
+    QtPoly,
     STAR,
     ZetaCombo,
     admissible_indices,
@@ -315,6 +317,16 @@ def test_each_eval_combo_call_starts_with_an_empty_memo(monkeypatch):
     assert ((3, 1), mzvnum.HALF) in cache and ((2, 1, 1), mzvnum.HALF) in cache
 
 
+# sha256 of every value and bound below, as hex floats: a change to the
+# series or to the coefficients that moves any bit shows here
+_COMBO_DIGESTS = {
+    0: "7c15b728d01d6a0e05ed5439464ed22e7f724ed5b08c5ecea1ea30db0661bf1f",
+    Fraction(1, 2): "1462d2a409fe64e105790361ba82f5e368d5c60562f2aea2006df560ea4b12e8",
+    1: "2d176990ca17b07756d12a1dd385d82c6c1df0fd306bc1d345e9249ce98f006a",
+    -2: "e8988a83adc5920889125a3b6fefa10240631c46b4a07a1c192b71ba8793670c",
+}
+
+
 @pytest.mark.parametrize("t0", [0, Fraction(1, 2), 1, -2])
 def test_eval_combo_sums_its_terms_as_eval_mzv_evaluates_them(t0):
     # each interpolated symbol of weight at most 10, written in plain ones
@@ -322,6 +334,7 @@ def test_eval_combo_sums_its_terms_as_eval_mzv_evaluates_them(t0):
     indices = list(admissible_indices(10))
     assert len(indices) == 511
     cache, own = {}, {}
+    pinned = hashlib.sha256()
     for idx in indices:
         zc = interpolated_symbol(idx)
         got = eval_combo(zc, t0, cache=cache)
@@ -338,6 +351,8 @@ def test_eval_combo_sums_its_terms_as_eval_mzv_evaluates_them(t0):
         assert got.value.hex() == value.hex(), idx
         assert got.error_estimate.hex() == est.hex(), idx
         assert (got.cutoff_used, got.tol_ok) == (used, est <= 1e-6), idx
+        pinned.update(("%s %s\n" % (value.hex(), est.hex())).encode())
+    assert pinned.hexdigest() == _COMBO_DIGESTS[t0]
 
 
 def test_eval_mzv_takes_one_cache():
@@ -402,3 +417,92 @@ def test_importing_the_package_loads_no_numpy():
             "print('numpy' in sys.modules)" % src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def _coefficient_polys():
+    ints = [0, 1, -1, 3, -7, 12, 2**70 + 1, -(10**30)]
+    fracs = [Fraction(1, 3), Fraction(-5, 7), Fraction(2**80, 3**40)]
+    polys = [QtPoly(), QtPoly.t(6), QtPoly({0: 2**1100}), QtPoly({0: 2**1023, 5: -3}),
+             QtPoly({6: Fraction(1, 2**1100)})]
+    for d in range(7):
+        polys.append(QtPoly({e: ints[(d + e) % len(ints)] for e in range(d + 1)}))
+        polys.append(QtPoly({e: ints[(3 * d + e) % len(ints)] for e in range(0, d + 1, 2)}))
+        polys.append(QtPoly({e: fracs[(d + e) % len(fracs)] for e in range(d + 1)}))
+        polys.append(QtPoly({0: fracs[d % 3], d: ints[d]}))
+    return polys
+
+
+@pytest.mark.parametrize("t0", [0, 1, Fraction(1, 2), -2, Fraction(3, 7), Fraction(-1, 3)])
+def test_a_coefficient_at_t_is_the_double_of_its_exact_value(t0):
+    # int coefficients are summed in ints over one power of the denominator;
+    # the quotient must be the double float(eval_at) rounds to, bit for bit
+    polys = _coefficient_polys()
+    assert any(all(type(c) is int for _, c in p.coeffs) for p in polys)
+    assert any(type(c) is Fraction for p in polys for _, c in p.coeffs)
+    for poly in polys:
+        try:
+            want = float(poly.eval_at(t0)).hex()
+        except OverflowError:
+            want = "refused"
+        try:
+            got = mzvnum._coefficient(poly, Fraction(t0), "c").hex()
+        except ValueError:
+            got = "refused"
+        assert got == want, poly
+
+
+def test_a_coefficient_at_the_edge_of_the_double_range_rounds_as_its_fraction():
+    most = float.fromhex("0x1.fffffffffffffp+1023")
+    half_way = 2**1024 - 2**970  # ties to even, up to 2^1024
+    assert mzvnum._coefficient(QtPoly.t(), Fraction(half_way - 1), "c") == most
+    assert mzvnum._coefficient(QtPoly({1: -1}), Fraction(half_way - 1), "c") == -most
+    for t0 in (Fraction(half_way), Fraction(-(2**1024)), Fraction(2**1100, 3)):
+        with pytest.raises(OverflowError):
+            float(QtPoly.t().eval_at(t0))
+        with pytest.raises(ValueError, match="^c is outside the double range at this t$"):
+            mzvnum._coefficient(QtPoly.t(), t0, "c")
+
+
+def test_eval_combo_refuses_a_coefficient_outside_the_double_range():
+    t0 = 2**2000
+    for text, what in (("t^1000*z(2)", "the coefficient of z(2)"),
+                       ("z(2) + t^1000", "the constant term")):
+        with pytest.raises(ValueError) as exc:
+            eval_combo(parse_zeta_combo(text), t0)
+        assert str(exc.value) == "%s is outside the double range at this t" % what
+
+
+@pytest.mark.parametrize("target", [math.nan, -5, -1e-300, -math.inf])
+def test_a_negative_or_nan_target_is_refused_before_any_series(monkeypatch, target):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a series was summed")
+
+    monkeypatch.setattr(mzvnum, "_split_series", refuse)
+    for evaluate in (lambda: eval_mzv((2,), target),
+                     lambda: eval_mzv((2,), target, {((2,), mzvnum.HALF): (1.0, 1e-9, 64)}),
+                     lambda: eval_combo(parse_zeta_combo("z(2)"), 0, target)):
+        with pytest.raises(ValueError, match="target_abs_err must be a nonnegative number"):
+            evaluate()
+
+
+def test_zero_and_infinite_targets_are_taken():
+    # a zero target is floored, as a tighter one than the floor is
+    assert eval_mzv((2,), 0) == eval_mzv((2,), 1e-12) == eval_mzv((2,))
+    assert eval_mzv((2,), math.inf).tol_ok is True
+    assert eval_combo(parse_zeta_combo("z(2)"), 0, math.inf).tol_ok is True
+
+
+def test_an_evaluation_hashes_its_split_point_once(monkeypatch):
+    # the cache keys hold the point record's own copies of z and 1 - z,
+    # which keep their hash, so only the lookup of the record hashes z
+    z = Fraction(1, 5)
+    eval_mzv((2, 1), split=z)
+    hashes = []
+    fraction_hash = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__", lambda q: hashes.append(q) or fraction_hash(q))
+    cache = {}
+    for parts in ((3, 1), (2, 1, 2), (3, 1)):
+        hashes.clear()
+        eval_mzv(parts, cache=cache, split=z)
+        assert hashes == [z], parts
+    assert ((3, 1), z) in cache and (z, mzvnum._split_point(z)[0]) in cache
