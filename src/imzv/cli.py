@@ -28,6 +28,7 @@ from .mzvnum import eval_combo
 from .tshuffle import tshuffle_table, tshuffle_words  # noqa: F401
 from .verify import DEFAULT_SEED, SUITES
 from .words import (
+    MAX_LETTERS,
     dual,
     index_from_word,
     parse_index,
@@ -138,8 +139,21 @@ def build_parser() -> argparse.ArgumentParser:
     return _parsers()[0]
 
 
+# the most words a printed product may have: every word of u sh v has the
+# L letters of both and X or X + 1 x's, X counting the x's of both, so it
+# has at most C(L, X) + C(L, X + 1) = C(L + 1, X + 1) words
+MAX_TERMS = 10**8
+
+
 def _cmd_product(args) -> int:
-    table = tshuffle_table(parse_word(args.w1), parse_word(args.w2))
+    u, v = parse_word(args.w1), parse_word(args.w2)
+    letters, xs = len(u) + len(v), u.count("x") + v.count("x")
+    # over MAX_LETTERS the engine's own refusal speaks first
+    bound = math.comb(letters + 1, xs + 1) if letters <= MAX_LETTERS else 0
+    if bound > MAX_TERMS:
+        raise ValueError("a product of %d letters with %d x's may have up to %.3g "
+                         "words, over the limit of %d" % (letters, xs, bound, MAX_TERMS))
+    table = tshuffle_table(u, v)
     write = table_json if args.format == "json" else table_str
     print(write(table, pair_str))
     return 0

@@ -173,9 +173,6 @@ class QtPoly:
         t0 = Fraction(t0)
         return sum((c * t0 ** d for d, c in self.coeffs), Fraction(0))
 
-    def is_const(self) -> bool:
-        return self.degree() <= 0
-
     def as_monomial(self):
         """Return (degree, coeff) if this is a single term, else None."""
         return self.coeffs[0] if len(self.coeffs) == 1 else None

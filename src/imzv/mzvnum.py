@@ -51,6 +51,8 @@ from .words import admissible_index_parts, index_letters, parts_str
 
 TARGET_FLOOR = 1e-9
 SERIES_TERMS = 64
+# most bits of a top power of t = num/den: degree * log2 max(|num|, den)
+MAX_POWER_BITS = 2 ** 20
 HALF = Fraction(1, 2)
 
 _UNIT_ROUNDOFF = 2.0 ** -53
@@ -227,9 +229,10 @@ def eval_combo(zc, t_value=0, target_abs_err=1e-6, cache=None) -> EvalResult:
     coefficient magnitudes weight the per-index error estimates, which
     add up in absolute value.  The terms share the caller's cache, or one
     fresh dict per call when given none (see eval_mzv).  A coefficient at
-    t outside the double range is refused with ValueError before any
-    series is summed, as is a negative or NaN target_abs_err, and so is a
-    value that overflows.
+    t outside the double range, or whose top power of t is over
+    MAX_POWER_BITS bits, is refused with ValueError before any series is
+    summed, as is a negative or NaN target_abs_err; so is a value that
+    overflows.
     """
     target = _target(target_abs_err)
     zc = zc.to_plain()
@@ -271,10 +274,13 @@ def _coefficient(poly, t0: Fraction, what: str) -> float:
     true division rounds correctly, so this is the double, or the
     OverflowError, that float(poly.eval_at(t0)) gives."""
     items = poly.coeffs
+    num, den = t0.numerator, t0.denominator
+    top = items[-1][0] if items else 0
+    if top * math.log2(max(abs(num), den)) > MAX_POWER_BITS:
+        raise ValueError("%s has t-degree %d, whose power at this t is over the "
+                         "limit of %d bits" % (what, top, MAX_POWER_BITS))
     try:
         if all(type(c) is int for _, c in items):
-            num, den = t0.numerator, t0.denominator
-            top = items[-1][0] if items else 0
             return sum(c * num**d * den ** (top - d) for d, c in items) / den**top
         return float(poly.eval_at(t0))
     except OverflowError:

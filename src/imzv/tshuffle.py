@@ -14,18 +14,17 @@ no path multiplies two t factors), so every engine here sums into one
 halg pair table, word -> (c0, c1) meaning c0 + c1*t, and wraps it once
 with halg.from_pairs.
 
-Three engines share one step, _split: the split formula for a sh b at
-one letter of a, summed from the tables of the tails a[k:] sh b[i:] for
-every suffix b[i:] of b, each times the prefix shuffle a[:k-1] sh b[:i].
-The plain shuffle _sh peels last letters, so all these prefix shuffles
+One step computes the split formula, _split_at: a sh b at one letter
+of a, summed from the tails a[k:] sh b[i:] of the recursion for every
+suffix b[i:] of b, each times the prefix shuffle a[:k-1] sh b[:i].  The
+plain shuffle _sh peels last letters, so all these prefix shuffles
 together build one table per prefix pair (a[:p], b[:q]).  split_product
-and tshuffle_table take the tails from the recursion; tshuffle_table, the
-table imzv product prints without wrapping it, splits the longer word at
-its middle letter, which sums far fewer entries than the recursion builds
-for the whole product.  block_product splits at the end of a's first
-block, and builds its tails with the same step bottom-up: from a's last
-block to its first, each block suffix of a against every suffix of b,
-each level from the one below, so no tail is computed twice.
+splits at the letter its caller names; tshuffle_table, the table imzv
+product prints without wrapping it, splits the longer word at its middle
+letter, which sums far fewer entries than the recursion builds for the
+whole product.  block_product only reads the paper's block notation: it
+checks the (letter, exponent) blocks, spells out the two words and wraps
+their tshuffle_table.
 
 An engine that takes a memo takes one, cache, a plain dict the caller
 owns, and no value depends on it.  It holds only the recursions' tables:
@@ -166,7 +165,7 @@ def tshuffle(u: HElement, v: HElement, cache: dict | None = None) -> HElement:
 def _sh(u: str, v: str, memo: dict) -> dict:
     """Plain shuffle of two strings as a word -> (multiplicity, 0) table.
     It peels last letters, so every table it builds for u sh v is of a
-    prefix pair u[:p] sh v[:q], shared by the prefix shuffles of _split."""
+    prefix pair u[:p] sh v[:q], shared by the prefix shuffles of _split_at."""
     if not u:
         return {v: (1, 0)}
     if not v:
@@ -273,35 +272,28 @@ def xpow_times_ypow(m: int, n: int) -> HElement:
     return from_pairs(acc)
 
 
-def _split(a: str, b: str, k: int, tails, shmemo: dict) -> dict:
+def _split_at(a: str, b: str, k: int, memo: dict) -> dict:
     """The split formula for a sh b at letter position k (1 <= k <= len(a)):
 
         sum_{i=0}^{n} (a[:k-1] sh0 b[:i]) a_k (a[k:] sh b[i:])
         - (a[:k-1] sh0 b[:n-1].rho(b_n)) a_k a[k+1:]...
         - [k == m] sum_{i=0}^{n-1} (a[:m-1] sh0 b[:i]) rho(a_m) b[i:]
 
-    where sh0 is the plain shuffle, summed into a pair table.  tails[i] is
-    the pair table of a[k:] sh b[i:] for i = 0..n.  The value does not
-    depend on k.
+    where sh0 is the plain shuffle, summed into a pair table: the tails
+    a[k:] sh b[i:] from _tsh, the prefix shuffles from _sh, both with
+    memo.  The value does not depend on k.
     """
     m, n = len(a), len(b)
-    pre, mid = a[: k - 1], a[k - 1]
+    pre, mid, tail = a[: k - 1], a[k - 1], a[k:]
     acc = {}
     for i in range(n + 1):
-        _add_concat(acc, _sh(pre, b[:i], shmemo), mid, tails[i])
+        _add_concat(acc, _sh(pre, b[:i], memo), mid, _tsh(tail, b[i:], memo))
     if n >= 1 and b[-1] == "y":
-        _add_concat(acc, _sh(pre, b[: n - 1] + "x", shmemo), a[k - 1:], _MINUS_T)
+        _add_concat(acc, _sh(pre, b[: n - 1] + "x", memo), a[k - 1:], _MINUS_T)
     if k == m and a[-1] == "y":
         for i in range(n):
-            _add_concat(acc, _sh(pre, b[:i], shmemo), "x" + b[i:], _MINUS_T)
+            _add_concat(acc, _sh(pre, b[:i], memo), "x" + b[i:], _MINUS_T)
     return acc
-
-
-def _split_at(a: str, b: str, k: int, memo: dict) -> dict:
-    """_split at letter position k, the tails a[k:] sh b[i:] from the
-    recursion and the prefix shuffles from _sh, both with memo."""
-    tails = [_tsh(a[k:], b[i:], memo) for i in range(len(b) + 1)]
-    return _split(a, b, k, tails, memo)
 
 
 def split_product(a_word, b_word, k: int, cache: dict | None = None) -> HElement:
@@ -333,14 +325,11 @@ def _blocks_to_string(blocks) -> str:
 
 def block_product(blocks_a, blocks_b) -> HElement:
     """The t-shuffle of two words given as (letter, exponent) blocks: the
-    split formula at the end of a's first block, with every tail built
-    bottom-up by the same step (see the module docstring).
+    product imzv product prints (tshuffle_table) of the words they spell.
 
     Each block letter must be "x" or "y".  Zero exponents are allowed and
     ignored; a negative one is refused, and so are exponents over
-    MAX_LETTERS in all, before any word is built.  The plain shuffle
-    handles the prefix factors, so this engine never calls the
-    letter-level t-shuffle recursion.
+    MAX_LETTERS in all, before any word is built.
     """
     blocks_a, blocks_b = tuple(blocks_a), tuple(blocks_b)
     blocks = blocks_a + blocks_b
@@ -349,13 +338,4 @@ def block_product(blocks_a, blocks_b) -> HElement:
     if any(e < 0 for _, e in blocks):
         raise ValueError("need exponents >= 0")
     _check_letters(sum(e for _, e in blocks))
-    a_blocks = tuple((ch, e) for ch, e in blocks_a if e > 0)
-    _, b = _letters(_blocks_to_string(a_blocks), _blocks_to_string(blocks_b))
-    shmemo = {}
-    # tables[i] is the pair table of s sh b[i:], s the block suffix of a so far
-    tables = [{b[i:]: (1, 0)} for i in range(len(b) + 1)]
-    s = ""
-    for ch, e in reversed(a_blocks):
-        s = ch * e + s
-        tables = [_split(s, b[i:], e, tables[i:], shmemo) for i in range(len(b) + 1)]
-    return from_pairs(tables[0])
+    return from_pairs(tshuffle_table(_blocks_to_string(blocks_a), _blocks_to_string(blocks_b)))

@@ -8,6 +8,7 @@ and parse errors.
 import importlib
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -271,13 +272,68 @@ def test_product_at_the_letter_limit_and_one_letter_over(capsys, monkeypatch):
     # the package binds the name tshuffle to the bilinear product
     engines = importlib.import_module("imzv.tshuffle")
     monkeypatch.setattr(engines, "_tsh", no_table)
-    monkeypatch.setattr(engines, "_split", no_table)
+    monkeypatch.setattr(engines, "_split_at", no_table)
     with pytest.raises(AssertionError, match="a table was built"):
         main(["product", "xy", "y"])
     code, out, err = run(capsys, "product", long + "x", "x")
     assert code == 2
     assert not out
     assert "over the limit of 500" in err
+
+
+def test_product_refuses_a_word_bound_over_the_limit_before_any_table(capsys, monkeypatch):
+    # (xy)^6 sh (xy)^6: 24 letters, 12 x's, so at most C(25, 13) words
+    code, out, _ = run(capsys, "product", "xy" * 6, "xy" * 6, "--format", "json")
+    assert code == 0
+    assert 0 < len(json.loads(out)) <= math.comb(25, 13) == 5200300 < cli.MAX_TERMS
+
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    engines = importlib.import_module("imzv.tshuffle")
+    monkeypatch.setattr(engines, "_tsh", no_table)
+    monkeypatch.setattr(engines, "_split_at", no_table)
+    # 500 letters, inside the letter limit; 56 letters, far beyond memory
+    for u, v in (("x" * 250, "y" * 250), ("x" * 14 + "y" * 14,) * 2):
+        code, out, err = run(capsys, "product", u, v)
+        assert code == 2
+        assert not out
+        assert "words, over the limit of %d" % cli.MAX_TERMS in err
+
+
+def test_product_word_bound_is_refused_only_above_the_limit(capsys, monkeypatch):
+    # 18 letters with 9 x's: C(19, 10) = 92378 words at most, the largest
+    # bound of the benchmark's pooled products
+    u, v = "xyxyxyxyx", "yxyxyxyxy"
+    monkeypatch.setattr(cli, "MAX_TERMS", math.comb(19, 10))
+    code, out, _ = run(capsys, "product", u, v)
+    assert code == 0
+    assert out == str(tshuffle_words(u, v)) + "\n"
+    monkeypatch.setattr(cli, "MAX_TERMS", math.comb(19, 10) - 1)
+    code, out, err = run(capsys, "product", u, v)
+    assert code == 2
+    assert not out
+    assert "may have up to 9.24e+04 words, over the limit of 92377" in err
+
+
+@pytest.mark.parametrize("t", ["3", "1/3"])
+def test_eval_refuses_a_power_of_t_over_the_bit_limit(capsys, t):
+    # t^d at t = num/den is counted as d * log2 max(|num|, den) bits
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", "t^100000000*z(2)", "--t=" + t)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert not out
+    assert "t-degree 100000000, whose power at this t is over the limit of %d bits" \
+        % mzvnum.MAX_POWER_BITS in err
+    # the highest degree under the limit is evaluated: t^d - t0 t^(d-1) is
+    # zero at t0, through the int branch at 3 and the Fraction one at 1/3
+    top = int(mzvnum.MAX_POWER_BITS / math.log2(3))
+    for d, code_want in ((top, 0), (top + 1, 2)):
+        combo = "z(3) + t^%d*z(2) - %s*t^%d*z(2)" % (d, t, d - 1)
+        code, out, err = run(capsys, "eval", combo, "--t=" + t)
+        assert code == code_want, err
+        assert out == ("1.20205690 ± 1.000e-09\n" if code == 0 else "")
 
 
 @pytest.mark.parametrize("command, arg", [("index", "(%d)"), ("dual", "(%d)"), ("eval", "z(%d)")])

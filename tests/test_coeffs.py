@@ -172,8 +172,6 @@ def test_negated_parenthesised_form_parses_to_the_negative(a):
 def test_monomial_introspection():
     assert QtPoly({3: 5}).as_monomial() == (3, Fraction(5))
     assert QtPoly({0: 1, 1: 1}).as_monomial() is None
-    assert QtPoly.const(7).is_const()
-    assert not QtPoly.t().is_const()
     assert QtPoly({2: 1}).degree() == 2
 
 

@@ -464,12 +464,30 @@ def test_a_coefficient_at_the_edge_of_the_double_range_rounds_as_its_fraction():
 
 
 def test_eval_combo_refuses_a_coefficient_outside_the_double_range():
+    # (2^2000)^500 takes 10^6 bits, under MAX_POWER_BITS, so it is computed
     t0 = 2**2000
-    for text, what in (("t^1000*z(2)", "the coefficient of z(2)"),
-                       ("z(2) + t^1000", "the constant term")):
+    for text, what in (("t^500*z(2)", "the coefficient of z(2)"),
+                       ("z(2) + t^500", "the constant term")):
         with pytest.raises(ValueError) as exc:
             eval_combo(parse_zeta_combo(text), t0)
         assert str(exc.value) == "%s is outside the double range at this t" % what
+
+
+@pytest.mark.parametrize("t0", [2**2000, Fraction(1, 2**2000), Fraction(-3, 2**2000)])
+def test_eval_combo_refuses_a_power_over_the_bit_limit_before_taking_it(t0):
+    # (2^2000)^1000 would take 2 * 10^6 bits, over MAX_POWER_BITS = 2^20
+    assert 1000 * 2000 > mzvnum.MAX_POWER_BITS == 2**20
+    for text, what in (("t^1000*z(2)", "the coefficient of z(2)"),
+                       ("z(2) + 1/3*t^1000", "the constant term")):
+        with pytest.raises(ValueError) as exc:
+            eval_combo(parse_zeta_combo(text), t0)
+        assert str(exc.value) == ("%s has t-degree 1000, whose power at this t is "
+                                  "over the limit of 1048576 bits" % what)
+
+
+@pytest.mark.parametrize("t0", [0, 1, -1])
+def test_t_in_zero_one_and_minus_one_evaluates_a_power_of_any_degree(t0):
+    assert mzvnum._coefficient(QtPoly({0: 2, 10**12: 3}), Fraction(t0), "c") == 2 + 3 * t0**2
 
 
 @pytest.mark.parametrize("target", [math.nan, -5, -1e-300, -math.inf])

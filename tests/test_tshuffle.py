@@ -7,6 +7,7 @@ formula in the package, so the laws checked here (commutativity,
 associativity, unit) underpin everything downstream.
 """
 
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -155,8 +156,10 @@ def test_split_and_block_products_match_the_oracle_on_all_words_up_to_four_lette
 
 
 def test_block_product_takes_at_most_one_frame_per_block():
-    # 498 blocks of one letter each: two Python frames per block would
-    # pass the default recursion limit of 1000
+    # 498 blocks of one letter each: the blocks are spelled out and split
+    # at the middle letter, so the tails' recursion goes about 250 frames
+    # deep, where two Python frames per block would pass the default
+    # recursion limit of 1000
     a = "xy" * 249
     assert block_product(word_blocks(a), word_blocks("y")) == tshuffle_words(a, "y")
 
@@ -195,6 +198,23 @@ def test_block_product_refuses_a_negative_exponent(blocks_a, blocks_b):
 ])
 def test_block_product_refuses_a_block_letter_other_than_x_or_y(blocks_a, blocks_b):
     with pytest.raises(ValueError, match="block letter must be x or y"):
+        block_product(blocks_a, blocks_b)
+
+
+@pytest.mark.parametrize("blocks_a, blocks_b, message", [
+    ((("xy", 1),), (("y", 1),), "block letter must be x or y"),
+    ((("x", -1), ("y", 1)), (("y", 1),), ">= 0"),
+    ((("x", 10**18), ("y", 1)), (("y", 1),), "over the limit of %d" % MAX_LETTERS),
+])
+def test_block_product_refuses_its_blocks_before_building_a_table(
+        monkeypatch, blocks_a, blocks_b, message):
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    # the package binds the name tshuffle to the bilinear product
+    engines = importlib.import_module("imzv.tshuffle")
+    monkeypatch.setattr(engines, "tshuffle_table", no_table)
+    with pytest.raises(ValueError, match=message):
         block_product(blocks_a, blocks_b)
 
 
