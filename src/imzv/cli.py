@@ -259,7 +259,7 @@ def _parse_index_or_word(text: str):
         idx = parse_index(s)
         return idx, word_from_index(idx), True
     w = parse_word(s)
-    return (index_from_word(w) if s and s != "1" and s[-1] == "y" else None), w, False
+    return (index_from_word(w) if s and s[-1] == "y" else None), w, False
 
 
 def _cmd_dual(args) -> int:

@@ -227,15 +227,17 @@ def height_two_product(a: int, r: int, b1: int, s1: int,
     return pattern_product(a_exps, b_exps)
 
 
-def alternating_product_sum(k: int, p: int) -> HElement:
+def alternating_product_sum(k: int, p: int, cache: dict | None = None) -> HElement:
     """sum_{i=0}^{k} (-1)^i  (z_p z_1^i sh z_p z_1^{k-i}) by the recursive
     engine.  Zero for odd k: the terms cancel in pairs.  Refuses words
-    over MAX_LETTERS letters in all, 2p + k, before any work."""
+    over MAX_LETTERS letters in all, 2p + k, before any work.  A cache
+    passed in keeps the recursion's tables as in tshuffle_words."""
     if k < 1 or p < 1:
         raise ValueError("need k, p >= 1")
     _check_letters(2 * p + k)
+    if cache is None:
+        cache = {}
     zp = "x" * (p - 1) + "y"
-    cache: dict = {}
     acc: dict = {}
     for i in range(k + 1):
         sign = -1 if i % 2 else 1

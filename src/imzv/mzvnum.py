@@ -269,10 +269,11 @@ def _target(target_abs_err) -> float:
 
 def _coefficient(poly, t0: Fraction, what: str) -> float:
     """A coefficient polynomial at t0 as a float, rounded once, and refused
-    when it is outside the double range.  With int coefficients and t0 =
-    num/den it is the int sum of c_d num^d den^(top - d) over den^top: int
-    true division rounds correctly, so this is the double, or the
-    OverflowError, that float(poly.eval_at(t0)) gives."""
+    when it is outside the double range.  With t0 = num/den it is the sum
+    of c_d num^d den^(top - d) over den^top: the exact rational, an int
+    over an int when the coefficients are ints, rounded once by float(),
+    so this is the double, or the OverflowError, that
+    float(poly.eval_at(t0)) gives."""
     items = poly.coeffs
     num, den = t0.numerator, t0.denominator
     top = items[-1][0] if items else 0
@@ -280,9 +281,7 @@ def _coefficient(poly, t0: Fraction, what: str) -> float:
         raise ValueError("%s has t-degree %d, whose power at this t is over the "
                          "limit of %d bits" % (what, top, MAX_POWER_BITS))
     try:
-        if all(type(c) is int for _, c in items):
-            return sum(c * num**d * den ** (top - d) for d, c in items) / den**top
-        return float(poly.eval_at(t0))
+        return float(sum(c * num**d * den ** (top - d) for d, c in items) / den**top)
     except OverflowError:
         raise ValueError("%s is outside the double range at this t" % what) from None
 

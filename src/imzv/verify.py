@@ -3,9 +3,10 @@
 Each suite is one Suite record: a generator of cases over a parameter
 grid, each a closed form (lhs) against the recursive product oracle or a
 numeric evaluation (rhs), plus how the two sides are compared and which
-`imzv verify` flags set the grid.  Suite.run collects the outcome in a
-VerifyReport.  Grids default to the sizes the acceptance checks use;
-cases run in sorted parameter order so the reports are deterministic.
+`imzv verify` flags set the grid.  Suite.run gives the cases of one run
+one fresh memo and collects the outcome in a VerifyReport.  Grids
+default to the sizes the acceptance checks use; cases run in sorted
+parameter order so the reports are deterministic.
 """
 
 from __future__ import annotations
@@ -98,10 +99,12 @@ def _within_estimates(lhs: EvalResult, rhs: EvalResult, keywords):
 class Suite:
     """One verification suite.
 
-    cases(**keywords) yields (parameters, lhs, rhs) per case, lhs from the
-    closed form and rhs from the oracle or the evaluation.  compare(lhs,
-    rhs, keywords) returns None when the two sides agree, else the (lhs,
-    rhs, diff) to report.  flags maps each runner keyword to the
+    cases(cache, **keywords) yields (parameters, lhs, rhs) per case, lhs
+    from the closed form and rhs from the oracle or the evaluation; cache
+    is the run's one memo, a fresh dict that every engine the cases call
+    shares (the `_tsh`, `_sh` and `eval_mzv` keys never meet).
+    compare(lhs, rhs, keywords) returns None when the two sides agree,
+    else the (lhs, rhs, diff) to report.  flags maps each runner keyword to the
     `imzv verify` flags (argparse dests) that may set it, which must agree
     when several are given.  least maps a keyword to the smallest value it
     accepts, and most to the largest: at the most of every keyword the
@@ -135,15 +138,22 @@ class Suite:
                     "%s must be %s for suite %s, got %d" % (spell(key), bound, self.sid, item)
                 )
 
+    @property
+    def signature(self) -> inspect.Signature:
+        """The runner keywords: the signature of cases without its cache."""
+        sig = inspect.signature(self.cases)
+        return sig.replace(parameters=list(sig.parameters.values())[1:])
+
     def run(self, *args, **kwargs) -> VerifyReport:
-        """Run the cases the runner keywords select and report each one."""
-        bound = inspect.signature(self.cases).bind(*args, **kwargs)
+        """Run the cases the runner keywords select on one fresh cache and
+        report each one."""
+        bound = self.signature.bind(*args, **kwargs)
         bound.apply_defaults()
         keywords = bound.arguments
         self.check(keywords)
         start = time.perf_counter()
         report = VerifyReport(self.sid)
-        for parameters, lhs, rhs in self.cases(**keywords):
+        for parameters, lhs, rhs in self.cases({}, **keywords):
             failure = self.compare(lhs, rhs, keywords)
             if failure is None:
                 report.record(parameters, True)
@@ -155,8 +165,8 @@ class Suite:
 
 def _suite(sid, flags, most, compare=_exact, least=None):
     """Turn a case generator into the runner of suite `sid`: the runner takes
-    the generator's keywords and returns a VerifyReport, and carries the
-    suite record as its `suite` attribute."""
+    the generator's keywords after its cache and returns a VerifyReport,
+    and carries the suite record as its `suite` attribute."""
 
     def wrap(cases):
         record = Suite(sid, cases, compare, flags, least or {}, most)
@@ -165,6 +175,7 @@ def _suite(sid, flags, most, compare=_exact, least=None):
         def runner(*args, **kwargs) -> VerifyReport:
             return record.run(*args, **kwargs)
 
+        runner.__signature__ = record.signature
         runner.suite = record
         return runner
 
@@ -172,9 +183,8 @@ def _suite(sid, flags, most, compare=_exact, least=None):
 
 
 @_suite("lemma31", {"max_run": ("max",)}, {"max_run": 140})
-def run_yy_products(max_run: int = 7):
+def run_yy_products(cache, max_run: int = 7):
     """Closed form for y-run products against the oracle (suite lemma31)."""
-    cache = {}
     for m in range(1, max_run + 1):
         for n in range(1, max_run + 1):
             lhs = yy_product_formula(m, n)
@@ -182,9 +192,8 @@ def run_yy_products(max_run: int = 7):
 
 
 @_suite("eq42", {"max_exp": ("max_exp", "max")}, {"max_exp": 10})
-def run_xy_products(max_exp: int = 6):
+def run_xy_products(cache, max_exp: int = 6):
     """Block closed form for x-run times y-run against the oracle (suite eq42)."""
-    cache = {}
     for m in range(max_exp + 1):
         for n in range(max_exp + 1):
             lhs = xpow_times_ypow(m, n)
@@ -196,9 +205,8 @@ def run_xy_products(max_exp: int = 6):
 # whose grid (3, 3) takes about 7 s (2-core VM): each bound is per keyword
 @_suite("theorem22", {"max_run": ("r", "s", "max"), "max_exp": ("max_exp",)},
         {"max_run": 3, "max_exp": 3})
-def run_pattern_products(max_run: int = 3, max_exp: int = 2):
+def run_pattern_products(cache, max_run: int = 3, max_exp: int = 2):
     """General pattern-filling product against the oracle (suite theorem22)."""
-    cache = {}
     shapes = []
     for r in range(1, max_run + 1):
         shapes.extend(product(range(max_exp + 1), repeat=r))
@@ -212,9 +220,8 @@ def run_pattern_products(max_run: int = 3, max_exp: int = 2):
 
 @_suite("prop32", {"max_exp": ("max_exp", "max"), "max_run": ("r", "s")},
         {"max_exp": 6, "max_run": 6})
-def run_height_one(max_exp: int = 3, max_run: int = 4):
+def run_height_one(cache, max_exp: int = 3, max_run: int = 4):
     """Height-one closed form against the oracle (suite prop32)."""
-    cache = {}
     exps = range(1, max_exp + 1)
     runs = range(1, max_run + 1)
     for a, b, r, s in product(exps, exps, runs, runs):
@@ -224,10 +231,9 @@ def run_height_one(max_exp: int = 3, max_run: int = 4):
 
 
 @_suite("eq48", {"max_param": ("max",)}, {"max_param": 5})
-def run_expanded_height_one(max_param: int = 3):
+def run_expanded_height_one(cache, max_param: int = 3):
     """Expanded-chain height-one form against the oracle and against the
     direct height-one form on their shared domain (suite eq48)."""
-    cache = {}
     rng = range(1, max_param + 1)
     for m, j, n, k in product(rng, repeat=4):
         parameters = {"m": m, "j": j, "n": n, "k": k}
@@ -239,9 +245,8 @@ def run_expanded_height_one(max_param: int = 3):
 
 @_suite("height2", {"max_exp": ("max_exp",), "max_run": ("r", "max")},
         {"max_exp": 4, "max_run": 3})
-def run_height_two(max_exp: int = 2, max_run: int = 2):
+def run_height_two(cache, max_exp: int = 2, max_run: int = 2):
     """Height-two case formula against the oracle (suite height2)."""
-    cache = {}
     exps = range(max_exp + 1)
     runs = range(1, max_run + 1)
     for a, r, b1, s1, b2, s2 in product(exps, runs, exps, runs, exps, runs):
@@ -252,15 +257,16 @@ def run_height_two(max_exp: int = 2, max_run: int = 2):
 
 
 # a *_values keyword is set from its flag as a one-item list
-@_suite("prop41", {"k_values": ("k",), "p_values": ("p",)}, {"k_values": 10, "p_values": 6})
-def run_alternating_sums(k_values=None, p_values=None):
+@_suite("prop41", {"k_values": ("k",), "p_values": ("p",)}, {"k_values": 10, "p_values": 6},
+        least={"k_values": 1, "p_values": 1})
+def run_alternating_sums(cache, k_values=None, p_values=None):
     """Alternating product sums: zero at odd k, closed form at even k
     (suite prop41)."""
     k_values = list(k_values) if k_values is not None else list(range(1, 7))
     p_values = list(p_values) if p_values is not None else [1, 2, 3]
     for k in k_values:
         for p in p_values:
-            lhs = closedforms.alternating_product_sum(k, p)
+            lhs = closedforms.alternating_product_sum(k, p, cache)
             if k % 2 == 1:
                 rhs = HElement.zero()
             else:
@@ -269,27 +275,26 @@ def run_alternating_sums(k_values=None, p_values=None):
 
 
 @_suite("cor42", {"max_k": ("k", "max")}, {"max_k": 60})
-def run_alternating_weight4(max_k: int = 6):
+def run_alternating_weight4(cache, max_k: int = 6):
     """Alternating sums of z(2,1^i) blocks against the specialized closed
     form (suite cor42)."""
     for k in range(1, max_k + 1):
-        lhs = closedforms.alternating_product_sum(k, 2)
+        lhs = closedforms.alternating_product_sum(k, 2, cache)
         yield {"k": k}, lhs, closedforms.alternating_product_weight4_form(k)
 
 
 @_suite("prop43", {"max_k": ("k", "max")}, {"max_k": 60})
-def run_alternating_zeta(max_k: int = 6):
-    """Zeta-level alternating identity, both sides as combos (suite prop43)."""
+def run_alternating_zeta(cache, max_k: int = 6):
+    """The zeta images of cor42's two sides, as combos (suite prop43)."""
     for k in range(1, max_k + 1):
-        lhs, rhs = alternating_zeta_identity(k)
+        lhs, rhs = alternating_zeta_identity(k, cache)
         yield {"k": k}, lhs, rhs
 
 
 @_suite("euler", {"max_arg": ("max",)}, {"max_arg": 130})
-def run_depth_one_products(max_arg: int = 6):
+def run_depth_one_products(cache, max_arg: int = 6):
     """Interpolated Euler decomposition of z^t(i)*z^t(j) against the zeta
     image of the oracle product, exactly in Q[t] (suite euler)."""
-    cache = {}
     for i in range(2, max_arg + 1):
         for j in range(2, max_arg + 1):
             rhs = zeta_map(tshuffle_words("x" * (i - 1) + "y", "x" * (j - 1) + "y", cache))
@@ -320,18 +325,16 @@ def _sample_pairs(n_pairs, max_weight, seed):
     least={"max_weight": 4},
 )
 def run_homomorphism_numeric(
-    n_pairs: int = 20, max_weight: int = 8, seed: int = DEFAULT_SEED, tol: float = 1e-5
+    cache, n_pairs: int = 20, max_weight: int = 8, seed: int = DEFAULT_SEED, tol: float = 1e-5
 ):
     """Numeric product check: the evaluated image of a word product must
     match the product of the evaluated factors within tol (suite
     homomorphism-numeric)."""
-    cache = {}
-    oracle_cache = {}
     t_points = (Fraction(0), Fraction(1, 2), Fraction(1))
     for idx1, idx2 in _sample_pairs(n_pairs, max_weight, seed):
         w1 = word_from_index(idx1)
         w2 = word_from_index(idx2)
-        prod = zeta_map(tshuffle_words(w1, w2, oracle_cache))
+        prod = zeta_map(tshuffle_words(w1, w2, cache))
         f1 = zeta_map(HElement.from_word(w1))
         f2 = zeta_map(HElement.from_word(w2))
         for t0 in t_points:
@@ -344,7 +347,7 @@ def run_homomorphism_numeric(
 
 @_suite("duality-numeric", {"max_weight": ("max_weight",)}, {"max_weight": 15},
         _within_estimates)
-def run_duality_numeric(max_weight: int = 8):
+def run_duality_numeric(cache, max_weight: int = 8):
     """Numeric duality check: each admissible index evaluates to the same
     value as its dual, within combined error estimates (suite duality-numeric).
 
@@ -352,7 +355,6 @@ def run_duality_numeric(max_weight: int = 8):
     dual is, term by term, the split of the index at 2/3: two different
     series.  Split at 1/2, both sides would sum the same terms and pass
     whatever their errors."""
-    cache = {}
     for idx in admissible_indices(max_weight):
         partner = index_from_word(dual(word_from_index(idx)))
         r1 = eval_mzv(idx, cache=cache, split=DUALITY_SPLIT)
@@ -361,10 +363,9 @@ def run_duality_numeric(max_weight: int = 8):
 
 
 @_suite("oracle-laws", {}, {"max_len_comm": 7, "max_len_assoc": 3})
-def run_oracle_laws(max_len_comm: int = 4, max_len_assoc: int = 3):
+def run_oracle_laws(cache, max_len_comm: int = 4, max_len_assoc: int = 3):
     """Commutativity and associativity of the deformed product, exhaustively
     on short words (not a CLI suite; used by the acceptance checks)."""
-    cache = {}
     words_c = list(all_words(max_len_comm))
     for w1 in words_c:
         for w2 in words_c:
@@ -384,16 +385,14 @@ def run_oracle_laws(max_len_comm: int = 4, max_len_assoc: int = 3):
 
 
 @_suite("shuffle-consistency", {}, {"max_len": 6})
-def run_shuffle_consistency(max_len: int = 5):
+def run_shuffle_consistency(cache, max_len: int = 5):
     """The deformed product at t=0 equals the combinatorial shuffle
     (not a CLI suite; used by the acceptance checks)."""
-    cache = {}
-    scache = {}
     words = list(all_words(max_len))
     for w1 in words:
         for w2 in words:
             lhs = tshuffle_words(w1, w2, cache).substitute_t(0)
-            yield {"w1": str(w1), "w2": str(w2)}, lhs, shuffle_words(w1, w2, scache)
+            yield {"w1": str(w1), "w2": str(w2)}, lhs, shuffle_words(w1, w2, cache)
 
 
 SUITES = {

@@ -30,7 +30,6 @@ import re
 
 from .coeffs import SPACE_CLASS, SPACES, QtPoly, binom, parse_qtpoly, signed_pieces
 from .halg import HElement, Rendered, accumulate, specialize, write_json, write_text
-from .tshuffle import compositions
 from .words import Index, admissible_index_parts, admissible_parts, parse_index, parts_str
 from . import closedforms
 
@@ -442,27 +441,13 @@ def interpolated_symbol(parts) -> ZetaCombo:
     return _make_combo(INTERPOLATED, {admissible_index_parts(parts): QtPoly.one()}, QtPoly.zero())
 
 
-def alternating_zeta_identity(k: int):
-    """LHS and stated RHS of the alternating double-product identity at p=2.
-
-    The left side is the word-level alternating sum pushed through the
-    zeta map; the right side is its stated closed form, zero for odd k.
-    Returns the pair (lhs, rhs).
-    """
-    if k < 1:
-        raise ValueError("need k >= 1")
-    lhs = zeta_map(closedforms.alternating_product_sum(k, 2))
-    if k % 2 == 1:
-        return lhs, ZetaCombo.zero(INTERPOLATED)
-    terms = {}
-    for aa in compositions(1, k + 2):
-        parts = (aa[-1] + 2,) + tuple(q + 1 for q in aa[:-1])
-        accumulate(terms, parts, QtPoly.const(2 * (aa[-1] + 1)))
-    for i in range(k):
-        parts = (2,) + (1,) * i + (3,) + (1,) * (k - i - 1)
-        accumulate(terms, parts, QtPoly({1: 2 * (2 * (-1) ** i - 1)}))
-    accumulate(terms, (4,) + (1,) * k, QtPoly({1: -6}))
-    return lhs, _make_combo(INTERPOLATED, terms, QtPoly.zero())
+def alternating_zeta_identity(k: int, cache: dict | None = None):
+    """The alternating double-product identity at p = 2 (prop43) as the
+    zeta images of cor42's two sides: the word-level alternating sum, by
+    the recursive engine on `cache`, and its closed form, zero for odd k.
+    Returns the pair (lhs, rhs)."""
+    lhs = zeta_map(closedforms.alternating_product_sum(k, 2, cache))
+    return lhs, zeta_map(closedforms.alternating_product_weight4_form(k))
 
 
 def euler_decomposition(i: int, j: int) -> ZetaCombo:

@@ -388,6 +388,22 @@ def test_verify_alternating_single_case(capsys):
     code, out, _ = run(capsys, "verify", "prop41", "--k", "3", "--p", "2")
     assert code == 0
     assert "1/1" in out
+    # the least of both bounds
+    code, out, _ = run(capsys, "verify", "prop41", "--k", "1", "--p", "1")
+    assert code == 0
+    assert "1/1" in out
+
+
+@pytest.mark.parametrize("flag", ["--k", "--p"])
+def test_verify_prop41_refuses_a_zero_bound_before_any_case(capsys, monkeypatch, flag):
+    def refuse(*args):
+        raise AssertionError("ran a case of a grid under its least")
+
+    monkeypatch.setattr(verify.closedforms, "alternating_product_sum", refuse)
+    code, out, err = run(capsys, "verify", "prop41", flag, "0")
+    assert code == 2
+    assert not out
+    assert "%s must be at least 1 for suite prop41, got 0" % flag in err
 
 
 def test_verify_pattern_grid(capsys):
@@ -458,6 +474,19 @@ def test_index_report(capsys):
     assert lines["depth"] == "2"
     assert lines["admissible"] == "True"
     assert lines["dual"] == "(3,1)"
+
+
+def test_a_bare_number_is_an_index(capsys):
+    # all-digit text is read as an index before a word, so 1 is the index
+    # (1), the word y, and not the empty word
+    code, out, _ = run(capsys, "index", "1")
+    assert code == 0
+    assert out == run(capsys, "index", "(1)")[1]
+    lines = dict(line.split(": ", 1) for line in out.strip().splitlines())
+    assert lines["word"] == "y"
+    assert lines["index"] == "(1)"
+    assert lines["admissible"] == "False"
+    assert run(capsys, "dual", "3")[:2] == (0, "(2,1)\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from imzv import verify
+from imzv import closedforms, mzvnum, verify
 from imzv.halg import HElement
 from imzv.tshuffle import tshuffle_words, yy_product_formula
 from imzv.zeta import ZetaCombo
@@ -150,11 +150,49 @@ def test_a_keyword_over_its_most_is_refused_before_any_case(sid, key, most):
     record.check({key: [1, most] if key.endswith("_values") else most})
 
 
+# every runner once, the numeric two included, on a grid that passes
+_ONE_MEMO_GRIDS = _SMALL_GRIDS + [
+    (verify.run_homomorphism_numeric, {"n_pairs": 2, "max_weight": 5}),
+    (verify.run_duality_numeric, {"max_weight": 4}),
+]
+
+
+@pytest.mark.parametrize(
+    "runner, kwargs", _ONE_MEMO_GRIDS, ids=[r.__name__ for r, _ in _ONE_MEMO_GRIDS]
+)
+def test_one_run_hands_every_engine_call_one_fresh_memo(monkeypatch, runner, kwargs):
+    seen = []
+
+    def spy(fn):
+        def call(*args, **kw):
+            seen.append(args[2] if len(args) > 2 else kw["cache"])
+            return fn(*args, **kw)
+
+        return call
+
+    # closedforms._tsh is the engine under the alternating sums, and
+    # mzvnum.eval_mzv the one under eval_combo
+    for module, name in [(verify, "tshuffle_words"), (verify, "shuffle_words"),
+                         (verify, "tshuffle"), (verify, "eval_mzv"),
+                         (mzvnum, "eval_mzv"), (closedforms, "_tsh")]:
+        monkeypatch.setattr(module, name, spy(getattr(module, name)))
+    memos = []
+    for _ in range(2):
+        del seen[:]
+        assert runner(**kwargs).passed
+        assert seen and type(seen[0]) is dict
+        assert all(memo is seen[0] for memo in seen)
+        memos.append(seen[0])
+    assert memos[0] is not memos[1]
+
+
 def test_every_item_of_a_values_keyword_is_checked():
     check = verify.run_alternating_sums.suite.check
     check({"k_values": range(1, 11), "p_values": (1, 6)})
     with pytest.raises(ValueError, match="k_values must be at most 10"):
         check({"k_values": [2, 11, 4]})
+    with pytest.raises(ValueError, match="p_values must be at least 1 for suite prop41, got 0"):
+        check({"p_values": [1, 0]})
 
 
 def test_every_default_grid_is_within_its_bounds():
