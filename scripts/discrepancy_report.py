@@ -32,8 +32,6 @@ from imzv.closedforms import (
 from imzv.coeffs import binom
 from imzv.halg import HElement, add_pair, from_pairs
 from imzv.tshuffle import (
-    _MINUS_T,
-    _add_concat,
     _blocks_to_string,
     _sh,
     compositions,
@@ -41,6 +39,18 @@ from imzv.tshuffle import (
     word_blocks,
 )
 from imzv.words import Word, all_words
+
+# -t times the empty word: the right factor of every correction term
+_MINUS_T = {"": (0, -1)}
+
+
+def _add_concat(acc, left, mid, right):
+    """Add the concatenation product left . mid . right of two pair tables
+    into the pair table acc with add_pair, so a defective variant's sum
+    may cancel."""
+    for lw, (l0, _) in left.items():
+        for rw, (r0, r1) in right.items():
+            add_pair(acc, lw + mid + rw, l0 * r0, l0 * r1)
 
 
 def _diff_rows(diff: HElement):

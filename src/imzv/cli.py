@@ -20,9 +20,9 @@ import sys
 from fractions import Fraction
 
 from .coeffs import SPACES
-from .halg import pair_str, table_json, table_str
+from .halg import signed_str, table_json, table_str
 from .mzvnum import eval_combo
-# tshuffle_words stays bound here although product prints the pair table:
+# tshuffle_words stays bound here although product prints the split's table:
 # the benchmark's tracer wraps it in every module that binds it, and its
 # self-test reads this binding
 from .tshuffle import tshuffle_table, tshuffle_words  # noqa: F401
@@ -155,7 +155,7 @@ def _cmd_product(args) -> int:
                          "words, over the limit of %d" % (letters, xs, bound, MAX_TERMS))
     table = tshuffle_table(u, v)
     write = table_json if args.format == "json" else table_str
-    print(write(table, pair_str))
+    print(write(table, signed_str))
     return 0
 
 

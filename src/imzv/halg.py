@@ -11,7 +11,9 @@ with coeffs.signed_pieces.
 
 Word products lie in Z[t] with t-degree at most one, so the product
 engines sum into a pair table, str word -> (c0, c1) meaning c0 + c1*t,
-with add_pair and wrap it once with from_pairs.
+with add_pair and wrap it once with from_pairs.  The split engine's
+signed table, str word -> int c meaning c if c > 0 and c*t if c < 0,
+keeps one int per word of a product of two words.
 
 Coefficients are shared: from_pairs takes the QtPoly of each pair from
 one bounded process-wide table, so every element it wraps holds one
@@ -26,9 +28,9 @@ written, one string per term in canonical order, and adds only the first
 term's sign, the 0 of an empty sum and the brackets.  Each row is written
 once, where it is produced, from a coefficient text rendered once per
 distinct coefficient.  table_str and table_json write the rows of a str
-word -> coefficient table, an HElement's (text str) or a product engine's
-pair table (text pair_str, straight from the ints), so the command line
-prints a product from its pair table without a QtPoly.
+word -> coefficient table, an HElement's (text str) or the split engine's
+signed table (text signed_str, straight from the ints), so the command
+line prints a product from its signed table without a QtPoly.
 """
 
 from __future__ import annotations
@@ -134,16 +136,12 @@ def write_json(rows: list) -> str:
     return "[%s]" % ", ".join(rows)
 
 
-def pair_str(pair: tuple) -> str:
-    """str(pair_poly(pair)) of a nonzero pair (c0, c1), written straight
-    from the two numbers."""
-    c0, c1 = pair
-    if not c1:
-        return str(c0)
-    t = "t" if c1 == 1 or c1 == -1 else "%s*t" % abs(c1)
-    if not c0:
-        return t if c1 > 0 else "-" + t
-    return "%s %s %s" % (c0, "+" if c1 > 0 else "-", t)
+def signed_str(c: int) -> str:
+    """The printed coefficient of a signed table's entry c: c itself if
+    c > 0, c*t if c < 0, as str of its QtPoly writes them."""
+    if c > 0:
+        return str(c)
+    return "-t" if c == -1 else "%d*t" % c
 
 
 def _word_prefix(text: str) -> str:
@@ -167,7 +165,7 @@ def _one_length(table) -> bool:
 def table_str(table: dict, text) -> str:
     """The printed sum of a str word -> coefficient table, as HElement
     prints it; text(c) is the printed coefficient c (str of a QtPoly,
-    pair_str of a pair), run once per distinct c."""
+    signed_str of a signed int), run once per distinct c."""
     prefix = Rendered(lambda c: _word_prefix(text(c)))
     return write_text([prefix[table[w]] + (w or "1") for w in canonical_words(table)])
 

@@ -10,29 +10,34 @@ words w1, w2 it satisfies
 with rho(x) = 0 and rho(y) = t x.  Every closed form in this package is
 checked against this recursion.  A product of two plain words is always of
 degree at most one in t (corrections contribute single standalone words, so
-no path multiplies two t factors), so every engine here sums into one
-halg pair table, word -> (c0, c1) meaning c0 + c1*t, and wraps it once
-with halg.from_pairs.
+no path multiplies two t factors), so the recursions sum into one halg
+pair table, word -> (c0, c1) meaning c0 + c1*t, and their engines wrap
+it once with halg.from_pairs.
 
 One step computes the split formula, _split_at: a sh b at one letter
-of a, summed from the tails a[k:] sh b[i:] of the recursion for every
-suffix b[i:] of b, each times the prefix shuffle a[:k-1] sh b[:i].  The
-plain shuffle _sh peels last letters, so all these prefix shuffles
-together build one table per prefix pair (a[:p], b[:q]).  split_product
-splits at the letter its caller names; tshuffle_table, the table imzv
-product prints without wrapping it, splits the longer word at its middle
-letter, which sums far fewer entries than the recursion builds for the
-whole product.  block_product only reads the paper's block notation: it
-checks the (letter, exponent) blocks, spells out the two words and wraps
-their tshuffle_table.
+of a, summed from the tails a[k:] sh b[i:] for every suffix b[i:] of b,
+each times the prefix shuffle a[:k-1] sh b[:i].  Two row DPs build them
+with no memo, each keeping one row of tables: _tails runs the
+recursion's first-letter step from the end of a back to letter k, and
+_prefixes the plain shuffle's last-letter step up to letter k-1.  Their
+tables, and the table _split_at sums, hold one signed int per word:
+c > 0 means c and c < 0 means c*t.  No coefficient of a product of two
+words needs both parts, since a word with as many x's as both factors
+has a positive constant and a word with one x more (a rho correction
+turned a y into an x) a negative multiple of t; so no sum in the split
+cancels.  tshuffle_table, the table imzv product prints, splits the
+longer word at its middle letter.  split_product splits at the letter
+its caller names, and block_product only reads the paper's block
+notation: it checks the (letter, exponent) blocks, spells out the two
+words and takes their tshuffle_table; both wrap the signed table with
+_from_signed.
 
 An engine that takes a memo takes one, cache, a plain dict the caller
 owns, and no value depends on it.  It holds only the recursions' tables:
 _tsh's under (u, v) keys and _sh's under (u, v, 0) keys, so one cache
-serves both.  split_product keeps its tails and its prefix shuffles in
-that one dict, as tshuffle_table does in its own, and every later
-product that uses the cache shares them.  Every table here, and every
-HElement built from one, is keyed by the word's letters as a plain str.
+serves both; split_product takes one and keeps nothing in it.  Every
+table here, and every HElement built from one, is keyed by the word's
+letters as a plain str.
 """
 
 from __future__ import annotations
@@ -111,22 +116,21 @@ def _tsh(u: str, v: str, memo: dict) -> dict:
 
 
 def tshuffle_table(w1, w2) -> dict:
-    """The t-shuffle product of two words as a pair table, str word ->
-    (c0, c1) meaning c0 + c1*t, with no zero pairs, for halg.table_str and
-    table_json to print without building a Word or a QtPoly per term.
-    Refuses words over MAX_LETTERS letters in all before any work.
+    """The t-shuffle product of two words as a signed table, str word ->
+    int c meaning c if c > 0 and c*t if c < 0, for halg.table_str and
+    table_json to print with signed_str without building a Word or a
+    QtPoly per term.  Refuses words over MAX_LETTERS letters in all before
+    any work.
 
     The table is the split formula at the middle letter of the longer
-    word (the product commutes), its tails from the recursion; nothing is
-    kept between calls.  Tests pin it to tshuffle_words, the recursion's
-    own table."""
+    word (the product commutes); nothing is kept between calls.  Tests
+    pin it to the recursion's own table."""
     a, b = _letters(w1, w2)
     if len(a) < len(b):
         a, b = b, a
-    memo = {}
-    if len(a) < 2 or not b:
-        return _tsh(a, b, memo)
-    return _split_at(a, b, len(a) // 2, memo)
+    if not b:
+        return {a: 1}
+    return _split_at(a, b, max(len(a) // 2, 1))
 
 
 def tshuffle_words(w1, w2, cache: dict | None = None) -> HElement:
@@ -164,8 +168,7 @@ def tshuffle(u: HElement, v: HElement, cache: dict | None = None) -> HElement:
 
 def _sh(u: str, v: str, memo: dict) -> dict:
     """Plain shuffle of two strings as a word -> (multiplicity, 0) table.
-    It peels last letters, so every table it builds for u sh v is of a
-    prefix pair u[:p] sh v[:q], shared by the prefix shuffles of _split_at."""
+    It peels last letters, as _prefixes does."""
     if not u:
         return {v: (1, 0)}
     if not v:
@@ -190,32 +193,6 @@ def _sh(u: str, v: str, memo: dict) -> dict:
             out[w + b] = c
     memo[key] = out
     return out
-
-
-# -t times the empty word: the right factor of every correction term
-_MINUS_T = {"": (0, -1)}
-
-
-def _add_concat(acc: dict, left: dict, mid: str, right: dict):
-    """Add the concatenation product left . mid . right into the pair table
-    acc in place, deleting a word whose sum cancels, as add_pair does.
-    left is a plain shuffle table (c1 = 0, c0 != 0), so every product is a
-    nonzero pair of t-degree at most one."""
-    get = acc.get
-    for lw, (l0, _) in left.items():
-        head = lw + mid
-        for rw, (r0, r1) in right.items():
-            w = head + rw
-            old = get(w)
-            if old is None:
-                acc[w] = (l0 * r0, l0 * r1)
-                continue
-            c0 = old[0] + l0 * r0
-            c1 = old[1] + l0 * r1
-            if c0 or c1:
-                acc[w] = (c0, c1)
-            else:
-                del acc[w]
 
 
 def shuffle_words(w1, w2, cache: dict | None = None) -> HElement:
@@ -272,40 +249,125 @@ def xpow_times_ypow(m: int, n: int) -> HElement:
     return from_pairs(acc)
 
 
-def _split_at(a: str, b: str, k: int, memo: dict) -> dict:
+# -t times the empty word as a signed table: the right factor of every
+# correction term
+_MINUS_T = {"": -1}
+
+
+def _tails(a: str, b: str, k: int) -> list:
+    """The signed tables a[k:] sh b[i:] for i = 0..len(b): row k of the
+    recursion's first-letter DP, built from row len(a) (empty a[j:]) down
+    to k.  Entry i of row j needs entry i of row j+1 and entry i+1 of row
+    j, so one row, overwritten from its end, holds all that is kept."""
+    m, n = len(a), len(b)
+    row = [{b[i:]: 1} for i in range(n + 1)]
+    for j in range(m - 1, k - 1, -1):
+        la, u = a[j], a[j:]
+        row[n] = {u: 1}
+        for i in range(n - 1, -1, -1):
+            lb = b[i]
+            out = {la + w: c for w, c in row[i].items()}
+            # as in _tsh, only la == lb can make two entries collide
+            if la == lb:
+                get = out.get
+                for w, c in row[i + 1].items():
+                    w = lb + w
+                    out[w] = get(w, 0) + c
+            else:
+                for w, c in row[i + 1].items():
+                    out[lb + w] = c
+            if j == m - 1 and la == "y":
+                w = "x" + b[i:]
+                out[w] = out.get(w, 0) - 1
+            if i == n - 1 and lb == "y":
+                w = "x" + u
+                out[w] = out.get(w, 0) - 1
+            row[i] = out
+    return row
+
+
+def _prefixes(a: str, b: str, k: int) -> tuple:
+    """The plain shuffles a[:k-1] sh b[:q] for q = 0..len(b), and
+    a[:k-1] sh b[:n-1]x when b ends in y (else None): row k-1 of the
+    last-letter DP, built from row 0 up, one row kept as in _tails."""
+    n = len(b)
+    row = [{b[:q]: 1} for q in range(n + 1)]
+    corner = {b[:n - 1] + "x": 1} if n and b[-1] == "y" else None
+    for p in range(1, k):
+        la = a[p - 1]
+        row[0] = {a[:p]: 1}
+        for q in range(1, n + 1):
+            row[q] = _append(row[q], la, row[q - 1], b[q - 1])
+        if corner is not None:
+            corner = _append(corner, la, row[n - 1], "x")
+    return row, corner
+
+
+def _append(left: dict, la: str, right: dict, lb: str) -> dict:
+    """left . la + right . lb for two plain shuffle tables."""
+    out = {w + la: c for w, c in left.items()}
+    if la == lb:
+        get = out.get
+        for w, c in right.items():
+            w += lb
+            out[w] = get(w, 0) + c
+    else:
+        for w, c in right.items():
+            out[w + lb] = c
+    return out
+
+
+def _add_concat(acc: dict, left: dict, mid: str, right: dict):
+    """Add the concatenation product left . mid . right of two signed
+    tables into the signed table acc in place.  left is a plain shuffle
+    table (c > 0), and every sum in the split formula is of one sign, so
+    none cancels."""
+    get = acc.get
+    for lw, l in left.items():
+        head = lw + mid
+        for rw, r in right.items():
+            w = head + rw
+            acc[w] = get(w, 0) + l * r
+
+
+def _from_signed(table: dict) -> HElement:
+    """Wrap a signed table as halg.from_pairs wraps a pair table."""
+    return from_pairs({w: (c, 0) if c > 0 else (0, c) for w, c in table.items()})
+
+
+def _split_at(a: str, b: str, k: int) -> dict:
     """The split formula for a sh b at letter position k (1 <= k <= len(a)):
 
         sum_{i=0}^{n} (a[:k-1] sh0 b[:i]) a_k (a[k:] sh b[i:])
         - (a[:k-1] sh0 b[:n-1].rho(b_n)) a_k a[k+1:]...
         - [k == m] sum_{i=0}^{n-1} (a[:m-1] sh0 b[:i]) rho(a_m) b[i:]
 
-    where sh0 is the plain shuffle, summed into a pair table: the tails
-    a[k:] sh b[i:] from _tsh, the prefix shuffles from _sh, both with
-    memo.  The value does not depend on k.
+    where sh0 is the plain shuffle, summed into a signed table from the
+    rows of _tails and _prefixes.  The value does not depend on k.
     """
     m, n = len(a), len(b)
-    pre, mid, tail = a[: k - 1], a[k - 1], a[k:]
+    tails = _tails(a, b, k)
+    prefixes, corner = _prefixes(a, b, k)
     acc = {}
     for i in range(n + 1):
-        _add_concat(acc, _sh(pre, b[:i], memo), mid, _tsh(tail, b[i:], memo))
-    if n >= 1 and b[-1] == "y":
-        _add_concat(acc, _sh(pre, b[: n - 1] + "x", memo), a[k - 1:], _MINUS_T)
+        _add_concat(acc, prefixes[i], a[k - 1], tails[i])
+    if corner is not None:
+        _add_concat(acc, corner, a[k - 1:], _MINUS_T)
     if k == m and a[-1] == "y":
         for i in range(n):
-            _add_concat(acc, _sh(pre, b[:i], memo), "x" + b[i:], _MINUS_T)
+            _add_concat(acc, prefixes[i], "x" + b[i:], _MINUS_T)
     return acc
 
 
 def split_product(a_word, b_word, k: int, cache: dict | None = None) -> HElement:
     """The t-shuffle a sh b computed by splitting a at letter position k
-    (1 <= k <= len(a)), with the oracle's tables for the tails a[k:] sh b[i:]
-    and the plain shuffle's for the prefixes, both kept in cache as in
-    tshuffle_words.  The value does not depend on k.
+    (1 <= k <= len(a)).  The value does not depend on k.  cache is taken
+    for the signature the other engines share and left untouched.
     """
     a, b = _letters(a_word, b_word)
     if not 1 <= k <= len(a):
         raise ValueError("k must satisfy 1 <= k <= len(a)")
-    return from_pairs(_split_at(a, b, k, {} if cache is None else cache))
+    return _from_signed(_split_at(a, b, k))
 
 
 def word_blocks(w) -> tuple:
@@ -325,7 +387,8 @@ def _blocks_to_string(blocks) -> str:
 
 def block_product(blocks_a, blocks_b) -> HElement:
     """The t-shuffle of two words given as (letter, exponent) blocks: the
-    product imzv product prints (tshuffle_table) of the words they spell.
+    product imzv product prints (tshuffle_table) of the words they spell,
+    wrapped with _from_signed.
 
     Each block letter must be "x" or "y".  Zero exponents are allowed and
     ignored; a negative one is refused, and so are exponents over
@@ -338,4 +401,5 @@ def block_product(blocks_a, blocks_b) -> HElement:
     if any(e < 0 for _, e in blocks):
         raise ValueError("need exponents >= 0")
     _check_letters(sum(e for _, e in blocks))
-    return from_pairs(tshuffle_table(_blocks_to_string(blocks_a), _blocks_to_string(blocks_b)))
+    return _from_signed(tshuffle_table(_blocks_to_string(blocks_a),
+                                       _blocks_to_string(blocks_b)))

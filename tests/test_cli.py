@@ -271,8 +271,8 @@ def test_product_at_the_letter_limit_and_one_letter_over(capsys, monkeypatch):
 
     # the package binds the name tshuffle to the bilinear product
     engines = importlib.import_module("imzv.tshuffle")
-    monkeypatch.setattr(engines, "_tsh", no_table)
-    monkeypatch.setattr(engines, "_split_at", no_table)
+    monkeypatch.setattr(engines, "_tails", no_table)
+    monkeypatch.setattr(engines, "_prefixes", no_table)
     with pytest.raises(AssertionError, match="a table was built"):
         main(["product", "xy", "y"])
     code, out, err = run(capsys, "product", long + "x", "x")
@@ -291,8 +291,8 @@ def test_product_refuses_a_word_bound_over_the_limit_before_any_table(capsys, mo
         raise AssertionError("a table was built")
 
     engines = importlib.import_module("imzv.tshuffle")
-    monkeypatch.setattr(engines, "_tsh", no_table)
-    monkeypatch.setattr(engines, "_split_at", no_table)
+    monkeypatch.setattr(engines, "_tails", no_table)
+    monkeypatch.setattr(engines, "_prefixes", no_table)
     # 500 letters, inside the letter limit; 56 letters, far beyond memory
     for u, v in (("x" * 250, "y" * 250), ("x" * 14 + "y" * 14,) * 2):
         code, out, err = run(capsys, "product", u, v)
@@ -543,6 +543,25 @@ def test_python_dash_m_runs_the_cli_from_a_checkout():
     assert bad.returncode == 2
     assert bad.stdout == ""
     assert bad.stderr.endswith("imzv: error: unrecognized arguments: --bogus\n")
+
+
+def test_product_of_300_letters_runs_in_a_256_mb_address_space():
+    # the split keeps one row of tables at a time; a memo of every suffix
+    # pair's table peaks at about 314 MB on this product
+    limit = 256 * 2 ** 20
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (%d, %d))\n"
+        "from imzv.cli import main\n"
+        "sys.exit(main(['product', 'y' * 150, 'y' * 150, '--format', 'json']))\n"
+    ) % (limit, limit)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    rows = json.loads(done.stdout)
+    assert len(rows) == 151
+    assert rows[0] == {"word": "y" * 300, "coeff": str(math.comb(300, 150))}
 
 
 def test_index_json_for_non_admissible_word(capsys):

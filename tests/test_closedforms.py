@@ -69,7 +69,7 @@ def test_closed_forms_do_not_call_the_recursive_engines(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a closed form called the recursive engine")
 
-    for name in ("_tsh", "_sh", "_split_at"):
+    for name in ("_tsh", "_sh", "_tails", "_prefixes"):
         monkeypatch.setattr(engines, name, refuse)
     monkeypatch.setattr(closedforms, "_tsh", refuse)
     assert [pattern_product(a, b) for a, b in cases] == oracle

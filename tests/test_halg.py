@@ -32,7 +32,7 @@ from imzv.halg import (
     canonical_words,
     from_pairs,
     pair_poly,
-    pair_str,
+    signed_str,
     table_json,
     table_str,
     write_text,
@@ -210,21 +210,21 @@ def _poly_prefix(c):
 
 
 def test_a_pair_prints_as_its_qtpoly_prints():
-    # every nonzero pair of small ints, and of +-10^30; the engines never
-    # make a negative c0 or (0, 1), but the table writers take them
-    values = list(range(-12, 13)) + [10 ** 30, -10 ** 30]
-    pairs = [(c0, c1) for c0 in values for c1 in values if c0 or c1]
-    assert (-3, 0) in pairs and (0, 1) in pairs and (0, -1) in pairs
+    # every pair a signed table writes as one int: (c, 0) as c > 0 and
+    # (0, c) as c < 0, for small ints and +-10^30
+    values = list(range(1, 13)) + [10 ** 30]
+    pairs = [(c, 0) for c in values] + [(0, -c) for c in values]
     for pair in pairs:
-        c = pair_poly(pair)
-        assert pair_str(pair) == str(c), pair
-        assert table_str({"y": (1, 0), "xy": pair}, pair_str) == "y" + _poly_prefix(c) + "xy"
-        assert table_str({"xy": pair}, pair_str) == str(from_pairs({"xy": pair}))
+        c, signed = pair_poly(pair), pair[0] or pair[1]
+        assert signed_str(signed) == str(c), pair
+        assert table_str({"y": 1, "xy": signed}, signed_str) == "y" + _poly_prefix(c) + "xy"
+        assert table_str({"xy": signed}, signed_str) == str(from_pairs({"xy": pair}))
         want = json.dumps([{"word": "xy", "coeff": str(c)}])
-        assert table_json({"xy": pair}, pair_str) == want, pair
-    table = {w: pair for w, pair in zip(("", "x", "y", "xy", "yx", "yy"), pairs[::121])}
-    assert table_str(table, pair_str) == str(from_pairs(table))
-    assert table_json(table, pair_str) == helement_to_json(from_pairs(table))
+        assert table_json({"xy": signed}, signed_str) == want, pair
+    signed = dict(zip(("", "x", "y", "xy", "yx", "yy"), (3, -1, 1, -12, 10 ** 30, -2)))
+    table = {w: (c, 0) if c > 0 else (0, c) for w, c in signed.items()}
+    assert table_str(signed, signed_str) == str(from_pairs(table))
+    assert table_json(signed, signed_str) == helement_to_json(from_pairs(table))
 
 
 def _reference_str(table, text):
@@ -248,8 +248,8 @@ def test_table_writers_match_the_canonical_order_on_every_small_product():
     for u in words:
         for v in words:
             table = tshuffle_table(u, v)
-            assert table_str(table, pair_str) == _reference_str(table, pair_str), (u, v)
-            assert table_json(table, pair_str) == _reference_json(table, pair_str), (u, v)
+            assert table_str(table, signed_str) == _reference_str(table, signed_str), (u, v)
+            assert table_json(table, signed_str) == _reference_json(table, signed_str), (u, v)
 
 
 def test_table_writers_keep_the_canonical_order_of_mixed_lengths():

@@ -1,6 +1,6 @@
 """The product and expand replies, written from the engine tables.
 
-`imzv product` prints the pair table of tshuffle_table, the split formula
+`imzv product` prints the signed table of tshuffle_table, the split formula
 at the middle letter of the longer word, and `imzv expand` the fusion
 walk's rows, each row's index text closed during the walk, without
 building an HElement or a ZetaCombo.  These tests hold both replies, text

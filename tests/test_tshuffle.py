@@ -8,7 +8,9 @@ associativity, unit) underpin everything downstream.
 """
 
 import importlib
+import random
 from fractions import Fraction
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,8 +33,18 @@ from imzv import (
     yy_product_formula,
 )
 import imzv.words
-from imzv.halg import add_pair, from_pairs
-from imzv.tshuffle import MAX_LETTERS, _add_concat, _sh, _split_at, _tsh, tshuffle_table
+from imzv.halg import add_pair
+from imzv.tshuffle import (
+    MAX_LETTERS,
+    _add_concat,
+    _from_signed,
+    _prefixes,
+    _sh,
+    _split_at,
+    _tails,
+    _tsh,
+    tshuffle_table,
+)
 from imzv.words import all_words
 from imzv.verify import run_oracle_laws
 
@@ -270,7 +282,7 @@ _LETTER_ENGINES = {
     "shuffle_words": shuffle_words,
     "split_product": lambda u, v: split_product(u, v, 1),
     "block_product": lambda u, v: block_product(word_blocks(u), word_blocks(v)),
-    "tshuffle_table": lambda u, v: from_pairs(tshuffle_table(u, v)),
+    "tshuffle_table": lambda u, v: _from_signed(tshuffle_table(u, v)),
 }
 
 
@@ -291,17 +303,61 @@ def test_correction_terms_at_the_letter_limit():
     m = MAX_LETTERS - 1
     assert tshuffle_words("y" * m, "y") == yy_product_formula(m, 1)
     for u, v in (("y" * m, "y"), ("y", "y" * m)):
-        assert from_pairs(tshuffle_table(u, v)) == yy_product_formula(m, 1)
+        assert _from_signed(tshuffle_table(u, v)) == yy_product_formula(m, 1)
+
+
+def _signed(table):
+    """A recursion's pair table as a signed table: c0 if c0, else c1."""
+    return {w: c0 or c1 for w, (c0, c1) in table.items()}
+
+
+def _assert_split_is_the_recursion(u, v):
+    want = _signed(_tsh(u, v, {}))
+    assert tshuffle_table(u, v) == want, (u, v)
+    for k in range(1, len(u) + 1):
+        assert _split_at(u, v, k) == want, (u, v, k)
+    return len(u)
 
 
 def test_the_printed_table_is_the_recursion_on_every_pair_up_to_five_letters():
     # tshuffle_table sums the split formula at the middle of the longer
-    # word; the reference is the recursion's own table, with a fresh memo
+    # word; the reference is the recursion's own table, with a fresh memo,
+    # and so is the split at every letter
     words = [w.letters for w in all_words(5)]
-    assert len(words) == 63 and "" in words and "yxxyx" in words
-    for u in words:
-        for v in words:
-            assert tshuffle_table(u, v) == _tsh(u, v, {}), (u, v)
+    assert len(words) == 63 and "" in words and "y" in words and "yxxyx" in words
+    splits = sum(_assert_split_is_the_recursion(u, v) for u in words for v in words)
+    assert splits == 16254
+
+
+def test_the_split_is_the_recursion_on_random_pairs_up_to_fourteen_letters():
+    rng = random.Random(1)
+    letters = 0
+    for _ in range(300):
+        m = rng.randint(1, 13)
+        u = "".join(rng.choice("xy") for _ in range(m))
+        v = "".join(rng.choice("xy") for _ in range(rng.randint(1, 14 - m)))
+        _assert_split_is_the_recursion(u, v)
+        letters = max(letters, len(u + v))
+    assert letters == 14
+
+
+def test_the_row_builders_give_the_recursions_tables_at_every_split():
+    # row k of _tails holds a[k:] sh b[i:] for every i, and row k-1 of
+    # _prefixes the plain shuffles a[:k-1] sh b[:q] for every q, with the
+    # corner a[:k-1] sh b[:n-1]x when b ends in y
+    words = [w.letters for w in all_words(4)]
+    for a in words:
+        for b in words:
+            n = len(b)
+            for k in range(1, len(a) + 1):
+                tails = _tails(a, b, k)
+                assert tails == [_signed(_tsh(a[k:], b[i:], {})) for i in range(n + 1)]
+                prefixes, corner = _prefixes(a, b, k)
+                assert prefixes == [_signed(_sh(a[:k - 1], b[:q], {})) for q in range(n + 1)]
+                if n and b[-1] == "y":
+                    assert corner == _signed(_sh(a[:k - 1], b[:n - 1] + "x", {})), (a, b, k)
+                else:
+                    assert corner is None
 
 
 def test_a_memo_shared_by_both_recursions_keeps_them_apart():
@@ -311,19 +367,12 @@ def test_a_memo_shared_by_both_recursions_keeps_them_apart():
     assert tshuffle_words("xy", "y", cache) == tshuffle_words("xy", "y")
 
 
-def test_split_product_keeps_its_prefix_shuffles_in_the_cache():
+def test_split_product_keeps_nothing_in_the_cache():
     cache = {}
-    a, b, k = "xyxy", "xxyy", 2
-    got = split_product(a, b, k, cache)
-    assert got == tshuffle_words(a, b)
-    # the tails a[k:] sh b[i:] under (u, v), the prefix shuffles
-    # a[:k-1] sh b[:i] under (u, v, 0), one dict for both
-    assert {(a[k:], b[i:]) for i in range(len(b))} <= cache.keys()
-    assert {(a[:k - 1], b[:i], 0) for i in range(1, len(b) + 1)} <= cache.keys()
-    # a later product on the cache finds them
-    size = len(cache)
-    assert split_product(a, b, k, cache) == got
-    assert len(cache) == size
+    a, b = "xyxy", "xxyy"
+    for k in range(1, len(a) + 1):
+        assert split_product(a, b, k, cache) == tshuffle_words(a, b)
+    assert cache == {}
 
 
 def test_a_memo_holds_only_the_recursions_tables():
@@ -398,53 +447,36 @@ def test_prefix_tables_match_the_add_pair_recursion(engine, reference):
 @pytest.mark.parametrize("engine", [_tsh, _sh], ids=["_tsh", "_sh"])
 def test_every_recursion_entry_has_c0_at_least_zero_at_least_c1(engine):
     # the invariant that lets _tsh and _sh sum two colliding entries with
-    # no cancellation check: c0 >= 0 >= c1 on both sides, neither (0, 0),
-    # so no sum is (0, 0).  Checked on every ordered pair of words of at
-    # most 6 letters: the memo keeps the table of each pair of nonempty
-    # words, and of every pair the recursion met on the way.
+    # no cancellation check, and lets the split keep one signed int per
+    # word: with X the x's of both words, every entry is (c > 0, 0) on a
+    # word of X x's or (0, c < 0) on a word of X + 1 x's, the y a rho
+    # correction turned into an x.  Checked on every ordered pair of words
+    # of at most 6 letters; the tables of the pairs the recursion meets on
+    # the way are those of shorter pairs, checked in their turn.
     words = [w.letters for w in all_words(6)]
+    pairs = 0
     for u in words:
         memo = {}
         for v in words:
-            engine(u, v, memo)
-        for table in memo.values():
-            for w, (c0, c1) in table.items():
-                assert c0 >= 0 >= c1 and (c0 or c1), (u, w, c0, c1)
+            xs = u.count("x") + v.count("x")
+            table = engine(u, v, memo)
+            # the distinct (x count, coefficient) kinds, gathered in C
+            for n, (c0, c1) in set(zip(map(str.count, table, repeat("x")), table.values())):
+                assert ((n == xs and c0 > 0 == c1)
+                        or (n == xs + 1 and c0 == 0 > c1)), (u, v, n, c0, c1)
+            pairs += 1
+    assert pairs == 16129
 
 
-def test_the_split_builds_plain_shuffles_of_prefix_pairs_only():
-    # _sh peels last letters, so the prefix shuffles a[:k-1] sh b[:i] of
-    # the split formula, for every i, build tables only of prefix pairs
-    # (a[:p], b[:q]), and of the pairs (a[:p], b[:n-1] x) of its correction
-    words = [w.letters for w in all_words(4)]
-    tables = 0
-    for a in words:
-        for b in words:
-            n = len(b)
-            allowed = {b[:q] for q in range(n + 1)}
-            if n and b[-1] == "y":
-                allowed.add(b[: n - 1] + "x")
-            for k in range(1, len(a) + 1):
-                memo = {}
-                assert _split_at(a, b, k, memo) == _tsh(a, b, {}), (a, b, k)
-                # the plain shuffle's (u, v, 0) keys, beside the tails' (u, v)
-                shmemo = [key for key in memo if len(key) == 3]
-                for u, v, zero in shmemo:
-                    assert zero == 0 and u == a[: len(u)] and len(u) < k, (a, b, k, u)
-                    assert v in allowed, (a, b, k, v)
-                tables += len(shmemo)
-    assert tables == 14012
-
-
-def test_concatenation_sums_like_add_pair_and_drops_a_cancelled_word():
-    # the split formula's own sums never cancel (c0 >= 0 >= c1 throughout),
-    # so the cancelling entries are set up in acc beforehand
-    left, mid, right = {"x": (1, 0), "y": (2, 0)}, "y", {"x": (1, -1), "": (0, 2)}
-    acc = {"xyx": (-1, 1), "yy": (3, -4), "xx": (5, 0)}
-    want = dict(acc)
-    for lw, (l0, _) in left.items():
-        for rw, (r0, r1) in right.items():
-            add_pair(want, lw + mid + rw, l0 * r0, l0 * r1)
+def test_concatenation_sums_signed_coefficients_like_add_pair():
+    # a plain shuffle table on the left, signed entries on the right; the
+    # split formula's sums are all of one sign per word, so none cancels
+    left, mid, right = {"x": 1, "y": 2}, "y", {"x": 3, "": -2}
+    acc = {"xyx": 1, "yy": -4, "xx": 5}
+    want = {w: (c, 0) if c > 0 else (0, c) for w, c in acc.items()}
+    for lw, l in left.items():
+        for rw, r in right.items():
+            add_pair(want, lw + mid + rw, *((l * r, 0) if r > 0 else (0, l * r)))
     _add_concat(acc, left, mid, right)
-    assert list(acc.items()) == list(want.items())
-    assert acc == {"yy": (3, 0), "xx": (5, 0), "xy": (0, 2), "yyx": (2, -2)}
+    assert acc == {w: c0 or c1 for w, (c0, c1) in want.items()}
+    assert acc == {"xyx": 4, "yy": -8, "xx": 5, "xy": -2, "yyx": 6}
