@@ -29,8 +29,8 @@ from imzv.closedforms import (
     alternating_product_sum,
     expanded_height_one_product,
 )
-from imzv.coeffs import binom
-from imzv.halg import HElement, add_pair, from_pairs
+from imzv.coeffs import QtPoly, binom
+from imzv.halg import HElement, accumulate, make_helement
 from imzv.tshuffle import (
     _blocks_to_string,
     _sh,
@@ -41,16 +41,16 @@ from imzv.tshuffle import (
 from imzv.words import Word, all_words
 
 # -t times the empty word: the right factor of every correction term
-_MINUS_T = {"": (0, -1)}
+_MINUS_T = {"": QtPoly({1: -1})}
 
 
 def _add_concat(acc, left, mid, right):
-    """Add the concatenation product left . mid . right of two pair tables
-    into the pair table acc with add_pair, so a defective variant's sum
-    may cancel."""
-    for lw, (l0, _) in left.items():
-        for rw, (r0, r1) in right.items():
-            add_pair(acc, lw + mid + rw, l0 * r0, l0 * r1)
+    """Add the concatenation product left . mid . right of a plain shuffle
+    table (int multiplicities) and a QtPoly table into the QtPoly table
+    acc with accumulate, so a defective variant's sum may cancel."""
+    for lw, l in left.items():
+        for rw, r in right.items():
+            accumulate(acc, lw + mid + rw, r * l)
 
 
 def _diff_rows(diff: HElement):
@@ -81,19 +81,19 @@ def expanded_without_unit_tail(m, j, n, k) -> HElement:
                 runs = [aa[0] + m + n1, *aa[1:]]
                 runs[-1] += 1
                 w = "y".join("x" * e for e in runs) + "y" * (j - i)
-                add_pair(family, w, 0, cn)
-    return full + from_pairs(family)
+                accumulate(family, w, QtPoly({1: cn}))
+    return full + make_helement(family)
 
 
 def block_split_variant(a_word, b_word, mode) -> HElement:
     """The block recursion with one of the defective readings, summed into
-    pair tables.  The script keeps its own copy of the recursion, which
+    QtPoly tables.  The script keeps its own copy of the recursion, which
     splits a at the end of its first block, so each defect sits where a
     typeset reading puts it."""
 
     def rec(a_blocks, b, shmemo):
         if not a_blocks:
-            return {b: (1, 0)}
+            return {b: QtPoly.one()}
         a1, m1 = a_blocks[0]
         head = a1 * (m1 - 1)
         tail_blocks = a_blocks[1:]
@@ -102,7 +102,7 @@ def block_split_variant(a_word, b_word, mode) -> HElement:
         for i in range(1, n + 1):
             right = rec(tail_blocks, b[i:], shmemo)
             _add_concat(acc, _sh(head, b[:i], shmemo), a1, right)
-        _add_concat(acc, {a1 * m1: (1, 0)}, "", rec(tail_blocks, b, shmemo))
+        _add_concat(acc, {a1 * m1: 1}, "", rec(tail_blocks, b, shmemo))
         if len(a_blocks) == 1 and a1 == "y":
             if mode == "boundary-prefixes":
                 cuts = [0]
@@ -121,7 +121,7 @@ def block_split_variant(a_word, b_word, mode) -> HElement:
         return acc
 
     blocks = tuple((ch, e) for ch, e in word_blocks(a_word) if e > 0)
-    return from_pairs(rec(blocks, Word(b_word).letters, {}))
+    return make_helement(rec(blocks, Word(b_word).letters, {}))
 
 
 def alternating_with_clamped_parity(k, p) -> HElement:
@@ -138,8 +138,8 @@ def alternating_with_clamped_parity(k, p) -> HElement:
             continue
         for alpha in compositions(2 * (p - 1), l + 1):
             w = "".join("x" * e + "y" for e in alpha) + "xy" + "y" * (k - l - 1)
-            add_pair(family, w, 0, weight * binom(alpha[0], p - 1))
-    return full + from_pairs(family)
+            accumulate(family, w, QtPoly({1: weight * binom(alpha[0], p - 1)}))
+    return full + make_helement(family)
 
 
 def main() -> int:

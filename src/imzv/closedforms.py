@@ -15,17 +15,21 @@ family.  The grid tests pin each function to the recursive engine exactly,
 coefficient by coefficient, and none of them but alternating_product_sum
 calls that engine.
 
-Each function sums into one halg pair table, word -> (c0, c1) meaning
-c0 + c1*t: a plain word adds (c, 0) and a merged word (0, -c).  The table
-is wrapped once with halg.from_pairs.
+Each single product sums into one halg signed table, word -> int c
+meaning c if c > 0 and c*t if c < 0: a plain word adds +c and a merged
+word -c, so within one product no sum cancels.  The table is wrapped once
+with halg.from_signed.  The alternating sums mix signs:
+alternating_product_sum folds its odd-i products into its even-i ones
+with halg.accumulate, and the alternating closed forms sum QtPoly
+coefficients with accumulate throughout.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .coeffs import binom
-from .halg import HElement, add_pair, from_pairs
+from .coeffs import QtPoly, binom
+from .halg import HElement, accumulate, from_signed, make_helement
 from .tshuffle import _check_letters, _tsh, _yy_corrections, compositions
 
 
@@ -48,12 +52,11 @@ def pattern_product(a_exps, b_exps) -> HElement:
     word's current run.  The next y comes from the left (0) or the right
     (1) word; it takes all x's still pending from its own word's run plus
     the first q of the other word's, which interleave in comb(run + q, q)
-    ways.  Each state returns the pair table of every output suffix from
-    there, word -> (c0, c1).  A word's final y placed while the other word
-    still has a y to place is the earlier final y, so that step, of weight
-    m and x run head, adds each suffix word w both as head+"y"+w at
-    (m*c0, 0) and as head+"x"+w at (0, -m*c0); every suffix after it is
-    plain.
+    ways.  Each state returns the signed table of every output suffix from
+    there.  A word's final y placed while the other word still has a y to
+    place is the earlier final y, so that step, of weight m and x run
+    head, adds each suffix word w with coefficient c both as head+"y"+w at
+    m*c and as head+"x"+w at -m*c; every suffix after it is plain (c > 0).
     """
     a_exps, b_exps = tuple(a_exps), tuple(b_exps)
     if not a_exps or not b_exps:
@@ -66,13 +69,14 @@ def pattern_product(a_exps, b_exps) -> HElement:
     ends = (len(a_exps), len(b_exps))
     # state: each word's next y, then each word's pending x's; with both
     # words placed the only suffix left is the empty word
-    memo: dict = {ends + (0, 0): {"": (1, 0)}}
+    memo: dict = {ends + (0, 0): {"": 1}}
 
     def suffix(state):
-        """Pair table of every output suffix after state."""
+        """Signed table of every output suffix after state."""
         if state in memo:
             return memo[state]
         acc = memo[state] = {}
+        get = acc.get
         for side, other in ((0, 1), (1, 0)):
             i, own, theirs = state[side], state[2 + side], state[2 + other]
             if i == ends[side]:
@@ -84,14 +88,15 @@ def pattern_product(a_exps, b_exps) -> HElement:
             for q in range(theirs + 1):
                 nxt[2 + other] = theirs - q
                 m, head = comb(own + q, q), "x" * (own + q)
-                # after a turning step the suffix is plain: c1 == 0
-                for w, (c0, c1) in suffix(tuple(nxt)).items():
-                    add_pair(acc, head + "y" + w, m * c0, m * c1)
+                for w, c in suffix(tuple(nxt)).items():
+                    plain = head + "y" + w
+                    acc[plain] = get(plain, 0) + m * c
                     if turns:
-                        add_pair(acc, head + "x" + w, 0, -m * c0)
+                        merged = head + "x" + w
+                        acc[merged] = get(merged, 0) - m * c
         return acc
 
-    return from_pairs(suffix((0, 0, a_exps[0], b_exps[0])))
+    return from_signed(suffix((0, 0, a_exps[0], b_exps[0])))
 
 
 def height_one_product(a: int, r: int, b: int, s: int) -> HElement:
@@ -109,6 +114,7 @@ def height_one_product(a: int, r: int, b: int, s: int) -> HElement:
         raise ValueError("need a, r, b, s >= 1")
     _check_letters(a + r + b + s)
     acc: dict = {}
+    get = acc.get
     # each family comes once per word: its x exponent, its own y count h
     # and the other word's y count g
     for e, h, g in ((a, r, s), (b, s, r)):
@@ -118,19 +124,22 @@ def height_one_product(a: int, r: int, b: int, s: int) -> HElement:
                 if not ce:
                     continue
                 head = _zword(alpha[:-1]) + "x" * alpha[-1]
-                add_pair(acc, head + "y" * (r + s - l), ce * binom(r + s - l - 1, h - l), 0)
+                w = head + "y" * (r + s - l)
+                acc[w] = get(w, 0) + ce * binom(r + s - l - 1, h - l)
                 if l == h:
                     # final-run merge: the last two runs fuse around the replaced y
                     w = _zword(alpha[:-2]) + "x" * (alpha[-2] + alpha[-1] + 1) + "y" * g
-                    add_pair(acc, w, 0, -ce)
+                    acc[w] = get(w, 0) - ce
                     continue
                 # inner replacement: ... x^{alpha_{l+1}} y, then each y^{h-l} sh y^{g-1} correction
                 for w, c in _yy_corrections(h - l, g - 1):
-                    add_pair(acc, head + "y" + w, 0, -ce * c)
+                    w = head + "y" + w
+                    acc[w] = get(w, 0) - ce * c
                 # single-height tail: only present when the other word has one y
                 if g == 1:
-                    add_pair(acc, head + "x" + "y" * (h - l), 0, -ce)
-    return from_pairs(acc)
+                    w = head + "x" + "y" * (h - l)
+                    acc[w] = get(w, 0) - ce
+    return from_signed(acc)
 
 
 def expanded_height_one_product(m: int, j: int, n: int, k: int) -> HElement:
@@ -146,6 +155,7 @@ def expanded_height_one_product(m: int, j: int, n: int, k: int) -> HElement:
         raise ValueError("need m, j, n, k >= 1")
     _check_letters(m + j + n + k)
     acc: dict = {}
+    get = acc.get
 
     # every binomial weight below is at least 1, as m, n >= 1
     for n1 in range(n + 1):
@@ -157,9 +167,11 @@ def expanded_height_one_product(m: int, j: int, n: int, k: int) -> HElement:
             cm = cn * binom(m2 + k - 1, k - 1)
             for aa in compositions(n - n1, m1 + 1):
                 base = "y".join("x" * e for e in (aa[0] + m + n1, *aa[1:]))
-                add_pair(acc, base + "y" * (m2 + k), cm, 0)
+                w = base + "y" * (m2 + k)
+                acc[w] = get(w, 0) + cm
                 for w, c in _yy_corrections(m2, k - 1):
-                    add_pair(acc, base + "y" + w, 0, -cn * c)
+                    w = base + "y" + w
+                    acc[w] = get(w, 0) - cn * c
         # left word's last y merged into a bumped run
         for j1 in range(n - n1 + 1):
             j2 = n - n1 - j1
@@ -167,7 +179,7 @@ def expanded_height_one_product(m: int, j: int, n: int, k: int) -> HElement:
                 runs = [aa[0] + m + n1, *aa[1:]]
                 runs[-1] += j2 + 1
                 w = "y".join("x" * e for e in runs) + "y" * k
-                add_pair(acc, w, 0, -cn)
+                acc[w] = get(w, 0) - cn
         # right word with one y: its y merged into a bumped run
         if k == 1:
             for i in range(j):
@@ -175,7 +187,7 @@ def expanded_height_one_product(m: int, j: int, n: int, k: int) -> HElement:
                     runs = [aa[0] + m + n1, *aa[1:]]
                     runs[-1] += 1
                     w = "y".join("x" * e for e in runs) + "y" * (j - i)
-                    add_pair(acc, w, 0, -cn)
+                    acc[w] = get(w, 0) - cn
 
     for k1 in range(1, k + 1):
         for m1 in range(m):
@@ -188,9 +200,11 @@ def expanded_height_one_product(m: int, j: int, n: int, k: int) -> HElement:
                 runs = [bb[0] + n + m1, *bb[1:]]
                 runs[-1] += 1
                 base = "y".join("x" * e for e in runs)
-                add_pair(acc, base + "y" * (j + k - k1), cb, 0)
+                w = base + "y" * (j + k - k1)
+                acc[w] = get(w, 0) + cb
                 for w, c in _yy_corrections(j, k - k1):
-                    add_pair(acc, base + w, 0, -ca * c)
+                    w = base + w
+                    acc[w] = get(w, 0) - ca * c
 
     # right word's last y merged, all of its y's used as separators
     for m1 in range(m):
@@ -201,9 +215,9 @@ def expanded_height_one_product(m: int, j: int, n: int, k: int) -> HElement:
                 runs = [aa[0] + n + m1, *aa[1:]]
                 runs[-1] += m3 + 2
                 w = "y".join("x" * e for e in runs) + "y" * j
-                add_pair(acc, w, 0, -ca)
+                acc[w] = get(w, 0) - ca
 
-    return from_pairs(acc)
+    return from_signed(acc)
 
 
 def height_two_product(a: int, r: int, b1: int, s1: int,
@@ -238,12 +252,19 @@ def alternating_product_sum(k: int, p: int, cache: dict | None = None) -> HEleme
     if cache is None:
         cache = {}
     zp = "x" * (p - 1) + "y"
-    acc: dict = {}
+    # every product has 2(p-1) x's in all, so the even-i products and the
+    # odd-i ones each sum into one signed table, in which nothing cancels
+    tables = ({}, {})
     for i in range(k + 1):
-        sign = -1 if i % 2 else 1
-        for w, (c0, c1) in _tsh(zp + "y" * i, zp + "y" * (k - i), cache).items():
-            add_pair(acc, w, sign * c0, sign * c1)
-    return from_pairs(acc)
+        acc = tables[i % 2]
+        get = acc.get
+        for w, c in _tsh(zp + "y" * i, zp + "y" * (k - i), cache).items():
+            acc[w] = get(w, 0) + c
+    even, odd = map(from_signed, tables)
+    terms = even.terms  # a new dict, held by nothing else yet
+    for w, c in odd.terms.items():
+        accumulate(terms, w, -c)
+    return make_helement(terms)
 
 
 def alternating_product_closed_form(k: int, p: int) -> HElement:
@@ -263,21 +284,21 @@ def alternating_product_closed_form(k: int, p: int) -> HElement:
     acc: dict = {}
 
     for alpha in compositions(wt, k + 2):
-        add_pair(acc, _zword(alpha), 2 * binom(alpha[0], p - 1), 0)
+        accumulate(acc, _zword(alpha), QtPoly.const(2 * binom(alpha[0], p - 1)))
 
     # bumped final run before a y^(k-l) tail, plus both two-run merges
     for l in range(1, k + 1):
         for alpha in compositions(wt, l + 1):
             c = 2 * binom(alpha[0], p - 1)
             w = _zword(alpha[:-1]) + "x" * (alpha[-1] + 1) + "y" * (k - l + 1)
-            add_pair(acc, w, 0, -c)
+            accumulate(acc, w, QtPoly({1: -c}))
     for alpha in compositions(wt, 2):
         c = 2 * binom(alpha[0], p - 1)
-        add_pair(acc, "x" * (alpha[0] + alpha[1] + 1) + "y" * (k + 1), 0, -c)
+        accumulate(acc, "x" * (alpha[0] + alpha[1] + 1) + "y" * (k + 1), QtPoly({1: -c}))
     for alpha in compositions(wt, k + 2):
         c = 2 * binom(alpha[0], p - 1)
         w = _zword(alpha[:k]) + "x" * (alpha[k] + alpha[k + 1] + 1) + "y"
-        add_pair(acc, w, 0, -c)
+        accumulate(acc, w, QtPoly({1: -c}))
 
     # alternating merge families, from both ends of the run list
     for i in range(1, k // 2 + 1):
@@ -286,7 +307,7 @@ def alternating_product_closed_form(k: int, p: int) -> HElement:
             c = 2 * sign * binom(alpha[0], p - 1)
             w = (_zword(alpha[:i]) + "x" * (alpha[i] + alpha[i + 1] + 1)
                  + "y" * (k - i + 1))
-            add_pair(acc, w, 0, -c)
+            accumulate(acc, w, QtPoly({1: -c}))
     for i in range(1, k // 2):
         sign = -1 if i % 2 else 1
         for alpha in compositions(wt, k - i + 2):
@@ -294,7 +315,7 @@ def alternating_product_closed_form(k: int, p: int) -> HElement:
             w = (_zword(alpha[: k - i])
                  + "x" * (alpha[k - i] + alpha[k - i + 1] + 1)
                  + "y" * (i + 1))
-            add_pair(acc, w, 0, -c)
+            accumulate(acc, w, QtPoly({1: -c}))
 
     # parity-weighted family with a trailing xy block
     for l in range(1, k):
@@ -304,9 +325,9 @@ def alternating_product_closed_form(k: int, p: int) -> HElement:
         for alpha in compositions(wt, l + 1):
             c = weight * binom(alpha[0], p - 1)
             w = _zword(alpha) + "xy" + "y" * (k - l - 1)
-            add_pair(acc, w, 0, -c)
+            accumulate(acc, w, QtPoly({1: -c}))
 
-    return from_pairs(acc)
+    return make_helement(acc)
 
 
 def alternating_product_weight4_form(k: int) -> HElement:
@@ -323,9 +344,9 @@ def alternating_product_weight4_form(k: int) -> HElement:
     for aa in compositions(1, k + 2):
         c = 2 * (aa[-1] + 1)
         w = "x" * (aa[-1] + 1) + "y" + _zword(aa[:-1])
-        add_pair(acc, w, c, 0)
+        accumulate(acc, w, QtPoly.const(c))
     for i in range(k):
         c = 2 * (2 * (-1) ** i - 1)
-        add_pair(acc, "xy" + "y" * i + "xxy" + "y" * (k - i - 1), 0, c)
-    add_pair(acc, "xxxy" + "y" * k, 0, -6)
-    return from_pairs(acc)
+        accumulate(acc, "xy" + "y" * i + "xxy" + "y" * (k - i - 1), QtPoly({1: c}))
+    accumulate(acc, "xxxy" + "y" * k, QtPoly({1: -6}))
+    return make_helement(acc)

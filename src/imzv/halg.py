@@ -9,15 +9,18 @@ Both the word and the zeta side sum key -> QtPoly tables with accumulate,
 evaluate them at a value of t with specialize, and split printed sums
 with coeffs.signed_pieces.
 
-Word products lie in Z[t] with t-degree at most one, so the product
-engines sum into a pair table, str word -> (c0, c1) meaning c0 + c1*t,
-with add_pair and wrap it once with from_pairs.  The split engine's
-signed table, str word -> int c meaning c if c > 0 and c*t if c < 0,
-keeps one int per word of a product of two words.
+Word products lie in Z[t] with t-degree at most one, and each word of a
+product of two words carries one of two coefficients: a positive
+constant on a word with as many x's as both factors, or a negative
+multiple of t on a word with one x more, where a rho correction turned a
+y into an x.  So every product engine sums plain ints into one signed
+table, str word -> int c meaning c if c > 0 and c*t if c < 0, and wraps
+it once with from_signed.  A sum whose signs mix is summed as QtPoly
+with accumulate.
 
-Coefficients are shared: from_pairs takes the QtPoly of each pair from
-one bounded process-wide table, so every element it wraps holds one
-QtPoly per distinct pair.  A QtPoly holds a tuple of (degree,
+Coefficients are shared: from_signed takes the QtPoly of each distinct
+int from one bounded process-wide table, so every element it wraps holds
+one QtPoly per distinct coefficient.  A QtPoly holds a tuple of (degree,
 coefficient) items, so sharing one is always safe.
 Every operation here builds new terms instead of changing old ones, so
 no table wrapped by make_helement may be mutated afterwards.
@@ -28,9 +31,9 @@ written, one string per term in canonical order, and adds only the first
 term's sign, the 0 of an empty sum and the brackets.  Each row is written
 once, where it is produced, from a coefficient text rendered once per
 distinct coefficient.  table_str and table_json write the rows of a str
-word -> coefficient table, an HElement's (text str) or the split engine's
-signed table (text signed_str, straight from the ints), so the command
-line prints a product from its signed table without a QtPoly.
+word -> coefficient table, an HElement's (text str) or a product
+engine's signed table (text signed_str, straight from the ints), so the
+command line prints a product from its signed table without a QtPoly.
 """
 
 from __future__ import annotations
@@ -61,35 +64,24 @@ def specialize(terms: dict, t0) -> dict:
     return out
 
 
-def add_pair(table: dict, w: str, c0: int, c1: int):
-    """Add c0 + c1*t to the pair table's entry for w in place; a zero pair
-    is never stored, so a sum that cancels deletes the word."""
-    old = table.get(w)
-    if old is not None:
-        c0 += old[0]
-        c1 += old[1]
-    if c0 or c1:
-        table[w] = (c0, c1)
-    elif old is not None:
-        del table[w]
+def signed_poly(c: int) -> QtPoly:
+    """The QtPoly of a signed table's entry c: c if c > 0, c*t if c < 0.
+    A signed table holds no zero, so 0 is refused."""
+    if c > 0:
+        return make_qtpoly(((0, c),))
+    if c < 0:
+        return make_qtpoly(((1, c),))
+    raise ValueError("a signed table holds no zero coefficient")
 
 
-def pair_poly(pair: tuple) -> QtPoly:
-    """The QtPoly c0 + c1*t of a nonzero pair (c0, c1)."""
-    c0, c1 = pair
-    if not c1:
-        return make_qtpoly(((0, c0),))
-    return make_qtpoly(((0, c0), (1, c1)) if c0 else ((1, c1),))
-
-
-def from_pairs(table: dict) -> "HElement":
-    """Wrap a pair table built by add_pair (no zero pairs, words of x's and
-    y's built from checked words) as an HElement, each distinct pair's
-    QtPoly taken from one process-wide table and shared by every word and
-    every element that has that pair."""
-    if len(_PAIR_POLYS) >= _MAX_PAIRS:
-        _PAIR_POLYS.clear()
-    return make_helement({w: _PAIR_POLYS[pair] for w, pair in table.items()})
+def from_signed(table: dict) -> "HElement":
+    """Wrap a signed table (no zero entries, words of x's and y's built
+    from checked words) as an HElement, each distinct int's QtPoly taken
+    from one process-wide table and shared by every word and every
+    element that has that coefficient."""
+    if len(_SIGNED_POLYS) >= _MAX_SIGNED:
+        _SIGNED_POLYS.clear()
+    return make_helement({w: _SIGNED_POLYS[c] for w, c in table.items()})
 
 
 def canonical_words(words) -> list:
@@ -103,8 +95,8 @@ def canonical_words(words) -> list:
 
 class Rendered(dict):
     """render(c) for each key c, computed on first lookup: a row's
-    coefficient text in the table writers, the QtPoly of a pair in
-    from_pairs."""
+    coefficient text in the table writers, the QtPoly of a signed int in
+    from_signed."""
 
     __slots__ = ("render",)
 
@@ -116,9 +108,9 @@ class Rendered(dict):
         return text
 
 
-# the QtPoly of each pair from_pairs has wrapped, emptied when full
-_MAX_PAIRS = 2 ** 16
-_PAIR_POLYS = Rendered(pair_poly)
+# the QtPoly of each int from_signed has wrapped, emptied when full
+_MAX_SIGNED = 2 ** 16
+_SIGNED_POLYS = Rendered(signed_poly)
 
 
 def write_text(rows: list, head: str = "") -> str:

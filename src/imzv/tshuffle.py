@@ -10,27 +10,24 @@ words w1, w2 it satisfies
 with rho(x) = 0 and rho(y) = t x.  Every closed form in this package is
 checked against this recursion.  A product of two plain words is always of
 degree at most one in t (corrections contribute single standalone words, so
-no path multiplies two t factors), so the recursions sum into one halg
-pair table, word -> (c0, c1) meaning c0 + c1*t, and their engines wrap
-it once with halg.from_pairs.
+no path multiplies two t factors), and no coefficient needs both parts: a
+word with as many x's as both factors has a positive constant, and a word
+with one x more (a rho correction turned a y into an x) a negative
+multiple of t.  So every table here is one halg signed table, word -> int
+c meaning c if c > 0 and c*t if c < 0, in which no sum of one product
+cancels, and the engines wrap it once with halg.from_signed.
 
 One step computes the split formula, _split_at: a sh b at one letter
 of a, summed from the tails a[k:] sh b[i:] for every suffix b[i:] of b,
 each times the prefix shuffle a[:k-1] sh b[:i].  Two row DPs build them
 with no memo, each keeping one row of tables: _tails runs the
 recursion's first-letter step from the end of a back to letter k, and
-_prefixes the plain shuffle's last-letter step up to letter k-1.  Their
-tables, and the table _split_at sums, hold one signed int per word:
-c > 0 means c and c < 0 means c*t.  No coefficient of a product of two
-words needs both parts, since a word with as many x's as both factors
-has a positive constant and a word with one x more (a rho correction
-turned a y into an x) a negative multiple of t; so no sum in the split
-cancels.  tshuffle_table, the table imzv product prints, splits the
-longer word at its middle letter.  split_product splits at the letter
-its caller names, and block_product only reads the paper's block
-notation: it checks the (letter, exponent) blocks, spells out the two
-words and takes their tshuffle_table; both wrap the signed table with
-_from_signed.
+_prefixes the plain shuffle's last-letter step up to letter k-1.
+tshuffle_table, the table imzv product prints, splits the longer word at
+its middle letter.  split_product splits at the letter its caller names,
+and block_product only reads the paper's block notation: it checks the
+(letter, exponent) blocks, spells out the two words and takes their
+tshuffle_table.
 
 An engine that takes a memo takes one, cache, a plain dict the caller
 owns, and no value depends on it.  It holds only the recursions' tables:
@@ -43,7 +40,7 @@ letters as a plain str.
 from __future__ import annotations
 
 from .coeffs import QtPoly, binom
-from .halg import HElement, add_pair, from_pairs, make_helement
+from .halg import HElement, from_signed, make_helement
 from .words import MAX_LETTERS, Word
 
 
@@ -82,11 +79,11 @@ def compositions(total: int, parts: int):
 
 
 def _tsh(u: str, v: str, memo: dict) -> dict:
-    """t-shuffle of two plain strings as a word -> (c0, c1) table."""
+    """t-shuffle of two plain strings as a signed table."""
     if not u:
-        return {v: (1, 0)}
+        return {v: 1}
     if not v:
-        return {u: (1, 0)}
+        return {u: 1}
     key = (u, v)
     hit = memo.get(key)
     if hit is not None:
@@ -98,19 +95,20 @@ def _tsh(u: str, v: str, memo: dict) -> dict:
     out = {a + w: c for w, c in _tsh(u1, v, memo).items()}
     right = _tsh(u, v1, memo)
     if a == b:
-        # every entry has c0 >= 0 >= c1 and is nonzero, so no sum cancels
+        # entries on one word share a sign, so no sum cancels
         get = out.get
         for w, c in right.items():
             w = b + w
-            old = get(w)
-            out[w] = c if old is None else (old[0] + c[0], old[1] + c[1])
+            out[w] = get(w, 0) + c
     else:
         for w, c in right.items():
             out[b + w] = c
     if not u1 and a == "y":
-        add_pair(out, "x" + v, 0, -1)
+        w = "x" + v
+        out[w] = out.get(w, 0) - 1
     if not v1 and b == "y":
-        add_pair(out, "x" + u, 0, -1)
+        w = "x" + u
+        out[w] = out.get(w, 0) - 1
     memo[key] = out
     return out
 
@@ -134,12 +132,12 @@ def tshuffle_table(w1, w2) -> dict:
 
 
 def tshuffle_words(w1, w2, cache: dict | None = None) -> HElement:
-    """The t-shuffle product of two words, by direct recursion: its pair
-    table wrapped with halg.from_pairs.
+    """The t-shuffle product of two words, by direct recursion: its signed
+    table wrapped with halg.from_signed.
 
     A cache passed in keeps the recursion's tables for every later
     product that uses it; the results must not be mutated."""
-    return from_pairs(_tsh(*_letters(w1, w2), {} if cache is None else cache))
+    return from_signed(_tsh(*_letters(w1, w2), {} if cache is None else cache))
 
 
 def tshuffle(u: HElement, v: HElement, cache: dict | None = None) -> HElement:
@@ -153,11 +151,12 @@ def tshuffle(u: HElement, v: HElement, cache: dict | None = None) -> HElement:
     for w1, a in u.terms.items():
         for w2, b in v.terms.items():
             ab = (a * b).coeffs
-            for w, (c0, c1) in _tsh(w1, w2, cache).items():
+            for w, c in _tsh(w1, w2, cache).items():
                 row = acc.setdefault(w, {})
+                shift = c < 0  # c*t raises each degree by one
                 for d, k in ab:
-                    row[d] = row.get(d, 0) + k * c0
-                    row[d + 1] = row.get(d + 1, 0) + k * c1
+                    d += shift
+                    row[d] = row.get(d, 0) + k * c
     terms = {}
     for w, row in acc.items():
         c = QtPoly(row)
@@ -167,31 +166,17 @@ def tshuffle(u: HElement, v: HElement, cache: dict | None = None) -> HElement:
 
 
 def _sh(u: str, v: str, memo: dict) -> dict:
-    """Plain shuffle of two strings as a word -> (multiplicity, 0) table.
-    It peels last letters, as _prefixes does."""
+    """Plain shuffle of two strings as a signed table of multiplicities.
+    It peels last letters with _append, as _prefixes does."""
     if not u:
-        return {v: (1, 0)}
+        return {v: 1}
     if not v:
-        return {u: (1, 0)}
+        return {u: 1}
     key = (u, v, 0)  # apart from _tsh's (u, v) keys in a shared memo
     hit = memo.get(key)
     if hit is not None:
         return hit
-    a, b = u[-1], v[-1]
-    # as in _tsh, only a == b can make two appended entries collide, and
-    # multiplicities are positive, so no sum cancels
-    out = {w + a: c for w, c in _sh(u[:-1], v, memo).items()}
-    right = _sh(u, v[:-1], memo)
-    if a == b:
-        get = out.get
-        for w, c in right.items():
-            w += b
-            old = get(w)
-            out[w] = c if old is None else (old[0] + c[0], 0)
-    else:
-        for w, c in right.items():
-            out[w + b] = c
-    memo[key] = out
+    out = memo[key] = _append(_sh(u[:-1], v, memo), u[-1], _sh(u, v[:-1], memo), v[-1])
     return out
 
 
@@ -199,15 +184,18 @@ def shuffle_words(w1, w2, cache: dict | None = None) -> HElement:
     """The ordinary shuffle product: sum over all order-preserving
     interleavings.  Equals the t-shuffle at t = 0.  A cache is kept and
     shared as in tshuffle_words, and one cache may serve both."""
-    return from_pairs(_sh(*_letters(w1, w2), {} if cache is None else cache))
+    return from_signed(_sh(*_letters(w1, w2), {} if cache is None else cache))
 
 
 def _yy_corrections(m: int, n: int):
     """Lemma 3.1's correction family for y^m sh y^n: the words
     y^i x y^(m+n-i-1) with their coefficients C(i, m-1) + C(i, n-1), for
-    i = min(m,n)-1 .. m+n-2.  Each enters the product as -t times its
+    i = min(m,n)-1 .. m+n-2, each at least 1; none when m or n is 0, as
+    y^m sh 1 has no t part.  Each enters the product as -t times its
     coefficient; the height-one forms reuse the family inside longer words.
     """
+    if not (m and n):
+        return
     for i in range(max(min(m, n) - 1, 0), m + n - 1):
         yield "y" * i + "x" + "y" * (m + n - i - 1), binom(i, m - 1) + binom(i, n - 1)
 
@@ -223,11 +211,10 @@ def yy_product_formula(m: int, n: int) -> HElement:
     if m < 1 or n < 1:
         raise ValueError("need m, n >= 1")
     _check_letters(m + n)
-    acc = {}
-    add_pair(acc, "y" * (m + n), binom(m + n, n), 0)
+    acc = {"y" * (m + n): binom(m + n, n)}
     for w, c in _yy_corrections(m, n):
-        add_pair(acc, w, 0, -c)
-    return from_pairs(acc)
+        acc[w] = -c
+    return from_signed(acc)
 
 
 def xpow_times_ypow(m: int, n: int) -> HElement:
@@ -239,14 +226,12 @@ def xpow_times_ypow(m: int, n: int) -> HElement:
     if m < 0 or n < 0:
         raise ValueError("need m, n >= 0")
     _check_letters(m + n)
-    acc = {}
-    for comp in compositions(m, n + 1):
-        add_pair(acc, "y".join("x" * c for c in comp), 1, 0)
+    acc = {"y".join("x" * c for c in comp): 1 for comp in compositions(m, n + 1)}
     for i in range(m if n >= 1 else 0):
         for comp in compositions(i, n):
-            head = "".join("x" * c + "y" for c in comp[:-1])
-            add_pair(acc, head + "x" * (comp[-1] + m - i + 1), 0, -1)
-    return from_pairs(acc)
+            w = "".join("x" * c + "y" for c in comp[:-1]) + "x" * (comp[-1] + m - i + 1)
+            acc[w] = acc.get(w, 0) - 1
+    return from_signed(acc)
 
 
 # -t times the empty word as a signed table: the right factor of every
@@ -330,11 +315,6 @@ def _add_concat(acc: dict, left: dict, mid: str, right: dict):
             acc[w] = get(w, 0) + l * r
 
 
-def _from_signed(table: dict) -> HElement:
-    """Wrap a signed table as halg.from_pairs wraps a pair table."""
-    return from_pairs({w: (c, 0) if c > 0 else (0, c) for w, c in table.items()})
-
-
 def _split_at(a: str, b: str, k: int) -> dict:
     """The split formula for a sh b at letter position k (1 <= k <= len(a)):
 
@@ -367,7 +347,7 @@ def split_product(a_word, b_word, k: int, cache: dict | None = None) -> HElement
     a, b = _letters(a_word, b_word)
     if not 1 <= k <= len(a):
         raise ValueError("k must satisfy 1 <= k <= len(a)")
-    return _from_signed(_split_at(a, b, k))
+    return from_signed(_split_at(a, b, k))
 
 
 def word_blocks(w) -> tuple:
@@ -388,7 +368,7 @@ def _blocks_to_string(blocks) -> str:
 def block_product(blocks_a, blocks_b) -> HElement:
     """The t-shuffle of two words given as (letter, exponent) blocks: the
     product imzv product prints (tshuffle_table) of the words they spell,
-    wrapped with _from_signed.
+    wrapped with halg.from_signed.
 
     Each block letter must be "x" or "y".  Zero exponents are allowed and
     ignored; a negative one is refused, and so are exponents over
@@ -401,5 +381,5 @@ def block_product(blocks_a, blocks_b) -> HElement:
     if any(e < 0 for _, e in blocks):
         raise ValueError("need exponents >= 0")
     _check_letters(sum(e for _, e in blocks))
-    return _from_signed(tshuffle_table(_blocks_to_string(blocks_a),
-                                       _blocks_to_string(blocks_b)))
+    return from_signed(tshuffle_table(_blocks_to_string(blocks_a),
+                                      _blocks_to_string(blocks_b)))

@@ -8,6 +8,7 @@ not vanish.
 """
 
 import importlib
+import inspect
 import itertools
 
 import pytest
@@ -24,8 +25,10 @@ from imzv import (
     height_two_product,
     pattern_product,
     tshuffle_words,
+    xpow_times_ypow,
+    yy_product_formula,
 )
-from imzv import closedforms
+from imzv import closedforms, verify
 
 # the module, which the package's tshuffle function shadows
 engines = importlib.import_module("imzv.tshuffle")
@@ -217,3 +220,50 @@ def test_every_output_word_ends_in_y():
     assert all(w.endswith("y") for w in out.terms)
     out = height_one_product(2, 2, 1, 1)
     assert all(w.endswith("y") for w in out.terms)
+
+
+def _grid(runner):
+    """The default grid keywords of a verify suite's runner."""
+    return {name: p.default for name, p in inspect.signature(runner).parameters.items()}
+
+
+def _single_products():
+    """(product, X) over the default verify grids of the closed forms of
+    one product, X the x's of both words."""
+    g = _grid(verify.run_yy_products)
+    for m, n in itertools.product(range(1, g["max_run"] + 1), repeat=2):
+        yield yy_product_formula(m, n), 0
+    g = _grid(verify.run_xy_products)
+    for m, n in itertools.product(range(g["max_exp"] + 1), repeat=2):
+        yield xpow_times_ypow(m, n), m
+    g = _grid(verify.run_pattern_products)
+    shapes = [shape for r in range(1, g["max_run"] + 1)
+              for shape in itertools.product(range(g["max_exp"] + 1), repeat=r)]
+    for a, b in itertools.product(shapes, repeat=2):
+        yield pattern_product(a, b), sum(a) + sum(b)
+    g = _grid(verify.run_height_one)
+    exps, runs = range(1, g["max_exp"] + 1), range(1, g["max_run"] + 1)
+    for a, b, r, s in itertools.product(exps, exps, runs, runs):
+        yield height_one_product(a, r, b, s), a + b
+    g = _grid(verify.run_expanded_height_one)
+    for m, j, n, k in itertools.product(range(1, g["max_param"] + 1), repeat=4):
+        yield expanded_height_one_product(m, j, n, k), m + n
+    g = _grid(verify.run_height_two)
+    exps, runs = range(g["max_exp"] + 1), range(1, g["max_run"] + 1)
+    for a, r, b1, s1, b2, s2 in itertools.product(exps, runs, exps, runs, exps, runs):
+        yield height_two_product(a, r, b1, s1, b2, s2), a + b1 + b2
+
+
+def test_closed_forms_keep_the_sign_rule_on_the_default_grids():
+    # each form sums its words into a signed table with no zero check, so
+    # every coefficient is a constant c > 0 on a word of X x's or c*t with
+    # c < 0 on a word of X + 1 x's, and no two families cancel
+    products = 0
+    for prod, xs in _single_products():
+        assert prod
+        for w, c in prod.terms.items():
+            (deg, k), = c.coeffs
+            n = w.count("x")
+            assert (deg == 0 and k > 0 and n == xs) or (deg == 1 and k < 0 and n == xs + 1), (w, c)
+        products += 1
+    assert products == 49 + 49 + 1521 + 144 + 81 + 216

@@ -28,10 +28,9 @@ import json
 
 from imzv import halg
 from imzv.halg import (
-    add_pair,
     canonical_words,
-    from_pairs,
-    pair_poly,
+    from_signed,
+    signed_poly,
     signed_str,
     table_json,
     table_str,
@@ -181,23 +180,22 @@ def test_tshuffle_drops_cancelled_words_and_keeps_fractions():
     assert tshuffle(half, y.scale(2)) == tshuffle_words("y", "y")
 
 
-def test_add_pair_never_stores_a_zero_pair():
-    table = {}
-    add_pair(table, "xy", 0, 0)
-    assert table == {}
-    add_pair(table, "xy", 2, -1)
-    add_pair(table, "y", 0, 3)
-    add_pair(table, "xy", -2, 1)
-    assert table == {"y": (0, 3)}
+def test_a_zero_in_a_signed_table_is_refused():
+    # a zero an engine let through would otherwise wrap as the invalid
+    # QtPoly(((1, 0),)), which is truthy and prints 0*t
+    with pytest.raises(ValueError, match="no zero coefficient"):
+        signed_poly(0)
+    with pytest.raises(ValueError, match="no zero coefficient"):
+        from_signed({"xy": 2, "y": 0})
 
 
-def test_from_pairs_equals_the_checked_constructor():
-    table = {"": (3, 0), "xy": (2, -1), "y": (0, 4), "xxy": (-1, 0)}
+def test_from_signed_equals_the_checked_constructor():
+    table = {"": 3, "xy": -1, "y": -4, "xxy": 2, "yx": 10 ** 30}
     built = HElement(
-        {"": 3, "xy": QtPoly({0: 2, 1: -1}), "y": QtPoly({1: 4}), "xxy": -1}
+        {"": 3, "xy": QtPoly({1: -1}), "y": QtPoly({1: -4}), "xxy": 2, "yx": 10 ** 30}
     )
-    assert from_pairs(table) == built
-    assert str(from_pairs(table)) == str(built)
+    assert from_signed(table) == built
+    assert str(from_signed(table)) == str(built)
 
 
 def _poly_prefix(c):
@@ -210,21 +208,22 @@ def _poly_prefix(c):
 
 
 def test_a_pair_prints_as_its_qtpoly_prints():
-    # every pair a signed table writes as one int: (c, 0) as c > 0 and
-    # (0, c) as c < 0, for small ints and +-10^30
+    # every pair (c0, c1) of parts of c0 + c1*t a signed table writes as
+    # one int: (c, 0) as c > 0 and (0, c) as c < 0, for small ints and
+    # +-10^30
     values = list(range(1, 13)) + [10 ** 30]
     pairs = [(c, 0) for c in values] + [(0, -c) for c in values]
     for pair in pairs:
-        c, signed = pair_poly(pair), pair[0] or pair[1]
+        c, signed = QtPoly(dict(enumerate(pair))), pair[0] or pair[1]
+        assert signed_poly(signed) == c, pair
         assert signed_str(signed) == str(c), pair
         assert table_str({"y": 1, "xy": signed}, signed_str) == "y" + _poly_prefix(c) + "xy"
-        assert table_str({"xy": signed}, signed_str) == str(from_pairs({"xy": pair}))
+        assert table_str({"xy": signed}, signed_str) == str(from_signed({"xy": signed}))
         want = json.dumps([{"word": "xy", "coeff": str(c)}])
         assert table_json({"xy": signed}, signed_str) == want, pair
     signed = dict(zip(("", "x", "y", "xy", "yx", "yy"), (3, -1, 1, -12, 10 ** 30, -2)))
-    table = {w: (c, 0) if c > 0 else (0, c) for w, c in signed.items()}
-    assert table_str(signed, signed_str) == str(from_pairs(table))
-    assert table_json(signed, signed_str) == helement_to_json(from_pairs(table))
+    assert table_str(signed, signed_str) == str(from_signed(signed))
+    assert table_json(signed, signed_str) == helement_to_json(from_signed(signed))
 
 
 def _reference_str(table, text):
@@ -265,13 +264,13 @@ def test_table_writers_keep_the_canonical_order_of_mixed_lengths():
     assert table_str({}, str) == "0" and table_json({}, str) == "[]"
 
 
-def test_from_pairs_shares_one_coefficient_per_distinct_pair():
-    table = {"": (3, 0), "xy": (2, -1), "y": (0, 4), "xxy": (2, -1), "yy": (3, 0)}
-    got = from_pairs(table)
+def test_from_signed_shares_one_coefficient_per_distinct_int():
+    table = {"": 3, "xy": -2, "y": 4, "xxy": -2, "yy": 3}
+    got = from_signed(table)
     assert len({id(c) for c in got.terms.values()}) == len(set(table.values())) == 3
-    for w, pair in table.items():
-        for w2, pair2 in table.items():
-            assert (got.terms[w] is got.terms[w2]) == (pair == pair2)
+    for w, c in table.items():
+        for w2, c2 in table.items():
+            assert (got.terms[w] is got.terms[w2]) == (c == c2)
 
 
 def test_products_share_one_coefficient_per_distinct_pair_across_the_process():
@@ -295,16 +294,16 @@ def test_products_share_one_coefficient_per_distinct_pair_across_the_process():
     assert all(c is other.terms[w] for w, c in blocks.terms.items())
 
 
-def test_the_pair_table_is_emptied_once_full(monkeypatch):
-    monkeypatch.setattr(halg, "_MAX_PAIRS", 4)
-    monkeypatch.setattr(halg, "_PAIR_POLYS", halg.Rendered(pair_poly))
-    first = from_pairs({"x": (1, 0), "y": (2, 0), "xy": (3, 0), "yx": (4, 0)})
-    assert len(halg._PAIR_POLYS) == 4
-    second = from_pairs({"x": (1, 0), "yy": (5, -1)})
-    assert len(halg._PAIR_POLYS) == 2
+def test_the_coefficient_table_is_emptied_once_full(monkeypatch):
+    monkeypatch.setattr(halg, "_MAX_SIGNED", 4)
+    monkeypatch.setattr(halg, "_SIGNED_POLYS", halg.Rendered(signed_poly))
+    first = from_signed({"x": 1, "y": 2, "xy": 3, "yx": -4})
+    assert len(halg._SIGNED_POLYS) == 4
+    second = from_signed({"x": 1, "yy": -5})
+    assert len(halg._SIGNED_POLYS) == 2
     assert second.terms["x"] == first.terms["x"]
     assert second.terms["x"] is not first.terms["x"]
-    assert str(second) == "x + (5 - t)*yy"
+    assert str(second) == "x + (-5*t)*yy"
 
 
 def _snapshot(v):

@@ -33,16 +33,16 @@ from imzv import (
     yy_product_formula,
 )
 import imzv.words
-from imzv.halg import add_pair
+from imzv.halg import accumulate, from_signed, signed_poly
 from imzv.tshuffle import (
     MAX_LETTERS,
     _add_concat,
-    _from_signed,
     _prefixes,
     _sh,
     _split_at,
     _tails,
     _tsh,
+    _yy_corrections,
     tshuffle_table,
 )
 from imzv.words import all_words
@@ -271,7 +271,7 @@ def test_one_cache_serves_tshuffle_and_shuffle():
             assert list(s_shared.terms.items()) == list(shuffle_words(u, v, scache).terms.items())
             assert str(t_shared) == str(tshuffle_words(u, v)), (u, v)
             assert str(s_shared) == str(shuffle_words(u, v)), (u, v)
-            # both engines hand out the one coefficient per distinct pair
+            # both engines hand out the one coefficient per distinct int
             assert all(t_shared.terms[w] is c for w, c in s_shared.terms.items()
                        if t_shared.terms.get(w) == c)
 
@@ -282,7 +282,7 @@ _LETTER_ENGINES = {
     "shuffle_words": shuffle_words,
     "split_product": lambda u, v: split_product(u, v, 1),
     "block_product": lambda u, v: block_product(word_blocks(u), word_blocks(v)),
-    "tshuffle_table": lambda u, v: _from_signed(tshuffle_table(u, v)),
+    "tshuffle_table": lambda u, v: from_signed(tshuffle_table(u, v)),
 }
 
 
@@ -303,16 +303,11 @@ def test_correction_terms_at_the_letter_limit():
     m = MAX_LETTERS - 1
     assert tshuffle_words("y" * m, "y") == yy_product_formula(m, 1)
     for u, v in (("y" * m, "y"), ("y", "y" * m)):
-        assert _from_signed(tshuffle_table(u, v)) == yy_product_formula(m, 1)
-
-
-def _signed(table):
-    """A recursion's pair table as a signed table: c0 if c0, else c1."""
-    return {w: c0 or c1 for w, (c0, c1) in table.items()}
+        assert from_signed(tshuffle_table(u, v)) == yy_product_formula(m, 1)
 
 
 def _assert_split_is_the_recursion(u, v):
-    want = _signed(_tsh(u, v, {}))
+    want = _tsh(u, v, {})
     assert tshuffle_table(u, v) == want, (u, v)
     for k in range(1, len(u) + 1):
         assert _split_at(u, v, k) == want, (u, v, k)
@@ -351,11 +346,11 @@ def test_the_row_builders_give_the_recursions_tables_at_every_split():
             n = len(b)
             for k in range(1, len(a) + 1):
                 tails = _tails(a, b, k)
-                assert tails == [_signed(_tsh(a[k:], b[i:], {})) for i in range(n + 1)]
+                assert tails == [_tsh(a[k:], b[i:], {}) for i in range(n + 1)]
                 prefixes, corner = _prefixes(a, b, k)
-                assert prefixes == [_signed(_sh(a[:k - 1], b[:q], {})) for q in range(n + 1)]
+                assert prefixes == [_sh(a[:k - 1], b[:q], {}) for q in range(n + 1)]
                 if n and b[-1] == "y":
-                    assert corner == _signed(_sh(a[:k - 1], b[:n - 1] + "x", {})), (a, b, k)
+                    assert corner == _sh(a[:k - 1], b[:n - 1] + "x", {}), (a, b, k)
                 else:
                     assert corner is None
 
@@ -386,44 +381,53 @@ def test_a_memo_holds_only_the_recursions_tables():
 
 # Reference copies of the t-shuffle and plain shuffle recursions that sum
 # every prefixed (for the plain shuffle, which peels last letters: every
-# suffixed) entry with add_pair; the engines store the entries that cannot
-# collide directly and must give the same tables in the same order.
+# suffixed) entry with _ref_add, which drops a sum that cancels; the
+# engines store the entries that cannot collide directly and sum the rest
+# with no zero check, and must give the same tables in the same order.
+def _ref_add(table, w, c):
+    c += table.get(w, 0)
+    if c:
+        table[w] = c
+    else:
+        table.pop(w, None)
+
+
 def _ref_tsh(u, v, memo):
     if not u:
-        return {v: (1, 0)}
+        return {v: 1}
     if not v:
-        return {u: (1, 0)}
+        return {u: 1}
     key = (u, v)
     if key in memo:
         return memo[key]
     a, u1 = u[0], u[1:]
     b, v1 = v[0], v[1:]
     out = {}
-    for w, (c0, c1) in _ref_tsh(u1, v, memo).items():
-        add_pair(out, a + w, c0, c1)
-    for w, (c0, c1) in _ref_tsh(u, v1, memo).items():
-        add_pair(out, b + w, c0, c1)
+    for w, c in _ref_tsh(u1, v, memo).items():
+        _ref_add(out, a + w, c)
+    for w, c in _ref_tsh(u, v1, memo).items():
+        _ref_add(out, b + w, c)
     if not u1 and a == "y":
-        add_pair(out, "x" + v, 0, -1)
+        _ref_add(out, "x" + v, -1)
     if not v1 and b == "y":
-        add_pair(out, "x" + u, 0, -1)
+        _ref_add(out, "x" + u, -1)
     memo[key] = out
     return out
 
 
 def _ref_sh(u, v, memo):
     if not u:
-        return {v: (1, 0)}
+        return {v: 1}
     if not v:
-        return {u: (1, 0)}
+        return {u: 1}
     key = (u, v, 0)
     if key in memo:
         return memo[key]
     out = {}
-    for w, (c, _) in _ref_sh(u[:-1], v, memo).items():
-        add_pair(out, w + u[-1], c, 0)
-    for w, (c, _) in _ref_sh(u, v[:-1], memo).items():
-        add_pair(out, w + v[-1], c, 0)
+    for w, c in _ref_sh(u[:-1], v, memo).items():
+        _ref_add(out, w + u[-1], c)
+    for w, c in _ref_sh(u, v[:-1], memo).items():
+        _ref_add(out, w + v[-1], c)
     memo[key] = out
     return out
 
@@ -431,7 +435,7 @@ def _ref_sh(u, v, memo):
 @pytest.mark.parametrize(
     "engine, reference", [(_tsh, _ref_tsh), (_sh, _ref_sh)], ids=["_tsh", "_sh"]
 )
-def test_prefix_tables_match_the_add_pair_recursion(engine, reference):
+def test_prefix_tables_match_the_reference_recursion(engine, reference):
     words = [w.letters for w in all_words(5)]
     shared, ref_shared = {}, {}
     for u in words:
@@ -446,13 +450,14 @@ def test_prefix_tables_match_the_add_pair_recursion(engine, reference):
 
 @pytest.mark.parametrize("engine", [_tsh, _sh], ids=["_tsh", "_sh"])
 def test_every_recursion_entry_has_c0_at_least_zero_at_least_c1(engine):
-    # the invariant that lets _tsh and _sh sum two colliding entries with
-    # no cancellation check, and lets the split keep one signed int per
-    # word: with X the x's of both words, every entry is (c > 0, 0) on a
-    # word of X x's or (0, c < 0) on a word of X + 1 x's, the y a rho
-    # correction turned into an x.  Checked on every ordered pair of words
-    # of at most 6 letters; the tables of the pairs the recursion meets on
-    # the way are those of shorter pairs, checked in their turn.
+    # the invariant that lets every product engine keep one signed int per
+    # word and sum two colliding entries with no cancellation check: with
+    # X the x's of both words, every coefficient c0 + c1*t is a constant
+    # c0 > 0 (stored as c > 0) on a word of X x's or c1*t with c1 < 0
+    # (stored as c < 0) on a word of X + 1 x's, the y a rho correction
+    # turned into an x.  Checked on every ordered pair of words of at most
+    # 6 letters; the tables of the pairs the recursion meets on the way
+    # are those of shorter pairs, checked in their turn.
     words = [w.letters for w in all_words(6)]
     pairs = 0
     for u in words:
@@ -461,22 +466,33 @@ def test_every_recursion_entry_has_c0_at_least_zero_at_least_c1(engine):
             xs = u.count("x") + v.count("x")
             table = engine(u, v, memo)
             # the distinct (x count, coefficient) kinds, gathered in C
-            for n, (c0, c1) in set(zip(map(str.count, table, repeat("x")), table.values())):
-                assert ((n == xs and c0 > 0 == c1)
-                        or (n == xs + 1 and c0 == 0 > c1)), (u, v, n, c0, c1)
+            for n, c in set(zip(map(str.count, table, repeat("x")), table.values())):
+                assert (n == xs and c > 0) or (n == xs + 1 and c < 0), (u, v, n, c)
             pairs += 1
     assert pairs == 16129
 
 
-def test_concatenation_sums_signed_coefficients_like_add_pair():
+def test_concatenation_sums_signed_coefficients_like_qtpolys():
     # a plain shuffle table on the left, signed entries on the right; the
     # split formula's sums are all of one sign per word, so none cancels
     left, mid, right = {"x": 1, "y": 2}, "y", {"x": 3, "": -2}
     acc = {"xyx": 1, "yy": -4, "xx": 5}
-    want = {w: (c, 0) if c > 0 else (0, c) for w, c in acc.items()}
+    want = {w: signed_poly(c) for w, c in acc.items()}
     for lw, l in left.items():
         for rw, r in right.items():
-            add_pair(want, lw + mid + rw, *((l * r, 0) if r > 0 else (0, l * r)))
+            accumulate(want, lw + mid + rw, signed_poly(l * r))
     _add_concat(acc, left, mid, right)
-    assert acc == {w: c0 or c1 for w, (c0, c1) in want.items()}
+    assert {w: signed_poly(c) for w, c in acc.items()} == want
     assert acc == {"xyx": 4, "yy": -8, "xx": 5, "xy": -2, "yyx": 6}
+
+
+def test_the_yy_correction_family_is_the_t_part_of_the_yy_product():
+    # the height-one forms add the family inside longer words with no
+    # zero check, so it holds no zero, and none at all when a run is empty
+    for m in range(9):
+        for n in range(9):
+            family = list(_yy_corrections(m, n))
+            assert all(c > 0 for _, c in family), (m, n)
+            t_part = {w: c for w, c in _tsh("y" * m, "y" * n, {}).items() if c < 0}
+            assert {w: -c for w, c in family} == t_part and len(family) == len(t_part), (m, n)
+    assert list(_yy_corrections(3, 0)) == list(_yy_corrections(0, 3)) == []
