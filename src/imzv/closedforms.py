@@ -283,49 +283,48 @@ def alternating_product_closed_form(k: int, p: int) -> HElement:
     wt = 2 * (p - 1)
     acc: dict = {}
 
-    for alpha in compositions(wt, k + 2):
-        accumulate(acc, _zword(alpha), QtPoly.const(2 * binom(alpha[0], p - 1)))
+    def runs(parts):
+        # compositions alpha of wt into parts runs, with 2 C(alpha_0, p-1);
+        # those with alpha_0 < p - 1 weigh nothing and are skipped
+        for a0 in range(p - 1, wt + 1):
+            c = 2 * binom(a0, p - 1)
+            for rest in compositions(wt - a0, parts - 1):
+                yield (a0,) + rest, c
+
+    for alpha, c in runs(k + 2):
+        accumulate(acc, _zword(alpha), QtPoly.const(c))
 
     # bumped final run before a y^(k-l) tail, plus both two-run merges
     for l in range(1, k + 1):
-        for alpha in compositions(wt, l + 1):
-            c = 2 * binom(alpha[0], p - 1)
+        for alpha, c in runs(l + 1):
             w = _zword(alpha[:-1]) + "x" * (alpha[-1] + 1) + "y" * (k - l + 1)
             accumulate(acc, w, QtPoly({1: -c}))
-    for alpha in compositions(wt, 2):
-        c = 2 * binom(alpha[0], p - 1)
+    for alpha, c in runs(2):
         accumulate(acc, "x" * (alpha[0] + alpha[1] + 1) + "y" * (k + 1), QtPoly({1: -c}))
-    for alpha in compositions(wt, k + 2):
-        c = 2 * binom(alpha[0], p - 1)
+    for alpha, c in runs(k + 2):
         w = _zword(alpha[:k]) + "x" * (alpha[k] + alpha[k + 1] + 1) + "y"
         accumulate(acc, w, QtPoly({1: -c}))
 
-    # alternating merge families, from both ends of the run list
+    # alternating merge families, from both ends of the run list: -t c at
+    # even i, +t c at odd i
     for i in range(1, k // 2 + 1):
-        sign = -1 if i % 2 else 1
-        for alpha in compositions(wt, i + 2):
-            c = 2 * sign * binom(alpha[0], p - 1)
+        for alpha, c in runs(i + 2):
             w = (_zword(alpha[:i]) + "x" * (alpha[i] + alpha[i + 1] + 1)
                  + "y" * (k - i + 1))
-            accumulate(acc, w, QtPoly({1: -c}))
+            accumulate(acc, w, QtPoly({1: c if i % 2 else -c}))
     for i in range(1, k // 2):
-        sign = -1 if i % 2 else 1
-        for alpha in compositions(wt, k - i + 2):
-            c = 2 * sign * binom(alpha[0], p - 1)
+        for alpha, c in runs(k - i + 2):
             w = (_zword(alpha[: k - i])
                  + "x" * (alpha[k - i] + alpha[k - i + 1] + 1)
                  + "y" * (i + 1))
-            accumulate(acc, w, QtPoly({1: -c}))
+            accumulate(acc, w, QtPoly({1: c if i % 2 else -c}))
 
-    # parity-weighted family with a trailing xy block
-    for l in range(1, k):
-        weight = 2 * (-1 + (-1) ** l)
-        if not weight:
-            continue
-        for alpha in compositions(wt, l + 1):
-            c = weight * binom(alpha[0], p - 1)
+    # parity-weighted family with a trailing xy block: its weight
+    # 2 (-1 + (-1)^l) C(alpha_0, p-1) is -2c at odd l and zero at even l
+    for l in range(1, k, 2):
+        for alpha, c in runs(l + 1):
             w = _zword(alpha) + "xy" + "y" * (k - l - 1)
-            accumulate(acc, w, QtPoly({1: -c}))
+            accumulate(acc, w, QtPoly({1: 2 * c}))
 
     return make_helement(acc)
 

@@ -17,17 +17,19 @@ multiple of t.  So every table here is one halg signed table, word -> int
 c meaning c if c > 0 and c*t if c < 0, in which no sum of one product
 cancels, and the engines wrap it once with halg.from_signed.
 
-One step computes the split formula, _split_at: a sh b at one letter
-of a, summed from the tails a[k:] sh b[i:] for every suffix b[i:] of b,
-each times the prefix shuffle a[:k-1] sh b[:i].  Two row DPs build them
-with no memo, each keeping one row of tables: _tails runs the
-recursion's first-letter step from the end of a back to letter k, and
-_prefixes the plain shuffle's last-letter step up to letter k-1.
-tshuffle_table, the table imzv product prints, splits the longer word at
-its middle letter.  split_product splits at the letter its caller names,
-and block_product only reads the paper's block notation: it checks the
-(letter, exponent) blocks, spells out the two words and takes their
-tshuffle_table.
+_split_at computes the split formula: a sh b at one letter of a, summed
+from the tails a[k:] sh b[i:] for every suffix b[i:] of b, each times
+the prefix shuffle a[:k-1] sh b[:i].  Two row DPs build them with no
+memo, each keeping one row of tables: _tails runs the recursion's
+first-letter step from the end of a back to letter k, and _prefixes the
+plain shuffle's last-letter step up to letter k-1.  Each step is written
+once: _prepend, the first-letter step with its rho correction, behind
+_tsh and _tails, and _append, the last-letter step, behind _sh and
+_prefixes.  tshuffle_table, the table imzv product prints, splits the
+longer word at its middle letter.  split_product splits at the letter
+its caller names, and block_product only reads the paper's block
+notation: it checks the (letter, exponent) blocks, spells out the two
+words and takes their tshuffle_table.
 
 An engine that takes a memo takes one, cache, a plain dict the caller
 owns, and no value depends on it.  It holds only the recursions' tables:
@@ -79,7 +81,8 @@ def compositions(total: int, parts: int):
 
 
 def _tsh(u: str, v: str, memo: dict) -> dict:
-    """t-shuffle of two plain strings as a signed table."""
+    """t-shuffle of two plain strings as a signed table.  It peels first
+    letters with _prepend, as _tails does."""
     if not u:
         return {v: 1}
     if not v:
@@ -88,12 +91,18 @@ def _tsh(u: str, v: str, memo: dict) -> dict:
     hit = memo.get(key)
     if hit is not None:
         return hit
-    a, u1 = u[0], u[1:]
-    b, v1 = v[0], v[1:]
-    # the words of a(u1 sh v) are all distinct, and for a != b none of
-    # them begins like a word of b(u sh v1), so only a == b sums entries
-    out = {a + w: c for w, c in _tsh(u1, v, memo).items()}
-    right = _tsh(u, v1, memo)
+    out = memo[key] = _prepend(u, v, _tsh(u[1:], v, memo), _tsh(u, v[1:], memo))
+    return out
+
+
+def _prepend(u: str, v: str, left: dict, right: dict) -> dict:
+    """The recursion's first-letter step for nonempty u = a.u1 and
+    v = b.v1: a.left + b.right - [u1 empty][a = y] x.v - [v1 empty][b = y]
+    x.u as a signed table, given left = u1 sh v and right = u sh v1."""
+    a, b = u[0], v[0]
+    # the words of a.left are all distinct, and for a != b none of them
+    # begins like a word of b.right, so only a == b sums entries
+    out = {a + w: c for w, c in left.items()}
     if a == b:
         # entries on one word share a sign, so no sum cancels
         get = out.get
@@ -103,13 +112,12 @@ def _tsh(u: str, v: str, memo: dict) -> dict:
     else:
         for w, c in right.items():
             out[b + w] = c
-    if not u1 and a == "y":
+    if a == "y" and len(u) == 1:
         w = "x" + v
         out[w] = out.get(w, 0) - 1
-    if not v1 and b == "y":
+    if b == "y" and len(v) == 1:
         w = "x" + u
         out[w] = out.get(w, 0) - 1
-    memo[key] = out
     return out
 
 
@@ -243,31 +251,15 @@ def _tails(a: str, b: str, k: int) -> list:
     """The signed tables a[k:] sh b[i:] for i = 0..len(b): row k of the
     recursion's first-letter DP, built from row len(a) (empty a[j:]) down
     to k.  Entry i of row j needs entry i of row j+1 and entry i+1 of row
-    j, so one row, overwritten from its end, holds all that is kept."""
+    j, so one row, overwritten from its end, holds all that is kept; each
+    entry is one _prepend step."""
     m, n = len(a), len(b)
     row = [{b[i:]: 1} for i in range(n + 1)]
     for j in range(m - 1, k - 1, -1):
-        la, u = a[j], a[j:]
+        u = a[j:]
         row[n] = {u: 1}
         for i in range(n - 1, -1, -1):
-            lb = b[i]
-            out = {la + w: c for w, c in row[i].items()}
-            # as in _tsh, only la == lb can make two entries collide
-            if la == lb:
-                get = out.get
-                for w, c in row[i + 1].items():
-                    w = lb + w
-                    out[w] = get(w, 0) + c
-            else:
-                for w, c in row[i + 1].items():
-                    out[lb + w] = c
-            if j == m - 1 and la == "y":
-                w = "x" + b[i:]
-                out[w] = out.get(w, 0) - 1
-            if i == n - 1 and lb == "y":
-                w = "x" + u
-                out[w] = out.get(w, 0) - 1
-            row[i] = out
+            row[i] = _prepend(u, b[i:], row[i], row[i + 1])
     return row
 
 

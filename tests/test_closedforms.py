@@ -29,6 +29,7 @@ from imzv import (
     yy_product_formula,
 )
 from imzv import closedforms, verify
+from imzv.halg import accumulate
 
 # the module, which the package's tshuffle function shadows
 engines = importlib.import_module("imzv.tshuffle")
@@ -206,6 +207,23 @@ def test_alternating_sum_closed_form_for_even_chain_lengths():
             rhs = alternating_product_closed_form(k, p)
             assert lhs == rhs, (k, p)
             assert not lhs.is_zero(), (k, p)
+
+
+def test_the_alternating_closed_form_adds_no_zero_coefficient(monkeypatch):
+    # a composition with alpha_0 < p - 1 weighs C(alpha_0, p - 1) = 0, so
+    # the families enumerate only alpha_0 >= p - 1; checked on the prop41
+    # grid's even k
+    added = []
+
+    def spy(table, key, c):
+        added.append(c)
+        accumulate(table, key, c)
+
+    monkeypatch.setattr(closedforms, "accumulate", spy)
+    for k in (2, 4, 6):
+        for p in (1, 2, 3):
+            alternating_product_closed_form(k, p)
+    assert added and all(added)
 
 
 def test_alternating_weight4_specialization():

@@ -7,8 +7,8 @@ building an HElement or a ZetaCombo.  These tests hold both replies, text
 and JSON, to what the object writers print for the same product or
 expansion: a product to tshuffle_words, the recursion that is the oracle,
 and an expansion to expand_interpolation.  They also replay the
-benchmark's recorded request pool against its golden outputs, and pin the
-pattern limit and the parsers' spaces on these paths.
+benchmark's recorded request pool and product table against their golden
+outputs, and pin the pattern limit and the parsers' spaces on these paths.
 """
 
 import hashlib
@@ -21,6 +21,7 @@ from test_rendering import _table_pairs
 
 from imzv import (
     admissible_indices,
+    admissible_words,
     expand_interpolation,
     helement_to_json,
     interpolated_symbol,
@@ -30,13 +31,15 @@ from imzv import (
     parse_zeta_combo,
     tshuffle_words,
     zeta_combo_to_json,
+    zeta_map,
 )
 from imzv.cli import main
 from imzv.coeffs import SPACES
 from imzv.halg import parse_helement
 from imzv.zeta import MAX_PATTERNS
 
-POOL = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "cli_pool.json"
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+POOL = GOLDEN / "cli_pool.json"
 
 
 def reply(capsys, *argv):
@@ -88,6 +91,24 @@ def test_the_request_pool_replays_to_its_golden_replies(capsys):
         else:
             digest = hashlib.sha256(out.encode()).hexdigest()[:16]
             assert digest == entry["digest"], entry["argv"]
+
+
+def test_the_product_table_replays_to_its_golden_digests():
+    # every unordered pair of admissible words of total weight <= 11, all
+    # through one memo, each row digested from both JSON forms of the
+    # product and of its zeta image
+    golden = json.loads((GOLDEN / "product_table.json").read_text(encoding="utf-8"))
+    max_weight = golden["max_weight"]
+    words = list(admissible_words(max_weight - 2))
+    pairs = [(u, v) for i, u in enumerate(words) for v in words[i:]
+             if len(u) + len(v) <= max_weight]
+    assert len(pairs) == len(golden["digests"]) == 904
+    cache = {}
+    for u, v in pairs:
+        prod = tshuffle_words(u, v, cache)
+        text = helement_to_json(prod) + "\n" + zeta_combo_to_json(zeta_map(prod))
+        digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert digest == golden["digests"]["%s*%s" % (u, v)], (u, v)
 
 
 def test_expand_accepts_the_deepest_index_under_the_pattern_limit(capsys):

@@ -339,14 +339,20 @@ def test_the_split_is_the_recursion_on_random_pairs_up_to_fourteen_letters():
 def test_the_row_builders_give_the_recursions_tables_at_every_split():
     # row k of _tails holds a[k:] sh b[i:] for every i, and row k-1 of
     # _prefixes the plain shuffles a[:k-1] sh b[:q] for every q, with the
-    # corner a[:k-1] sh b[:n-1]x when b ends in y
+    # corner a[:k-1] sh b[:n-1]x when b ends in y.  _tails and _tsh take
+    # the same step, _prepend, so the rows are also held, entry for entry
+    # and in order, to _ref_tsh, which shares no code with either.
     words = [w.letters for w in all_words(4)]
+    ref_memo = {}
     for a in words:
         for b in words:
             n = len(b)
             for k in range(1, len(a) + 1):
                 tails = _tails(a, b, k)
                 assert tails == [_tsh(a[k:], b[i:], {}) for i in range(n + 1)]
+                want = [_ref_tsh(a[k:], b[i:], ref_memo) for i in range(n + 1)]
+                assert [list(row.items()) for row in tails] == [
+                    list(row.items()) for row in want], (a, b, k)
                 prefixes, corner = _prefixes(a, b, k)
                 assert prefixes == [_sh(a[:k - 1], b[:q], {}) for q in range(n + 1)]
                 if n and b[-1] == "y":
