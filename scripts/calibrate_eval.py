@@ -22,7 +22,7 @@ def _row(label, parts, ref):
     cells = []
     for name, split in (("1/2", HALF), ("1/3", DUALITY_SPLIT)):
         r = eval_mzv(parts, split=split)
-        point = mzvnum._split_point(split, r.cutoff_used)
+        point = mzvnum._split_point(split)
         _, bound = mzvnum._split_series(word_from_index(parts), point)
         err = abs(r.value - ref)
         cells.append(

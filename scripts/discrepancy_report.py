@@ -22,26 +22,26 @@ Variants covered:
 
 import json
 import sys
-from itertools import product
+from itertools import groupby, product
 
 from imzv.closedforms import (
     alternating_product_closed_form,
     alternating_product_sum,
+    compositions,
     expanded_height_one_product,
 )
 from imzv.coeffs import QtPoly, binom
 from imzv.halg import HElement, accumulate, make_helement
-from imzv.tshuffle import (
-    _blocks_to_string,
-    _sh,
-    compositions,
-    tshuffle_words,
-    word_blocks,
-)
+from imzv.tshuffle import _sh, tshuffle_words
 from imzv.words import Word, all_words
 
 # -t times the empty word: the right factor of every correction term
 _MINUS_T = {"": QtPoly({1: -1})}
+
+
+def _blocks(w) -> tuple:
+    """Run-length encode a word into (letter, exponent) blocks."""
+    return tuple((ch, len(list(run))) for ch, run in groupby(Word(w).letters))
 
 
 def _add_concat(acc, left, mid, right):
@@ -107,7 +107,7 @@ def block_split_variant(a_word, b_word, mode) -> HElement:
             if mode == "boundary-prefixes":
                 cuts = [0]
                 pos = 0
-                for _, e in word_blocks(b)[:-1]:
+                for _, e in _blocks(b)[:-1]:
                     pos += e
                     cuts.append(pos)
             else:
@@ -116,12 +116,11 @@ def block_split_variant(a_word, b_word, mode) -> HElement:
                 _add_concat(acc, _sh(head, b[:i], shmemo), "x" + b[i:], _MINUS_T)
         if n >= 1 and b[-1] == "y":
             run = a1 * m1 if mode == "trailing-long" else head
-            tail = a1 + _blocks_to_string(tail_blocks)
+            tail = a1 + "".join(ch * e for ch, e in tail_blocks)
             _add_concat(acc, _sh(run, b[: n - 1] + "x", shmemo), tail, _MINUS_T)
         return acc
 
-    blocks = tuple((ch, e) for ch, e in word_blocks(a_word) if e > 0)
-    return make_helement(rec(blocks, Word(b_word).letters, {}))
+    return make_helement(rec(_blocks(a_word), Word(b_word).letters, {}))
 
 
 def alternating_with_clamped_parity(k, p) -> HElement:

@@ -30,24 +30,23 @@ from .halg import (
 )
 from .tshuffle import (
     block_product,
-    compositions,
     shuffle_words,
     split_product,
     tshuffle,
     tshuffle_table,
     tshuffle_words,
-    word_blocks,
-    xpow_times_ypow,
-    yy_product_formula,
 )
 from .closedforms import (
     alternating_product_closed_form,
     alternating_product_sum,
     alternating_product_weight4_form,
+    compositions,
     expanded_height_one_product,
     height_one_product,
     height_two_product,
     pattern_product,
+    xpow_times_ypow,
+    yy_product_formula,
 )
 from .zeta import (
     INTERPOLATED,
@@ -121,7 +120,6 @@ __all__ = [
     "tshuffle",
     "tshuffle_table",
     "tshuffle_words",
-    "word_blocks",
     "word_from_index",
     "words_of_length",
     "xpow_times_ypow",

@@ -2,7 +2,8 @@
 
 Commands: product, expand, eval, verify, dual, index.  Exit codes form a
 stable contract: 0 on success, 1 when an identity or a tolerance check
-fails, 2 on usage or parse errors.
+fails, 2 on usage or parse errors, 141 (128 + SIGPIPE) when the reader
+closes the pipe before the reply is written.
 
 The parser and its command parsers are built once per process.  A
 request that begins with a command name is parsed by that command's own
@@ -16,6 +17,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -327,7 +329,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe: send what is left to devnull, so the
+        # flush at exit stays quiet, and exit as a writer SIGPIPE killed
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, ZeroDivisionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

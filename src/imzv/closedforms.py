@@ -1,19 +1,23 @@
 """Closed product formulas for whole families of words.
 
-Every function here produces the same element as the recursive engine in
-tshuffle, but by direct summation instead of the oracle's recursion.  The
-general rule behind all of them: walk the output y's in order, each taken
-from the left or the right word together with the x's that land in front
-of it, weighted by the number of ways those x's interleave; for the t part
-replace one y by x in each merge pattern, namely whichever of the two
-source words' final y's lands first in the output.  pattern_product is
-that walk, memoized on a state of four ints (each word's next y and its
-x's still pending), with the one replacement rule applied at the step
-that places the earlier final y; height_two_product is pattern_product on
-its two words' shapes.  The height-one forms list the same terms family by
-family.  The grid tests pin each function to the recursive engine exactly,
-coefficient by coefficient, and none of them but alternating_product_sum
-calls that engine.
+Every closed form of the package lives here, and each produces the same
+element as the recursive engine in tshuffle, but by direct summation
+instead of the oracle's recursion.  The run formulas come first: Lemma
+3.1's y^m sh y^n, whose correction family _yy_corrections the height-one
+forms reuse inside longer words, and eq. (4.2)'s x^m sh y^n, one plain
+word per composition of m into n+1 runs.  The general rule behind the
+rest: walk the output y's in order, each taken from the left or the right
+word together with the x's that land in front of it, weighted by the
+number of ways those x's interleave; for the t part replace one y by x in
+each merge pattern, namely whichever of the two source words' final y's
+lands first in the output.  pattern_product is that walk, memoized on a
+state of four ints (each word's next y and its x's still pending), with
+the one replacement rule applied at the step that places the earlier
+final y; height_two_product is pattern_product on its two words' shapes.
+The height-one forms list the same terms family by family.  The grid
+tests pin each function to the recursive engine exactly, coefficient by
+coefficient, and none of them but alternating_product_sum calls that
+engine.
 
 Each single product sums into one halg signed table, word -> int c
 meaning c if c > 0 and c*t if c < 0: a plain word adds +c and a merged
@@ -30,12 +34,79 @@ from math import comb
 
 from .coeffs import QtPoly, binom
 from .halg import HElement, accumulate, from_signed, make_helement
-from .tshuffle import _check_letters, _tsh, _yy_corrections, compositions
+from .tshuffle import _check_letters, _tsh
 
 
 def _zword(exps) -> str:
     """The word z_{e1+1} ... z_{en+1} as a string, x^e y per entry."""
     return "".join("x" * e + "y" for e in exps)
+
+
+def compositions(total: int, parts: int):
+    """All tuples of `parts` nonnegative integers summing to `total`, in
+    lexicographic order; none for a negative total.  Refuses a negative
+    `parts`."""
+    if parts < 0:
+        raise ValueError("need parts >= 0")
+    if total < 0:
+        return
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _yy_corrections(m: int, n: int):
+    """Lemma 3.1's correction family for y^m sh y^n: the words
+    y^i x y^(m+n-i-1) with their coefficients C(i, m-1) + C(i, n-1), for
+    i = min(m,n)-1 .. m+n-2, each at least 1; none when m or n is 0, as
+    y^m sh 1 has no t part.  Each enters the product as -t times its
+    coefficient; the height-one forms reuse the family inside longer words.
+    """
+    if not (m and n):
+        return
+    for i in range(max(min(m, n) - 1, 0), m + n - 1):
+        yield "y" * i + "x" + "y" * (m + n - i - 1), binom(i, m - 1) + binom(i, n - 1)
+
+
+def yy_product_formula(m: int, n: int) -> HElement:
+    """Closed form for y^m sh y^n:
+
+        C(m+n, n) y^(m+n)
+        - t * sum_{i=min(m,n)-1}^{m+n-2} [C(i, m-1) + C(i, n-1)] y^i x y^(m+n-i-1)
+
+    Refuses m + n over MAX_LETTERS before any work.
+    """
+    if m < 1 or n < 1:
+        raise ValueError("need m, n >= 1")
+    _check_letters(m + n)
+    acc = {"y" * (m + n): binom(m + n, n)}
+    for w, c in _yy_corrections(m, n):
+        acc[w] = -c
+    return from_signed(acc)
+
+
+def xpow_times_ypow(m: int, n: int) -> HElement:
+    """x^m sh y^n: the block words x^(m_1) y x^(m_2) y ... y x^(m_{n+1}),
+    one per composition of m into n+1 runs, minus t times the merge words
+    x^(m_1) y ... x^(m_{n-1}) y x^(m_n + m - i + 1), where the last y
+    merged into the x run, over compositions (m_1..m_n) of i < m.
+    Refuses m + n over MAX_LETTERS before any work."""
+    if m < 0 or n < 0:
+        raise ValueError("need m, n >= 0")
+    _check_letters(m + n)
+    acc = {"y".join("x" * c for c in comp): 1 for comp in compositions(m, n + 1)}
+    for i in range(m if n >= 1 else 0):
+        for comp in compositions(i, n):
+            w = "".join("x" * c + "y" for c in comp[:-1]) + "x" * (comp[-1] + m - i + 1)
+            acc[w] = acc.get(w, 0) - 1
+    return from_signed(acc)
 
 
 def pattern_product(a_exps, b_exps) -> HElement:

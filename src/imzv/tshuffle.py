@@ -7,15 +7,16 @@ words w1, w2 it satisfies
     a.w1 sh b.w2 = a(w1 sh b.w2) + b(a.w1 sh w2)
                    - [w1 empty] rho(a) b.w2 - [w2 empty] rho(b) a.w1
 
-with rho(x) = 0 and rho(y) = t x.  Every closed form in this package is
-checked against this recursion.  A product of two plain words is always of
-degree at most one in t (corrections contribute single standalone words, so
-no path multiplies two t factors), and no coefficient needs both parts: a
-word with as many x's as both factors has a positive constant, and a word
-with one x more (a rho correction turned a y into an x) a negative
-multiple of t.  So every table here is one halg signed table, word -> int
-c meaning c if c > 0 and c*t if c < 0, in which no sum of one product
-cancels, and the engines wrap it once with halg.from_signed.
+with rho(x) = 0 and rho(y) = t x.  This module holds only the product
+engines; every closed form lives in closedforms and is checked against
+this recursion.  A product of two plain words is always of degree at most
+one in t (corrections contribute single standalone words, so no path
+multiplies two t factors), and no coefficient needs both parts: a word
+with as many x's as both factors has a positive constant, and a word with
+one x more (a rho correction turned a y into an x) a negative multiple of
+t.  So every table here is one halg signed table, word -> int c meaning c
+if c > 0 and c*t if c < 0, in which no sum of one product cancels, and the
+engines wrap it once with halg.from_signed.
 
 _split_at computes the split formula: a sh b at one letter of a, summed
 from the tails a[k:] sh b[i:] for every suffix b[i:] of b, each times
@@ -41,7 +42,7 @@ letters as a plain str.
 
 from __future__ import annotations
 
-from .coeffs import QtPoly, binom
+from .coeffs import QtPoly
 from .halg import HElement, from_signed, make_helement
 from .words import MAX_LETTERS, Word
 
@@ -58,26 +59,6 @@ def _letters(w1, w2) -> tuple:
     u, v = Word(w1).letters, Word(w2).letters
     _check_letters(len(u) + len(v))
     return u, v
-
-
-def compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative integers summing to `total`, in
-    lexicographic order; none for a negative total.  Refuses a negative
-    `parts`."""
-    if parts < 0:
-        raise ValueError("need parts >= 0")
-    if total < 0:
-        return
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def _tsh(u: str, v: str, memo: dict) -> dict:
@@ -195,53 +176,6 @@ def shuffle_words(w1, w2, cache: dict | None = None) -> HElement:
     return from_signed(_sh(*_letters(w1, w2), {} if cache is None else cache))
 
 
-def _yy_corrections(m: int, n: int):
-    """Lemma 3.1's correction family for y^m sh y^n: the words
-    y^i x y^(m+n-i-1) with their coefficients C(i, m-1) + C(i, n-1), for
-    i = min(m,n)-1 .. m+n-2, each at least 1; none when m or n is 0, as
-    y^m sh 1 has no t part.  Each enters the product as -t times its
-    coefficient; the height-one forms reuse the family inside longer words.
-    """
-    if not (m and n):
-        return
-    for i in range(max(min(m, n) - 1, 0), m + n - 1):
-        yield "y" * i + "x" + "y" * (m + n - i - 1), binom(i, m - 1) + binom(i, n - 1)
-
-
-def yy_product_formula(m: int, n: int) -> HElement:
-    """Closed form for y^m sh y^n:
-
-        C(m+n, n) y^(m+n)
-        - t * sum_{i=min(m,n)-1}^{m+n-2} [C(i, m-1) + C(i, n-1)] y^i x y^(m+n-i-1)
-
-    Refuses m + n over MAX_LETTERS before any work.
-    """
-    if m < 1 or n < 1:
-        raise ValueError("need m, n >= 1")
-    _check_letters(m + n)
-    acc = {"y" * (m + n): binom(m + n, n)}
-    for w, c in _yy_corrections(m, n):
-        acc[w] = -c
-    return from_signed(acc)
-
-
-def xpow_times_ypow(m: int, n: int) -> HElement:
-    """x^m sh y^n: the block words x^(m_1) y x^(m_2) y ... y x^(m_{n+1}),
-    one per composition of m into n+1 runs, minus t times the merge words
-    x^(m_1) y ... x^(m_{n-1}) y x^(m_n + m - i + 1), where the last y
-    merged into the x run, over compositions (m_1..m_n) of i < m.
-    Refuses m + n over MAX_LETTERS before any work."""
-    if m < 0 or n < 0:
-        raise ValueError("need m, n >= 0")
-    _check_letters(m + n)
-    acc = {"y".join("x" * c for c in comp): 1 for comp in compositions(m, n + 1)}
-    for i in range(m if n >= 1 else 0):
-        for comp in compositions(i, n):
-            w = "".join("x" * c + "y" for c in comp[:-1]) + "x" * (comp[-1] + m - i + 1)
-            acc[w] = acc.get(w, 0) - 1
-    return from_signed(acc)
-
-
 # -t times the empty word as a signed table: the right factor of every
 # correction term
 _MINUS_T = {"": -1}
@@ -342,21 +276,6 @@ def split_product(a_word, b_word, k: int, cache: dict | None = None) -> HElement
     return from_signed(_split_at(a, b, k))
 
 
-def word_blocks(w) -> tuple:
-    """Run-length encode a word into (letter, exponent) blocks."""
-    blocks = []
-    for ch in Word(w):
-        if blocks and blocks[-1][0] == ch:
-            blocks[-1][1] += 1
-        else:
-            blocks.append([ch, 1])
-    return tuple((ch, e) for ch, e in blocks)
-
-
-def _blocks_to_string(blocks) -> str:
-    return "".join(ch * e for ch, e in blocks)
-
-
 def block_product(blocks_a, blocks_b) -> HElement:
     """The t-shuffle of two words given as (letter, exponent) blocks: the
     product imzv product prints (tshuffle_table) of the words they spell,
@@ -373,5 +292,5 @@ def block_product(blocks_a, blocks_b) -> HElement:
     if any(e < 0 for _, e in blocks):
         raise ValueError("need exponents >= 0")
     _check_letters(sum(e for _, e in blocks))
-    return from_signed(tshuffle_table(_blocks_to_string(blocks_a),
-                                      _blocks_to_string(blocks_b)))
+    return from_signed(tshuffle_table(*("".join(ch * e for ch, e in bs)
+                                        for bs in (blocks_a, blocks_b))))

@@ -23,13 +23,8 @@ from typing import Callable
 from . import closedforms
 from .halg import HElement
 from .mzvnum import EvalResult, eval_combo, eval_mzv
-from .tshuffle import (
-    shuffle_words,
-    tshuffle,
-    tshuffle_words,
-    xpow_times_ypow,
-    yy_product_formula,
-)
+from .closedforms import xpow_times_ypow, yy_product_formula
+from .tshuffle import shuffle_words, tshuffle, tshuffle_words
 from .words import (
     admissible_indices,
     all_words,

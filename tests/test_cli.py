@@ -545,6 +545,20 @@ def test_python_dash_m_runs_the_cli_from_a_checkout():
     assert bad.stderr.endswith("imzv: error: unrecognized arguments: --bogus\n")
 
 
+def test_a_reader_that_closes_the_pipe_early_gets_141_and_no_traceback():
+    # a 5.3 MB reply, far more than a pipe holds, so the writer is still
+    # writing when the read end closes after one byte
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = ["product", "xxxxyyyyxxyy", "yyxxyyxxxyyy", "--format", "json"]
+    with subprocess.Popen([sys.executable, "-m", "imzv", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(1) == b"["
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (141, b"")
+
+
 def test_product_of_300_letters_runs_in_a_256_mb_address_space():
     # the split keeps one row of tables at a time; a memo of every suffix
     # pair's table peaks at about 314 MB on this product

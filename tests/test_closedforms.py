@@ -68,16 +68,26 @@ def test_pattern_product_matches_oracle_on_long_shapes(a, terms):
 def test_closed_forms_do_not_call_the_recursive_engines(monkeypatch):
     cases = [((0, 2, 1), (1, 0)), ((2,), (0, 0, 1))]
     oracle = [tshuffle_words(word_from_exps(a), word_from_exps(b)) for a, b in cases]
-    height_two = tshuffle_words("xxyy", "yxyy")
+    # each closed form with its arguments and the oracle's value
+    forms = [
+        (height_two_product, (2, 2, 0, 1, 1, 2), tshuffle_words("xxyy", "yxyy")),
+        (yy_product_formula, (3, 2), tshuffle_words("yyy", "yy")),
+        (xpow_times_ypow, (3, 2), tshuffle_words("xxx", "yy")),
+        (height_one_product, (2, 2, 1, 1), tshuffle_words("xxyy", "xy")),
+        (expanded_height_one_product, (1, 2, 2, 1), tshuffle_words("xyy", "xxy")),
+        (alternating_product_closed_form, (4, 3), alternating_product_sum(4, 3)),
+        (alternating_product_weight4_form, (4,), alternating_product_sum(4, 2)),
+    ]
 
     def refuse(*args, **kwargs):
         raise AssertionError("a closed form called the recursive engine")
 
-    for name in ("_tsh", "_sh", "_tails", "_prefixes"):
+    for name in ("_tsh", "_prepend", "_sh", "_tails", "_prefixes", "_split_at"):
         monkeypatch.setattr(engines, name, refuse)
     monkeypatch.setattr(closedforms, "_tsh", refuse)
     assert [pattern_product(a, b) for a, b in cases] == oracle
-    assert height_two_product(2, 2, 0, 1, 1, 2) == height_two
+    for form, args, want in forms:
+        assert form(*args) == want, form.__name__
 
 
 # letters counted from the exponents: sum(exps) + len(exps) per word

@@ -6,6 +6,7 @@ JSON round trips used by the command line tools.
 """
 
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +21,6 @@ from imzv import (
     parse_helement,
     tshuffle,
     tshuffle_words,
-    word_blocks,
     zeta_map,
 )
 
@@ -38,6 +38,11 @@ from imzv.halg import (
 )
 from imzv.tshuffle import tshuffle_table
 from imzv.words import all_words
+
+
+def _blocks(w):
+    """The (letter, exponent) runs of a word, as block_product takes them."""
+    return tuple((ch, len(list(run))) for ch, run in groupby(Word(w).letters))
 
 coeffs = st.builds(
     QtPoly,
@@ -290,7 +295,7 @@ def test_products_share_one_coefficient_per_distinct_pair_across_the_process():
     fresh = tshuffle_words("xxyy", "xyxxy")
     assert fresh == other
     assert all(c is other.terms[w] for w, c in fresh.terms.items())
-    blocks = block_product(word_blocks("xxyy"), word_blocks("xyxxy"))
+    blocks = block_product(_blocks("xxyy"), _blocks("xyxxy"))
     assert all(c is other.terms[w] for w, c in blocks.terms.items())
 
 
@@ -346,14 +351,8 @@ def _keys_are_letters(v):
 
 def test_every_producer_keys_terms_by_letters():
     from imzv import closedforms
-    from imzv.tshuffle import (
-        block_product,
-        shuffle_words,
-        split_product,
-        word_blocks,
-        xpow_times_ypow,
-        yy_product_formula,
-    )
+    from imzv.closedforms import xpow_times_ypow, yy_product_formula
+    from imzv.tshuffle import block_product, shuffle_words, split_product
 
     u = HElement({Word("xy"): 2, Word(""): QtPoly.t(), "y": 1})
     v = tshuffle_words(Word("xxy"), Word("y"))
@@ -365,7 +364,7 @@ def test_every_producer_keys_terms_by_letters():
         shuffle_words(Word("xy"), Word("yx")),
         tshuffle(u, v),
         split_product(Word("xyy"), Word("xy"), 2),
-        block_product(word_blocks("xxyy"), word_blocks(Word("xyy"))),
+        block_product(_blocks("xxyy"), _blocks(Word("xyy"))),
         closedforms.pattern_product((1, 0), (2,)),
         closedforms.height_one_product(2, 2, 1, 1),
         closedforms.expanded_height_one_product(1, 2, 1, 1),

@@ -10,7 +10,7 @@ associativity, unit) underpin everything downstream.
 import importlib
 import random
 from fractions import Fraction
-from itertools import repeat
+from itertools import groupby, repeat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,12 +27,12 @@ from imzv import (
     split_product,
     tshuffle,
     tshuffle_words,
-    word_blocks,
     block_product,
     xpow_times_ypow,
     yy_product_formula,
 )
 import imzv.words
+from imzv.closedforms import _yy_corrections
 from imzv.halg import accumulate, from_signed, signed_poly
 from imzv.tshuffle import (
     MAX_LETTERS,
@@ -42,7 +42,6 @@ from imzv.tshuffle import (
     _split_at,
     _tails,
     _tsh,
-    _yy_corrections,
     tshuffle_table,
 )
 from imzv.words import all_words
@@ -50,6 +49,11 @@ from imzv.verify import run_oracle_laws
 
 short_words = st.text(alphabet="xy", max_size=4).map(Word)
 tiny_words = st.text(alphabet="xy", max_size=3).map(Word)
+
+
+def _blocks(w):
+    """The (letter, exponent) runs of a word, as block_product takes them."""
+    return tuple((ch, len(list(run))) for ch, run in groupby(Word(w).letters))
 
 
 def test_empty_word_is_the_unit():
@@ -127,13 +131,6 @@ def test_xy_block_form_matches_recursion(m, n):
     assert xpow_times_ypow(m, n) == tshuffle_words(Word("x" * m), Word("y" * n))
 
 
-def test_word_blocks_reassemble():
-    w = Word("xxyyxy")
-    blocks = word_blocks(w)
-    assert blocks == (("x", 2), ("y", 2), ("x", 1), ("y", 1))
-    assert "".join(ch * e for ch, e in blocks) == w.letters
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     w1=st.text(alphabet="xy", min_size=1, max_size=4).map(Word),
@@ -148,7 +145,7 @@ def test_split_product_is_position_independent(w1, w2, data):
 @settings(max_examples=60, deadline=None)
 @given(w1=tiny_words, w2=tiny_words)
 def test_block_product_matches_recursion(w1, w2):
-    got = block_product(word_blocks(w1), word_blocks(w2))
+    got = block_product(_blocks(w1), _blocks(w2))
     assert got == tshuffle_words(w1, w2)
 
 
@@ -162,7 +159,7 @@ def test_split_and_block_products_match_the_oracle_on_all_words_up_to_four_lette
             for k in range(1, len(u) + 1):
                 assert split_product(u, v, k) == want, (u, v, k)
                 splits += 1
-            assert block_product(word_blocks(u), word_blocks(v)) == want, (u, v)
+            assert block_product(_blocks(u), _blocks(v)) == want, (u, v)
             blocks += 1
     assert (splits, blocks) == (3038, 961)
 
@@ -173,7 +170,7 @@ def test_block_product_takes_at_most_one_frame_per_block():
     # deep, where two Python frames per block would pass the default
     # recursion limit of 1000
     a = "xy" * 249
-    assert block_product(word_blocks(a), word_blocks("y")) == tshuffle_words(a, "y")
+    assert block_product(_blocks(a), _blocks("y")) == tshuffle_words(a, "y")
 
 
 def test_compositions_count_and_order():
@@ -281,7 +278,7 @@ _LETTER_ENGINES = {
     "tshuffle": lambda u, v: tshuffle(HElement.from_word(u), HElement.from_word(v)),
     "shuffle_words": shuffle_words,
     "split_product": lambda u, v: split_product(u, v, 1),
-    "block_product": lambda u, v: block_product(word_blocks(u), word_blocks(v)),
+    "block_product": lambda u, v: block_product(_blocks(u), _blocks(v)),
     "tshuffle_table": lambda u, v: from_signed(tshuffle_table(u, v)),
 }
 

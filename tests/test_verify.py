@@ -18,7 +18,8 @@ import pytest
 
 from imzv import closedforms, mzvnum, verify
 from imzv.halg import HElement
-from imzv.tshuffle import tshuffle_words, yy_product_formula
+from imzv.closedforms import yy_product_formula
+from imzv.tshuffle import tshuffle_words
 from imzv.zeta import ZetaCombo
 
 # small grids on which every suite below passes without subtracting
