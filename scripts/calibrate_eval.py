@@ -13,6 +13,7 @@ import sys
 import time
 
 from imzv import mzvnum
+from imzv.cli import piped
 from imzv.mzvnum import HALF, eval_mzv, zeta_ref
 from imzv.verify import DUALITY_SPLIT
 from imzv.words import admissible_indices, dual, index_from_word, word_from_index
@@ -74,4 +75,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(piped(main))

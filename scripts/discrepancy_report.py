@@ -24,6 +24,7 @@ import json
 import sys
 from itertools import groupby, product
 
+from imzv.cli import piped
 from imzv.closedforms import (
     alternating_product_closed_form,
     alternating_product_sum,
@@ -200,4 +201,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(piped(main))

@@ -3,6 +3,7 @@
 
 import sys
 
+from imzv.cli import piped
 from imzv.verify import SUITES, run_oracle_laws, run_shuffle_consistency
 
 
@@ -23,4 +24,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(piped(main))

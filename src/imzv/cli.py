@@ -323,20 +323,28 @@ def _parse(argv: list) -> argparse.Namespace:
     return args
 
 
+def piped(run) -> int:
+    """run() with stdout flushed inside the call, and its exit code.  If the
+    reader closed the pipe first, stdout is pointed at devnull, so the
+    flush at exit stays quiet, and the code is 141, a SIGPIPE kill's."""
+    try:
+        code = run()
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+
+
 def main(argv=None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        code = _COMMANDS[args.command](args)
-        sys.stdout.flush()
-        return code
-    except BrokenPipeError:
-        # the reader closed the pipe: send what is left to devnull, so the
-        # flush at exit stays quiet, and exit as a writer SIGPIPE killed
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
+        return piped(lambda: _COMMANDS[args.command](args))
     except (ValueError, ZeroDivisionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -23,9 +23,9 @@ Each single product sums into one halg signed table, word -> int c
 meaning c if c > 0 and c*t if c < 0: a plain word adds +c and a merged
 word -c, so within one product no sum cancels.  The table is wrapped once
 with halg.from_signed.  The alternating sums mix signs:
-alternating_product_sum folds its odd-i products into its even-i ones
-with halg.accumulate, and the alternating closed forms sum QtPoly
-coefficients with accumulate throughout.
+alternating_product_sum sums its signed products with halg.sum_products,
+as tshuffle sums its term pairs, and the alternating closed forms sum
+QtPoly coefficients with accumulate throughout.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 from math import comb
 
 from .coeffs import QtPoly, binom
-from .halg import HElement, accumulate, from_signed, make_helement
+from .halg import HElement, accumulate, from_signed, make_helement, sum_products
 from .tshuffle import _check_letters, _tsh
 
 
@@ -323,19 +323,10 @@ def alternating_product_sum(k: int, p: int, cache: dict | None = None) -> HEleme
     if cache is None:
         cache = {}
     zp = "x" * (p - 1) + "y"
-    # every product has 2(p-1) x's in all, so the even-i products and the
-    # odd-i ones each sum into one signed table, in which nothing cancels
-    tables = ({}, {})
-    for i in range(k + 1):
-        acc = tables[i % 2]
-        get = acc.get
-        for w, c in _tsh(zp + "y" * i, zp + "y" * (k - i), cache).items():
-            acc[w] = get(w, 0) + c
-    even, odd = map(from_signed, tables)
-    terms = even.terms  # a new dict, held by nothing else yet
-    for w, c in odd.terms.items():
-        accumulate(terms, w, -c)
-    return make_helement(terms)
+    signs = (QtPoly.one(), QtPoly.const(-1))
+    return sum_products(((zp + "y" * i, zp + "y" * (k - i), signs[i % 2])
+                         for i in range(k + 1)),
+                        lambda u, v: _tsh(u, v, cache))
 
 
 def alternating_product_closed_form(k: int, p: int) -> HElement:

@@ -15,8 +15,8 @@ constant on a word with as many x's as both factors, or a negative
 multiple of t on a word with one x more, where a rho correction turned a
 y into an x.  So every product engine sums plain ints into one signed
 table, str word -> int c meaning c if c > 0 and c*t if c < 0, and wraps
-it once with from_signed.  A sum whose signs mix is summed as QtPoly
-with accumulate.
+it once with from_signed.  Any sum of word products times QtPoly
+coefficients, concatenation too, is summed as ints with sum_products.
 
 Coefficients are shared: from_signed takes the QtPoly of each distinct
 int from one bounded process-wide table, so every element it wraps holds
@@ -51,6 +51,22 @@ def accumulate(table: dict, key, c: QtPoly):
         table[key] = c
     elif old is not None:
         del table[key]
+
+
+def sum_products(pairs, product) -> "HElement":
+    """The sum of c * product(w1, w2) over the (w1, w2, c) triples of
+    pairs, each c a QtPoly and each product a signed table.  Plain ints sum
+    into one degree -> int row per word, an entry c < 0 (c*t) raising each
+    degree by one, and a word whose row cancels is dropped."""
+    rows = {}
+    for w1, w2, c in pairs:
+        for w, s in product(w1, w2).items():
+            row = rows.setdefault(w, {})
+            shift = s < 0
+            for d, k in c.coeffs:
+                d += shift
+                row[d] = row.get(d, 0) + k * s
+    return make_helement({w: q for w, row in rows.items() if (q := QtPoly(row))})
 
 
 def specialize(terms: dict, t0) -> dict:
@@ -259,11 +275,9 @@ class HElement:
         """Concatenation product, extended bilinearly."""
         if not isinstance(other, HElement):
             return self.scale(other)
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                accumulate(out, w1 + w2, c1 * c2)
-        return make_helement(out)
+        return sum_products(((w1, w2, c1 * c2) for w1, c1 in self.terms.items()
+                             for w2, c2 in other.terms.items()),
+                            lambda w1, w2: {w1 + w2: 1})
 
     def coeff(self, w) -> QtPoly:
         return self.terms.get(Word(w), QtPoly.zero())

@@ -16,7 +16,8 @@ with as many x's as both factors has a positive constant, and a word with
 one x more (a rho correction turned a y into an x) a negative multiple of
 t.  So every table here is one halg signed table, word -> int c meaning c
 if c > 0 and c*t if c < 0, in which no sum of one product cancels, and the
-engines wrap it once with halg.from_signed.
+engines wrap it once with halg.from_signed.  tshuffle, the bilinear
+extension, sums its term pairs' _tsh tables with halg.sum_products.
 
 _split_at computes the split formula: a sh b at one letter of a, summed
 from the tails a[k:] sh b[i:] for every suffix b[i:] of b, each times
@@ -42,8 +43,7 @@ letters as a plain str.
 
 from __future__ import annotations
 
-from .coeffs import QtPoly
-from .halg import HElement, from_signed, make_helement
+from .halg import HElement, from_signed, sum_products
 from .words import MAX_LETTERS, Word
 
 
@@ -130,28 +130,14 @@ def tshuffle_words(w1, w2, cache: dict | None = None) -> HElement:
 
 
 def tshuffle(u: HElement, v: HElement, cache: dict | None = None) -> HElement:
-    """Q[t]-bilinear extension of tshuffle_words, summed in one table of
-    degree -> coefficient rows."""
+    """Q[t]-bilinear extension of tshuffle_words, by halg.sum_products."""
     if cache is None:
         cache = {}
     # the longest word on each side sets the depth of the recursion
     _letters(max(u.terms, key=len, default=""), max(v.terms, key=len, default=""))
-    acc = {}
-    for w1, a in u.terms.items():
-        for w2, b in v.terms.items():
-            ab = (a * b).coeffs
-            for w, c in _tsh(w1, w2, cache).items():
-                row = acc.setdefault(w, {})
-                shift = c < 0  # c*t raises each degree by one
-                for d, k in ab:
-                    d += shift
-                    row[d] = row.get(d, 0) + k * c
-    terms = {}
-    for w, row in acc.items():
-        c = QtPoly(row)
-        if c:
-            terms[w] = c
-    return make_helement(terms)
+    return sum_products(((w1, w2, a * b) for w1, a in u.terms.items()
+                         for w2, b in v.terms.items()),
+                        lambda w1, w2: _tsh(w1, w2, cache))
 
 
 def _sh(u: str, v: str, memo: dict) -> dict:

@@ -5,6 +5,8 @@ pin down the module laws, the canonical printing order, and the text and
 JSON round trips used by the command line tools.
 """
 
+import importlib
+import inspect
 from fractions import Fraction
 from itertools import groupby
 
@@ -26,12 +28,13 @@ from imzv import (
 
 import json
 
-from imzv import halg
+from imzv import alternating_product_sum, closedforms, halg
 from imzv.halg import (
     canonical_words,
     from_signed,
     signed_poly,
     signed_str,
+    sum_products,
     table_json,
     table_str,
     write_text,
@@ -183,6 +186,48 @@ def test_tshuffle_drops_cancelled_words_and_keeps_fractions():
     assert Word("yx") not in got.terms
     half = HElement.from_word("y", QtPoly({0: Fraction(1, 2)}))
     assert tshuffle(half, y.scale(2)) == tshuffle_words("y", "y")
+
+
+@settings(max_examples=60, deadline=None)
+@given(u=elements, v=elements)
+def test_concatenation_is_the_sum_of_scaled_concatenated_words(u, v):
+    expected = HElement.zero()
+    for w1, c1 in u.terms.items():
+        for w2, c2 in v.terms.items():
+            expected = expected + HElement.from_word(w1 + w2).scale(c1 * c2)
+    assert u * v == expected
+
+
+def test_sum_products_shifts_negative_entries_drops_cancelled_rows_and_stays_exact():
+    half = QtPoly({0: Fraction(1, 2), 2: 3})
+    tables = {("x", "y"): {"xy": 2, "xx": -3}, ("y", "x"): {"xy": 2, "yx": 1},
+              ("y", "y"): {"yy": 3}}
+    pairs = [("x", "y", half), ("y", "x", -half), ("y", "y", QtPoly({0: Fraction(1, 3)}))]
+    got = sum_products(pairs, lambda w1, w2: tables[w1, w2])
+    # -3 on xx means -3t, so each degree of half goes up by one; xy cancels
+    assert got.terms == {"xx": QtPoly({1: Fraction(-3, 2), 3: -9}),
+                         "yx": QtPoly({0: Fraction(-1, 2), 2: -3}),
+                         "yy": QtPoly.one()}
+    # an integral sum is an int, whatever it was summed from
+    assert [type(c) for _, c in got.terms["xx"].coeffs] == [Fraction, int]
+    assert type(got.terms["yy"].coeffs[0][1]) is int
+
+
+def test_every_sum_of_word_products_goes_through_sum_products(monkeypatch):
+    engines = importlib.import_module("imzv.tshuffle")
+    u = HElement({"x": QtPoly({0: 1, 1: 2}), "y": 3})
+    v = HElement({"xy": Fraction(1, 2), "": 1})
+    want = [u * v, tshuffle(u, v), alternating_product_sum(4, 2)]
+    callers = []
+
+    def spy(pairs, product):
+        callers.append(inspect.currentframe().f_back.f_code.co_name)
+        return sum_products(pairs, product)
+
+    for module in (halg, engines, closedforms):
+        monkeypatch.setattr(module, "sum_products", spy)
+    assert [u * v, tshuffle(u, v), alternating_product_sum(4, 2)] == want
+    assert callers == ["__mul__", "tshuffle", "alternating_product_sum"]
 
 
 def test_a_zero_in_a_signed_table_is_refused():

@@ -4,14 +4,22 @@ The discrepancy report rebuilds defective variant readings from private
 tshuffle helpers, so a change to those helpers shows here first.  The
 calibration report reads the private series of mzvnum, and each of its
 rows must find the true error within the proven bound.  The suite
-summary must exit 1 and say FAIL when a report fails.
+summary must exit 1 and say FAIL when a report fails.  Each script exits
+141 with nothing on stderr when its reader closes the pipe first.
 """
 
 import hashlib
 import importlib.util
 import json
+import os
+import runpy
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
+from imzv import verify
 from imzv.verify import VerifyReport
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -68,3 +76,32 @@ def test_verify_all_exits_1_and_prints_fail_on_a_failing_report(monkeypatch, cap
     assert lines[0].startswith("oracle-laws") and lines[0].endswith("FAIL")
     assert lines[1] == "    {'u': 'xy'}  diff=xy"
     assert lines[2].startswith("shuffle-consistency") and lines[2].endswith("ok")
+
+
+@pytest.mark.parametrize("name", ["calibrate_eval", "discrepancy_report"])
+def test_a_script_whose_reader_closed_the_pipe_exits_141_quietly(name):
+    env = dict(os.environ, PYTHONPATH=str(SCRIPTS.parent / "src"))
+    with subprocess.Popen([sys.executable, str(SCRIPTS / (name + ".py"))], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (141, b"")
+
+
+def test_verify_all_exits_141_quietly_when_its_reader_closed_the_pipe(monkeypatch, capsys):
+    # in process, with one fast report per suite, the script's main line
+    # writes to a pipe whose read end is already closed
+    passing = VerifyReport("oracle-laws")
+    passing.record({"u": "y"}, True)
+    monkeypatch.setattr(verify, "run_oracle_laws", lambda: passing)
+    monkeypatch.setattr(verify, "run_shuffle_consistency", lambda: passing)
+    monkeypatch.setattr(verify, "SUITES", {})
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        with pytest.raises(SystemExit) as done:
+            runpy.run_path(str(SCRIPTS / "verify_all.py"), run_name="__main__")
+    assert done.value.code == 141
+    assert capsys.readouterr().err == ""
